@@ -39,7 +39,7 @@ use ril_bench::farm::worker::worker_main;
 use ril_bench::{trace_report, validate_run_dir, FarmSpec, RunConfig, WorkerConfig};
 
 fn usage() -> &'static str {
-    "usage:\n  ril-bench list\n  ril-bench run [--all] [--smoke] [--no-cache] [--workers N] [--out-dir DIR] [NAME…]\n  ril-bench worker --connect HOST:PORT [--name NAME] [--json]\n  ril-bench trace <run-dir>\n  ril-bench validate <run-dir>"
+    "usage:\n  ril-bench list\n  ril-bench run [--all] [--smoke] [--no-cache] [--workers N] [--out-dir DIR] [NAME…]\n  ril-bench worker --connect HOST:PORT [--name NAME]\n  ril-bench trace <run-dir>\n  ril-bench validate <run-dir>"
 }
 
 fn main() -> ExitCode {
@@ -110,7 +110,6 @@ fn worker(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--json" => cfg.codec = ril_serve::WireCodec::Json,
             other => {
                 eprintln!("unknown worker argument {other:?}\n{}", usage());
                 return ExitCode::from(2);

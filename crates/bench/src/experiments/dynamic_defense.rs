@@ -10,6 +10,7 @@
 //! RNG, and the solver are all seeded, so the sweep reproduces bit-for-bit
 //! and the monotonicity check below is a hard assertion, not a tendency.
 
+use ril_attacks::json::escape;
 use ril_attacks::satattack::{sat_attack, SatAttackConfig};
 use ril_attacks::{attacker_view, AttackReport};
 use ril_serve::{DesignSpec, RemoteOracle, ServeClient, ServeConfig, Server};
@@ -201,8 +202,13 @@ impl Experiment for DynamicDefense {
         let artifact = ctx.write_output(
             "DYNAMIC_DEFENSE.json",
             &format!(
-                r#"{{"design":{},"rows":[{}]}}"#,
-                design.to_json(),
+                r#"{{"design":{{"benchmark":"{}","spec":"{}","blocks":{},"seed":{},"scan":{},"zero_se":{}}},"rows":[{}]}}"#,
+                escape(&design.benchmark),
+                escape(&design.spec),
+                design.blocks,
+                design.seed,
+                design.scan,
+                design.zero_se,
                 json_rows.join(",")
             ),
         )?;

@@ -16,7 +16,7 @@
 //! from another machine's cache would be meaningless — and the run
 //! **hard-asserts** a qps floor and a p99 ceiling on loopback.
 
-use ril_serve::{CodecPref, DesignSpec, Request, Response, ServeClient, ServeConfig, Server};
+use ril_serve::{DesignSpec, Request, Response, ServeClient, ServeConfig, Server};
 use std::time::Instant;
 
 use crate::experiment::{Experiment, ExperimentError, ExperimentOutput, RunContext};
@@ -36,79 +36,6 @@ const MAX_P99_US: u64 = 50_000;
 
 /// Design seed base — chip `i` uses `SEED + i`.
 const SEED: u64 = 7208;
-
-/// Codec-compare gate: the binary codec must clear at least this multiple
-/// of the JSON fallback's pattern throughput on the wide-batch workload.
-const MIN_CODEC_SPEEDUP: f64 = 2.0;
-
-/// Lanes per batch in the codec-compare phase (the wire maximum).
-const COMPARE_LANES: usize = 64;
-
-/// Pipelining depth for the codec-compare clients.
-const COMPARE_DEPTH: usize = 32;
-
-/// The codec-compare design: a wide adder, so each 64-lane batch frame
-/// carries thousands of pattern bits and codec cost dominates eval cost.
-fn wide_design() -> DesignSpec {
-    DesignSpec {
-        benchmark: "adder:32".to_string(),
-        spec: "2x2".to_string(),
-        blocks: 2,
-        seed: SEED + 100,
-        scan: false,
-        zero_se: false,
-    }
-}
-
-/// Deterministic batch `i`: lane `j` carries the bits of a mixed index.
-fn compare_batch(chip: u64, width: usize, i: usize) -> Request {
-    let patterns = (0..COMPARE_LANES)
-        .map(|j| {
-            let mix = ((i * COMPARE_LANES + j) as u32).wrapping_mul(2654435761);
-            (0..width).map(|b| (mix >> (b % 32)) & 1 == 1).collect()
-        })
-        .collect();
-    Request::QueryBatch { chip, patterns }
-}
-
-/// Drives `batches` pipelined 64-lane batches through one connection
-/// under the given codec preference. Returns (patterns/s, first rows) —
-/// the rows let the caller assert both codecs computed identical outputs.
-fn codec_phase(
-    addr: &str,
-    chip: u64,
-    width: usize,
-    pref: CodecPref,
-    batches: usize,
-) -> Result<(f64, Vec<Vec<bool>>), String> {
-    let mut client = ServeClient::builder(addr.to_string())
-        .codec(pref)
-        .pipeline(COMPARE_DEPTH)
-        .build()
-        .map_err(|e| format!("client configuration: {e}"))?;
-    let reqs: Vec<Request> = (0..batches)
-        .map(|i| compare_batch(chip, width, i))
-        .collect();
-    let started = Instant::now();
-    let resps = client
-        .request_pipelined(&reqs)
-        .map_err(|e| format!("pipelined batches failed: {e}"))?;
-    let wall_s = started.elapsed().as_secs_f64();
-    let mut first_rows = Vec::new();
-    let mut answered = 0usize;
-    for (i, resp) in resps.iter().enumerate() {
-        match resp {
-            Response::Batch { rows, .. } if rows.len() == COMPARE_LANES => {
-                if i == 0 {
-                    first_rows = rows.clone();
-                }
-                answered += rows.len();
-            }
-            other => return Err(format!("batch {i} failed: {other:?}")),
-        }
-    }
-    Ok((answered as f64 / wall_s.max(1e-9), first_rows))
-}
 
 fn design(i: u64) -> DesignSpec {
     DesignSpec {
@@ -219,62 +146,21 @@ impl Experiment for ServeLoad {
         );
         let max_us = *samples.last().unwrap_or(&0);
 
-        // Phase B — codec compare: the same pipelined 64-lane batch
-        // workload over one wide chip, once per codec. On this shape the
-        // frame payloads are kilobytes of pattern bits, so the measured
-        // gap is (en/de)coding cost, not eval or syscalls.
-        let compare_batches = if cfg.smoke { 200 } else { 1000 };
-        let (wide_chip, wide_width) = match setup.request(&Request::Activate {
-            design: wide_design(),
-        }) {
-            Ok(Response::Activated { chip, inputs, .. }) => (chip, inputs),
-            Ok(other) => return Err(format!("wide activation refused: {other:?}").into()),
-            Err(e) => return Err(format!("wide activation failed: {e}").into()),
-        };
-        let (bin_qps, bin_rows) = codec_phase(
-            &addr,
-            wide_chip,
-            wide_width,
-            CodecPref::Bin,
-            compare_batches,
-        )
-        .map_err(ExperimentError::Other)?;
-        let (json_qps, json_rows) = codec_phase(
-            &addr,
-            wide_chip,
-            wide_width,
-            CodecPref::Json,
-            compare_batches,
-        )
-        .map_err(ExperimentError::Other)?;
-        if bin_rows != json_rows {
-            return Err("codec mismatch: binary and JSON batches returned different rows".into());
-        }
-        let speedup = bin_qps / json_qps.max(1e-9);
-        let compare_patterns = compare_batches * COMPARE_LANES;
-        ctx.note(&format!(
-            "codec compare — {compare_batches} pipelined 64-lane batches on adder:32: \
-             bin {bin_qps:.0} patterns/s vs json {json_qps:.0} patterns/s ({speedup:.1}x)",
-        ));
-
         // Server-side consistency: the counter, the aggregate histogram,
         // and the per-chip histograms must all have seen exactly the
-        // query *requests* the clients sent — across both phases (a batch
-        // is one request; its lanes land in `serve.query.patterns`).
-        let expected = requests as u64 + 2 * compare_batches as u64;
+        // query *requests* the clients sent.
+        let expected = requests as u64;
         let metrics = handle.metrics();
         handle.shutdown();
         let counted = metrics.counter("serve.queries");
         let histo = metrics.timing("serve.query.latency").map_or(0, |h| h.count);
         let per_chip: u64 = targets
             .iter()
-            .map(|(chip, _)| *chip)
-            .chain([wide_chip])
-            .filter_map(|chip| metrics.timing(&format!("chip.{chip}.query.latency")))
+            .filter_map(|(chip, _)| metrics.timing(&format!("chip.{chip}.query.latency")))
             .map(|h| h.count)
             .sum();
+        // Every request is a single-pattern query.
         let pattern_count = metrics.counter("serve.query.patterns");
-        let expected_patterns = requests as u64 + 2 * compare_patterns as u64;
         if counted != expected || histo != expected || per_chip != expected {
             return Err(format!(
                 "serve telemetry inconsistent: clients sent {expected} query requests but the \
@@ -282,9 +168,9 @@ impl Experiment for ServeLoad {
             )
             .into());
         }
-        if pattern_count != expected_patterns {
+        if pattern_count != expected {
             return Err(format!(
-                "serve pattern accounting inconsistent: clients sent {expected_patterns} \
+                "serve pattern accounting inconsistent: clients sent {expected} \
                  patterns but the server counted {pattern_count}"
             )
             .into());
@@ -307,28 +193,10 @@ impl Experiment for ServeLoad {
                 format!("{max_us}µs"),
             ]],
         );
-        print_table(
-            "Codec compare (adder:32, 64-lane batches, pipeline depth 32)",
-            &["Codec", "Batches", "Patterns", "Patterns/s"],
-            &[
-                vec![
-                    "bin".to_string(),
-                    compare_batches.to_string(),
-                    compare_patterns.to_string(),
-                    format!("{bin_qps:.0}"),
-                ],
-                vec![
-                    "json".to_string(),
-                    compare_batches.to_string(),
-                    compare_patterns.to_string(),
-                    format!("{json_qps:.0}"),
-                ],
-            ],
-        );
         let artifact = ctx.write_output(
             "BENCH_serve_load.json",
             &format!(
-                r#"{{"benchmark":"adder:8","spec":"2x2","blocks":2,"seed":{SEED},"chips":{chips},"threads":{threads},"per_thread":{per_thread},"requests":{requests},"wall_s":{wall_s:.6},"qps":{qps:.1},"p50_us":{p50},"p99_us":{p99},"p999_us":{p999},"max_us":{max_us},"min_qps":{MIN_QPS},"max_p99_us":{MAX_P99_US},"codec_compare":{{"benchmark":"adder:32","lanes":{COMPARE_LANES},"depth":{COMPARE_DEPTH},"batches":{compare_batches},"bin_patterns_per_s":{bin_qps:.1},"json_patterns_per_s":{json_qps:.1},"speedup":{speedup:.2},"min_speedup":{MIN_CODEC_SPEEDUP}}}}}"#,
+                r#"{{"benchmark":"adder:8","spec":"2x2","blocks":2,"seed":{SEED},"chips":{chips},"threads":{threads},"per_thread":{per_thread},"requests":{requests},"wall_s":{wall_s:.6},"qps":{qps:.1},"p50_us":{p50},"p99_us":{p99},"p999_us":{p999},"max_us":{max_us},"min_qps":{MIN_QPS},"max_p99_us":{MAX_P99_US}}}"#,
             ),
         )?;
 
@@ -348,18 +216,10 @@ impl Experiment for ServeLoad {
             )
             .into());
         }
-        if speedup < MIN_CODEC_SPEEDUP {
-            return Err(format!(
-                "binary codec sustained only {speedup:.2}x the JSON fallback \
-                 ({bin_qps:.0} vs {json_qps:.0} patterns/s); the floor is {MIN_CODEC_SPEEDUP}x"
-            )
-            .into());
-        }
         Ok(ExperimentOutput {
             summary: format!(
                 "{requests} requests, {threads} threads x {chips} chips; {qps:.0} qps; \
-                 p50 {p50}µs / p99 {p99}µs / p99.9 {p999}µs; bin codec {speedup:.1}x json \
-                 on 64-lane batches; server counters consistent",
+                 p50 {p50}µs / p99 {p99}µs / p99.9 {p999}µs; server counters consistent",
             ),
             files: vec![artifact],
         })

@@ -17,7 +17,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ril_serve::farm::{FarmRequest, FarmResponse, FARM_PROTOCOL_VERSION};
-use ril_serve::{read_frame_bytes, write_frame_bytes, FrameError, WireCodec};
+use ril_serve::{read_frame_bytes, write_frame_bytes, FrameError};
 use ril_trace::{Metrics, MetricsSnapshot, Tracer};
 
 use crate::cache::{CacheKey, CellCache};
@@ -222,20 +222,14 @@ fn serve_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
             }
             Err(_) => return,
         };
-        let (resp, codec) = match FarmRequest::decode(&payload) {
-            Ok((req, codec)) => (handle(shared, req), codec),
-            Err(e) => (
-                FarmResponse::FarmError {
-                    message: format!("bad farm frame: {e}"),
-                },
-                WireCodec::Json,
-            ),
+        let resp = match FarmRequest::decode(&payload) {
+            Ok(req) => handle(shared, req),
+            Err(e) => FarmResponse::FarmError {
+                message: format!("bad farm frame: {e}"),
+            },
         };
-        let frame = match resp.encode(codec) {
-            Ok(f) => f,
-            Err(_) => {
-                return;
-            }
+        let Ok(frame) = resp.encode() else {
+            return;
         };
         if write_frame_bytes(&mut stream, &frame).is_err() {
             return;

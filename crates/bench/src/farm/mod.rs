@@ -12,8 +12,8 @@
 //!   temp+rename — first write wins, which makes double completion
 //!   idempotent by construction.
 //! * **The serve wire layer** carries the farm vocabulary
-//!   ([`ril_serve::farm`]) on a disjoint opcode range, with the same
-//!   per-frame JSON/binary codec sniff.
+//!   ([`ril_serve::farm`]) on a disjoint opcode range, in the same
+//!   binary frames as the oracle traffic.
 //! * **The experiment framework** enumerates the cells
 //!   ([`crate::Experiment::farm_cells`]) and, after the farm phase has
 //!   filled the cache, the normal in-process run assembles the tables

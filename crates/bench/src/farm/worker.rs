@@ -25,8 +25,8 @@ pub struct WorkerConfig {
     pub connect: String,
     /// Worker name, used in the coordinator's per-worker telemetry.
     pub name: String,
-    /// Wire codec for this worker's frames (the coordinator sniffs per
-    /// frame, so mixed farms are fine).
+    /// Not read: every farm frame is binary. Kept only because the
+    /// benchmark harness sets it.
     pub codec: WireCodec,
     /// How long to sleep when the coordinator has no work yet.
     pub poll: Duration,
@@ -57,18 +57,17 @@ pub struct WorkerSummary {
 /// One farm connection: framed request/response over a [`TcpStream`].
 struct FarmClient {
     stream: TcpStream,
-    codec: WireCodec,
 }
 
 impl FarmClient {
-    fn connect(addr: &str, codec: WireCodec) -> Result<FarmClient, String> {
+    fn connect(addr: &str) -> Result<FarmClient, String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
         let _ = stream.set_nodelay(true);
-        Ok(FarmClient { stream, codec })
+        Ok(FarmClient { stream })
     }
 
     fn call(&mut self, req: &FarmRequest) -> Result<FarmResponse, String> {
-        let frame = req.encode(self.codec).map_err(|e| e.to_string())?;
+        let frame = req.encode().map_err(|e| e.to_string())?;
         write_frame_bytes(&mut self.stream, &frame).map_err(|e| e.to_string())?;
         let payload = read_frame_bytes(&mut self.stream).map_err(|e| e.to_string())?;
         FarmResponse::decode(&payload).map_err(|e| e.to_string())
@@ -85,7 +84,7 @@ impl FarmClient {
 ///
 /// Returns a message when the initial connect/join handshake fails.
 pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
-    let mut client = FarmClient::connect(&cfg.connect, cfg.codec)?;
+    let mut client = FarmClient::connect(&cfg.connect)?;
     let join = FarmRequest::Join {
         worker: cfg.name.clone(),
         version: FARM_PROTOCOL_VERSION,
@@ -114,7 +113,6 @@ fn spawn_heartbeat(
 ) -> std::thread::JoinHandle<()> {
     let addr = cfg.connect.clone();
     let name = cfg.name.clone();
-    let codec = cfg.codec;
     let interval = Duration::from_millis((lease_ms / 3).max(100));
     std::thread::spawn(move || {
         let mut client: Option<FarmClient> = None;
@@ -130,7 +128,7 @@ fn spawn_heartbeat(
                 continue;
             }
             if client.is_none() {
-                client = FarmClient::connect(&addr, codec).ok();
+                client = FarmClient::connect(&addr).ok();
             }
             let Some(c) = client.as_mut() else { continue };
             let req = FarmRequest::Heartbeat {
@@ -170,7 +168,7 @@ fn work_loop(
             Err(_) if reconnects < 3 => {
                 reconnects += 1;
                 std::thread::sleep(cfg.poll);
-                match FarmClient::connect(&cfg.connect, cfg.codec) {
+                match FarmClient::connect(&cfg.connect) {
                     Ok(c) => {
                         *client = c;
                         continue;

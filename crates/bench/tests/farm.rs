@@ -65,10 +65,14 @@ impl Scripted {
     }
 
     fn call(&mut self, req: &FarmRequest) -> FarmResponse {
-        let frame = req.encode(WireCodec::Bin).unwrap();
-        write_frame_bytes(&mut self.stream, &frame).unwrap();
-        let payload = read_frame_bytes(&mut self.stream).unwrap();
-        FarmResponse::decode(&payload).unwrap()
+        self.send_raw(&req.encode().unwrap())
+    }
+
+    /// Sends an arbitrary payload as one frame and decodes the answer.
+    fn send_raw(&mut self, payload: &[u8]) -> FarmResponse {
+        write_frame_bytes(&mut self.stream, payload).unwrap();
+        let answer = read_frame_bytes(&mut self.stream).unwrap();
+        FarmResponse::decode(&answer).unwrap()
     }
 }
 
@@ -197,6 +201,51 @@ fn malformed_payloads_never_reach_the_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Asserts `resp` is a `FarmError` whose message contains `needle`.
+fn assert_farm_error(resp: FarmResponse, needle: &str) {
+    match resp {
+        FarmResponse::FarmError { message } => {
+            assert!(message.contains(needle), "{message}")
+        }
+        other => panic!("expected a farm error, got {other:?}"),
+    }
+}
+
+#[test]
+fn json_frames_get_a_binary_farm_error_and_keep_the_stream() {
+    let dir = temp_dir("jsonframe");
+    let mut handle = start_farm(&dir, tiny_cells(1), Duration::from_secs(30));
+    let mut client = Scripted::connect(&handle);
+    let resp = client.send_raw(br#"{"op":"farm.lease","worker":"a","max":1}"#);
+    assert_farm_error(resp, "magic");
+    // The length prefix was intact: the same connection still leases.
+    let resp = client.call(&FarmRequest::Lease {
+        worker: "a".into(),
+        max: 1,
+    });
+    assert!(matches!(resp, FarmResponse::Leases { ref leases, .. } if leases.len() == 1));
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_version_bytes_get_a_farm_error_naming_the_version() {
+    let dir = temp_dir("version");
+    let mut handle = start_farm(&dir, tiny_cells(1), Duration::from_secs(30));
+    let mut client = Scripted::connect(&handle);
+    let join = FarmRequest::Join {
+        worker: "a".into(),
+        version: 1,
+    };
+    let mut frame = join.encode().unwrap();
+    assert_eq!(frame[1], ril_serve::PROTOCOL_VERSION);
+    frame[1] = 2;
+    assert_farm_error(client.send_raw(&frame), "version 2");
+    assert!(matches!(client.call(&join), FarmResponse::Welcome { .. }));
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn two_in_process_workers_drain_a_sweep_into_the_cache() {
     let dir = temp_dir("drain");
@@ -209,11 +258,7 @@ fn two_in_process_workers_drain_a_sweep_into_the_cache() {
             let cfg = WorkerConfig {
                 connect: addr.clone(),
                 name: format!("w{i}"),
-                codec: if i == 0 {
-                    WireCodec::Bin
-                } else {
-                    WireCodec::Json
-                },
+                codec: WireCodec::Bin,
                 poll: Duration::from_millis(20),
             };
             std::thread::spawn(move || run_worker(&cfg).unwrap())

@@ -1,82 +1,21 @@
-//! The client side: a framed TCP client with reconnect/retry, codec
-//! negotiation, and request pipelining — plus the [`RemoteOracle`]
-//! adapter that lets every oracle-guided attack in `ril-attacks` run
-//! unchanged against a live (morphing) server.
+//! The client side: a framed TCP client with reconnect/retry and
+//! request pipelining — plus the [`RemoteOracle`] adapter that lets every
+//! oracle-guided attack in `ril-attacks` run unchanged against a live
+//! (morphing) server.
 //!
 //! Construction goes through [`ServeClient::builder`]: address, connect
-//! and request timeouts, retry policy, codec preference, and pipelining
-//! depth, validated at [`ClientBuilder::build`]. On each (re)connect the
-//! client sends a JSON `hello` offering its codecs; a new server answers
-//! with the chosen one (binary whenever both sides speak it), a
-//! pre-negotiation server answers an `unknown op` error — which the
-//! client silently treats as "this peer is JSON only" and carries on.
-//! Either way the connection works; negotiation only decides how fast.
+//! and request timeouts, retry policy and pipelining depth, validated at
+//! [`ClientBuilder::build`]. Every frame is binary in both directions
+//! ([`crate::codec`]); a connection needs no handshake, so the first
+//! request on a fresh stream is already a real one.
 
-use crate::codec::{
-    append_frame, read_frame_bytes, write_frame_bytes, Codec, Negotiation, WireCodec,
-    PROTOCOL_VERSION,
-};
+use crate::codec::{append_frame, read_frame_bytes, write_frame_bytes, PROTOCOL_VERSION};
 use crate::protocol::{DesignSpec, ErrorKind, FrameError, Request, Response, ServerStats};
 use ril_attacks::{OracleError, OracleSource, PatternBlock, ResponseBlock};
 use ril_core::MorphDelta;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-/// Environment knob overriding the builder's codec preference
-/// (`json` | `bin` | `auto`) — how CI forces the JSON fallback path
-/// through an otherwise-unchanged binary-preferring client.
-pub const CODEC_ENV: &str = "RIL_SERVE_CODEC";
-
-/// Transport tuning for the deprecated [`ServeClient::with_config`]
-/// constructor. New code sets the same knobs (and more) on
-/// [`ClientBuilder`].
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Per-request socket timeout (connect, read, and write).
-    pub timeout: Duration,
-    /// Transport retries per request (reconnect + resend).
-    pub retries: u32,
-    /// Base backoff between retries (doubles per attempt).
-    pub backoff: Duration,
-}
-
-impl Default for ClientConfig {
-    fn default() -> ClientConfig {
-        ClientConfig {
-            timeout: Duration::from_secs(2),
-            retries: 3,
-            backoff: Duration::from_millis(50),
-        }
-    }
-}
-
-/// Which frame encoding the client asks for at negotiation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CodecPref {
-    /// Offer binary and JSON; take whatever the server picks (binary
-    /// against a current server, JSON against an old one). The default.
-    #[default]
-    Auto,
-    /// Offer only binary. Still falls back to JSON against a server too
-    /// old to negotiate — wire compatibility beats the preference.
-    Bin,
-    /// Skip the `hello` entirely and speak JSON, exactly like a
-    /// pre-negotiation client. The forced-fallback mode.
-    Json,
-}
-
-impl CodecPref {
-    /// Parses the [`CODEC_ENV`] token.
-    pub fn parse(s: &str) -> Option<CodecPref> {
-        match s {
-            "auto" => Some(CodecPref::Auto),
-            "bin" => Some(CodecPref::Bin),
-            "json" => Some(CodecPref::Json),
-            _ => None,
-        }
-    }
-}
 
 /// A client-side failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,8 +32,7 @@ pub enum ClientError {
     Transport(String),
     /// The server answered with a frame the protocol does not allow here.
     UnexpectedResponse(String),
-    /// The builder (or the [`CODEC_ENV`] override) was given an invalid
-    /// configuration; nothing was sent.
+    /// The builder was given an invalid configuration; nothing was sent.
     Config(String),
 }
 
@@ -142,7 +80,6 @@ pub struct ClientBuilder {
     request_timeout: Duration,
     retries: u32,
     backoff: Duration,
-    codec: CodecPref,
     pipeline: usize,
 }
 
@@ -181,15 +118,6 @@ impl ClientBuilder {
         self
     }
 
-    /// Codec preference for negotiation (default [`CodecPref::Auto`]).
-    /// The [`CODEC_ENV`] environment variable, when set, overrides this
-    /// at [`ClientBuilder::build`].
-    #[must_use]
-    pub fn codec(mut self, pref: CodecPref) -> ClientBuilder {
-        self.codec = pref;
-        self
-    }
-
     /// Max requests in flight per [`ServeClient::request_pipelined`]
     /// window (default 32).
     #[must_use]
@@ -199,13 +127,12 @@ impl ClientBuilder {
     }
 
     /// Validates and builds the client. No I/O happens here; the first
-    /// request connects and negotiates.
+    /// request connects.
     ///
     /// # Errors
     ///
     /// [`ClientError::Config`] for an empty/port-less address, a zero
-    /// timeout, a zero or absurd pipeline depth, or a [`CODEC_ENV`]
-    /// value that is not `auto`/`bin`/`json`.
+    /// timeout, or a zero or absurd pipeline depth.
     pub fn build(self) -> Result<ServeClient, ClientError> {
         let cfg = |msg: String| Err(ClientError::Config(msg));
         if self.addr.is_empty() {
@@ -226,43 +153,29 @@ impl ClientBuilder {
                 self.pipeline
             ));
         }
-        let codec = match std::env::var(CODEC_ENV) {
-            Ok(token) => CodecPref::parse(&token).ok_or_else(|| {
-                ClientError::Config(format!("{CODEC_ENV}=`{token}` is not one of auto/bin/json"))
-            })?,
-            Err(_) => self.codec,
-        };
         Ok(ServeClient {
             addr: self.addr,
             connect_timeout: self.connect_timeout,
             request_timeout: self.request_timeout,
             retries: self.retries,
             backoff: self.backoff,
-            codec,
             pipeline: self.pipeline,
             conn: None,
         })
     }
 }
 
-/// One live negotiated connection.
-struct Connection {
-    stream: TcpStream,
-    negotiated: Negotiation,
-}
-
 /// A framed request/response client with connection reuse: one TCP stream
 /// carries every request until it fails, then the next request
-/// reconnects and re-negotiates (bounded retries, exponential backoff).
+/// reconnects (bounded retries, exponential backoff).
 pub struct ServeClient {
     addr: String,
     connect_timeout: Duration,
     request_timeout: Duration,
     retries: u32,
     backoff: Duration,
-    codec: CodecPref,
     pipeline: usize,
-    conn: Option<Connection>,
+    conn: Option<TcpStream>,
 }
 
 impl ServeClient {
@@ -274,37 +187,7 @@ impl ServeClient {
             request_timeout: Duration::from_secs(2),
             retries: 3,
             backoff: Duration::from_millis(50),
-            codec: CodecPref::Auto,
             pipeline: 32,
-        }
-    }
-
-    /// A client for `addr` with default tuning.
-    #[deprecated(note = "use `ServeClient::builder(addr).build()`")]
-    pub fn connect(addr: impl Into<String>) -> ServeClient {
-        #[allow(deprecated)]
-        ServeClient::with_config(addr, ClientConfig::default())
-    }
-
-    /// A client with explicit transport tuning.
-    #[deprecated(note = "use `ServeClient::builder(addr)` — it also \
-                         exposes codec preference and pipelining depth")]
-    pub fn with_config(addr: impl Into<String>, cfg: ClientConfig) -> ServeClient {
-        // Infallible like the original: config knobs come pre-validated
-        // from the struct, and a bad CODEC_ENV degrades to Auto here
-        // (the builder is where strict validation lives).
-        ServeClient {
-            addr: addr.into(),
-            connect_timeout: cfg.timeout,
-            request_timeout: cfg.timeout,
-            retries: cfg.retries,
-            backoff: cfg.backoff,
-            codec: std::env::var(CODEC_ENV)
-                .ok()
-                .and_then(|t| CodecPref::parse(&t))
-                .unwrap_or_default(),
-            pipeline: 32,
-            conn: None,
         }
     }
 
@@ -313,19 +196,20 @@ impl ServeClient {
         &self.addr
     }
 
-    /// Connects (if needed) and reports what the connection negotiated —
-    /// `(version, codec)`. A JSON-only fallback reports version 0.
+    /// Connects now (if not yet connected) and returns the
+    /// [`PROTOCOL_VERSION`] every frame on the connection carries. There is
+    /// nothing to negotiate; the name is kept because the benchmark
+    /// harness calls it to connect eagerly.
     ///
     /// # Errors
     ///
     /// [`ClientError::Transport`] when the server is unreachable.
-    pub fn negotiation(&mut self) -> Result<Negotiation, ClientError> {
-        self.connection()
-            .map(|c| c.negotiated)
-            .map_err(ClientError::Transport)
+    pub fn negotiation(&mut self) -> Result<u8, ClientError> {
+        self.connection().map_err(ClientError::Transport)?;
+        Ok(PROTOCOL_VERSION)
     }
 
-    fn connection(&mut self) -> Result<&mut Connection, String> {
+    fn connection(&mut self) -> Result<&mut TcpStream, String> {
         if self.conn.is_none() {
             let addr = self
                 .addr
@@ -342,27 +226,16 @@ impl ServeClient {
                 .set_write_timeout(Some(self.request_timeout))
                 .map_err(|e| e.to_string())?;
             let _ = stream.set_nodelay(true);
-            let mut conn = Connection {
-                stream,
-                negotiated: Negotiation::json_fallback(),
-            };
-            if self.codec != CodecPref::Json {
-                conn.negotiated = negotiate(&mut conn.stream, self.codec)?;
-            }
-            self.conn = Some(conn);
+            self.conn = Some(stream);
         }
         Ok(self.conn.as_mut().expect("just connected"))
     }
 
     fn round_trip_once(&mut self, req: &Request) -> Result<Response, String> {
-        let conn = self.connection()?;
-        let payload = conn
-            .negotiated
-            .codec
-            .encode_request(req)
-            .map_err(|e| e.to_string())?;
-        write_frame_bytes(&mut conn.stream, &payload).map_err(|e| e.to_string())?;
-        read_response(&mut conn.stream)
+        let payload = req.encode().map_err(|e| e.to_string())?;
+        let stream = self.connection()?;
+        write_frame_bytes(stream, &payload).map_err(|e| e.to_string())?;
+        read_response(stream)
     }
 
     /// Sends one request, reconnecting and retrying on transport failure.
@@ -429,19 +302,18 @@ impl ServeClient {
         }
         let depth = self.pipeline;
         let result = (|| -> Result<Vec<Response>, String> {
-            let conn = self.connection()?;
-            let codec = conn.negotiated.codec;
+            let stream = self.connection()?;
             let mut out = Vec::with_capacity(reqs.len());
             for window in reqs.chunks(depth) {
                 let mut wire = Vec::new();
                 for req in window {
-                    let payload = codec.encode_request(req).map_err(|e| e.to_string())?;
+                    let payload = req.encode().map_err(|e| e.to_string())?;
                     append_frame(&mut wire, &payload).map_err(|e| e.to_string())?;
                 }
-                conn.stream.write_all(&wire).map_err(|e| e.to_string())?;
-                conn.stream.flush().map_err(|e| e.to_string())?;
+                stream.write_all(&wire).map_err(|e| e.to_string())?;
+                stream.flush().map_err(|e| e.to_string())?;
                 for _ in window {
-                    out.push(read_response(&mut conn.stream)?);
+                    out.push(read_response(stream)?);
                 }
             }
             Ok(out)
@@ -480,10 +352,7 @@ impl ServeClient {
     }
 }
 
-/// Reads one response frame and decodes it by sniffing its codec — the
-/// server always answers in the codec a request arrived in, but sniffing
-/// makes the read path agnostic (the `hello` answer is JSON even when
-/// binary was just negotiated).
+/// Reads and decodes one response frame.
 fn read_response(stream: &mut TcpStream) -> Result<Response, String> {
     let payload = match read_frame_bytes(stream) {
         Ok(payload) => payload,
@@ -497,40 +366,7 @@ fn read_response(stream: &mut TcpStream) -> Result<Response, String> {
         }
         Err(e) => return Err(e.to_string()),
     };
-    let codec = WireCodec::sniff(&payload).map_err(|e| e.to_string())?;
-    codec
-        .decode_response(&payload)
-        .map_err(|e| format!("bad response frame: {e}"))
-}
-
-/// Runs the `hello` exchange on a fresh stream. An `unknown op` error
-/// from the peer means a pre-negotiation server: fall back to JSON.
-fn negotiate(stream: &mut TcpStream, pref: CodecPref) -> Result<Negotiation, String> {
-    let codecs: Vec<String> = match pref {
-        CodecPref::Bin => vec!["bin".to_string()],
-        _ => vec!["bin".to_string(), "json".to_string()],
-    };
-    let hello = Request::Hello {
-        version: PROTOCOL_VERSION,
-        codecs,
-    };
-    // The hello itself always goes as JSON: any server can read it.
-    let payload = crate::codec::JsonCodec
-        .encode_request(&hello)
-        .map_err(|e| e.to_string())?;
-    write_frame_bytes(stream, &payload).map_err(|e| e.to_string())?;
-    match read_response(stream)? {
-        Response::Hello { version, codec } => {
-            // An unknown codec token would mean a misbehaving newer
-            // server; JSON is the one encoding every peer speaks.
-            Ok(Negotiation::from_hello(version, &codec).unwrap_or_else(Negotiation::json_fallback))
-        }
-        Response::Error {
-            kind: ErrorKind::Malformed,
-            ..
-        } => Ok(Negotiation::json_fallback()),
-        other => Err(format!("unexpected hello answer: {other:?}")),
-    }
+    Response::decode(&payload).map_err(|e| format!("bad response frame: {e}"))
 }
 
 /// An [`OracleSource`] backed by a chip on a remote server.
@@ -615,36 +451,6 @@ impl RemoteOracle {
             // The chip may have morphed before we bound to it.
             delta_complete: false,
         }
-    }
-
-    /// Activates a fresh chip from `design` on the server at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ClientError`] from the activation round trip.
-    #[deprecated(note = "use `RemoteOracle::activate_with(ServeClient::builder(addr)…)`")]
-    pub fn activate(
-        addr: impl Into<String>,
-        cfg: ClientConfig,
-        design: &DesignSpec,
-    ) -> Result<RemoteOracle, ClientError> {
-        #[allow(deprecated)]
-        let client = ServeClient::with_config(addr, cfg);
-        RemoteOracle::activate_with(client, design)
-    }
-
-    /// Binds to an already-activated chip.
-    #[deprecated(note = "use `RemoteOracle::bind_with(ServeClient::builder(addr)…)`")]
-    pub fn bind(
-        addr: impl Into<String>,
-        cfg: ClientConfig,
-        chip: u64,
-        inputs: usize,
-        outputs: usize,
-    ) -> RemoteOracle {
-        #[allow(deprecated)]
-        let client = ServeClient::with_config(addr, cfg);
-        RemoteOracle::bind_with(client, chip, inputs, outputs)
     }
 
     /// The server-assigned chip id.

@@ -1,44 +1,39 @@
-//! Frame codecs: how a [`Request`]/[`Response`] becomes the payload of a
-//! length-prefixed frame, and how the two sides agree on which encoding a
-//! connection speaks.
+//! The binary frame encoding: how a [`Request`]/[`Response`] becomes the
+//! payload of a length-prefixed frame, and back.
 //!
-//! Two codecs implement the [`Codec`] trait:
+//! Every payload is `[0xB1][version u8][opcode u8][body…]`: the magic
+//! [`BIN_MAGIC`], the [`PROTOCOL_VERSION`] byte, an opcode (requests
+//! have the high bit clear, responses set), then little-endian
+//! fixed-width integers, length-prefixed UTF-8 strings and bit vectors
+//! packed 8-per-byte LSB-first (DESIGN.md §16). A 64-pattern
+//! `QueryBatch` over a 64-input chip is ~530 bytes on the wire.
 //!
-//! * [`JsonCodec`] — the original wire format (UTF-8 JSON payloads),
-//!   kept as the negotiated fallback so pre-codec clients and servers
-//!   interoperate forever.
-//! * [`BinCodec`] — a compact binary encoding (magic `0xB1`, version,
-//!   opcode, little-endian fixed-width integers, bit-packed patterns).
-//!   A 64-pattern `QueryBatch` over a 64-input chip is ~530 bytes on the
-//!   wire instead of ~4.3 KiB of JSON, and decodes without touching a
-//!   recursive-descent parser.
-//!
-//! The two are distinguishable *per frame*: a JSON payload always starts
-//! with `{` (0x7B) and a binary payload always starts with [`BIN_MAGIC`]
-//! (0xB1, not valid JSON). [`WireCodec::sniff`] is therefore total over
-//! well-formed traffic, and the server simply answers every frame in the
-//! codec it arrived in — a JSON-only client talking to a new server (or
-//! a new client that fell back to JSON against an old server) degrades
-//! gracefully without either side tracking connection modes.
-//!
-//! Negotiation rides the `hello` op (DESIGN.md §16): a new client's first
-//! request on a connection is a JSON-encoded [`Request::Hello`] listing
-//! the codecs it speaks; a new server answers [`Response::Hello`] naming
-//! the one it chose (binary whenever both sides can), an old server
-//! answers a typed `malformed` error ("unknown op"), which the client
-//! treats as "JSON only". See [`Negotiation`].
+//! The version byte is the only version check: a frame whose magic or
+//! version differs is a typed [`FrameError::Malformed`], which the server
+//! answers with a `malformed` error frame and then keeps reading. Every
+//! decoder is total — whatever the bytes, it returns a value or a typed
+//! error, never panics, and rejects trailing garbage.
 
-use crate::protocol::{FrameError, Request, Response, MAX_FRAME_BYTES};
+use crate::protocol::{
+    DesignSpec, ErrorKind, FrameError, Request, Response, ServerStats, MAX_FRAME_BYTES,
+};
 use std::io::{Read, Write};
 
-/// The protocol version carried in the `hello` exchange. Bump when the
-/// binary layout changes incompatibly; a server always answers with
-/// `min(client_version, PROTOCOL_VERSION)`.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// The version byte every frame carries. Bump when the binary layout
+/// changes incompatibly; a peer rejects any other value.
+pub const PROTOCOL_VERSION: u8 = 1;
 
-/// First payload byte of every binary frame. 0xB1 is not valid UTF-8
-/// JSON document start, so it cannot collide with [`JsonCodec`] traffic.
+/// First payload byte of every frame.
 pub const BIN_MAGIC: u8 = 0xB1;
+
+/// The frame encoding of a connection. Binary is the only one; the type
+/// and its single variant are kept only because the benchmark harness
+/// names them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireCodec {
+    /// Compact binary payloads.
+    Bin,
+}
 
 /// Reads one length-prefixed frame payload as raw bytes.
 ///
@@ -103,82 +98,7 @@ pub fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) -> Result<(), FrameError>
     Ok(())
 }
 
-/// A frame payload encoding. Implementations are stateless and cheap to
-/// copy; the per-connection state (which codec was negotiated) lives in
-/// [`WireCodec`].
-pub trait Codec {
-    /// The wire token this codec negotiates under (`"json"` / `"bin"`).
-    fn name(&self) -> &'static str;
-
-    /// Encodes a request into a frame payload.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Oversized`] when the encoding exceeds the frame cap.
-    fn encode_request(&self, req: &Request) -> Result<Vec<u8>, FrameError>;
-
-    /// Decodes a frame payload into a request.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Malformed`] for anything that is not a well-formed
-    /// request in this codec. Never panics, whatever the bytes.
-    fn decode_request(&self, payload: &[u8]) -> Result<Request, FrameError>;
-
-    /// Encodes a response into a frame payload.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Oversized`] when the encoding exceeds the frame cap.
-    fn encode_response(&self, resp: &Response) -> Result<Vec<u8>, FrameError>;
-
-    /// Decodes a frame payload into a response.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Malformed`] for anything that is not a well-formed
-    /// response in this codec. Never panics, whatever the bytes.
-    fn decode_response(&self, payload: &[u8]) -> Result<Response, FrameError>;
-}
-
-/// The original JSON payload encoding (see [`crate::protocol`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JsonCodec;
-
-impl Codec for JsonCodec {
-    fn name(&self) -> &'static str {
-        "json"
-    }
-
-    fn encode_request(&self, req: &Request) -> Result<Vec<u8>, FrameError> {
-        sized(req.to_json().into_bytes())
-    }
-
-    fn decode_request(&self, payload: &[u8]) -> Result<Request, FrameError> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| FrameError::Malformed(format!("non-UTF8 JSON frame: {e}")))?;
-        Request::parse(text).map_err(FrameError::Malformed)
-    }
-
-    fn encode_response(&self, resp: &Response) -> Result<Vec<u8>, FrameError> {
-        sized(resp.to_json().into_bytes())
-    }
-
-    fn decode_response(&self, payload: &[u8]) -> Result<Response, FrameError> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| FrameError::Malformed(format!("non-UTF8 JSON frame: {e}")))?;
-        Response::parse(text).map_err(FrameError::Malformed)
-    }
-}
-
-/// The compact binary payload encoding. Byte layout in DESIGN.md §16:
-/// `[0xB1][version u8][opcode u8][body…]`, little-endian integers,
-/// length-prefixed strings, bit vectors packed 8-per-byte LSB-first.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BinCodec;
-
 // Request opcodes (high bit clear).
-const OP_HELLO: u8 = 0x01;
 const OP_ACTIVATE: u8 = 0x02;
 const OP_QUERY: u8 = 0x03;
 const OP_QUERY_BATCH: u8 = 0x04;
@@ -187,7 +107,6 @@ const OP_STATS: u8 = 0x06;
 const OP_SHUTDOWN: u8 = 0x07;
 
 // Response opcodes (high bit set).
-const RE_HELLO: u8 = 0x81;
 const RE_ACTIVATED: u8 = 0x82;
 const RE_OUTPUTS: u8 = 0x83;
 const RE_BATCH: u8 = 0x84;
@@ -196,15 +115,17 @@ const RE_STATS: u8 = 0x86;
 const RE_BYE: u8 = 0x87;
 const RE_ERROR: u8 = 0x88;
 
-pub(crate) fn sized(bytes: Vec<u8>) -> Result<Vec<u8>, FrameError> {
+/// Caps a finished payload at [`MAX_FRAME_BYTES`].
+pub(crate) fn sized(mut bytes: Vec<u8>) -> Result<Vec<u8>, FrameError> {
     if bytes.len() > MAX_FRAME_BYTES {
         return Err(FrameError::Oversized(bytes.len()));
     }
+    bytes.shrink_to_fit();
     Ok(bytes)
 }
 
 pub(crate) fn header(opcode: u8) -> Vec<u8> {
-    vec![BIN_MAGIC, 1, opcode]
+    vec![BIN_MAGIC, PROTOCOL_VERSION, opcode]
 }
 
 pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -239,10 +160,10 @@ fn put_bits(out: &mut Vec<u8>, bits: &[bool]) {
     }
 }
 
-/// A bounds-checked reader over a binary frame body. Every accessor
-/// validates the remaining length before touching (or allocating for)
-/// the bytes, so a hostile length field cannot panic or balloon memory —
-/// the payload itself is already capped at [`MAX_FRAME_BYTES`].
+/// A bounds-checked reader over a frame body. Every accessor validates
+/// the remaining length before touching (or allocating for) the bytes, so
+/// a hostile length field cannot panic or balloon memory — the payload
+/// itself is already capped at [`MAX_FRAME_BYTES`].
 pub(crate) struct Cur<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -311,37 +232,32 @@ impl<'a> Cur<'a> {
 }
 
 /// Checks magic + version and returns the opcode and a body cursor.
-pub(crate) fn bin_header<'a>(payload: &'a [u8]) -> Result<(u8, Cur<'a>), FrameError> {
+pub(crate) fn bin_header(payload: &[u8]) -> Result<(u8, Cur<'_>), FrameError> {
     let mut cur = Cur::new(payload);
-    if cur.u8("magic")? != BIN_MAGIC {
-        return Err(FrameError::Malformed("missing binary magic 0xB1".into()));
+    let magic = cur.u8("magic")?;
+    if magic != BIN_MAGIC {
+        return Err(FrameError::Malformed(format!(
+            "frame starts with 0x{magic:02x}, not the binary magic 0x{BIN_MAGIC:02X}"
+        )));
     }
     let version = cur.u8("version")?;
-    if version != 1 {
+    if version != PROTOCOL_VERSION {
         return Err(FrameError::Malformed(format!(
-            "unsupported binary frame version {version}"
+            "unsupported binary frame version {version} (this peer speaks {PROTOCOL_VERSION})"
         )));
     }
     let opcode = cur.u8("opcode")?;
     Ok((opcode, cur))
 }
 
-impl Codec for BinCodec {
-    fn name(&self) -> &'static str {
-        "bin"
-    }
-
-    fn encode_request(&self, req: &Request) -> Result<Vec<u8>, FrameError> {
-        let mut out = match req {
-            Request::Hello { version, codecs } => {
-                let mut out = header(OP_HELLO);
-                put_u32(&mut out, *version);
-                put_u32(&mut out, codecs.len() as u32);
-                for c in codecs {
-                    put_str(&mut out, c);
-                }
-                out
-            }
+impl Request {
+    /// Encodes the request as a frame payload.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Oversized`] when the encoding exceeds the frame cap.
+    pub fn encode(&self) -> Result<Vec<u8>, FrameError> {
+        let out = match self {
             Request::Activate { design } => {
                 let mut out = header(OP_ACTIVATE);
                 put_str(&mut out, &design.benchmark);
@@ -375,24 +291,20 @@ impl Codec for BinCodec {
             Request::Stats => header(OP_STATS),
             Request::Shutdown => header(OP_SHUTDOWN),
         };
-        out.shrink_to_fit();
         sized(out)
     }
 
-    fn decode_request(&self, payload: &[u8]) -> Result<Request, FrameError> {
+    /// Decodes a frame payload into a request.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Malformed`] for anything that is not a well-formed
+    /// request frame. Never panics, whatever the bytes.
+    pub fn decode(payload: &[u8]) -> Result<Request, FrameError> {
         let (opcode, mut cur) = bin_header(payload)?;
         let req = match opcode {
-            OP_HELLO => {
-                let version = cur.u32("hello.version")?;
-                let n = cur.u32("hello.codecs")? as usize;
-                let mut codecs = Vec::new();
-                for _ in 0..n {
-                    codecs.push(cur.str_("hello.codec")?);
-                }
-                Request::Hello { version, codecs }
-            }
             OP_ACTIVATE => Request::Activate {
-                design: crate::protocol::DesignSpec {
+                design: DesignSpec {
                     benchmark: cur.str_("activate.benchmark")?,
                     spec: cur.str_("activate.spec")?,
                     blocks: cur.u64("activate.blocks")? as usize,
@@ -428,15 +340,16 @@ impl Codec for BinCodec {
         cur.finish()?;
         Ok(req)
     }
+}
 
-    fn encode_response(&self, resp: &Response) -> Result<Vec<u8>, FrameError> {
-        let mut out = match resp {
-            Response::Hello { version, codec } => {
-                let mut out = header(RE_HELLO);
-                put_u32(&mut out, *version);
-                put_str(&mut out, codec);
-                out
-            }
+impl Response {
+    /// Encodes the response as a frame payload.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Oversized`] when the encoding exceeds the frame cap.
+    pub fn encode(&self) -> Result<Vec<u8>, FrameError> {
+        let out = match self {
             Response::Activated {
                 chip,
                 generation,
@@ -482,11 +395,11 @@ impl Codec for BinCodec {
                 out
             }
             // Stats is the control plane's cold path and carries the
-            // open-ended metrics registry; its body is the JSON encoding,
-            // length-prefixed inside the binary envelope (DESIGN.md §16).
-            Response::Stats(_) => {
+            // open-ended metrics registry, which people read: its body is
+            // JSON, length-prefixed inside the binary envelope.
+            Response::Stats(stats) => {
                 let mut out = header(RE_STATS);
-                put_str(&mut out, &resp.to_json());
+                put_str(&mut out, &stats.to_json());
                 out
             }
             Response::Bye => header(RE_BYE),
@@ -497,17 +410,18 @@ impl Codec for BinCodec {
                 out
             }
         };
-        out.shrink_to_fit();
         sized(out)
     }
 
-    fn decode_response(&self, payload: &[u8]) -> Result<Response, FrameError> {
+    /// Decodes a frame payload into a response.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Malformed`] for anything that is not a well-formed
+    /// response frame. Never panics, whatever the bytes.
+    pub fn decode(payload: &[u8]) -> Result<Response, FrameError> {
         let (opcode, mut cur) = bin_header(payload)?;
         let resp = match opcode {
-            RE_HELLO => Response::Hello {
-                version: cur.u32("hello.version")?,
-                codec: cur.str_("hello.codec")?,
-            },
             RE_ACTIVATED => Response::Activated {
                 chip: cur.u64("activated.chip")?,
                 generation: cur.u64("activated.generation")?,
@@ -542,23 +456,15 @@ impl Codec for BinCodec {
                     changed_bits,
                 }
             }
-            RE_STATS => {
-                let json = cur.str_("stats.body")?;
-                match Response::parse(&json).map_err(FrameError::Malformed)? {
-                    stats @ Response::Stats(_) => stats,
-                    other => {
-                        return Err(FrameError::Malformed(format!(
-                            "stats envelope carried a non-stats body: {other:?}"
-                        )))
-                    }
-                }
-            }
+            RE_STATS => Response::Stats(
+                ServerStats::from_json(&cur.str_("stats.body")?).map_err(FrameError::Malformed)?,
+            ),
             RE_BYE => Response::Bye,
             RE_ERROR => {
                 let kind = cur.str_("error.kind")?;
                 let message = cur.str_("error.message")?;
                 Response::Error {
-                    kind: crate::protocol::ErrorKind::parse(&kind).ok_or_else(|| {
+                    kind: ErrorKind::parse(&kind).ok_or_else(|| {
                         FrameError::Malformed(format!("unknown error kind `{kind}`"))
                     })?,
                     message,
@@ -575,140 +481,13 @@ impl Codec for BinCodec {
     }
 }
 
-/// Which codec a connection (or a single frame) speaks. This is the
-/// negotiated state the client stores per connection, and what the
-/// server's per-frame sniff returns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireCodec {
-    /// JSON payloads (the pre-negotiation wire format).
-    Json,
-    /// Compact binary payloads.
-    Bin,
-}
-
-impl WireCodec {
-    /// Identifies the codec of a frame payload from its first byte: `{`
-    /// means JSON, [`BIN_MAGIC`] means binary.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Malformed`] for an empty payload or any other
-    /// leading byte.
-    pub fn sniff(payload: &[u8]) -> Result<WireCodec, FrameError> {
-        match payload.first() {
-            Some(b'{') => Ok(WireCodec::Json),
-            Some(&BIN_MAGIC) => Ok(WireCodec::Bin),
-            Some(b) => Err(FrameError::Malformed(format!(
-                "frame starts with 0x{b:02x}: neither JSON nor binary"
-            ))),
-            None => Err(FrameError::Malformed("empty frame".into())),
-        }
-    }
-
-    /// Parses a negotiation token (`"json"` / `"bin"`).
-    pub fn parse(name: &str) -> Option<WireCodec> {
-        match name {
-            "json" => Some(WireCodec::Json),
-            "bin" => Some(WireCodec::Bin),
-            _ => None,
-        }
-    }
-}
-
-impl Codec for WireCodec {
-    fn name(&self) -> &'static str {
-        match self {
-            WireCodec::Json => JsonCodec.name(),
-            WireCodec::Bin => BinCodec.name(),
-        }
-    }
-
-    fn encode_request(&self, req: &Request) -> Result<Vec<u8>, FrameError> {
-        match self {
-            WireCodec::Json => JsonCodec.encode_request(req),
-            WireCodec::Bin => BinCodec.encode_request(req),
-        }
-    }
-
-    fn decode_request(&self, payload: &[u8]) -> Result<Request, FrameError> {
-        match self {
-            WireCodec::Json => JsonCodec.decode_request(payload),
-            WireCodec::Bin => BinCodec.decode_request(payload),
-        }
-    }
-
-    fn encode_response(&self, resp: &Response) -> Result<Vec<u8>, FrameError> {
-        match self {
-            WireCodec::Json => JsonCodec.encode_response(resp),
-            WireCodec::Bin => BinCodec.encode_response(resp),
-        }
-    }
-
-    fn decode_response(&self, payload: &[u8]) -> Result<Response, FrameError> {
-        match self {
-            WireCodec::Json => JsonCodec.decode_response(payload),
-            WireCodec::Bin => BinCodec.decode_response(payload),
-        }
-    }
-}
-
-/// The outcome of the `hello` exchange: which protocol version and codec
-/// a connection settled on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Negotiation {
-    /// `min(client, server)` protocol version.
-    pub version: u32,
-    /// The codec both sides will use from the next frame on.
-    pub codec: WireCodec,
-}
-
-impl Negotiation {
-    /// The server side: given a client hello, pick the best mutually
-    /// supported codec (binary whenever offered, else JSON — an empty or
-    /// all-unknown offer also lands on JSON, which every peer speaks).
-    pub fn choose(client_version: u32, offered: &[String]) -> Negotiation {
-        let codec = if offered.iter().any(|c| c == "bin") {
-            WireCodec::Bin
-        } else {
-            WireCodec::Json
-        };
-        Negotiation {
-            version: client_version.min(PROTOCOL_VERSION),
-            codec,
-        }
-    }
-
-    /// The pre-negotiation state: what a connection speaks before (or
-    /// instead of) a successful hello — plain JSON, protocol version 0.
-    pub fn json_fallback() -> Negotiation {
-        Negotiation {
-            version: 0,
-            codec: WireCodec::Json,
-        }
-    }
-
-    /// The client side: interprets a server's hello response. `None`
-    /// when the named codec is unknown (a newer server misbehaving —
-    /// the caller should fall back to JSON rather than guess).
-    pub fn from_hello(version: u32, codec: &str) -> Option<Negotiation> {
-        Some(Negotiation {
-            version,
-            codec: WireCodec::parse(codec)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{DesignSpec, ErrorKind};
+    use crate::protocol::ChipStats;
 
     fn sample_requests() -> Vec<Request> {
         vec![
-            Request::Hello {
-                version: 1,
-                codecs: vec!["bin".into(), "json".into()],
-            },
             Request::Activate {
                 design: DesignSpec {
                     benchmark: "adder:6".into(),
@@ -734,11 +513,10 @@ mod tests {
     }
 
     fn sample_responses() -> Vec<Response> {
+        let metrics = ril_trace::Metrics::new();
+        metrics.counter_add("serve.queries", 40);
+        metrics.record_timing("chip.1.query.latency", std::time::Duration::from_micros(12));
         vec![
-            Response::Hello {
-                version: 1,
-                codec: "bin".into(),
-            },
             Response::Activated {
                 chip: 1,
                 generation: 0,
@@ -759,6 +537,24 @@ mod tests {
                 bits_changed: 11,
                 changed_bits: vec![0, 3, 9],
             },
+            Response::Morphed {
+                generation: 6,
+                bits_changed: 2,
+                changed_bits: Vec::new(),
+            },
+            Response::Stats(ServerStats {
+                requests: 42,
+                uptime_s: 1.5,
+                qps: 0.0625,
+                chips: vec![ChipStats {
+                    chip: 1,
+                    queries: 40,
+                    morphs: 3,
+                    generation: 3,
+                }],
+                metrics: metrics.snapshot(),
+            }),
+            Response::Stats(ServerStats::default()),
             Response::Bye,
             Response::Error {
                 kind: ErrorKind::UnknownChip,
@@ -770,56 +566,26 @@ mod tests {
     #[test]
     fn binary_round_trips_every_shape() {
         for req in sample_requests() {
-            let bytes = BinCodec.encode_request(&req).unwrap();
-            assert_eq!(WireCodec::sniff(&bytes).unwrap(), WireCodec::Bin);
-            assert_eq!(BinCodec.decode_request(&bytes).unwrap(), req);
+            let bytes = req.encode().unwrap();
+            assert_eq!(bytes[..2], [BIN_MAGIC, PROTOCOL_VERSION]);
+            assert_eq!(Request::decode(&bytes).unwrap(), req);
         }
         for resp in sample_responses() {
-            let bytes = BinCodec.encode_response(&resp).unwrap();
-            assert_eq!(BinCodec.decode_response(&bytes).unwrap(), resp);
+            let bytes = resp.encode().unwrap();
+            assert_eq!(Response::decode(&bytes).unwrap(), resp);
         }
-    }
-
-    #[test]
-    fn json_and_binary_decode_the_same_values() {
-        for req in sample_requests() {
-            let j = JsonCodec.encode_request(&req).unwrap();
-            let b = BinCodec.encode_request(&req).unwrap();
-            assert_eq!(
-                JsonCodec.decode_request(&j).unwrap(),
-                BinCodec.decode_request(&b).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn binary_is_smaller_than_json_on_the_hot_ops() {
-        let req = Request::QueryBatch {
-            chip: 1,
-            patterns: (0..64u64)
-                .map(|i| (0..64).map(|b| (i >> b) & 1 == 1).collect())
-                .collect(),
-        };
-        let j = JsonCodec.encode_request(&req).unwrap();
-        let b = BinCodec.encode_request(&req).unwrap();
-        assert!(
-            b.len() * 4 < j.len(),
-            "binary ({}) should be at least 4x smaller than JSON ({})",
-            b.len(),
-            j.len()
-        );
     }
 
     #[test]
     fn truncated_binary_frames_are_typed_errors() {
-        let full = BinCodec
-            .encode_request(&Request::QueryBatch {
-                chip: 7,
-                patterns: vec![vec![true; 10]; 3],
-            })
-            .unwrap();
+        let full = Request::QueryBatch {
+            chip: 7,
+            patterns: vec![vec![true; 10]; 3],
+        }
+        .encode()
+        .unwrap();
         for cut in 0..full.len() {
-            match BinCodec.decode_request(&full[..cut]) {
+            match Request::decode(&full[..cut]) {
                 Err(FrameError::Malformed(_)) => {}
                 other => panic!("prefix of {cut} bytes decoded to {other:?}"),
             }
@@ -828,7 +594,7 @@ mod tests {
         let mut padded = full;
         padded.push(0);
         assert!(matches!(
-            BinCodec.decode_request(&padded),
+            Request::decode(&padded),
             Err(FrameError::Malformed(_))
         ));
     }
@@ -839,7 +605,7 @@ mod tests {
         let mut frame = header(OP_ACTIVATE);
         put_u32(&mut frame, u32::MAX);
         assert!(matches!(
-            BinCodec.decode_request(&frame),
+            Request::decode(&frame),
             Err(FrameError::Malformed(_))
         ));
         // A batch row count with no rows behind it.
@@ -847,44 +613,35 @@ mod tests {
         put_u64(&mut frame, 1);
         put_u32(&mut frame, u32::MAX);
         assert!(matches!(
-            BinCodec.decode_request(&frame),
+            Request::decode(&frame),
             Err(FrameError::Malformed(_))
         ));
     }
 
     #[test]
-    fn sniff_rejects_garbage() {
-        assert!(WireCodec::sniff(b"").is_err());
-        assert!(WireCodec::sniff(b"\x00abc").is_err());
-        assert_eq!(WireCodec::sniff(b"{}").unwrap(), WireCodec::Json);
-        assert_eq!(
-            WireCodec::sniff(&[BIN_MAGIC, 1, 2]).unwrap(),
-            WireCodec::Bin
-        );
-    }
-
-    #[test]
-    fn negotiation_picks_binary_when_offered() {
-        let n = Negotiation::choose(1, &["bin".into(), "json".into()]);
-        assert_eq!(n.codec, WireCodec::Bin);
-        assert_eq!(n.version, 1);
-        let n = Negotiation::choose(9, &["json".into()]);
-        assert_eq!(n.codec, WireCodec::Json);
-        assert_eq!(n.version, PROTOCOL_VERSION, "server caps the version");
-        let n = Negotiation::choose(1, &["zstd-cbor".into()]);
-        assert_eq!(n.codec, WireCodec::Json, "unknown offers fall back to JSON");
-        assert_eq!(Negotiation::from_hello(1, "quic"), None);
+    fn foreign_magic_and_versions_are_rejected_by_name() {
+        for (payload, needle) in [
+            (&b""[..], "magic"),
+            (&br#"{"op":"stats"}"#[..], "0x7b"),
+            (
+                &[BIN_MAGIC, PROTOCOL_VERSION + 1, OP_STATS][..],
+                "version 2",
+            ),
+            (&[BIN_MAGIC, 0, OP_STATS][..], "version 0"),
+        ] {
+            match Request::decode(payload) {
+                Err(FrameError::Malformed(msg)) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("{payload:?} decoded to {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn frame_bytes_round_trip() {
         let mut buf = Vec::new();
-        write_frame_bytes(&mut buf, &[BIN_MAGIC, 1, OP_STATS]).unwrap();
+        write_frame_bytes(&mut buf, &header(OP_STATS)).unwrap();
         let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(
-            read_frame_bytes(&mut cursor).unwrap(),
-            vec![BIN_MAGIC, 1, OP_STATS]
-        );
+        assert_eq!(read_frame_bytes(&mut cursor).unwrap(), header(OP_STATS));
         assert!(matches!(
             read_frame_bytes(&mut cursor),
             Err(FrameError::Closed)

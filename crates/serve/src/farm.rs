@@ -7,8 +7,8 @@
 //! cache. The messages here are the second real workload for the wire
 //! layer built in DESIGN.md §14–§16: the same 4-byte length-prefixed
 //! frames ([`crate::codec::read_frame_bytes`] /
-//! [`crate::codec::write_frame_bytes`]), the same per-frame codec sniff
-//! (`{` = JSON, [`crate::codec::BIN_MAGIC`] = binary), and a disjoint
+//! [`crate::codec::write_frame_bytes`]), the same binary header (magic
+//! [`crate::codec::BIN_MAGIC`], then the version byte), and a disjoint
 //! opcode range (requests `0x20`–`0x24`, responses `0xA0`–`0xA4`) so a
 //! farm frame can never be mistaken for an oracle frame.
 //!
@@ -23,12 +23,12 @@
 //! | [`FarmRequest::Fail`] | [`FarmResponse::Accepted`] |
 //! | [`FarmRequest::Heartbeat`] | [`FarmResponse::Heartbeats`] (renewed/lost) |
 //!
-//! Both encodings are total over well-formed traffic and reject trailing
-//! garbage and hostile length fields, exactly like the oracle codecs.
+//! The decoders are total: they reject trailing garbage, hostile length
+//! fields and foreign magic or version bytes with typed errors, exactly
+//! like the oracle decoders.
 
-use crate::codec::{bin_header, header, put_str, put_u32, put_u64, sized, WireCodec};
+use crate::codec::{bin_header, header, put_str, put_u32, put_u64, sized};
 use crate::protocol::FrameError;
-use ril_attacks::json::{escape, str_field, u64_field, JsonValue};
 
 /// The farm protocol version carried in the `join` exchange. Bump when
 /// lease semantics or the binary layout change incompatibly; the
@@ -161,456 +161,223 @@ pub enum FarmResponse {
     },
 }
 
-fn u64_list_json(ids: &[u64]) -> String {
-    let items: Vec<String> = ids.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn u64_list_field(v: &JsonValue, name: &str) -> Result<Vec<u64>, String> {
-    match v.get(name) {
-        Some(JsonValue::Arr(items)) => items
-            .iter()
-            .map(|it| {
-                it.as_u64()
-                    .ok_or_else(|| format!("non-integer entry in {name:?}"))
-            })
-            .collect(),
-        _ => Err(format!("missing array field {name:?}")),
-    }
-}
-
 impl FarmRequest {
-    /// The JSON wire form.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        match self {
-            FarmRequest::Join { worker, version } => format!(
-                r#"{{"op":"farm.join","worker":"{}","version":{version}}}"#,
-                escape(worker)
-            ),
-            FarmRequest::Lease { worker, max } => format!(
-                r#"{{"op":"farm.lease","worker":"{}","max":{max}}}"#,
-                escape(worker)
-            ),
+    /// Encodes this request as a frame payload.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Oversized`] when the encoding exceeds the frame cap.
+    pub fn encode(&self) -> Result<Vec<u8>, FrameError> {
+        let out = match self {
+            FarmRequest::Join { worker, version } => {
+                let mut out = header(OP_JOIN);
+                put_str(&mut out, worker);
+                put_u32(&mut out, *version);
+                out
+            }
+            FarmRequest::Lease { worker, max } => {
+                let mut out = header(OP_LEASE);
+                put_str(&mut out, worker);
+                put_u32(&mut out, *max);
+                out
+            }
             FarmRequest::Complete {
                 worker,
                 lease_id,
                 key,
                 payload,
                 wall_us,
-            } => format!(
-                r#"{{"op":"farm.complete","worker":"{}","lease_id":{lease_id},"key":"{}","payload":"{}","wall_us":{wall_us}}}"#,
-                escape(worker),
-                escape(key),
-                escape(payload)
-            ),
+            } => {
+                let mut out = header(OP_COMPLETE);
+                put_str(&mut out, worker);
+                put_u64(&mut out, *lease_id);
+                put_str(&mut out, key);
+                put_str(&mut out, payload);
+                put_u64(&mut out, *wall_us);
+                out
+            }
             FarmRequest::Fail {
                 worker,
                 lease_id,
                 key,
                 message,
-            } => format!(
-                r#"{{"op":"farm.fail","worker":"{}","lease_id":{lease_id},"key":"{}","message":"{}"}}"#,
-                escape(worker),
-                escape(key),
-                escape(message)
-            ),
-            FarmRequest::Heartbeat { worker, lease_ids } => format!(
-                r#"{{"op":"farm.heartbeat","worker":"{}","lease_ids":{}}}"#,
-                escape(worker),
-                u64_list_json(lease_ids)
-            ),
-        }
-    }
-
-    /// Parses the JSON wire form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for anything that is not a well-formed farm
-    /// request.
-    pub fn parse(text: &str) -> Result<FarmRequest, String> {
-        let v = JsonValue::parse(text).map_err(|e| e.to_string())?;
-        let op = str_field(&v, "op")?;
-        Ok(match op.as_str() {
-            "farm.join" => FarmRequest::Join {
-                worker: str_field(&v, "worker")?,
-                version: u64_field(&v, "version")? as u32,
-            },
-            "farm.lease" => FarmRequest::Lease {
-                worker: str_field(&v, "worker")?,
-                max: u64_field(&v, "max")? as u32,
-            },
-            "farm.complete" => FarmRequest::Complete {
-                worker: str_field(&v, "worker")?,
-                lease_id: u64_field(&v, "lease_id")?,
-                key: str_field(&v, "key")?,
-                payload: str_field(&v, "payload")?,
-                wall_us: u64_field(&v, "wall_us")?,
-            },
-            "farm.fail" => FarmRequest::Fail {
-                worker: str_field(&v, "worker")?,
-                lease_id: u64_field(&v, "lease_id")?,
-                key: str_field(&v, "key")?,
-                message: str_field(&v, "message")?,
-            },
-            "farm.heartbeat" => FarmRequest::Heartbeat {
-                worker: str_field(&v, "worker")?,
-                lease_ids: u64_list_field(&v, "lease_ids")?,
-            },
-            other => return Err(format!("unknown farm op {other:?}")),
-        })
-    }
-
-    /// Encodes this request as a frame payload in `codec`.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Oversized`] when the encoding exceeds the frame cap.
-    pub fn encode(&self, codec: WireCodec) -> Result<Vec<u8>, FrameError> {
-        match codec {
-            WireCodec::Json => sized(self.to_json().into_bytes()),
-            WireCodec::Bin => {
-                let mut out = match self {
-                    FarmRequest::Join { worker, version } => {
-                        let mut out = header(OP_JOIN);
-                        put_str(&mut out, worker);
-                        put_u32(&mut out, *version);
-                        out
-                    }
-                    FarmRequest::Lease { worker, max } => {
-                        let mut out = header(OP_LEASE);
-                        put_str(&mut out, worker);
-                        put_u32(&mut out, *max);
-                        out
-                    }
-                    FarmRequest::Complete {
-                        worker,
-                        lease_id,
-                        key,
-                        payload,
-                        wall_us,
-                    } => {
-                        let mut out = header(OP_COMPLETE);
-                        put_str(&mut out, worker);
-                        put_u64(&mut out, *lease_id);
-                        put_str(&mut out, key);
-                        put_str(&mut out, payload);
-                        put_u64(&mut out, *wall_us);
-                        out
-                    }
-                    FarmRequest::Fail {
-                        worker,
-                        lease_id,
-                        key,
-                        message,
-                    } => {
-                        let mut out = header(OP_FAIL);
-                        put_str(&mut out, worker);
-                        put_u64(&mut out, *lease_id);
-                        put_str(&mut out, key);
-                        put_str(&mut out, message);
-                        out
-                    }
-                    FarmRequest::Heartbeat { worker, lease_ids } => {
-                        let mut out = header(OP_HEARTBEAT);
-                        put_str(&mut out, worker);
-                        put_u32(&mut out, lease_ids.len() as u32);
-                        for &id in lease_ids {
-                            put_u64(&mut out, id);
-                        }
-                        out
-                    }
-                };
-                out.shrink_to_fit();
-                sized(out)
+            } => {
+                let mut out = header(OP_FAIL);
+                put_str(&mut out, worker);
+                put_u64(&mut out, *lease_id);
+                put_str(&mut out, key);
+                put_str(&mut out, message);
+                out
             }
-        }
+            FarmRequest::Heartbeat { worker, lease_ids } => {
+                let mut out = header(OP_HEARTBEAT);
+                put_str(&mut out, worker);
+                put_u32(&mut out, lease_ids.len() as u32);
+                for &id in lease_ids {
+                    put_u64(&mut out, id);
+                }
+                out
+            }
+        };
+        sized(out)
     }
 
-    /// Decodes a frame payload, sniffing the codec per frame like the
-    /// oracle server does; returns the request and which codec it arrived
-    /// in (the response goes back in kind).
+    /// Decodes a frame payload into a farm request.
     ///
     /// # Errors
     ///
     /// [`FrameError::Malformed`] for anything that is not a well-formed
-    /// farm request in either codec. Never panics, whatever the bytes.
-    pub fn decode(payload: &[u8]) -> Result<(FarmRequest, WireCodec), FrameError> {
-        match WireCodec::sniff(payload)? {
-            WireCodec::Json => {
-                let text = std::str::from_utf8(payload)
-                    .map_err(|e| FrameError::Malformed(format!("non-UTF8 JSON frame: {e}")))?;
-                Ok((
-                    FarmRequest::parse(text).map_err(FrameError::Malformed)?,
-                    WireCodec::Json,
-                ))
+    /// farm request frame. Never panics, whatever the bytes.
+    pub fn decode(payload: &[u8]) -> Result<FarmRequest, FrameError> {
+        let (opcode, mut cur) = bin_header(payload)?;
+        let req = match opcode {
+            OP_JOIN => FarmRequest::Join {
+                worker: cur.str_("join.worker")?,
+                version: cur.u32("join.version")?,
+            },
+            OP_LEASE => FarmRequest::Lease {
+                worker: cur.str_("lease.worker")?,
+                max: cur.u32("lease.max")?,
+            },
+            OP_COMPLETE => FarmRequest::Complete {
+                worker: cur.str_("complete.worker")?,
+                lease_id: cur.u64("complete.lease_id")?,
+                key: cur.str_("complete.key")?,
+                payload: cur.str_("complete.payload")?,
+                wall_us: cur.u64("complete.wall_us")?,
+            },
+            OP_FAIL => FarmRequest::Fail {
+                worker: cur.str_("fail.worker")?,
+                lease_id: cur.u64("fail.lease_id")?,
+                key: cur.str_("fail.key")?,
+                message: cur.str_("fail.message")?,
+            },
+            OP_HEARTBEAT => {
+                let worker = cur.str_("heartbeat.worker")?;
+                let n = cur.u32("heartbeat.count")? as usize;
+                let mut lease_ids = Vec::new();
+                for _ in 0..n {
+                    lease_ids.push(cur.u64("heartbeat.lease_id")?);
+                }
+                FarmRequest::Heartbeat { worker, lease_ids }
             }
-            WireCodec::Bin => {
-                let (opcode, mut cur) = bin_header(payload)?;
-                let req = match opcode {
-                    OP_JOIN => FarmRequest::Join {
-                        worker: cur.str_("join.worker")?,
-                        version: cur.u32("join.version")?,
-                    },
-                    OP_LEASE => FarmRequest::Lease {
-                        worker: cur.str_("lease.worker")?,
-                        max: cur.u32("lease.max")?,
-                    },
-                    OP_COMPLETE => FarmRequest::Complete {
-                        worker: cur.str_("complete.worker")?,
-                        lease_id: cur.u64("complete.lease_id")?,
-                        key: cur.str_("complete.key")?,
-                        payload: cur.str_("complete.payload")?,
-                        wall_us: cur.u64("complete.wall_us")?,
-                    },
-                    OP_FAIL => FarmRequest::Fail {
-                        worker: cur.str_("fail.worker")?,
-                        lease_id: cur.u64("fail.lease_id")?,
-                        key: cur.str_("fail.key")?,
-                        message: cur.str_("fail.message")?,
-                    },
-                    OP_HEARTBEAT => {
-                        let worker = cur.str_("heartbeat.worker")?;
-                        let n = cur.u32("heartbeat.count")? as usize;
-                        let mut lease_ids = Vec::new();
-                        for _ in 0..n {
-                            lease_ids.push(cur.u64("heartbeat.lease_id")?);
-                        }
-                        FarmRequest::Heartbeat { worker, lease_ids }
-                    }
-                    other => {
-                        return Err(FrameError::Malformed(format!(
-                            "unknown binary farm request opcode 0x{other:02x}"
-                        )))
-                    }
-                };
-                cur.finish()?;
-                Ok((req, WireCodec::Bin))
+            other => {
+                return Err(FrameError::Malformed(format!(
+                    "unknown binary farm request opcode 0x{other:02x}"
+                )))
             }
-        }
+        };
+        cur.finish()?;
+        Ok(req)
     }
 }
 
 impl FarmResponse {
-    /// The JSON wire form.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        match self {
+    /// Encodes this response as a frame payload.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Oversized`] when the encoding exceeds the frame cap.
+    pub fn encode(&self) -> Result<Vec<u8>, FrameError> {
+        let out = match self {
             FarmResponse::Welcome { version, lease_ms } => {
-                format!(r#"{{"op":"farm.welcome","version":{version},"lease_ms":{lease_ms}}}"#)
+                let mut out = header(RE_WELCOME);
+                put_u32(&mut out, *version);
+                put_u64(&mut out, *lease_ms);
+                out
             }
             FarmResponse::Leases { leases, done } => {
-                let items: Vec<String> = leases
-                    .iter()
-                    .map(|l| {
-                        format!(
-                            r#"{{"lease_id":{},"key":"{}"}}"#,
-                            l.lease_id,
-                            escape(&l.key)
-                        )
-                    })
-                    .collect();
-                format!(
-                    r#"{{"op":"farm.leases","leases":[{}],"done":{done}}}"#,
-                    items.join(",")
-                )
+                let mut out = header(RE_LEASES);
+                out.push(*done as u8);
+                put_u32(&mut out, leases.len() as u32);
+                for l in leases {
+                    put_u64(&mut out, l.lease_id);
+                    put_str(&mut out, &l.key);
+                }
+                out
             }
             FarmResponse::Accepted {
                 lease_id,
                 duplicate,
                 stolen,
-            } => format!(
-                r#"{{"op":"farm.accepted","lease_id":{lease_id},"duplicate":{duplicate},"stolen":{stolen}}}"#
-            ),
-            FarmResponse::Heartbeats { renewed, lost } => format!(
-                r#"{{"op":"farm.heartbeats","renewed":{},"lost":{}}}"#,
-                u64_list_json(renewed),
-                u64_list_json(lost)
-            ),
-            FarmResponse::FarmError { message } => {
-                format!(r#"{{"op":"farm.error","message":"{}"}}"#, escape(message))
+            } => {
+                let mut out = header(RE_ACCEPTED);
+                put_u64(&mut out, *lease_id);
+                out.push(*duplicate as u8);
+                out.push(*stolen as u8);
+                out
             }
-        }
-    }
-
-    /// Parses the JSON wire form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for anything that is not a well-formed farm
-    /// response.
-    pub fn parse(text: &str) -> Result<FarmResponse, String> {
-        let v = JsonValue::parse(text).map_err(|e| e.to_string())?;
-        let op = str_field(&v, "op")?;
-        Ok(match op.as_str() {
-            "farm.welcome" => FarmResponse::Welcome {
-                version: u64_field(&v, "version")? as u32,
-                lease_ms: u64_field(&v, "lease_ms")?,
-            },
-            "farm.leases" => {
-                let leases = match v.get("leases") {
-                    Some(JsonValue::Arr(items)) => items
-                        .iter()
-                        .map(|it| {
-                            Ok(LeaseGrant {
-                                lease_id: u64_field(it, "lease_id")?,
-                                key: str_field(it, "key")?,
-                            })
-                        })
-                        .collect::<Result<Vec<_>, String>>()?,
-                    _ => return Err("missing array field \"leases\"".to_string()),
-                };
-                FarmResponse::Leases {
-                    leases,
-                    done: v
-                        .get("done")
-                        .and_then(JsonValue::as_bool)
-                        .ok_or_else(|| "missing bool field \"done\"".to_string())?,
+            FarmResponse::Heartbeats { renewed, lost } => {
+                let mut out = header(RE_HEARTBEATS);
+                for ids in [renewed, lost] {
+                    put_u32(&mut out, ids.len() as u32);
+                    for &id in ids {
+                        put_u64(&mut out, id);
+                    }
                 }
+                out
             }
-            "farm.accepted" => FarmResponse::Accepted {
-                lease_id: u64_field(&v, "lease_id")?,
-                duplicate: v
-                    .get("duplicate")
-                    .and_then(JsonValue::as_bool)
-                    .ok_or_else(|| "missing bool field \"duplicate\"".to_string())?,
-                stolen: v
-                    .get("stolen")
-                    .and_then(JsonValue::as_bool)
-                    .ok_or_else(|| "missing bool field \"stolen\"".to_string())?,
-            },
-            "farm.heartbeats" => FarmResponse::Heartbeats {
-                renewed: u64_list_field(&v, "renewed")?,
-                lost: u64_list_field(&v, "lost")?,
-            },
-            "farm.error" => FarmResponse::FarmError {
-                message: str_field(&v, "message")?,
-            },
-            other => return Err(format!("unknown farm op {other:?}")),
-        })
+            FarmResponse::FarmError { message } => {
+                let mut out = header(RE_FARM_ERROR);
+                put_str(&mut out, message);
+                out
+            }
+        };
+        sized(out)
     }
 
-    /// Encodes this response as a frame payload in `codec`.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::Oversized`] when the encoding exceeds the frame cap.
-    pub fn encode(&self, codec: WireCodec) -> Result<Vec<u8>, FrameError> {
-        match codec {
-            WireCodec::Json => sized(self.to_json().into_bytes()),
-            WireCodec::Bin => {
-                let mut out = match self {
-                    FarmResponse::Welcome { version, lease_ms } => {
-                        let mut out = header(RE_WELCOME);
-                        put_u32(&mut out, *version);
-                        put_u64(&mut out, *lease_ms);
-                        out
-                    }
-                    FarmResponse::Leases { leases, done } => {
-                        let mut out = header(RE_LEASES);
-                        out.push(*done as u8);
-                        put_u32(&mut out, leases.len() as u32);
-                        for l in leases {
-                            put_u64(&mut out, l.lease_id);
-                            put_str(&mut out, &l.key);
-                        }
-                        out
-                    }
-                    FarmResponse::Accepted {
-                        lease_id,
-                        duplicate,
-                        stolen,
-                    } => {
-                        let mut out = header(RE_ACCEPTED);
-                        put_u64(&mut out, *lease_id);
-                        out.push(*duplicate as u8);
-                        out.push(*stolen as u8);
-                        out
-                    }
-                    FarmResponse::Heartbeats { renewed, lost } => {
-                        let mut out = header(RE_HEARTBEATS);
-                        for ids in [renewed, lost] {
-                            put_u32(&mut out, ids.len() as u32);
-                            for &id in ids {
-                                put_u64(&mut out, id);
-                            }
-                        }
-                        out
-                    }
-                    FarmResponse::FarmError { message } => {
-                        let mut out = header(RE_FARM_ERROR);
-                        put_str(&mut out, message);
-                        out
-                    }
-                };
-                out.shrink_to_fit();
-                sized(out)
-            }
-        }
-    }
-
-    /// Decodes a frame payload, sniffing the codec per frame.
+    /// Decodes a frame payload into a farm response.
     ///
     /// # Errors
     ///
     /// [`FrameError::Malformed`] for anything that is not a well-formed
-    /// farm response in either codec. Never panics, whatever the bytes.
+    /// farm response frame. Never panics, whatever the bytes.
     pub fn decode(payload: &[u8]) -> Result<FarmResponse, FrameError> {
-        match WireCodec::sniff(payload)? {
-            WireCodec::Json => {
-                let text = std::str::from_utf8(payload)
-                    .map_err(|e| FrameError::Malformed(format!("non-UTF8 JSON frame: {e}")))?;
-                FarmResponse::parse(text).map_err(FrameError::Malformed)
+        let (opcode, mut cur) = bin_header(payload)?;
+        let resp = match opcode {
+            RE_WELCOME => FarmResponse::Welcome {
+                version: cur.u32("welcome.version")?,
+                lease_ms: cur.u64("welcome.lease_ms")?,
+            },
+            RE_LEASES => {
+                let done = cur.u8("leases.done")? != 0;
+                let n = cur.u32("leases.count")? as usize;
+                let mut leases = Vec::new();
+                for _ in 0..n {
+                    leases.push(LeaseGrant {
+                        lease_id: cur.u64("leases.lease_id")?,
+                        key: cur.str_("leases.key")?,
+                    });
+                }
+                FarmResponse::Leases { leases, done }
             }
-            WireCodec::Bin => {
-                let (opcode, mut cur) = bin_header(payload)?;
-                let resp = match opcode {
-                    RE_WELCOME => FarmResponse::Welcome {
-                        version: cur.u32("welcome.version")?,
-                        lease_ms: cur.u64("welcome.lease_ms")?,
-                    },
-                    RE_LEASES => {
-                        let done = cur.u8("leases.done")? != 0;
-                        let n = cur.u32("leases.count")? as usize;
-                        let mut leases = Vec::new();
-                        for _ in 0..n {
-                            leases.push(LeaseGrant {
-                                lease_id: cur.u64("leases.lease_id")?,
-                                key: cur.str_("leases.key")?,
-                            });
-                        }
-                        FarmResponse::Leases { leases, done }
+            RE_ACCEPTED => FarmResponse::Accepted {
+                lease_id: cur.u64("accepted.lease_id")?,
+                duplicate: cur.u8("accepted.duplicate")? != 0,
+                stolen: cur.u8("accepted.stolen")? != 0,
+            },
+            RE_HEARTBEATS => {
+                let mut lists = [Vec::new(), Vec::new()];
+                for list in &mut lists {
+                    let n = cur.u32("heartbeats.count")? as usize;
+                    for _ in 0..n {
+                        list.push(cur.u64("heartbeats.lease_id")?);
                     }
-                    RE_ACCEPTED => FarmResponse::Accepted {
-                        lease_id: cur.u64("accepted.lease_id")?,
-                        duplicate: cur.u8("accepted.duplicate")? != 0,
-                        stolen: cur.u8("accepted.stolen")? != 0,
-                    },
-                    RE_HEARTBEATS => {
-                        let mut lists = [Vec::new(), Vec::new()];
-                        for list in &mut lists {
-                            let n = cur.u32("heartbeats.count")? as usize;
-                            for _ in 0..n {
-                                list.push(cur.u64("heartbeats.lease_id")?);
-                            }
-                        }
-                        let [renewed, lost] = lists;
-                        FarmResponse::Heartbeats { renewed, lost }
-                    }
-                    RE_FARM_ERROR => FarmResponse::FarmError {
-                        message: cur.str_("error.message")?,
-                    },
-                    other => {
-                        return Err(FrameError::Malformed(format!(
-                            "unknown binary farm response opcode 0x{other:02x}"
-                        )))
-                    }
-                };
-                cur.finish()?;
-                Ok(resp)
+                }
+                let [renewed, lost] = lists;
+                FarmResponse::Heartbeats { renewed, lost }
             }
-        }
+            RE_FARM_ERROR => FarmResponse::FarmError {
+                message: cur.str_("error.message")?,
+            },
+            other => {
+                return Err(FrameError::Malformed(format!(
+                    "unknown binary farm response opcode 0x{other:02x}"
+                )))
+            }
+        };
+        cur.finish()?;
+        Ok(resp)
     }
 }
 
@@ -691,27 +458,20 @@ mod tests {
     }
 
     #[test]
-    fn both_codecs_round_trip_every_shape() {
+    fn binary_round_trips_every_shape() {
         for req in sample_requests() {
-            for codec in [WireCodec::Json, WireCodec::Bin] {
-                let bytes = req.encode(codec).unwrap();
-                assert_eq!(WireCodec::sniff(&bytes).unwrap(), codec);
-                let (decoded, sniffed) = FarmRequest::decode(&bytes).unwrap();
-                assert_eq!(decoded, req);
-                assert_eq!(sniffed, codec);
-            }
+            let bytes = req.encode().unwrap();
+            assert_eq!(FarmRequest::decode(&bytes).unwrap(), req);
         }
         for resp in sample_responses() {
-            for codec in [WireCodec::Json, WireCodec::Bin] {
-                let bytes = resp.encode(codec).unwrap();
-                assert_eq!(FarmResponse::decode(&bytes).unwrap(), resp);
-            }
+            let bytes = resp.encode().unwrap();
+            assert_eq!(FarmResponse::decode(&bytes).unwrap(), resp);
         }
     }
 
     #[test]
     fn truncated_binary_farm_frames_are_typed_errors() {
-        let full = sample_requests()[2].encode(WireCodec::Bin).unwrap();
+        let full = sample_requests()[2].encode().unwrap();
         for cut in 1..full.len() {
             assert!(
                 FarmRequest::decode(&full[..cut]).is_err(),
@@ -747,26 +507,17 @@ mod tests {
     fn farm_opcodes_are_disjoint_from_oracle_frames() {
         // A farm frame must never decode as an oracle message and vice
         // versa: the opcode ranges are disjoint.
-        use crate::codec::{BinCodec, Codec};
         let farm = FarmRequest::Lease {
             worker: "w".into(),
             max: 1,
         }
-        .encode(WireCodec::Bin)
+        .encode()
         .unwrap();
-        assert!(BinCodec.decode_request(&farm).is_err());
-        let oracle = BinCodec
-            .encode_request(&crate::protocol::Request::Stats)
-            .unwrap();
+        assert!(crate::protocol::Request::decode(&farm).is_err());
+        let oracle = crate::protocol::Request::Stats.encode().unwrap();
         assert!(matches!(
             FarmRequest::decode(&oracle),
             Err(FrameError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn unknown_json_op_is_an_error() {
-        assert!(FarmRequest::parse(r#"{"op":"farm.nope"}"#).is_err());
-        assert!(FarmResponse::parse(r#"{"op":"query"}"#).is_err());
     }
 }

@@ -4,7 +4,7 @@
 //! *activates* chips (burns the key into tamper-proof memory) and an
 //! adversary with oracle access to an activated part. This crate makes
 //! that split literal: a TCP service hosts activated chips and answers
-//! oracle queries over a length-prefixed JSON protocol, while a
+//! oracle queries over a length-prefixed binary protocol, while a
 //! **morph scheduler** re-keys every hosted chip each K queries or T
 //! milliseconds — the dynamic obfuscation the paper argues defeats
 //! accumulated SAT-attack progress.
@@ -12,20 +12,20 @@
 //! * [`protocol`] — the message types: typed [`protocol::ErrorKind`]s and
 //!   [`protocol::DesignSpec`] (chips are provisioned by deterministic
 //!   recipe, never by shipping a netlist).
-//! * [`codec`] — how messages become frame payloads: 4-byte big-endian
-//!   length prefix, then either JSON ([`JsonCodec`], the negotiated
-//!   fallback) or the compact binary encoding ([`BinCodec`], the
-//!   default), agreed per connection via a versioned `hello` handshake.
+//! * [`codec`] — how messages become frame payloads: a 4-byte big-endian
+//!   length prefix, then the compact binary encoding
+//!   ([`Request::encode`]/[`Request::decode`] and the [`Response`] pair),
+//!   whose version byte is the only version check.
 //! * [`server`] — an event-driven nonblocking reactor loop: per-connection
-//!   read/write buffers, request pipelining, per-frame codec sniffing,
-//!   and the chip table striped over N shard locks.
+//!   read/write buffers, request pipelining, and the chip table striped
+//!   over N shard locks.
 //! * [`scheduler`] — the re-keying triggers, walking one shard at a time.
 //! * [`client`] — [`RemoteOracle`]: an [`ril_attacks::OracleSource`] over
 //!   TCP with reconnect/retry, so SAT, AppSAT and ScanSAT run unchanged
 //!   against a live, morphing target. Built via [`ServeClient::builder`].
 //! * [`farm`] — the experiment-farm vocabulary: cell-lease requests and
 //!   responses ([`FarmRequest`]/[`FarmResponse`]) riding the same framing
-//!   and codec sniff on a disjoint opcode range, for `ril-bench`'s
+//!   and binary header on a disjoint opcode range, for `ril-bench`'s
 //!   distributed sweep coordinator (DESIGN.md §17).
 //!
 //! ## Quickstart
@@ -60,14 +60,10 @@ pub mod protocol;
 mod scheduler;
 pub mod server;
 
-pub use client::{ClientBuilder, ClientConfig, ClientError, CodecPref, RemoteOracle, ServeClient};
-pub use codec::{
-    read_frame_bytes, write_frame_bytes, BinCodec, Codec, JsonCodec, Negotiation, WireCodec,
-    PROTOCOL_VERSION,
-};
+pub use client::{ClientBuilder, ClientError, RemoteOracle, ServeClient};
+pub use codec::{read_frame_bytes, write_frame_bytes, WireCodec, PROTOCOL_VERSION};
 pub use farm::{FarmRequest, FarmResponse, LeaseGrant, FARM_PROTOCOL_VERSION};
 pub use protocol::{
-    bits_from_str, bits_to_string, ChipStats, DesignSpec, ErrorKind, FrameError, Request, Response,
-    ServerStats, MAX_FRAME_BYTES,
+    ChipStats, DesignSpec, ErrorKind, FrameError, Request, Response, ServerStats, MAX_FRAME_BYTES,
 };
 pub use server::{ServeConfig, Server, ServerHandle};

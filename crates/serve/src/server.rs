@@ -12,11 +12,11 @@
 //! hostile connection cannot pin a worker, and one reactor multiplexes
 //! thousands of in-flight oracle streams.
 //!
-//! Codec handling is per frame: the first payload byte says whether the
-//! frame is JSON or binary ([`WireCodec::sniff`]), and the response goes
-//! back in the codec the request arrived in. Pre-negotiation clients
-//! therefore work unchanged, and a negotiated connection switches
-//! encodings the instant its `hello` completes.
+//! Every frame is binary in both directions ([`crate::codec`]), errors
+//! included. A payload that does not decode — wrong magic, wrong version
+//! byte, unknown opcode, truncated body — gets a typed `malformed` error
+//! frame; its length prefix was valid, so the stream stays aligned and the
+//! connection keeps being served.
 //!
 //! Chip state is sharded (`shards` stripes, chip id modulo stripe
 //! count). A query locks only its chip's shard — and holds it for the
@@ -30,7 +30,7 @@
 //! usually arrives while the reactor is still yielding); the nap keeps
 //! an idle service off the CPU.
 
-use crate::codec::{append_frame, Codec, Negotiation, WireCodec};
+use crate::codec::append_frame;
 use crate::protocol::{
     ChipStats, DesignSpec, ErrorKind, Request, Response, ServerStats, MAX_FRAME_BYTES,
 };
@@ -437,7 +437,7 @@ fn service_conn(state: &State, conn: &mut Conn, progress: &mut bool) -> bool {
                     ErrorKind::Oversized,
                     format!("{n}-byte frame exceeds the cap"),
                 );
-                queue_response(state, conn, WireCodec::Json, &resp);
+                queue_response(state, conn, &resp);
                 conn.close_after_flush = true;
                 *progress = true;
             }
@@ -483,14 +483,14 @@ fn flush_conn(conn: &mut Conn, progress: &mut bool) -> bool {
     true
 }
 
-/// Encodes `resp` in `codec` and appends it to the connection's write
-/// buffer. A response too large for a frame degrades to a typed
-/// `internal` error in the same codec rather than killing the stream.
-fn queue_response(state: &State, conn: &mut Conn, codec: WireCodec, resp: &Response) {
+/// Encodes `resp` and appends it to the connection's write buffer. A
+/// response too large for a frame degrades to a typed `internal` error
+/// rather than killing the stream.
+fn queue_response(state: &State, conn: &mut Conn, resp: &Response) {
     let t_write = Instant::now();
-    let payload = codec.encode_response(resp).unwrap_or_else(|_| {
-        codec
-            .encode_response(&err(ErrorKind::Internal, "response exceeded the frame cap"))
+    let payload = resp.encode().unwrap_or_else(|_| {
+        err(ErrorKind::Internal, "response exceeded the frame cap")
+            .encode()
             .expect("a short error encodes")
     });
     append_frame(&mut conn.write_buf, &payload).expect("payload is under the cap");
@@ -499,31 +499,23 @@ fn queue_response(state: &State, conn: &mut Conn, codec: WireCodec, resp: &Respo
         .record_timing("serve.phase.write", t_write.elapsed());
 }
 
-/// Decodes, dispatches, and answers one frame, in the codec it arrived in.
+/// Decodes, dispatches, and answers one frame.
 fn handle_frame(state: &State, conn: &mut Conn, payload: &[u8]) {
     ril_trace::counter("serve.requests", 1);
     state.requests.fetch_add(1, Ordering::Relaxed);
     state.metrics.counter_add("serve.requests", 1);
     let t_decode = Instant::now();
-    let decoded =
-        WireCodec::sniff(payload).and_then(|codec| Ok((codec, codec.decode_request(payload)?)));
+    let decoded = Request::decode(payload);
     state
         .metrics
         .record_timing("serve.phase.decode", t_decode.elapsed());
-    let (codec, resp, close) = match decoded {
-        Ok((codec, req)) => {
-            let (resp, close) = dispatch(state, req);
-            (codec, resp, close)
-        }
+    let (resp, close) = match decoded {
+        Ok(req) => dispatch(state, req),
         // Framing is still aligned (the length prefix was valid), so a
         // malformed payload answers a typed error and keeps the stream.
-        Err(e) => (
-            WireCodec::Json,
-            err(ErrorKind::Malformed, e.to_string()),
-            false,
-        ),
+        Err(e) => (err(ErrorKind::Malformed, e.to_string()), false),
     };
-    queue_response(state, conn, codec, &resp);
+    queue_response(state, conn, &resp);
     if close {
         conn.close_after_flush = true;
     }
@@ -532,12 +524,8 @@ fn handle_frame(state: &State, conn: &mut Conn, payload: &[u8]) {
 /// Shutdown path: tell every remaining peer the service is draining,
 /// give the sockets a short grace window to take the bytes, and drop.
 fn drain_conns(conns: &mut Vec<Conn>) {
-    let bye = Response::Error {
-        kind: ErrorKind::ShuttingDown,
-        message: "server is shutting down".to_string(),
-    };
-    let payload = WireCodec::Json
-        .encode_response(&bye)
+    let payload = err(ErrorKind::ShuttingDown, "server is shutting down")
+        .encode()
         .expect("a short error encodes");
     for conn in conns.iter_mut() {
         if !conn.close_after_flush {
@@ -572,16 +560,6 @@ fn err(kind: ErrorKind, message: impl Into<String>) -> Response {
 /// connection should close afterwards.
 fn dispatch(state: &State, req: Request) -> (Response, bool) {
     match req {
-        Request::Hello { version, codecs } => {
-            let n = Negotiation::choose(version, &codecs);
-            (
-                Response::Hello {
-                    version: n.version,
-                    codec: n.codec.name().to_string(),
-                },
-                false,
-            )
-        }
         Request::Activate { design } => {
             let resp = match activate(state, &design) {
                 Ok(resp) => resp,

@@ -1,12 +1,10 @@
 //! Codec properties on *random* message values: the binary encoding
-//! round-trips losslessly, JSON and binary decode to the same value, and
-//! hostile frames (truncated, bit-flipped, garbage) always yield typed
-//! [`FrameError`]s — never a panic, never a silent misparse.
+//! round-trips losslessly, and hostile frames (truncated, bit-flipped,
+//! garbage) always yield typed [`FrameError`]s — never a panic, never a
+//! silent misparse.
 
 use proptest::prelude::*;
-use ril_serve::{
-    BinCodec, Codec, DesignSpec, ErrorKind, JsonCodec, Request, Response, ServerStats,
-};
+use ril_serve::{DesignSpec, ErrorKind, Request, Response, ServerStats};
 
 /// Deterministic splitmix64 step for fanning one sampled seed into values.
 fn splitmix(z: &mut u64) -> u64 {
@@ -21,8 +19,8 @@ fn bits(z: &mut u64, n: usize) -> Vec<bool> {
     (0..n).map(|_| splitmix(z) & 1 == 1).collect()
 }
 
-/// Random strings mixing plain ASCII with every character the JSON
-/// escaper has to handle specially.
+/// Random strings mixing plain ASCII, quotes, control characters and
+/// multi-byte UTF-8.
 fn text(z: &mut u64) -> String {
     const ALPHABET: &[char] = &[
         'a', 'B', '7', '_', ':', ' ', '"', '\\', '\n', '\t', '\r', '{', '}', '/', 'é', '≠',
@@ -34,12 +32,8 @@ fn text(z: &mut u64) -> String {
 }
 
 fn request(z: &mut u64) -> Request {
-    match splitmix(z) % 7 {
-        0 => Request::Hello {
-            version: (splitmix(z) % 16) as u32,
-            codecs: (0..splitmix(z) % 4).map(|_| text(z)).collect(),
-        },
-        1 => Request::Activate {
+    match splitmix(z) % 6 {
+        0 => Request::Activate {
             design: DesignSpec {
                 benchmark: text(z),
                 spec: text(z),
@@ -49,47 +43,43 @@ fn request(z: &mut u64) -> Request {
                 zero_se: splitmix(z) & 1 == 1,
             },
         },
-        2 => {
+        1 => {
             let n = (splitmix(z) % 130) as usize;
             Request::Query {
                 chip: splitmix(z),
                 inputs: bits(z, n),
             }
         }
-        3 => {
+        2 => {
             let width = 1 + (splitmix(z) % 70) as usize;
             Request::QueryBatch {
                 chip: splitmix(z),
                 patterns: (0..1 + splitmix(z) % 64).map(|_| bits(z, width)).collect(),
             }
         }
-        4 => Request::Morph { chip: splitmix(z) },
-        5 => Request::Stats,
+        3 => Request::Morph { chip: splitmix(z) },
+        4 => Request::Stats,
         _ => Request::Shutdown,
     }
 }
 
 fn response(z: &mut u64) -> Response {
-    match splitmix(z) % 7 {
-        0 => Response::Hello {
-            version: (splitmix(z) % 16) as u32,
-            codec: text(z),
-        },
-        1 => Response::Activated {
+    match splitmix(z) % 6 {
+        0 => Response::Activated {
             chip: splitmix(z),
             generation: splitmix(z),
             inputs: (splitmix(z) % 200) as usize,
             outputs: (splitmix(z) % 200) as usize,
             key_bits: (splitmix(z) % 200) as usize,
         },
-        2 => {
+        1 => {
             let n = (splitmix(z) % 130) as usize;
             Response::Outputs {
                 bits: bits(z, n),
                 generation: splitmix(z),
             }
         }
-        3 => {
+        2 => {
             let rows = (0..splitmix(z) % 5)
                 .map(|_| {
                     let n = 1 + (splitmix(z) % 40) as usize;
@@ -101,7 +91,7 @@ fn response(z: &mut u64) -> Response {
                 generation: splitmix(z),
             }
         }
-        4 => Response::Morphed {
+        3 => Response::Morphed {
             generation: splitmix(z),
             bits_changed: splitmix(z),
             changed_bits: {
@@ -113,7 +103,7 @@ fn response(z: &mut u64) -> Response {
                 v
             },
         },
-        5 => Response::Bye,
+        4 => Response::Bye,
         _ => Response::Error {
             kind: ErrorKind::Malformed,
             message: text(z),
@@ -129,33 +119,12 @@ proptest! {
     fn binary_round_trips_random_messages(seed in any::<u64>()) {
         let mut z = seed;
         let req = request(&mut z);
-        let wire = BinCodec.encode_request(&req).unwrap();
-        prop_assert_eq!(BinCodec.decode_request(&wire).unwrap(), req);
+        let wire = req.encode().unwrap();
+        prop_assert_eq!(Request::decode(&wire).unwrap(), req);
 
         let resp = response(&mut z);
-        let wire = BinCodec.encode_response(&resp).unwrap();
-        prop_assert_eq!(BinCodec.decode_response(&wire).unwrap(), resp);
-    }
-
-    /// Both codecs decode to the *same* value: a request encoded as JSON
-    /// and the same request encoded as binary are indistinguishable after
-    /// decode, so a server can mix codecs per frame without behavior
-    /// drift.
-    #[test]
-    fn json_and_binary_decode_equivalently(seed in any::<u64>()) {
-        let mut z = seed;
-        let req = request(&mut z);
-        let via_json = JsonCodec.decode_request(&JsonCodec.encode_request(&req).unwrap()).unwrap();
-        let via_bin = BinCodec.decode_request(&BinCodec.encode_request(&req).unwrap()).unwrap();
-        prop_assert_eq!(&via_json, &req);
-        prop_assert_eq!(&via_bin, &via_json);
-
-        let resp = response(&mut z);
-        let via_json =
-            JsonCodec.decode_response(&JsonCodec.encode_response(&resp).unwrap()).unwrap();
-        let via_bin = BinCodec.decode_response(&BinCodec.encode_response(&resp).unwrap()).unwrap();
-        prop_assert_eq!(&via_json, &resp);
-        prop_assert_eq!(&via_bin, &via_json);
+        let wire = resp.encode().unwrap();
+        prop_assert_eq!(Response::decode(&wire).unwrap(), resp);
     }
 
     /// Every strict prefix of a valid binary frame is a typed error —
@@ -163,18 +132,18 @@ proptest! {
     #[test]
     fn truncated_binary_frames_are_typed_errors(seed in any::<u64>()) {
         let mut z = seed;
-        let wire = BinCodec.encode_request(&request(&mut z)).unwrap();
+        let wire = request(&mut z).encode().unwrap();
         for cut in 0..wire.len() {
             prop_assert!(
-                BinCodec.decode_request(&wire[..cut]).is_err(),
+                Request::decode(&wire[..cut]).is_err(),
                 "prefix of {} / {} bytes decoded",
                 cut,
                 wire.len()
             );
         }
-        let wire = BinCodec.encode_response(&response(&mut z)).unwrap();
+        let wire = response(&mut z).encode().unwrap();
         for cut in 0..wire.len() {
-            prop_assert!(BinCodec.decode_response(&wire[..cut]).is_err());
+            prop_assert!(Response::decode(&wire[..cut]).is_err());
         }
     }
 
@@ -184,31 +153,31 @@ proptest! {
     #[test]
     fn corrupted_binary_frames_never_panic(seed in any::<u64>()) {
         let mut z = seed;
-        let mut wire = BinCodec.encode_request(&request(&mut z)).unwrap();
+        let mut wire = request(&mut z).encode().unwrap();
         // Trailing garbage is always rejected (the decoder demands the
         // cursor land exactly on the end).
         let mut padded = wire.clone();
         padded.extend_from_slice(&[0xFF, 0x00, 0xAB]);
-        prop_assert!(BinCodec.decode_request(&padded).is_err());
+        prop_assert!(Request::decode(&padded).is_err());
 
         // A random byte flip must not panic; outcome may be either.
         let idx = (splitmix(&mut z) as usize) % wire.len();
         wire[idx] ^= (splitmix(&mut z) % 255 + 1) as u8;
-        let _ = BinCodec.decode_request(&wire);
+        let _ = Request::decode(&wire);
 
         // Pure garbage of random length is rejected.
         let garbage: Vec<u8> =
             (0..splitmix(&mut z) % 64).map(|_| (splitmix(&mut z) & 0xFF) as u8).collect();
-        if garbage.first() != Some(&0x7B) {
-            prop_assert!(BinCodec.decode_request(&garbage).is_err());
+        if garbage.first() != Some(&ril_serve::codec::BIN_MAGIC) {
+            prop_assert!(Request::decode(&garbage).is_err());
         }
     }
 }
 
-/// The stats response (control-plane cold path: binary carries the JSON
-/// body) still round-trips and matches the JSON codec bit for bit.
+/// The stats response (control-plane cold path: the binary envelope
+/// carries a JSON body) round-trips.
 #[test]
-fn stats_responses_round_trip_in_both_codecs() {
+fn stats_responses_round_trip() {
     let resp = Response::Stats(ServerStats {
         requests: 1234,
         uptime_s: 5.25,
@@ -221,12 +190,5 @@ fn stats_responses_round_trip_in_both_codecs() {
         }],
         metrics: Default::default(),
     });
-    let via_bin = BinCodec
-        .decode_response(&BinCodec.encode_response(&resp).unwrap())
-        .unwrap();
-    let via_json = JsonCodec
-        .decode_response(&JsonCodec.encode_response(&resp).unwrap())
-        .unwrap();
-    assert_eq!(via_bin, resp);
-    assert_eq!(via_json, resp);
+    assert_eq!(Response::decode(&resp.encode().unwrap()).unwrap(), resp);
 }

@@ -2,7 +2,7 @@
 //! morph scheduler armed.
 
 use ril_attacks::prelude::*;
-use ril_serve::{CodecPref, DesignSpec, RemoteOracle, ServeClient, ServeConfig, Server, WireCodec};
+use ril_serve::{DesignSpec, RemoteOracle, ServeClient, ServeConfig, Server};
 use ril_trace::{Phase, Tracer};
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -203,8 +203,8 @@ fn stats_round_trip_carries_latency_histograms() {
     let stats = oracle.client().stats().unwrap();
     assert!(stats.uptime_s > 0.0);
     assert!(stats.qps > 0.0, "first poll rates the whole uptime window");
-    // hello + activate + 10 singles + 1 batch + this stats poll.
-    assert_eq!(stats.requests, 14);
+    // activate + 10 singles + 1 batch + this stats poll.
+    assert_eq!(stats.requests, 13);
     let m = &stats.metrics;
     assert!(!m.is_empty());
     assert_eq!(m.counter("serve.requests"), stats.requests);
@@ -311,43 +311,8 @@ fn manual_morphs_preserve_functional_responses() {
     handle.shutdown();
 }
 
-/// The negotiation matrix, attack half: the same remote SAT attack
-/// succeeds whether the connection negotiated binary, negotiated JSON
-/// explicitly, or skipped negotiation entirely (the forced-fallback path
-/// an old client takes) — and the negotiated codec is what was asked.
-#[test]
-fn sat_attack_succeeds_under_every_codec_preference() {
-    let handle = Server::start(ServeConfig::default()).unwrap();
-    let design = design(false, false, 57);
-    let locked = design.build().unwrap();
-    for (pref, expect) in [
-        (CodecPref::Auto, WireCodec::Bin),
-        (CodecPref::Bin, WireCodec::Bin),
-        (CodecPref::Json, WireCodec::Json),
-    ] {
-        let client = ServeClient::builder(handle.addr().to_string())
-            .codec(pref)
-            .build()
-            .unwrap();
-        let mut oracle = RemoteOracle::activate_with(client, &design).unwrap();
-        assert_eq!(
-            oracle.client().negotiation().unwrap().codec,
-            expect,
-            "preference {pref:?} negotiated the wrong codec"
-        );
-        let view = attacker_view(&locked);
-        let report = ril_attacks::satattack::sat_attack(&view, &mut oracle, &attack_cfg());
-        let AttackResult::ExactKey(key) = &report.result else {
-            panic!("attack under {pref:?} failed: {report}");
-        };
-        assert!(locked.equivalent_under_key(key, 32).unwrap());
-    }
-    handle.shutdown();
-}
-
 /// Pipelining: a window of mixed requests written back-to-back on one
-/// connection comes back as one response per request, in request order,
-/// under both codecs.
+/// connection comes back as one response per request, in request order.
 #[test]
 fn pipelined_windows_answer_in_request_order() {
     use ril_serve::{Request, Response};
@@ -357,74 +322,32 @@ fn pipelined_windows_answer_in_request_order() {
     let width = ril_attacks::Oracle::new(&design.build().unwrap())
         .unwrap()
         .input_width();
-    for pref in [CodecPref::Auto, CodecPref::Json] {
-        let mut client = ServeClient::builder(handle.addr().to_string())
-            .codec(pref)
-            .pipeline(8)
-            .build()
-            .unwrap();
-        // 20 distinguishable queries: pattern i encodes i in its low bits.
-        let reqs: Vec<Request> = (0..20u32)
-            .map(|i| Request::Query {
-                chip,
-                inputs: (0..width).map(|b| (i >> (b % 32)) & 1 == 1).collect(),
-            })
-            .collect();
-        let resps = client.request_pipelined(&reqs).unwrap();
-        assert_eq!(resps.len(), 20);
-        // Order check: each response equals a fresh unpipelined query of
-        // the same pattern (the chip is static, so replies are stable).
-        for (i, resp) in resps.iter().enumerate() {
-            let Response::Outputs { bits, .. } = resp else {
-                panic!("request {i} got {resp:?}");
-            };
-            let again = client
-                .request(&reqs[i])
-                .unwrap_or_else(|e| panic!("re-query {i}: {e}"));
-            let Response::Outputs { bits: expect, .. } = again else {
-                panic!("re-query {i} got a non-output response");
-            };
-            assert_eq!(bits, &expect, "response {i} out of order under {pref:?}");
-        }
-    }
-    handle.shutdown();
-}
-
-/// Negotiation against a pre-codec server: a fake old server answers the
-/// `hello` with the `unknown op` error the old dispatch produced, then
-/// speaks plain JSON. The new client must degrade to the JSON fallback
-/// silently and complete its request.
-#[test]
-fn new_client_falls_back_to_json_against_an_old_server() {
-    use ril_serve::{read_frame_bytes, write_frame_bytes, Request, Response};
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        // Old servers parse frames as JSON and answer unknown ops with a
-        // typed malformed error, keeping the connection open.
-        let payload = read_frame_bytes(&mut stream).unwrap();
-        let text = String::from_utf8(payload).expect("a new client's hello is JSON");
-        assert!(text.contains(r#""op":"hello""#), "first frame was {text}");
-        write_frame_bytes(
-            &mut stream,
-            br#"{"err":"malformed","message":"unknown op `hello`"}"#,
-        )
-        .unwrap();
-        // The client must now speak JSON: answer one stats request.
-        let payload = read_frame_bytes(&mut stream).unwrap();
-        let req = Request::parse(std::str::from_utf8(&payload).expect("fallback frame is JSON"))
-            .expect("fallback frame is protocol JSON");
-        assert_eq!(req, Request::Stats);
-        let stats = Response::Stats(ril_serve::ServerStats::default());
-        write_frame_bytes(&mut stream, stats.to_json().as_bytes()).unwrap();
-    });
-    let mut client = ServeClient::builder(addr.to_string())
-        .retries(0)
+    let mut client = ServeClient::builder(handle.addr().to_string())
+        .pipeline(8)
         .build()
         .unwrap();
-    let stats = client.stats().expect("fallback request must succeed");
-    assert_eq!(stats.requests, 0);
-    assert_eq!(client.negotiation().unwrap().codec, WireCodec::Json);
-    server.join().unwrap();
+    // 20 distinguishable queries: pattern i encodes i in its low bits.
+    let reqs: Vec<Request> = (0..20u32)
+        .map(|i| Request::Query {
+            chip,
+            inputs: (0..width).map(|b| (i >> (b % 32)) & 1 == 1).collect(),
+        })
+        .collect();
+    let resps = client.request_pipelined(&reqs).unwrap();
+    assert_eq!(resps.len(), 20);
+    // Order check: each response equals a fresh unpipelined query of the
+    // same pattern (the chip is static, so replies are stable).
+    for (i, resp) in resps.iter().enumerate() {
+        let Response::Outputs { bits, .. } = resp else {
+            panic!("request {i} got {resp:?}");
+        };
+        let again = client
+            .request(&reqs[i])
+            .unwrap_or_else(|e| panic!("re-query {i}: {e}"));
+        let Response::Outputs { bits: expect, .. } = again else {
+            panic!("re-query {i} got a non-output response");
+        };
+        assert_eq!(bits, &expect, "response {i} out of order");
+    }
+    handle.shutdown();
 }

@@ -2,8 +2,8 @@
 //! errors, never panic a worker or wedge the service.
 
 use ril_serve::{
-    read_frame_bytes, BinCodec, ClientError, Codec, CodecPref, DesignSpec, ErrorKind, RemoteOracle,
-    Request, Response, ServeClient, ServeConfig, Server, MAX_FRAME_BYTES,
+    read_frame_bytes, write_frame_bytes, ClientError, DesignSpec, ErrorKind, RemoteOracle, Request,
+    Response, ServeClient, ServeConfig, Server, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -29,34 +29,50 @@ fn fast_client(addr: impl Into<String>) -> ServeClient {
         .unwrap()
 }
 
-/// Reads one frame as the JSON text an old client would see.
-fn read_json_frame(stream: &mut TcpStream) -> String {
-    String::from_utf8(read_frame_bytes(stream).unwrap()).expect("old clients get JSON frames")
+/// Reads and decodes one binary response frame.
+fn read_response(stream: &mut TcpStream) -> Response {
+    Response::decode(&read_frame_bytes(stream).unwrap()).expect("a binary response frame")
+}
+
+/// Reads one response and returns its error, failing on anything else.
+fn read_error(stream: &mut TcpStream) -> (ErrorKind, String) {
+    match read_response(stream) {
+        Response::Error { kind, message } => (kind, message),
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+}
+
+/// A raw connection with a read timeout, for scripting hostile frames.
+fn raw_stream(addr: std::net::SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+}
+
+/// Sends a binary `stats` request and expects the snapshot back.
+fn assert_stats_answered(stream: &mut TcpStream) {
+    write_frame_bytes(stream, &Request::Stats.encode().unwrap()).unwrap();
+    match read_response(stream) {
+        Response::Stats(_) => {}
+        other => panic!("expected a stats snapshot, got {other:?}"),
+    }
 }
 
 #[test]
 fn malformed_frames_get_typed_errors() {
     let handle = Server::start(ServeConfig::default()).unwrap();
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
+    let mut stream = raw_stream(handle.addr());
 
-    // Valid frame, garbage payload.
-    let body = b"this is not json";
-    stream
-        .write_all(&(body.len() as u32).to_be_bytes())
-        .unwrap();
-    stream.write_all(body).unwrap();
-    let text = read_json_frame(&mut stream);
-    match Response::parse(&text).unwrap() {
-        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Malformed),
-        other => panic!("expected a malformed error, got {other:?}"),
-    }
+    // Valid frame, garbage payload: a typed error, and the stream stays
+    // aligned (the length prefix was intact).
+    write_frame_bytes(&mut stream, b"this is not a frame").unwrap();
+    assert_eq!(read_error(&mut stream).0, ErrorKind::Malformed);
+    assert_stats_answered(&mut stream);
     drop(stream);
 
-    // Valid JSON, unknown op — also typed, and the connection stays alive
-    // (framing is still intact).
+    // A well-formed request the server must refuse is typed too.
     let mut client = fast_client(handle.addr().to_string());
     let err = client
         .request(&Request::Morph { chip: 1 })
@@ -74,10 +90,7 @@ fn malformed_frames_get_typed_errors() {
 #[test]
 fn oversized_frames_are_refused_before_the_body_is_read() {
     let handle = Server::start(ServeConfig::default()).unwrap();
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
+    let mut stream = raw_stream(handle.addr());
 
     // Declare a 100 MiB frame; send no body at all. The server must
     // answer from the header alone.
@@ -85,11 +98,7 @@ fn oversized_frames_are_refused_before_the_body_is_read() {
     assert!(declared as usize > MAX_FRAME_BYTES);
     stream.write_all(&declared.to_be_bytes()).unwrap();
     stream.flush().unwrap();
-    let text = read_json_frame(&mut stream);
-    match Response::parse(&text).unwrap() {
-        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Oversized),
-        other => panic!("expected an oversized error, got {other:?}"),
-    }
+    assert_eq!(read_error(&mut stream).0, ErrorKind::Oversized);
     // The server closes the now-unframed connection.
     let mut rest = Vec::new();
     let n = stream.read_to_end(&mut rest).unwrap_or(0);
@@ -256,43 +265,49 @@ fn shutdown_op_drains_the_server() {
 #[test]
 fn garbled_binary_frames_answer_typed_errors_and_keep_the_stream() {
     let handle = Server::start(ServeConfig::default()).unwrap();
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
+    let mut stream = raw_stream(handle.addr());
 
-    // A valid binary query, truncated mid-body: the 0xB1 magic still
-    // sniffs as binary, but the decoder must reject it as a typed
-    // Malformed error — answered in JSON so even a confused peer that
-    // never finished the handshake can read it.
-    let good = BinCodec
-        .encode_request(&Request::Query {
-            chip: 1,
-            inputs: vec![true; 8],
-        })
-        .unwrap();
-    let cut = &good[..good.len() - 2];
-    stream.write_all(&(cut.len() as u32).to_be_bytes()).unwrap();
-    stream.write_all(cut).unwrap();
-    let text = read_json_frame(&mut stream);
-    match Response::parse(&text).unwrap() {
-        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Malformed),
-        other => panic!("expected a malformed error, got {other:?}"),
+    // A valid binary query, truncated mid-body: the decoder must reject
+    // it as a typed Malformed error.
+    let good = Request::Query {
+        chip: 1,
+        inputs: vec![true; 8],
     }
+    .encode()
+    .unwrap();
+    write_frame_bytes(&mut stream, &good[..good.len() - 2]).unwrap();
+    assert_eq!(read_error(&mut stream).0, ErrorKind::Malformed);
 
     // The length prefix was intact, so framing stayed aligned: a
-    // well-formed binary request on the same stream still gets a binary
-    // answer.
-    let stats_req = BinCodec.encode_request(&Request::Stats).unwrap();
-    stream
-        .write_all(&(stats_req.len() as u32).to_be_bytes())
-        .unwrap();
-    stream.write_all(&stats_req).unwrap();
-    let payload = read_frame_bytes(&mut stream).unwrap();
-    match BinCodec.decode_response(&payload).unwrap() {
-        Response::Stats(_) => {}
-        other => panic!("expected a stats snapshot, got {other:?}"),
-    }
+    // well-formed request on the same stream still gets its answer.
+    assert_stats_answered(&mut stream);
+    handle.shutdown();
+}
+
+#[test]
+fn json_frames_get_a_binary_malformed_error_and_keep_the_stream() {
+    let handle = Server::start(ServeConfig::default()).unwrap();
+    let mut stream = raw_stream(handle.addr());
+    write_frame_bytes(&mut stream, br#"{"op":"stats"}"#).unwrap();
+    let (kind, message) = read_error(&mut stream);
+    assert_eq!(kind, ErrorKind::Malformed);
+    assert!(message.contains("magic"), "{message}");
+    assert_stats_answered(&mut stream);
+    handle.shutdown();
+}
+
+#[test]
+fn unknown_version_bytes_get_a_malformed_error_naming_the_version() {
+    let handle = Server::start(ServeConfig::default()).unwrap();
+    let mut stream = raw_stream(handle.addr());
+    let mut frame = Request::Stats.encode().unwrap();
+    assert_eq!(frame[1], PROTOCOL_VERSION);
+    frame[1] = 2;
+    write_frame_bytes(&mut stream, &frame).unwrap();
+    let (kind, message) = read_error(&mut stream);
+    assert_eq!(kind, ErrorKind::Malformed);
+    assert!(message.contains("version 2"), "{message}");
+    assert_stats_answered(&mut stream);
     handle.shutdown();
 }
 
@@ -313,10 +328,9 @@ fn builder_rejects_bad_configuration_with_typed_errors() {
             Ok(_) => panic!("expected a config error, got a client"),
         }
     }
-    // A fully-specified builder with an explicit codec preference is fine
-    // (building does not connect, so the dead address is irrelevant).
+    // A fully-specified builder is fine (building does not connect, so
+    // the dead address is irrelevant).
     ServeClient::builder("127.0.0.1:1")
-        .codec(CodecPref::Bin)
         .pipeline(64)
         .build()
         .unwrap();

@@ -37,8 +37,8 @@ target/release/rilock remote-attack "$(cat "$ADDR_FILE")" \
   --benchmark adder:8 --spec 2x2 --blocks 2 --seed 7 --scan --zero-se \
   --timeout 30 --probe-batch 4 --probe-pipeline 8 >exp_out/ci_remote_attack.log 2>&1 \
   || { tail -20 exp_out/ci_serve.log exp_out/ci_remote_attack.log; exit 1; }
-# A fresh client negotiates the binary codec by default.
-grep -q "negotiated codec: bin (protocol v1)" exp_out/ci_remote_attack.log
+# The client connected and speaks binary protocol v1 (no handshake).
+grep -q "connected: protocol v1" exp_out/ci_remote_attack.log
 # The lane-packed QueryBatch round trip: one frame, four patterns.
 grep -q "batch probe: 4 patterns answered in one round-trip" \
   exp_out/ci_remote_attack.log
@@ -49,14 +49,6 @@ grep -q "pipelined probe: 8 requests answered in order" exp_out/ci_remote_attack
 # design/seed/solver are all pinned, so the count is deterministic).
 grep -q "re-key(s) observed" exp_out/ci_remote_attack.log
 ! grep -q "(0 re-key(s) observed" exp_out/ci_remote_attack.log
-# The JSON fallback leg: RIL_SERVE_CODEC=json forces the legacy codec
-# (no hello, pure JSON frames); the same attack must still succeed.
-RIL_SERVE_CODEC=json target/release/rilock remote-attack "$(cat "$ADDR_FILE")" \
-  --benchmark adder:8 --spec 2x2 --blocks 2 --seed 7 --scan --zero-se \
-  --timeout 30 --probe-batch 4 --probe-pipeline 8 >exp_out/ci_remote_attack_json.log 2>&1 \
-  || { tail -20 exp_out/ci_serve.log exp_out/ci_remote_attack_json.log; exit 1; }
-grep -q "negotiated codec: json (protocol v0)" exp_out/ci_remote_attack_json.log
-grep -q "pipelined probe: 8 requests answered in order" exp_out/ci_remote_attack_json.log
 # The live dashboard: two frames of per-chip latency telemetry, the
 # query-counter/histogram consistency invariant, then a drain.
 target/release/rilock top "$(cat "$ADDR_FILE")" --interval-ms 200 --frames 2 \
@@ -96,9 +88,8 @@ cargo run --release -q -p ril-bench --bin ril-bench -- validate exp_out/ci_oracl
 
 echo "== serve load smoke (ril-bench run serve_load --smoke) =="
 # Timed live, never cached (--no-cache is belt-and-braces): the qps floor,
-# the p99 ceiling, the binary-vs-JSON codec speedup floor (>=2x on
-# pipelined 64-lane batches), and the server-side counter/histogram
-# consistency are all asserted inside the experiment.
+# the p99 ceiling, and the server-side counter/histogram consistency are
+# all asserted inside the experiment.
 RIL_OUT_DIR=exp_out/ci_serve_load RIL_LOG=error cargo run --release -q -p ril-bench --bin ril-bench -- \
   run serve_load --smoke --no-cache >exp_out/ci_serve_load.log 2>&1 \
   || { tail -50 exp_out/ci_serve_load.log; exit 1; }

@@ -11,8 +11,8 @@
 //!               [--query-limit N]
 //! rilock remote-attack <HOST:PORT> [--benchmark NAME] [--spec 2x2]
 //!               [--blocks N] [--seed N] [--scan] [--zero-se]
-//!               [--timeout SECS] [--appsat] [--codec auto|bin|json]
-//!               [--probe-batch N] [--probe-pipeline N] [--shutdown]
+//!               [--timeout SECS] [--appsat] [--probe-batch N]
+//!               [--probe-pipeline N] [--shutdown]
 //! rilock top    <HOST:PORT> [--interval-ms N] [--frames N] [--shutdown]
 //! ```
 //!
@@ -29,9 +29,7 @@ use ril_blocks::attacks::{AppSatConfig, Oracle, SatAttackConfig};
 use ril_blocks::core::key::{KeyBitKind, KeyStore};
 use ril_blocks::core::{LockedCircuit, Obfuscator, RilBlockSpec};
 use ril_blocks::netlist::{parse_bench, parse_verilog, write_bench, write_verilog, Netlist};
-use ril_blocks::serve::{
-    Codec, CodecPref, DesignSpec, RemoteOracle, ServeClient, ServeConfig, Server, ServerStats,
-};
+use ril_blocks::serve::{DesignSpec, RemoteOracle, ServeClient, ServeConfig, Server, ServerStats};
 use ril_blocks::trace::HistogramSnapshot;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -68,7 +66,7 @@ fn run() -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  rilock info   <design.bench>\n  rilock lock   <design.bench|.v> [--spec 8x8x8] [--blocks 3] [--scan] [--seed N] [--out locked.bench] [--key key.txt]\n  rilock attack <locked.bench> --key key.txt [--timeout SECS] [--appsat]\n  rilock morph  <locked.bench> --key key.txt [--seed N]\n  rilock serve  [--addr HOST:PORT] [--addr-file PATH] [--workers N] [--shards N] [--morph-queries K] [--morph-ms T] [--query-limit N]\n  rilock remote-attack <HOST:PORT> [--benchmark NAME] [--spec 2x2] [--blocks N] [--seed N] [--scan] [--zero-se] [--timeout SECS] [--appsat] [--codec auto|bin|json] [--probe-batch N] [--probe-pipeline N] [--shutdown]\n  rilock top    <HOST:PORT> [--interval-ms N] [--frames N] [--shutdown]".to_string()
+    "usage:\n  rilock info   <design.bench>\n  rilock lock   <design.bench|.v> [--spec 8x8x8] [--blocks 3] [--scan] [--seed N] [--out locked.bench] [--key key.txt]\n  rilock attack <locked.bench> --key key.txt [--timeout SECS] [--appsat]\n  rilock morph  <locked.bench> --key key.txt [--seed N]\n  rilock serve  [--addr HOST:PORT] [--addr-file PATH] [--workers N] [--shards N] [--morph-queries K] [--morph-ms T] [--query-limit N]\n  rilock remote-attack <HOST:PORT> [--benchmark NAME] [--spec 2x2] [--blocks N] [--seed N] [--scan] [--zero-se] [--timeout SECS] [--appsat] [--probe-batch N] [--probe-pipeline N] [--shutdown]\n  rilock top    <HOST:PORT> [--interval-ms N] [--frames N] [--shutdown]".to_string()
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -315,17 +313,9 @@ fn remote_attack(args: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|_| "bad --timeout".to_string())?;
 
-    let codec = match flag_value(args, "--codec").unwrap_or("auto") {
-        "auto" => CodecPref::Auto,
-        "bin" => CodecPref::Bin,
-        "json" => CodecPref::Json,
-        other => return Err(format!("bad --codec `{other}` (auto|bin|json)")),
-    };
-
     let locked = design.build()?;
     let view = ril_blocks::attacks::attacker_view(&locked);
     let client = ServeClient::builder(addr.clone())
-        .codec(codec)
         .build()
         .map_err(|e| format!("client configuration: {e}"))?;
     let mut oracle = RemoteOracle::activate_with(client, &design)
@@ -336,15 +326,11 @@ fn remote_attack(args: &[String]) -> Result<(), String> {
         view.data_inputs().len(),
         locked.keys.bits().len(),
     );
-    let negotiated = oracle
+    let version = oracle
         .client()
         .negotiation()
-        .map_err(|e| format!("negotiation on {addr} failed: {e}"))?;
-    println!(
-        "negotiated codec: {} (protocol v{})",
-        negotiated.codec.name(),
-        negotiated.version,
-    );
+        .map_err(|e| format!("connecting to {addr} failed: {e}"))?;
+    println!("connected: protocol v{version}");
 
     use ril_blocks::attacks::{OracleSource, PatternBlock};
     if let Some(n) = flag_value(args, "--probe-batch") {
