@@ -11,12 +11,23 @@
 //! copies of the host (hopeless for multiplier-bearing hosts); with it,
 //! instance hardness comes purely from the key logic — exactly the quantity
 //! the paper's tables measure.
+//!
+//! Each DIP copy is constant-folded before it is encoded: the simulated
+//! key-free boundary values are propagated through the key cones with the
+//! keys unknown (3-valued), so nets the DIP already decides are pinned to
+//! the constant rails and only the still-open remainder becomes clauses.
+//! Every clause of a DIP copy carries the `¬guard` of the oracle
+//! generation it was recorded under; retiring a generation therefore
+//! leaves its whole encoding satisfied at the root, where the solver's
+//! root simplification collects it.
 
 use ril_core::{LockedCircuit, SE_PIN};
-use ril_netlist::{GateId, NetId, Netlist, Simulator};
+use ril_netlist::{GateId, GateKind, NetId, Netlist, Simulator};
 use ril_sat::bva::one_hot_selection;
 use ril_sat::tseitin::encode_selected;
-use ril_sat::{encode_netlist_into, Budget, Cnf, Lit, Outcome, Session, SolverConfig, Var};
+use ril_sat::{
+    encode_gate, encode_netlist_into, Budget, Cnf, Lit, Outcome, Session, SolverConfig, Var,
+};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
@@ -44,17 +55,17 @@ pub(crate) struct AttackInstance {
     pub(crate) keyf: Vec<Var>,
     /// Positions within the data inputs that are real oracle inputs.
     pub(crate) oracle_positions: Vec<usize>,
-    dependent_gates: HashSet<GateId>,
-    dependent_nets: HashSet<NetId>,
+    /// The key cones, prepared once for per-DIP folding and encoding.
+    dip: DipEncoder,
     /// Constant rails of the miter and finder formulas.
     const_m: (Var, Var),
     const_f: (Var, Var),
-    /// Key-generation guard literals (miter, finder). Every DIP's
-    /// response-forcing clauses are conditioned on the guard of the oracle
-    /// generation they were recorded under, so when the target morphs the
-    /// stale constraints retire in O(1) — the old guard is falsified and
-    /// the solvers keep their variable pools, learned clauses and
-    /// heuristic state.
+    /// Key-generation guard literals (miter, finder). Every clause of a
+    /// DIP's encoding is conditioned on the guard of the oracle
+    /// generation it was recorded under, so when the target morphs the
+    /// stale constraints retire in O(1) — the old guard is falsified, the
+    /// solvers collect the now root-satisfied clauses, and keep their
+    /// variable pools, learned clauses and heuristic state.
     guard_m: Lit,
     guard_f: Lit,
     /// Oracle key generation the current guards cover.
@@ -216,8 +227,7 @@ impl AttackInstance {
             key2,
             keyf,
             oracle_positions,
-            dependent_gates,
-            dependent_nets,
+            dip: DipEncoder::new(nl, &dependent_gates),
             const_m: (ct, cf),
             const_f: (ft, ff),
             guard_m,
@@ -330,7 +340,9 @@ impl AttackInstance {
 
     /// Adds the I/O constraint `circuit(dip, K) = response` for the three
     /// key vectors (both miter copies and the finder), using simulation for
-    /// all key-independent logic.
+    /// all key-independent logic. The DIP's boundary constants and their
+    /// fold through the key cones are computed once and shared by the
+    /// three copies.
     ///
     /// # Errors
     ///
@@ -354,65 +366,40 @@ impl AttackInstance {
         self.sim.eval_words(nl, &data_words, &key_words);
 
         // Consistency check on key-independent outputs.
-        for (&o, &bit) in nl.outputs().iter().zip(response) {
-            if !self.dependent_nets.contains(&o) && (self.sim.net_value(o) & 1 == 1) != bit {
+        for &(pos, net) in &self.dip.free_outputs {
+            if (self.sim.net_value(net) & 1 == 1) != response[pos] {
                 return Err(());
             }
         }
+        self.dip.fold(&self.sim);
 
         // Miter copies: encode into the scratch CNF, then move the clauses
         // into the live session (clearing the scratch, keeping its pool).
-        let (k1, k2) = (self.key1.clone(), self.key2.clone());
-        for key_vars in [&k1, &k2] {
-            self.encode_constraint_copy(nl, key_vars, response, true);
+        for key_vars in [&self.key1, &self.key2] {
+            self.dip.encode_copy(
+                &mut self.miter_cnf,
+                &self.sim,
+                key_vars,
+                self.const_m,
+                self.guard_m,
+                response,
+            );
         }
         self.miter.append_cnf(&self.miter_cnf);
         self.miter_cnf.clear_clauses();
         // Finder, same scheme.
-        let keyf = self.keyf.clone();
-        self.encode_constraint_copy(nl, &keyf, response, false);
+        self.dip.encode_copy(
+            &mut self.finder_cnf,
+            &self.sim,
+            &self.keyf,
+            self.const_f,
+            self.guard_f,
+            response,
+        );
         self.finder.append_cnf(&self.finder_cnf);
         self.finder_cnf.clear_clauses();
         self.active_dips += 1;
         Ok(())
-    }
-
-    /// Encodes one key-cone copy against the current baseline simulation.
-    fn encode_constraint_copy(
-        &mut self,
-        nl: &Netlist,
-        key_vars: &[Var],
-        response: &[bool],
-        into_miter: bool,
-    ) {
-        let (cnf, (ct, cf), guard) = if into_miter {
-            (&mut self.miter_cnf, self.const_m, self.guard_m)
-        } else {
-            (&mut self.finder_cnf, self.const_f, self.guard_f)
-        };
-        // Pin key-independent boundary nets to the simulated constants.
-        let mut pinned: HashMap<NetId, Var> = HashMap::new();
-        for &gid in &self.dependent_gates {
-            for &inp in nl.gate(gid).inputs() {
-                if !self.dependent_nets.contains(&inp) && !nl.is_key_input(inp) {
-                    let value = self.sim.net_value(inp) & 1 == 1;
-                    pinned.insert(inp, if value { ct } else { cf });
-                }
-            }
-        }
-        for (net, var) in nl.key_inputs().iter().zip(key_vars) {
-            pinned.insert(*net, *var);
-        }
-        let map = encode_selected(nl, cnf, &pinned, |gid| self.dependent_gates.contains(&gid))
-            .expect("combinational");
-        // Force key-dependent outputs to the oracle response, conditioned
-        // on the recording generation's guard (the cone encoding itself is
-        // definitional and stays valid across morphs).
-        for (&o, &bit) in nl.outputs().iter().zip(response) {
-            if self.dependent_nets.contains(&o) {
-                cnf.add_clause([!guard, map[&o].lit(!bit)]);
-            }
-        }
     }
 
     /// Solves the key-extraction formula on the *persistent* finder session
@@ -461,4 +448,286 @@ impl AttackInstance {
 
 fn pin_map(nets: &[NetId], vars: &[Var]) -> HashMap<NetId, Var> {
     nets.iter().copied().zip(vars.iter().copied()).collect()
+}
+
+/// Where a key-cone gate reads one input from.
+#[derive(Debug, Clone, Copy)]
+enum ConeInput {
+    /// Key input number `k`: unknown to the fold, a key variable in
+    /// every copy.
+    Key(usize),
+    /// The output of cone gate `j` (earlier in topological order).
+    Gate(usize),
+    /// A key-independent net: a simulated constant under each DIP.
+    Fixed(NetId),
+}
+
+/// One key-dependent gate.
+#[derive(Debug)]
+struct ConeGate {
+    kind: GateKind,
+    inputs: Vec<ConeInput>,
+}
+
+/// The key cones in topological order, resolved once per attack, plus
+/// the current DIP's fold and liveness marks.
+#[derive(Debug)]
+struct DipEncoder {
+    cone: Vec<ConeGate>,
+    /// `(output position, cone gate)` for every key-dependent output.
+    cone_outputs: Vec<(usize, usize)>,
+    /// `(output position, net)` for every key-independent output.
+    free_outputs: Vec<(usize, NetId)>,
+    /// This DIP's 3-valued value of each cone gate (`None` = open).
+    folded: Vec<Option<bool>>,
+    /// Open cone gates some open key-dependent output reads through
+    /// open gates only: the ones this DIP has to encode.
+    live: Vec<bool>,
+}
+
+impl DipEncoder {
+    fn new(nl: &Netlist, dependent_gates: &HashSet<GateId>) -> DipEncoder {
+        let key_index: HashMap<NetId, usize> = nl
+            .key_inputs()
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| (n, k))
+            .collect();
+        let mut gate_of: HashMap<NetId, usize> = HashMap::new();
+        let mut cone = Vec::with_capacity(dependent_gates.len());
+        for &gid in nl.topo_order_shared().expect("combinational").iter() {
+            if !dependent_gates.contains(&gid) {
+                continue;
+            }
+            let gate = nl.gate(gid);
+            let inputs = gate
+                .inputs()
+                .iter()
+                .map(|n| match (key_index.get(n), gate_of.get(n)) {
+                    (Some(&k), _) => ConeInput::Key(k),
+                    (None, Some(&j)) => ConeInput::Gate(j),
+                    (None, None) => ConeInput::Fixed(*n),
+                })
+                .collect();
+            gate_of.insert(gate.output(), cone.len());
+            cone.push(ConeGate {
+                kind: gate.kind(),
+                inputs,
+            });
+        }
+        let mut cone_outputs = Vec::new();
+        let mut free_outputs = Vec::new();
+        for (pos, &o) in nl.outputs().iter().enumerate() {
+            match gate_of.get(&o) {
+                Some(&j) => cone_outputs.push((pos, j)),
+                None => free_outputs.push((pos, o)),
+            }
+        }
+        DipEncoder {
+            cone,
+            cone_outputs,
+            free_outputs,
+            folded: Vec::new(),
+            live: Vec::new(),
+        }
+    }
+
+    /// Folds the simulated boundary constants through the cones (keys
+    /// unknown) and marks the open gates the DIP's constraint needs.
+    fn fold(&mut self, sim: &Simulator) {
+        self.folded.clear();
+        let mut values = Vec::new();
+        for g in &self.cone {
+            values.clear();
+            values.extend(g.inputs.iter().map(|&i| match i {
+                ConeInput::Key(_) => None,
+                ConeInput::Gate(j) => self.folded[j],
+                ConeInput::Fixed(n) => Some(sim.net_value(n) & 1 == 1),
+            }));
+            self.folded.push(fold_gate(g.kind, &values));
+        }
+        self.live.clear();
+        self.live.resize(self.cone.len(), false);
+        for &(_, j) in &self.cone_outputs {
+            self.live[j] = self.folded[j].is_none();
+        }
+        for j in (0..self.cone.len()).rev() {
+            if !self.live[j] {
+                continue;
+            }
+            for &i in &self.cone[j].inputs {
+                if let ConeInput::Gate(k) = i {
+                    if self.folded[k].is_none() {
+                        self.live[k] = true;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Encodes one copy of the folded DIP constraint over `key_vars`:
+    /// the live open gates as clauses, decided nets as the `(ct, cf)`
+    /// rails, and the key-dependent outputs forced to `response`. Every
+    /// clause carries `¬guard`.
+    fn encode_copy(
+        &self,
+        cnf: &mut Cnf,
+        sim: &Simulator,
+        key_vars: &[Var],
+        (ct, cf): (Var, Var),
+        guard: Lit,
+        response: &[bool],
+    ) {
+        let rail = |v: bool| if v { ct.positive() } else { cf.positive() };
+        // Per cone gate, the literal carrying it in this copy.
+        let mut lits: Vec<Lit> = Vec::with_capacity(self.cone.len());
+        for (j, g) in self.cone.iter().enumerate() {
+            let lit = match self.folded[j] {
+                Some(v) => rail(v),
+                // Nothing live reads a dead gate; the rail is a filler.
+                None if !self.live[j] => rail(false),
+                None => {
+                    let inputs: Vec<Lit> = g
+                        .inputs
+                        .iter()
+                        .map(|&i| match i {
+                            ConeInput::Key(k) => key_vars[k].positive(),
+                            ConeInput::Gate(k) => lits[k],
+                            ConeInput::Fixed(n) => rail(sim.net_value(n) & 1 == 1),
+                        })
+                        .collect();
+                    let out = cnf.new_var().positive();
+                    encode_gate(cnf, g.kind, out, &inputs, Some(guard)).expect("combinational");
+                    out
+                }
+            };
+            lits.push(lit);
+        }
+        for &(pos, j) in &self.cone_outputs {
+            let o = lits[j];
+            cnf.add_clause([!guard, if response[pos] { o } else { !o }]);
+        }
+    }
+}
+
+/// 3-valued evaluation of one gate over inputs in {0, 1, X} (`None` = X):
+/// `Some(v)` exactly when every completion of the X inputs evaluates to
+/// `v`, `None` when two completions disagree.
+fn fold_gate(kind: GateKind, ins: &[Option<bool>]) -> Option<bool> {
+    let all_known = || ins.iter().all(Option::is_some);
+    match kind {
+        GateKind::Buf | GateKind::Dff => ins[0],
+        GateKind::Not => ins[0].map(|b| !b),
+        GateKind::And | GateKind::Nand => {
+            let v = if ins.contains(&Some(false)) {
+                Some(false)
+            } else {
+                all_known().then_some(true)
+            };
+            v.map(|b| b != (kind == GateKind::Nand))
+        }
+        GateKind::Or | GateKind::Nor => {
+            let v = if ins.contains(&Some(true)) {
+                Some(true)
+            } else {
+                all_known().then_some(false)
+            };
+            v.map(|b| b != (kind == GateKind::Nor))
+        }
+        GateKind::Xor | GateKind::Xnor => ins
+            .iter()
+            .try_fold(kind == GateKind::Xnor, |acc, &b| b.map(|b| acc ^ b)),
+        GateKind::Const0 => Some(false),
+        GateKind::Const1 => Some(true),
+        // Three inputs at most: evaluate every completion of the X inputs
+        // (the input vectors that agree with the known ones).
+        GateKind::Mux | GateKind::Lut2(_) => {
+            let mut seen = None;
+            for m in 0u8..1 << ins.len() {
+                let bit = |i: usize| (m >> i) & 1 == 1;
+                if ins
+                    .iter()
+                    .enumerate()
+                    .any(|(i, b)| b.is_some_and(|b| b != bit(i)))
+                {
+                    continue;
+                }
+                let mut bits = [false; 3];
+                for (i, b) in bits.iter_mut().enumerate().take(ins.len()) {
+                    *b = bit(i);
+                }
+                let v = kind.eval_bits(&bits[..ins.len()]);
+                if seen.is_some_and(|s| s != v) {
+                    return None;
+                }
+                seen = Some(v);
+            }
+            seen
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every {0, 1, X} input vector of length `n` (`None` = X).
+    fn ternary_vectors(n: usize) -> Vec<Vec<Option<bool>>> {
+        (0..3usize.pow(n as u32))
+            .map(|mut m| {
+                (0..n)
+                    .map(|_| {
+                        let digit = m % 3;
+                        m /= 3;
+                        [Some(false), Some(true), None][digit]
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every 2-valued completion of the X inputs of `ins`.
+    fn completions(ins: &[Option<bool>]) -> Vec<Vec<bool>> {
+        let open: Vec<usize> = (0..ins.len()).filter(|&i| ins[i].is_none()).collect();
+        (0u32..1 << open.len())
+            .map(|m| {
+                let mut bits: Vec<bool> = ins.iter().map(|b| b.unwrap_or(false)).collect();
+                for (bit, &i) in open.iter().enumerate() {
+                    bits[i] = (m >> bit) & 1 == 1;
+                }
+                bits
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fold_is_exact_for_every_gate_kind() {
+        let kinds = GateKind::BASIC
+            .into_iter()
+            .chain((0u8..16).map(GateKind::Lut2));
+        let mut checked = 0;
+        for kind in kinds {
+            for arity in (0..=3).filter(|&n| kind.accepts_arity(n)) {
+                for ins in ternary_vectors(arity) {
+                    let outs: Vec<bool> = completions(&ins)
+                        .iter()
+                        .map(|bits| kind.eval_bits(bits))
+                        .collect();
+                    match fold_gate(kind, &ins) {
+                        Some(v) => assert!(
+                            outs.iter().all(|&o| o == v),
+                            "{kind:?}{ins:?} folded to {v} but a completion disagrees"
+                        ),
+                        None => assert!(
+                            outs.contains(&true) && outs.contains(&false),
+                            "{kind:?}{ins:?} left open but every completion agrees"
+                        ),
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        // n-ary kinds at arity 1-3, Buf/Not/Dff, Mux, constants, 16 LUTs.
+        assert_eq!(checked, 6 * (3 + 9 + 27) + 3 * 3 + 27 + 2 + 16 * 9);
+    }
 }

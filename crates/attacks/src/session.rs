@@ -151,7 +151,7 @@ impl<'a> AttackSession<'a> {
         };
         self.iterations += dips.len();
         let responses = {
-            let _q = ril_trace::span("oracle_query", ril_trace::Phase::Other);
+            let _q = ril_trace::span("oracle_query", ril_trace::Phase::Oracle);
             if dips.len() == 1 {
                 match oracle.try_query(&self.inst.oracle_dip(&dips[0])) {
                     Ok(r) => vec![r],
@@ -420,6 +420,39 @@ mod tests {
         // round k's query: 5 of the 6 recorded DIPs are retired, the last
         // one never saw a newer generation.
         assert_eq!(sess.inst.retired_dips(), 5);
+    }
+
+    #[test]
+    fn retired_generations_stop_costing_propagations() {
+        // Every response retires the previous generation, so only the
+        // live generation's constraint (plus the base miter) is left to
+        // propagate: per-solve work must stay flat across the attack
+        // instead of growing with every dead generation.
+        let locked = locked_adder();
+        let view = attacker_view(&locked);
+        let mut oracle = MorphingOracle::new(locked);
+        oracle.morph_every_query = true;
+        let mut sess = AttackSession::new(
+            &view,
+            &oracle,
+            SolverConfig::default(),
+            None,
+            Some(Duration::from_secs(60)),
+            Some(80),
+            1,
+        );
+        while sess.step(&mut oracle) == DipStep::Distinguished {}
+        let report = sess.report(&oracle, AttackResult::Timeout);
+        let stats = &report.iteration_stats;
+        assert_eq!(stats.len(), 80, "one miter solve per DIP");
+        let mean_props = |window: &[IterationStats]| {
+            window.iter().map(|it| it.stats.propagations).sum::<u64>() as f64 / window.len() as f64
+        };
+        let (first, last) = (mean_props(&stats[..10]), mean_props(&stats[70..]));
+        assert!(
+            last <= 1.5 * first,
+            "propagations per solve grew from {first:.0} to {last:.0}"
+        );
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   which is what `ril-bench validate <run-dir>` (and the CI smoke
 //!   stage) runs over a finished run directory.
 //! - [`trace_report`] aggregates a run's spans into a per-phase
-//!   *exclusive-time* breakdown (encode vs. DIP-solve vs. verify, per
-//!   cell), flagging anomalies such as verify-dominated cells — the
+//!   *exclusive-time* breakdown (encode vs. DIP-solve vs. verify vs.
+//!   oracle, per cell), flagging anomalies such as verify-dominated cells — the
 //!   `ril-bench trace <run-dir>` subcommand.
 //!
 //! Exclusive time is a span's wall time minus the wall time of its direct
@@ -328,7 +328,9 @@ pub struct PhaseTotals {
     pub solve_us: u64,
     /// Verify-phase time (key checks, error estimation, salvage scoring).
     pub verify_us: u64,
-    /// Everything else (loop bookkeeping, oracle queries, framework).
+    /// Oracle-phase time (the chip answering DIP queries).
+    pub oracle_us: u64,
+    /// Everything else (loop bookkeeping, framework).
     pub other_us: u64,
 }
 
@@ -338,13 +340,15 @@ impl PhaseTotals {
             Phase::Encode => self.encode_us += us,
             Phase::Solve => self.solve_us += us,
             Phase::Verify => self.verify_us += us,
+            Phase::Oracle => self.oracle_us += us,
             _ => self.other_us += us,
         }
     }
 
-    /// encode + solve + verify: the attributed fraction's numerator.
+    /// encode + solve + verify + oracle: the attributed fraction's
+    /// numerator.
     pub fn attributed_us(&self) -> u64 {
-        self.encode_us + self.solve_us + self.verify_us
+        self.encode_us + self.solve_us + self.verify_us + self.oracle_us
     }
 
     /// Total across all buckets.
@@ -366,7 +370,7 @@ pub struct CellBreakdown {
 }
 
 impl CellBreakdown {
-    /// Fraction of the cell wall attributed to encode+solve+verify.
+    /// Fraction of the cell wall attributed to encode+solve+verify+oracle.
     pub fn attributed_fraction(&self) -> f64 {
         if self.wall_us == 0 {
             return 1.0;
@@ -520,6 +524,11 @@ pub fn trace_report(run_dir: &Path) -> Result<String, String> {
                     ms(c.phases.verify_us),
                     pct(c.phases.verify_us, c.wall_us)
                 ),
+                format!(
+                    "{} ({})",
+                    ms(c.phases.oracle_us),
+                    pct(c.phases.oracle_us, c.wall_us)
+                ),
                 pct(c.phases.attributed_us().min(c.wall_us), c.wall_us),
                 flag.to_string(),
             ]);
@@ -530,13 +539,14 @@ pub fn trace_report(run_dir: &Path) -> Result<String, String> {
             ms(totals.encode_us),
             ms(totals.solve_us),
             ms(totals.verify_us),
+            ms(totals.oracle_us),
             pct(totals.attributed_us(), totals.total_us()),
             String::new(),
         ]);
         print_table(
             &format!("{exp} — per-phase time, ms (exclusive)"),
             &[
-                "cell", "wall", "encode", "solve", "verify", "attrib", "flags",
+                "cell", "wall", "encode", "solve", "verify", "oracle", "attrib", "flags",
             ],
             &rows,
         );
@@ -729,6 +739,24 @@ mod tests {
         // Solve exclusive + cell exclusive sum to the cell wall.
         assert!(cells[0].phases.total_us() <= cells[0].wall_us + 1);
         assert!(totals.total_us() > 0);
+    }
+
+    #[test]
+    fn oracle_spans_get_their_own_bucket() {
+        let tracer = Tracer::new();
+        let root = tracer.open_root("experiment", Phase::Experiment);
+        {
+            let _ctx = tracer.install(root);
+            let _cell = ril_trace::span("cell", Phase::Cell);
+            let _query = ril_trace::span("oracle_query", Phase::Oracle);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        tracer.close(root);
+        let stats = check_spans_jsonl(&tracer.spans_jsonl()).unwrap();
+        let (cells, totals) = breakdown(&stats);
+        assert!(cells[0].phases.oracle_us >= 2000, "{:?}", cells[0].phases);
+        assert_eq!(totals.oracle_us, cells[0].phases.oracle_us);
+        assert!(totals.other_us < totals.oracle_us, "{totals:?}");
     }
 
     #[test]

@@ -47,4 +47,4 @@ pub use solver::{
     Budget, BudgetError, Outcome, Solver, SolverConfig, SolverConfigError, SolverStats,
     MAX_SOLVER_THREADS,
 };
-pub use tseitin::{encode_netlist, encode_netlist_into, CircuitVars, TseitinError};
+pub use tseitin::{encode_gate, encode_netlist, encode_netlist_into, CircuitVars, TseitinError};

@@ -329,13 +329,15 @@ impl SolverStats {
     }
 }
 
+/// A clause header; its literals are `arena[start..start + len]`.
 #[derive(Debug, Clone)]
 struct Clause {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
+    lbd: u32,
     learnt: bool,
     deleted: bool,
     activity: f64,
-    lbd: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -450,8 +452,12 @@ impl VarHeap {
 pub struct Solver {
     config: SolverConfig,
     clauses: Vec<Clause>,
+    /// Every clause's literals, back to back. Deleted clauses leave holes
+    /// until the next compaction.
+    arena: Vec<Lit>,
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
+    /// Per literal (indexed by [`Lit::index`]): its current value.
+    values: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<u32>,
     trail: Vec<Lit>,
@@ -461,6 +467,12 @@ pub struct Solver {
     var_inc: f64,
     cla_inc: f64,
     heap: VarHeap,
+    /// Per variable: may the search branch on it? Cleared when the last
+    /// live clause naming the variable is deleted (it then reads `false`
+    /// in the model); attaching a clause that names it sets it again.
+    decision: Vec<bool>,
+    /// Per variable: live clauses naming it.
+    occurs: Vec<u32>,
     saved_phase: Vec<bool>,
     seen: Vec<bool>,
     ok: bool,
@@ -468,6 +480,12 @@ pub struct Solver {
     stats: SolverStats,
     start: Option<Instant>,
     learnt_limit: f64,
+    /// Live (undeleted) problem clauses; sizes the learnt budget.
+    live_problem: usize,
+    /// Deleted clauses still holding a slot in `clauses`.
+    tombstones: usize,
+    /// Root trail length at the last root simplification.
+    simplified_trail: usize,
     /// Cooperative cancellation: when set and raised, the next budget
     /// check aborts the solve with [`Outcome::Unknown`]. This is how a
     /// portfolio stops losing workers.
@@ -496,8 +514,9 @@ impl Solver {
         Solver {
             config,
             clauses: Vec::new(),
+            arena: Vec::new(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            values: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -507,6 +526,8 @@ impl Solver {
             var_inc: 1.0,
             cla_inc: 1.0,
             heap: VarHeap::default(),
+            decision: Vec::new(),
+            occurs: Vec::new(),
             saved_phase: Vec::new(),
             seen: Vec::new(),
             ok: true,
@@ -514,6 +535,9 @@ impl Solver {
             stats: SolverStats::default(),
             start: None,
             learnt_limit: 2000.0,
+            live_problem: 0,
+            tombstones: 0,
+            simplified_trail: 0,
             stop: None,
             exchange: None,
             imported: 0,
@@ -538,29 +562,31 @@ impl Solver {
 
     /// Ensures at least `n` variables exist.
     pub fn reserve_vars(&mut self, n: usize) {
-        while self.assigns.len() < n {
+        while self.num_vars() < n {
             self.new_var();
         }
     }
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::new(self.assigns.len());
-        self.assigns.push(LBool::Undef);
+        let v = Var::new(self.num_vars());
+        self.values.extend([LBool::Undef; 2]);
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
+        self.decision.push(true);
+        self.occurs.push(0);
         self.saved_phase.push(self.config.default_phase);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.heap.grow(self.assigns.len());
+        self.heap.insert(v, &self.activity);
         v
     }
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Search statistics so far.
@@ -668,6 +694,19 @@ impl Solver {
     }
 
     fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> u32 {
+        for &l in &lits {
+            let v = l.var();
+            self.occurs[v.index()] += 1;
+            if !self.decision[v.index()] {
+                self.decision[v.index()] = true;
+                if self.value_var(v) == LBool::Undef {
+                    self.heap.insert(v, &self.activity);
+                }
+            }
+        }
+        if !learnt {
+            self.live_problem += 1;
+        }
         let idx = self.clauses.len() as u32;
         let w0 = Watcher {
             clause: idx,
@@ -680,25 +719,33 @@ impl Solver {
         self.watches[(!lits[0]).index()].push(w0);
         self.watches[(!lits[1]).index()].push(w1);
         self.clauses.push(Clause {
-            lits,
+            start: self.arena.len() as u32,
+            len: lits.len() as u32,
+            lbd,
             learnt,
             deleted: false,
             activity: 0.0,
-            lbd,
         });
+        self.arena.extend_from_slice(&lits);
         idx
     }
 
+    /// Arena slots of clause `ci`'s literals.
+    fn slots(&self, ci: usize) -> std::ops::Range<usize> {
+        let c = &self.clauses[ci];
+        c.start as usize..(c.start + c.len) as usize
+    }
+
+    fn lits(&self, ci: usize) -> &[Lit] {
+        &self.arena[self.slots(ci)]
+    }
+
     fn value_var(&self, v: Var) -> LBool {
-        self.assigns[v.index()]
+        self.values[v.positive().index()]
     }
 
     fn value_lit(&self, l: Lit) -> LBool {
-        match self.assigns[l.var().index()] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => LBool::from_bool(l.target()),
-            LBool::False => LBool::from_bool(!l.target()),
-        }
+        self.values[l.index()]
     }
 
     fn decision_level(&self) -> u32 {
@@ -708,7 +755,8 @@ impl Solver {
     fn enqueue(&mut self, l: Lit, reason: u32) {
         debug_assert_eq!(self.value_lit(l), LBool::Undef);
         let v = l.var();
-        self.assigns[v.index()] = LBool::from_bool(l.target());
+        self.values[l.index()] = LBool::True;
+        self.values[(!l).index()] = LBool::False;
         self.level[v.index()] = self.decision_level();
         self.reason[v.index()] = reason;
         self.trail.push(l);
@@ -726,61 +774,61 @@ impl Solver {
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
             let mut i = 0;
             let mut j = 0;
+            let mut conflict = None;
             'watchers: while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                if self.value_lit(w.blocker) == LBool::True {
+                if self.values[w.blocker.index()] == LBool::True {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
-                let ci = w.clause as usize;
-                if self.clauses[ci].deleted {
+                let c = &self.clauses[w.clause as usize];
+                if c.deleted {
                     continue; // drop watcher of deleted clause
                 }
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                let lits = &mut self.arena[c.start as usize..(c.start + c.len) as usize];
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
                 let w_new = Watcher {
                     clause: w.clause,
                     blocker: first,
                 };
-                if first != w.blocker && self.value_lit(first) == LBool::True {
+                if first != w.blocker && self.values[first.index()] == LBool::True {
                     ws[j] = w_new;
                     j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.clauses[ci].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[ci].lits[k];
-                    if self.value_lit(lk) != LBool::False {
-                        self.clauses[ci].lits.swap(1, k);
-                        let nw = !self.clauses[ci].lits[1];
-                        self.watches[nw.index()].push(w_new);
+                for k in 2..lits.len() {
+                    let lk = lits[k];
+                    if self.values[lk.index()] != LBool::False {
+                        lits[1] = lk;
+                        lits[k] = false_lit;
+                        self.watches[(!lk).index()].push(w_new);
                         continue 'watchers;
                     }
                 }
                 // Unit or conflicting.
                 ws[j] = w_new;
                 j += 1;
-                if self.value_lit(first) == LBool::False {
-                    while i < ws.len() {
-                        ws[j] = ws[i];
-                        j += 1;
-                        i += 1;
-                    }
-                    ws.truncate(j);
-                    self.watches[p.index()] = ws;
-                    self.qhead = self.trail.len();
-                    return Some(w.clause);
+                if self.values[first.index()] == LBool::False {
+                    conflict = Some(w.clause);
+                    ws.copy_within(i.., j);
+                    j += ws.len() - i;
+                    break;
                 }
                 self.enqueue(first, w.clause);
             }
             ws.truncate(j);
             self.watches[p.index()] = ws;
+            if conflict.is_some() {
+                self.qhead = self.trail.len();
+                return conflict;
+            }
         }
         None
     }
@@ -821,10 +869,10 @@ impl Solver {
             if self.clauses[ci].learnt {
                 self.bump_clause(ci);
             }
-            let start = if p.is_none() { 0 } else { 1 };
-            let len = self.clauses[ci].lits.len();
-            for j in start..len {
-                let q = self.clauses[ci].lits[j];
+            let slots = self.slots(ci);
+            let skip = usize::from(p.is_some());
+            for j in slots.start + skip..slots.end {
+                let q = self.arena[j];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -863,7 +911,7 @@ impl Solver {
                 if r == NO_REASON {
                     continue;
                 }
-                let redundant = self.clauses[r as usize].lits.iter().all(|&q| {
+                let redundant = self.lits(r as usize).iter().all(|&q| {
                     q.var() == l.var()
                         || self.seen[q.var().index()]
                         || self.level[q.var().index()] == 0
@@ -918,8 +966,8 @@ impl Solver {
             if self.config.phase_saving {
                 self.saved_phase[v.index()] = l.target();
             }
-            self.assigns[v.index()] = LBool::Undef;
-            self.reason[v.index()] = NO_REASON;
+            self.values[l.index()] = LBool::Undef;
+            self.values[(!l).index()] = LBool::Undef;
             if !self.heap.contains(v) {
                 self.heap.insert(v, &self.activity);
             }
@@ -931,8 +979,9 @@ impl Solver {
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         if self.config.vsids {
+            // Demoted variables are dropped as they surface.
             while let Some(v) = self.heap.pop_max(&self.activity) {
-                if self.value_var(v) == LBool::Undef {
+                if self.decision[v.index()] && self.value_var(v) == LBool::Undef {
                     return Some(v);
                 }
             }
@@ -940,8 +989,118 @@ impl Solver {
         } else {
             (0..self.num_vars())
                 .map(Var::new)
-                .find(|&v| self.value_var(v) == LBool::Undef)
+                .find(|&v| self.decision[v.index()] && self.value_var(v) == LBool::Undef)
         }
+    }
+
+    /// Marks clause `ci` deleted, demoting every variable it was the last
+    /// live clause to name. Its literals stay in the arena, and its
+    /// watchers in their lists, until root simplification or compaction
+    /// drops them (propagation also drops watchers lazily).
+    fn delete_clause(&mut self, ci: usize) {
+        self.clauses[ci].deleted = true;
+        for slot in self.slots(ci) {
+            let v = self.arena[slot].var().index();
+            self.occurs[v] -= 1;
+            if self.occurs[v] == 0 {
+                // Lazily dropped from the heap by `pick_branch_var`.
+                self.decision[v] = false;
+            }
+        }
+        if self.clauses[ci].learnt {
+            self.stats.deleted += 1;
+        } else {
+            self.live_problem -= 1;
+        }
+        self.tombstones += 1;
+    }
+
+    /// Root-level garbage collection (MiniSat's `simplify`), run at the
+    /// start of every solve. Once the root trail has grown, every clause
+    /// it satisfies is deleted, original and learnt alike, so a variable
+    /// no live clause names any more stops being a decision variable. A
+    /// constraint group guarded by `¬g` therefore costs nothing once a
+    /// unit `¬g` retires it. The arena is compacted when tombstones
+    /// outnumber live clauses. Returns `false` on a root conflict.
+    fn simplify(&mut self) -> bool {
+        debug_assert_eq!(self.decision_level(), 0);
+        if self.propagate().is_some() {
+            self.ok = false;
+            return false;
+        }
+        let mut dirty = Vec::new();
+        if self.trail.len() > self.simplified_trail {
+            dirty = self.collect_satisfied();
+        }
+        if self.mostly_tombstones() {
+            self.compact();
+        } else {
+            let clauses = &self.clauses;
+            for w in dirty {
+                self.watches[w].retain(|w| !clauses[w.clause as usize].deleted);
+            }
+        }
+        true
+    }
+
+    /// Deletes the clauses satisfied at the root. Returns the (sorted,
+    /// deduplicated) watch lists that held their watchers.
+    fn collect_satisfied(&mut self) -> Vec<usize> {
+        let mut dirty = Vec::new();
+        for ci in 0..self.clauses.len() {
+            let lits = self.lits(ci);
+            if !self.clauses[ci].deleted && lits.iter().any(|&l| self.value_lit(l) == LBool::True) {
+                dirty.push((!lits[0]).index());
+                dirty.push((!lits[1]).index());
+                self.delete_clause(ci);
+            }
+        }
+        // A root reason is never expanded, and it is satisfied by the
+        // literal it implied, so it was just deleted.
+        for &l in &self.trail[self.simplified_trail..] {
+            self.reason[l.var().index()] = NO_REASON;
+        }
+        self.simplified_trail = self.trail.len();
+        dirty.sort_unstable();
+        dirty.dedup();
+        dirty
+    }
+
+    /// Whether deleted clauses outnumber live ones (time to compact).
+    fn mostly_tombstones(&self) -> bool {
+        self.tombstones > self.clauses.len() - self.tombstones
+    }
+
+    /// Drops deleted clauses and their literals from the arena, remapping
+    /// the clause indices held by watchers and reasons.
+    fn compact(&mut self) {
+        let mut remap = vec![NO_REASON; self.clauses.len()];
+        let mut next = 0u32;
+        let mut arena = Vec::with_capacity(self.arena.len() / 2);
+        for (slot, c) in remap.iter_mut().zip(&mut self.clauses) {
+            if !c.deleted {
+                *slot = next;
+                next += 1;
+                let start = arena.len() as u32;
+                arena.extend_from_slice(&self.arena[c.start as usize..(c.start + c.len) as usize]);
+                c.start = start;
+            }
+        }
+        self.arena = arena;
+        self.clauses.retain(|c| !c.deleted);
+        for ws in &mut self.watches {
+            ws.retain_mut(|w| {
+                w.clause = remap[w.clause as usize];
+                w.clause != NO_REASON
+            });
+        }
+        for &l in &self.trail {
+            let r = &mut self.reason[l.var().index()];
+            if *r != NO_REASON {
+                *r = remap[*r as usize];
+            }
+        }
+        self.tombstones = 0;
     }
 
     fn reduce_db(&mut self) {
@@ -949,7 +1108,7 @@ impl Solver {
             .clauses
             .iter()
             .enumerate()
-            .filter(|(i, c)| c.learnt && !c.deleted && c.lits.len() > 2 && !self.is_locked(*i))
+            .filter(|(i, c)| c.learnt && !c.deleted && c.len > 2 && !self.is_locked(*i))
             .map(|(i, _)| i)
             .collect();
         // Worst first: high LBD, then low activity.
@@ -962,15 +1121,18 @@ impl Solver {
         });
         let to_delete = learnt_idx.len() / 2;
         for &i in learnt_idx.iter().take(to_delete) {
-            self.clauses[i].deleted = true;
-            self.stats.deleted += 1;
+            self.delete_clause(i);
         }
-        // Deleted clauses' watchers are dropped lazily during propagation.
+        // Deleted clauses' watchers are dropped lazily during propagation,
+        // or all at once by a compaction.
+        if self.mostly_tombstones() {
+            self.compact();
+        }
         self.learnt_limit *= 1.5;
     }
 
     fn is_locked(&self, ci: usize) -> bool {
-        let first = self.clauses[ci].lits[0];
+        let first = self.arena[self.clauses[ci].start as usize];
         self.value_lit(first) == LBool::True && self.reason[first.var().index()] == ci as u32
     }
 
@@ -1028,22 +1190,16 @@ impl Solver {
         }
         self.start = Some(Instant::now());
         self.backtrack_to(0);
+        if !self.simplify() {
+            return Outcome::Unsat;
+        }
         // Scale the learnt-clause budget to the instance (MiniSat keeps
         // roughly a third of the problem size; undersizing makes the solver
         // throw away everything it learns and thrash).
-        let live_problem = self
-            .clauses
-            .iter()
-            .filter(|c| !c.deleted && !c.learnt)
-            .count();
-        self.learnt_limit = self.learnt_limit.max(live_problem as f64 / 3.0).max(2000.0);
-        // (Re)seed the decision heap.
-        for i in 0..self.num_vars() {
-            let v = Var::new(i);
-            if self.value_var(v) == LBool::Undef && !self.heap.contains(v) {
-                self.heap.insert(v, &self.activity);
-            }
-        }
+        self.learnt_limit = self
+            .learnt_limit
+            .max(self.live_problem as f64 / 3.0)
+            .max(2000.0);
 
         let mut restart_count = 0u64;
         let mut conflicts_until_restart = Self::luby(restart_count) * self.config.restart_interval;
@@ -1121,12 +1277,16 @@ impl Solver {
                 }
                 match self.pick_branch_var() {
                     None => {
-                        // Full assignment: record model.
-                        self.model = self
-                            .assigns
-                            .iter()
-                            .map(|a| a.to_bool().unwrap_or(false))
-                            .collect();
+                        debug_assert!(
+                            (0..self.num_vars()).all(|i| !self.decision[i]
+                                || self.value_var(Var::new(i)) != LBool::Undef),
+                            "an unassigned decision variable was missing from the heap"
+                        );
+                        // Full assignment: record model (non-decision
+                        // variables read `false`).
+                        self.model.clear();
+                        self.model
+                            .extend(self.values.chunks_exact(2).map(|v| v[0] == LBool::True));
                         self.backtrack_to(0);
                         return Outcome::Sat;
                     }

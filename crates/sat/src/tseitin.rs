@@ -82,7 +82,7 @@ pub fn encode_netlist_into(
             .iter()
             .map(|n| vars[n.index()].positive())
             .collect();
-        encode_gate(cnf, gate.kind(), out, &ins)?;
+        encode_gate(cnf, gate.kind(), out, &ins, None)?;
     }
     // Sanity: every net consumed by a gate or output must be driven or PI.
     for (_, gate) in nl.gates() {
@@ -126,7 +126,7 @@ pub fn encode_selected(
             .iter()
             .map(|&n| var_of(cnf, &mut map, n).positive())
             .collect();
-        encode_gate(cnf, gate.kind(), out, &ins)?;
+        encode_gate(cnf, gate.kind(), out, &ins, None)?;
     }
     Ok(map)
 }
@@ -156,63 +156,77 @@ pub fn encode_netlist(nl: &Netlist) -> Result<(Cnf, CircuitVars), TseitinError> 
     Ok((cnf, vars))
 }
 
-/// Emits the clause group for one gate: `out ↔ kind(ins)`.
-fn encode_gate(cnf: &mut Cnf, kind: GateKind, out: Lit, ins: &[Lit]) -> Result<(), TseitinError> {
+/// Emits the clause group for one gate, `out ↔ kind(ins)`. With a
+/// `guard`, every clause also carries `¬guard`, so the group binds only
+/// while `guard` holds and is satisfied at the root once `¬guard` is.
+///
+/// # Errors
+///
+/// Returns [`TseitinError::Sequential`] for a DFF.
+pub fn encode_gate(
+    cnf: &mut Cnf,
+    kind: GateKind,
+    out: Lit,
+    ins: &[Lit],
+    guard: Option<Lit>,
+) -> Result<(), TseitinError> {
+    let add = |cnf: &mut Cnf, lits: &[Lit]| {
+        cnf.add_clause(lits.iter().copied().chain(guard.map(|g| !g)));
+    };
     match kind {
         GateKind::Buf => {
-            cnf.add_clause([!out, ins[0]]);
-            cnf.add_clause([out, !ins[0]]);
+            add(cnf, &[!out, ins[0]]);
+            add(cnf, &[out, !ins[0]]);
         }
         GateKind::Not => {
-            cnf.add_clause([!out, !ins[0]]);
-            cnf.add_clause([out, ins[0]]);
+            add(cnf, &[!out, !ins[0]]);
+            add(cnf, &[out, ins[0]]);
         }
         GateKind::And | GateKind::Nand => {
             let o = if kind == GateKind::And { out } else { !out };
             for &i in ins {
-                cnf.add_clause([!o, i]);
+                add(cnf, &[!o, i]);
             }
             let mut big: Vec<Lit> = ins.iter().map(|&i| !i).collect();
             big.push(o);
-            cnf.add_clause(big);
+            add(cnf, &big);
         }
         GateKind::Or | GateKind::Nor => {
             let o = if kind == GateKind::Or { out } else { !out };
             for &i in ins {
-                cnf.add_clause([o, !i]);
+                add(cnf, &[o, !i]);
             }
             let mut big: Vec<Lit> = ins.to_vec();
             big.push(!o);
-            cnf.add_clause(big);
+            add(cnf, &big);
         }
         GateKind::Xor | GateKind::Xnor => {
             // Chain pairwise with auxiliary variables.
             let mut acc = ins[0];
             for &i in &ins[1..] {
                 let t = cnf.new_var().positive();
-                encode_xor2(cnf, t, acc, i);
+                add(cnf, &[!t, acc, i]);
+                add(cnf, &[!t, !acc, !i]);
+                add(cnf, &[t, !acc, i]);
+                add(cnf, &[t, acc, !i]);
                 acc = t;
             }
             let o = if kind == GateKind::Xor { out } else { !out };
-            cnf.add_clause([!o, acc]);
-            cnf.add_clause([o, !acc]);
+            add(cnf, &[!o, acc]);
+            add(cnf, &[o, !acc]);
         }
         GateKind::Mux => {
             let (s, a, b) = (ins[0], ins[1], ins[2]);
-            cnf.add_clause([s, !a, out]);
-            cnf.add_clause([s, a, !out]);
-            cnf.add_clause([!s, !b, out]);
-            cnf.add_clause([!s, b, !out]);
+            add(cnf, &[s, !a, out]);
+            add(cnf, &[s, a, !out]);
+            add(cnf, &[!s, !b, out]);
+            add(cnf, &[!s, b, !out]);
             // Redundant but propagation-strengthening clauses.
-            cnf.add_clause([!a, !b, out]);
-            cnf.add_clause([a, b, !out]);
+            add(cnf, &[!a, !b, out]);
+            add(cnf, &[a, b, !out]);
         }
-        GateKind::Const0 => {
-            cnf.add_clause([!out]);
-        }
-        GateKind::Const1 => {
-            cnf.add_clause([out]);
-        }
+        GateKind::Const0 => add(cnf, &[!out]),
+        GateKind::Const1 => add(cnf, &[out]),
         GateKind::Lut2(tt) => {
             let (a, b) = (ins[0], ins[1]);
             for idx in 0..4u8 {
@@ -222,19 +236,12 @@ fn encode_gate(cnf: &mut Cnf, kind: GateKind, out: Lit, ins: &[Lit]) -> Result<(
                 // (a = av ∧ b = bv) → o
                 let la = if av { !a } else { a };
                 let lb = if bv { !b } else { b };
-                cnf.add_clause([la, lb, o]);
+                add(cnf, &[la, lb, o]);
             }
         }
         GateKind::Dff => return Err(TseitinError::Sequential),
     }
     Ok(())
-}
-
-fn encode_xor2(cnf: &mut Cnf, o: Lit, a: Lit, b: Lit) {
-    cnf.add_clause([!o, a, b]);
-    cnf.add_clause([!o, !a, !b]);
-    cnf.add_clause([o, !a, b]);
-    cnf.add_clause([o, a, !b]);
 }
 
 #[cfg(test)]
@@ -344,7 +351,14 @@ mod tests {
         // agree — the miter XOR must be UNSAT.
         let out = nl.outputs()[0];
         let miter = cnf.new_var().positive();
-        encode_xor2(&mut cnf, miter, v1.lit(out), v2.lit(out));
+        encode_gate(
+            &mut cnf,
+            GateKind::Xor,
+            miter,
+            &[v1.lit(out), v2.lit(out)],
+            None,
+        )
+        .unwrap();
         cnf.add_clause([miter]);
         let mut solver = Solver::from_cnf(&cnf);
         assert_eq!(solver.solve(), Outcome::Unsat);

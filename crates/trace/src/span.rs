@@ -10,9 +10,9 @@ use crate::metrics::Metrics;
 /// The span taxonomy: what layer of the system a span belongs to.
 ///
 /// `Experiment`, `Cell`, `Attack` and `Iteration` are *structural* (they
-/// show where in the hierarchy work happened); `Encode`, `Solve` and
-/// `Verify` are the *cost phases* the per-phase breakdown buckets time
-/// into.
+/// show where in the hierarchy work happened); `Encode`, `Solve`,
+/// `Verify` and `Oracle` are the *cost phases* the per-phase breakdown
+/// buckets time into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// One experiment run (the trace root).
@@ -29,7 +29,10 @@ pub enum Phase {
     Solve,
     /// Confirmation work: error estimation, ground-truth key checks.
     Verify,
-    /// Anything else (oracle queries, worker scaffolding, …).
+    /// Oracle access: the chip answering an attack's queries, local or
+    /// over the wire.
+    Oracle,
+    /// Anything else (loop bookkeeping, worker scaffolding, …).
     Other,
 }
 
@@ -44,6 +47,7 @@ impl Phase {
             Phase::Encode => "encode",
             Phase::Solve => "solve",
             Phase::Verify => "verify",
+            Phase::Oracle => "oracle",
             Phase::Other => "other",
         }
     }
@@ -58,6 +62,7 @@ impl Phase {
             "encode" => Phase::Encode,
             "solve" => Phase::Solve,
             "verify" => Phase::Verify,
+            "oracle" => Phase::Oracle,
             "other" => Phase::Other,
             _ => return None,
         })
@@ -566,6 +571,7 @@ mod tests {
             Phase::Encode,
             Phase::Solve,
             Phase::Verify,
+            Phase::Oracle,
             Phase::Other,
         ] {
             assert_eq!(Phase::parse(phase.as_str()), Some(phase));
