@@ -20,13 +20,19 @@
 //! generation it was recorded under; retiring a generation therefore
 //! leaves its whole encoding satisfied at the root, where the solver's
 //! root simplification collects it.
+//!
+//! A DIP copy is encoded straight into the live sessions. The decided
+//! nets ride on the constant rails, which are resolved before a clause is
+//! built: a clause a true rail satisfies is never built, and a false rail
+//! literal is dropped.
 
 use ril_core::{LockedCircuit, SE_PIN};
 use ril_netlist::{GateId, GateKind, NetId, Netlist, Simulator};
 use ril_sat::bva::one_hot_selection;
 use ril_sat::tseitin::encode_selected;
 use ril_sat::{
-    encode_gate, encode_netlist_into, Budget, Cnf, Lit, Outcome, Session, SolverConfig, Var,
+    encode_gate, encode_netlist_into, Budget, ClauseSink, Cnf, Lit, Outcome, Session, SolverConfig,
+    Var,
 };
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -34,20 +40,15 @@ use std::time::Duration;
 /// The incremental state of one oracle-guided attack.
 ///
 /// Both formulas live in persistent [`Session`]s constructed exactly once:
-/// each DIP's constraint is encoded into a scratch [`Cnf`] (whose variable
-/// pool mirrors the session's) and appended to the live solver, so learned
-/// clauses, activity ordering and watch lists stay warm across the whole
-/// DIP loop instead of being rebuilt per iteration.
+/// each DIP's constraint is encoded straight into the live solvers, so
+/// learned clauses, the decision order and watch lists stay warm across
+/// the whole DIP loop instead of being rebuilt per iteration.
 pub(crate) struct AttackInstance {
     /// The distinguishing-input miter (`C(x,k1) ≠ C(x,k2)` + recorded I/O).
     pub(crate) miter: Session,
     /// The key finder (recorded I/O constraints only), solved for candidate
     /// and final keys.
     pub(crate) finder: Session,
-    /// Scratch encoding buffers; clauses are moved into the sessions after
-    /// each DIP, variable pools stay in lock-step with the sessions'.
-    finder_cnf: Cnf,
-    miter_cnf: Cnf,
     /// Shared data-input vars (netlist data-input order, incl. tied SE).
     pub(crate) input_vars: Vec<Var>,
     key1: Vec<Var>,
@@ -207,11 +208,9 @@ impl AttackInstance {
         let guard_f = finder_cnf.new_var().positive();
 
         // Both solvers are constructed here, once; from now on clauses are
-        // only ever *appended*. The CNFs degrade to scratch buffers.
+        // only ever *appended*.
         let miter = Session::from_cnf_with_config(&miter_cnf, solver_config.clone());
         let finder = Session::from_cnf_with_config(&finder_cnf, solver_config);
-        miter_cnf.clear_clauses();
-        finder_cnf.clear_clauses();
         if span.is_active() {
             span.record_u64("key_bits", key_inputs.len() as u64);
             span.record_u64("miter_vars", miter.num_vars() as u64);
@@ -220,8 +219,6 @@ impl AttackInstance {
         AttackInstance {
             miter,
             finder,
-            finder_cnf,
-            miter_cnf,
             input_vars,
             key1,
             key2,
@@ -245,9 +242,7 @@ impl AttackInstance {
     /// response, so keeping them could exclude *all* keys of the new
     /// generation. The old generation's guards are permanently falsified
     /// (the dead clauses are never satisfied again) and fresh guards are
-    /// allocated through the scratch CNFs so their variable pools stay in
-    /// lock-step with the sessions'. Returns how many DIP constraints
-    /// were retired.
+    /// allocated. Returns how many DIP constraints were retired.
     pub(crate) fn observe_generation(&mut self, generation: u64) -> usize {
         if generation == self.generation {
             return 0;
@@ -259,14 +254,10 @@ impl AttackInstance {
             return 0;
         }
         let retired = self.active_dips;
-        self.miter_cnf.add_clause([!self.guard_m]);
-        self.guard_m = self.miter_cnf.new_var().positive();
-        self.miter.append_cnf(&self.miter_cnf);
-        self.miter_cnf.clear_clauses();
-        self.finder_cnf.add_clause([!self.guard_f]);
-        self.guard_f = self.finder_cnf.new_var().positive();
-        self.finder.append_cnf(&self.finder_cnf);
-        self.finder_cnf.clear_clauses();
+        let old = std::mem::replace(&mut self.guard_m, self.miter.new_var().positive());
+        self.miter.add_clause([!old]);
+        let old = std::mem::replace(&mut self.guard_f, self.finder.new_var().positive());
+        self.finder.add_clause([!old]);
         self.retired_dips += retired;
         self.active_dips = 0;
         ril_trace::counter("attack.dips_retired", retired as u64);
@@ -286,14 +277,9 @@ impl AttackInstance {
     }
 
     /// Opens a DIP-collection batch: a fresh guard literal the in-batch
-    /// blocking clauses are conditioned on. The variable is allocated
-    /// through the scratch CNF so the miter session's pool stays in
-    /// lock-step, exactly as in [`AttackInstance::observe_generation`].
+    /// blocking clauses are conditioned on.
     pub(crate) fn begin_dip_batch(&mut self) -> Lit {
-        let guard = self.miter_cnf.new_var().positive();
-        self.miter.append_cnf(&self.miter_cnf);
-        self.miter_cnf.clear_clauses();
-        guard
+        self.miter.new_var().positive()
     }
 
     /// Blocks a collected DIP's oracle-input assignment under the batch
@@ -306,9 +292,7 @@ impl AttackInstance {
         for &p in &self.oracle_positions {
             clause.push(self.input_vars[p].lit(dip_full[p]));
         }
-        self.miter_cnf.add_clause(clause);
-        self.miter.append_cnf(&self.miter_cnf);
-        self.miter_cnf.clear_clauses();
+        self.miter.add_clause(clause);
     }
 
     /// [`AttackInstance::solve_miter`] with the batch guard asserted, so
@@ -321,9 +305,7 @@ impl AttackInstance {
     /// retiring every blocking clause recorded under it (the collected
     /// DIPs' I/O constraints live on under the generation guard instead).
     pub(crate) fn end_dip_batch(&mut self, guard: Lit) {
-        self.miter_cnf.add_clause([!guard]);
-        self.miter.append_cnf(&self.miter_cnf);
-        self.miter_cnf.clear_clauses();
+        self.miter.add_clause([!guard]);
     }
 
     /// Extracts the full data-input assignment (DIP) from the last SAT
@@ -373,11 +355,10 @@ impl AttackInstance {
         }
         self.dip.fold(&self.sim);
 
-        // Miter copies: encode into the scratch CNF, then move the clauses
-        // into the live session (clearing the scratch, keeping its pool).
+        // Both miter copies, then the finder's, straight into the sessions.
         for key_vars in [&self.key1, &self.key2] {
             self.dip.encode_copy(
-                &mut self.miter_cnf,
+                &mut self.miter,
                 &self.sim,
                 key_vars,
                 self.const_m,
@@ -385,19 +366,14 @@ impl AttackInstance {
                 response,
             );
         }
-        self.miter.append_cnf(&self.miter_cnf);
-        self.miter_cnf.clear_clauses();
-        // Finder, same scheme.
         self.dip.encode_copy(
-            &mut self.finder_cnf,
+            &mut self.finder,
             &self.sim,
             &self.keyf,
             self.const_f,
             self.guard_f,
             response,
         );
-        self.finder.append_cnf(&self.finder_cnf);
-        self.finder_cnf.clear_clauses();
         self.active_dips += 1;
         Ok(())
     }
@@ -483,6 +459,11 @@ struct DipEncoder {
     /// Open cone gates some open key-dependent output reads through
     /// open gates only: the ones this DIP has to encode.
     live: Vec<bool>,
+    /// Reused buffers of [`DipEncoder::encode_copy`]: the literal carrying
+    /// each cone gate, one gate's inputs, and one clause.
+    lits: Vec<Lit>,
+    ins: Vec<Lit>,
+    clause: Vec<Lit>,
 }
 
 impl DipEncoder {
@@ -529,6 +510,9 @@ impl DipEncoder {
             free_outputs,
             folded: Vec::new(),
             live: Vec::new(),
+            lits: Vec::new(),
+            ins: Vec::new(),
+            clause: Vec::new(),
         }
     }
 
@@ -565,39 +549,43 @@ impl DipEncoder {
         }
     }
 
-    /// Encodes one copy of the folded DIP constraint over `key_vars`:
-    /// the live open gates as clauses, decided nets as the `(ct, cf)`
-    /// rails, and the key-dependent outputs forced to `response`. Every
-    /// clause carries `¬guard`.
+    /// Encodes one copy of the folded DIP constraint over `key_vars`
+    /// into `session`: the live open gates as clauses, decided nets as the
+    /// `(ct, cf)` rails, and the key-dependent outputs forced to
+    /// `response`. Every clause carries `¬guard`.
     fn encode_copy(
-        &self,
-        cnf: &mut Cnf,
+        &mut self,
+        session: &mut Session,
         sim: &Simulator,
         key_vars: &[Var],
-        (ct, cf): (Var, Var),
+        rails: (Var, Var),
         guard: Lit,
         response: &[bool],
     ) {
+        let (ct, cf) = rails;
         let rail = |v: bool| if v { ct.positive() } else { cf.positive() };
-        // Per cone gate, the literal carrying it in this copy.
-        let mut lits: Vec<Lit> = Vec::with_capacity(self.cone.len());
+        let mut sink = RailSink {
+            session,
+            rails,
+            guard,
+            clause: &mut self.clause,
+        };
+        let lits = &mut self.lits;
+        lits.clear();
         for (j, g) in self.cone.iter().enumerate() {
             let lit = match self.folded[j] {
                 Some(v) => rail(v),
                 // Nothing live reads a dead gate; the rail is a filler.
                 None if !self.live[j] => rail(false),
                 None => {
-                    let inputs: Vec<Lit> = g
-                        .inputs
-                        .iter()
-                        .map(|&i| match i {
-                            ConeInput::Key(k) => key_vars[k].positive(),
-                            ConeInput::Gate(k) => lits[k],
-                            ConeInput::Fixed(n) => rail(sim.net_value(n) & 1 == 1),
-                        })
-                        .collect();
-                    let out = cnf.new_var().positive();
-                    encode_gate(cnf, g.kind, out, &inputs, Some(guard)).expect("combinational");
+                    self.ins.clear();
+                    self.ins.extend(g.inputs.iter().map(|&i| match i {
+                        ConeInput::Key(k) => key_vars[k].positive(),
+                        ConeInput::Gate(k) => lits[k],
+                        ConeInput::Fixed(n) => rail(sim.net_value(n) & 1 == 1),
+                    }));
+                    let out = sink.new_var().positive();
+                    encode_gate(&mut sink, g.kind, out, &self.ins).expect("combinational");
                     out
                 }
             };
@@ -605,8 +593,47 @@ impl DipEncoder {
         }
         for &(pos, j) in &self.cone_outputs {
             let o = lits[j];
-            cnf.add_clause([!guard, if response[pos] { o } else { !o }]);
+            sink.add_clause([if response[pos] { o } else { !o }]);
         }
+    }
+}
+
+/// A DIP copy's clause sink: the live session, with the constant rails
+/// resolved before a clause is built. A clause a true rail satisfies is
+/// dropped whole, a false rail literal is dropped from its clause, and
+/// every clause that remains gains the generation's `¬guard`. The solver
+/// would drop both itself; filtering here spares it the work.
+struct RailSink<'a> {
+    session: &'a mut Session,
+    /// `(ct, cf)`: the variables fixed true and false at the root.
+    rails: (Var, Var),
+    guard: Lit,
+    clause: &'a mut Vec<Lit>,
+}
+
+impl ClauseSink for RailSink<'_> {
+    fn new_var(&mut self) -> Var {
+        self.session.new_var()
+    }
+
+    fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
+        self.clause.clear();
+        for l in lits {
+            let (ct, cf) = self.rails;
+            let value = if l.var() == ct {
+                l.target()
+            } else if l.var() == cf {
+                !l.target()
+            } else {
+                self.clause.push(l);
+                continue;
+            };
+            if value {
+                return;
+            }
+        }
+        self.clause.push(!self.guard);
+        self.session.add_clause(self.clause.iter().copied());
     }
 }
 
@@ -670,6 +697,59 @@ fn fold_gate(kind: GateKind, ins: &[Option<bool>]) -> Option<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{attacker_view, Oracle};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use ril_core::{Obfuscator, RilBlockSpec};
+    use ril_netlist::generators;
+
+    #[test]
+    fn folded_dip_encoding_matches_simulation_for_every_key() {
+        // After each random DIP, the finder must admit exactly the keys
+        // under which the locked netlist reproduces every recorded
+        // response: the folded, rail-resolved clauses are checked against
+        // plain simulation over the whole key space.
+        for (blocks, seed) in [(1, 3u64), (2, 11)] {
+            let locked = Obfuscator::new(RilBlockSpec::size_2x2())
+                .blocks(blocks)
+                .seed(seed)
+                .obfuscate(&generators::adder(4))
+                .unwrap();
+            let view = attacker_view(&locked);
+            let key_bits = view.key_inputs().len();
+            assert!(key_bits <= 12, "key space too large to enumerate");
+            let mut oracle = Oracle::new(&locked).unwrap();
+            let mut inst = AttackInstance::new(&view, SolverConfig::default(), None);
+            let mut sim = Simulator::new(&view).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut recorded: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
+            for _ in 0..5 {
+                let dip: Vec<bool> = (0..view.data_inputs().len()).map(|_| rng.gen()).collect();
+                let response = oracle.query(&inst.oracle_dip(&dip));
+                inst.add_dip(&view, &dip, &response).unwrap();
+                recorded.push((dip, response));
+                let mut admitted = 0;
+                for k in 0u32..1 << key_bits {
+                    let key: Vec<bool> = (0..key_bits).map(|i| (k >> i) & 1 == 1).collect();
+                    let explains = recorded
+                        .iter()
+                        .all(|(dip, response)| sim.eval_pattern(&view, dip, &key) == *response);
+                    let mut assumptions = vec![inst.guard_f];
+                    assumptions.extend(inst.keyf.iter().zip(&key).map(|(v, &b)| v.lit(!b)));
+                    let sat = inst.finder.solve_under(&assumptions) == Outcome::Sat;
+                    assert_eq!(
+                        sat,
+                        explains,
+                        "seed {seed}, DIP {}, key {k:#b}",
+                        recorded.len()
+                    );
+                    admitted += usize::from(sat);
+                }
+                // The correct key always explains the oracle.
+                assert!(admitted >= 1, "seed {seed}");
+            }
+        }
+    }
 
     /// Every {0, 1, X} input vector of length `n` (`None` = X).
     fn ternary_vectors(n: usize) -> Vec<Vec<Option<bool>>> {

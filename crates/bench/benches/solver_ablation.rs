@@ -1,5 +1,5 @@
 //! Criterion bench behind the Section IV solver claim: the CaDiCaL-class
-//! configuration (VSIDS + phase saving + minimization + restarts) vs a
+//! configuration (VMTF order + phase saving + minimization + restarts) vs a
 //! weakened DPLL-era configuration — the paper reports ~1.8× between
 //! solver generations. Measured on search-bound instances where heuristics
 //! matter: random 3-SAT at and above the satisfiability phase transition

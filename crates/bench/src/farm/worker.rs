@@ -10,7 +10,7 @@
 
 use std::io;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -95,12 +95,13 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, String> {
     };
 
     let held: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let stop = Arc::new(AtomicBool::new(false));
-    let beat = spawn_heartbeat(cfg, lease_ms, Arc::clone(&held), Arc::clone(&stop));
+    let (stop, stopped) = mpsc::channel::<()>();
+    let beat = spawn_heartbeat(cfg, lease_ms, Arc::clone(&held), stopped);
 
     let mut summary = WorkerSummary::default();
     let result = work_loop(cfg, &mut client, &held, &mut summary);
-    stop.store(true, Ordering::SeqCst);
+    // Hanging up wakes the heartbeat thread at once.
+    drop(stop);
     let _ = beat.join();
     result.map(|()| summary)
 }
@@ -109,20 +110,15 @@ fn spawn_heartbeat(
     cfg: &WorkerConfig,
     lease_ms: u64,
     held: Arc<Mutex<Vec<u64>>>,
-    stop: Arc<AtomicBool>,
+    stopped: mpsc::Receiver<()>,
 ) -> std::thread::JoinHandle<()> {
     let addr = cfg.connect.clone();
     let name = cfg.name.clone();
     let interval = Duration::from_millis((lease_ms / 3).max(100));
     std::thread::spawn(move || {
         let mut client: Option<FarmClient> = None;
-        let mut last = Instant::now();
-        while !stop.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(25));
-            if last.elapsed() < interval {
-                continue;
-            }
-            last = Instant::now();
+        // Sleeps out each interval unless the worker hangs up first.
+        while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
             let lease_ids = held.lock().expect("held leases").clone();
             if lease_ids.is_empty() {
                 continue;

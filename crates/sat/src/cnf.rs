@@ -50,12 +50,6 @@ impl Cnf {
         self.num_vars = self.num_vars.max(n);
     }
 
-    /// Drops all clauses while keeping the variable pool, turning the
-    /// formula into a reusable scratch buffer for incremental encoding.
-    pub fn clear_clauses(&mut self) {
-        self.clauses.clear();
-    }
-
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
         self.num_vars

@@ -2,10 +2,13 @@
 //!
 //! A from-scratch conflict-driven clause-learning solver ([`Solver`]) with
 //! the architecture of the CaDiCaL-class solvers the paper attacks with:
-//! two-watched-literal propagation, first-UIP learning, VSIDS + phase
-//! saving, Luby restarts and learnt-database reduction. Companion modules
-//! provide CNF formulas with DIMACS I/O ([`Cnf`]), Tseitin encoding of
-//! gate-level netlists ([`encode_netlist`]), and the attack-side
+//! two-watched-literal propagation, first-UIP learning, a VMTF decision
+//! queue (CaDiCaL's focused-mode order) with phase saving, Luby restarts,
+//! learnt-database reduction, and root-level clause collection for
+//! incremental use. Companion modules provide CNF formulas with DIMACS
+//! I/O ([`Cnf`]), Tseitin encoding of gate-level netlists
+//! ([`encode_netlist`]) into a [`Cnf`] or straight into a live
+//! [`Session`] (both are a [`ClauseSink`]), and the attack-side
 //! preprocessing passes (BVA and one-layer one-hot routing encoding,
 //! [`bva`]).
 //!
@@ -47,4 +50,6 @@ pub use solver::{
     Budget, BudgetError, Outcome, Solver, SolverConfig, SolverConfigError, SolverStats,
     MAX_SOLVER_THREADS,
 };
-pub use tseitin::{encode_gate, encode_netlist, encode_netlist_into, CircuitVars, TseitinError};
+pub use tseitin::{
+    encode_gate, encode_netlist, encode_netlist_into, CircuitVars, ClauseSink, TseitinError,
+};

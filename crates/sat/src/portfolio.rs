@@ -1,7 +1,7 @@
 //! Portfolio solving: race diversified CDCL workers, share short clauses.
 //!
 //! A [`Portfolio`] keeps K [`Solver`] workers loaded with the *same*
-//! formula but diversified configurations (restart cadence, VSIDS decay,
+//! formula but diversified configurations (restart cadence, restarts on/off,
 //! phase saving, default polarity — see [`Portfolio::diversified`]).
 //! Each solve call races all workers on fresh threads; the first
 //! definitive [`Outcome`] (`Sat`/`Unsat`) wins and the losers are stopped
@@ -207,8 +207,8 @@ impl Portfolio {
 
     /// The configuration worker `worker` runs: worker 0 is `base`
     /// verbatim (the determinism anchor); higher indices vary restart
-    /// cadence, VSIDS decay, phase saving and default polarity. Budget
-    /// fields are never varied. See DESIGN.md §10 for the table.
+    /// cadence, restarts on/off, phase saving and default polarity.
+    /// Budget fields are never varied. See DESIGN.md §10 for the table.
     pub fn diversified(base: &SolverConfig, worker: usize) -> SolverConfig {
         let mut cfg = base.clone();
         cfg.threads = 1;
@@ -216,32 +216,38 @@ impl Portfolio {
             0 => {}
             1 => cfg.default_phase = !base.default_phase,
             2 => {
-                cfg.vsids_decay = 0.85;
-                cfg.restart_interval = 50;
+                cfg.restart_interval = match base.restart_interval {
+                    1 => 2,
+                    b => b / 2,
+                }
             }
             3 => {
                 cfg.phase_saving = false;
-                cfg.restart_interval = 200;
+                cfg.restart_interval = base.restart_interval.saturating_mul(2);
             }
-            4 => cfg.vsids_decay = 0.99,
+            4 => {
+                cfg.default_phase = !base.default_phase;
+                cfg.restart_interval = base.restart_interval.saturating_mul(4);
+            }
             5 => cfg.restarts = false,
             6 => {
                 cfg.default_phase = !base.default_phase;
-                cfg.vsids_decay = 0.90;
-                cfg.restart_interval = 30;
+                cfg.restart_interval = base.restart_interval / 3 + 1;
             }
             7 => {
                 cfg.phase_saving = false;
                 cfg.default_phase = !base.default_phase;
-                cfg.vsids_decay = 0.92;
             }
             _ => {
                 // Deterministic jitter for wide portfolios: Knuth hash of
-                // the worker index picks decay/restart/polarity.
+                // the worker index picks restart cadence, polarity and
+                // phase saving. The cadence never equals the base's, so
+                // the worker always differs from worker 0.
                 let h = (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                cfg.vsids_decay = 0.80 + (h % 19) as f64 * 0.01;
-                cfg.restart_interval = 50 + (h >> 8) % 200;
+                let interval = 30 + (h >> 8) % 300;
+                cfg.restart_interval = interval + u64::from(interval == base.restart_interval);
                 cfg.default_phase = (h >> 16) & 1 == 1;
+                cfg.phase_saving = !(h >> 24).is_multiple_of(4);
             }
         }
         cfg
@@ -521,7 +527,6 @@ mod tests {
     fn worker_zero_is_the_base_config() {
         let base = SolverConfig::default();
         let w0 = Portfolio::diversified(&base, 0);
-        assert_eq!(w0.vsids_decay, base.vsids_decay);
         assert_eq!(w0.restart_interval, base.restart_interval);
         assert_eq!(w0.phase_saving, base.phase_saving);
         assert_eq!(w0.default_phase, base.default_phase);
@@ -543,14 +548,12 @@ mod tests {
                 "worker {i} keeps conflicts"
             );
             assert!(
-                cfg.vsids_decay != base.vsids_decay
-                    || cfg.restart_interval != base.restart_interval
+                cfg.restart_interval != base.restart_interval
                     || cfg.phase_saving != base.phase_saving
                     || cfg.default_phase != base.default_phase
                     || cfg.restarts != base.restarts,
                 "worker {i} must differ from base"
             );
-            assert!(cfg.vsids_decay > 0.0 && cfg.vsids_decay < 1.0);
             assert!(cfg.restart_interval >= 1);
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! A [`Session`] is a long-lived [`Solver`] plus per-call accounting: the
 //! oracle-guided attack loop appends each DIP's I/O constraint to a *live*
-//! solver — keeping learned clauses, VSIDS activities and watch lists warm
+//! solver — keeping learned clauses, the decision order and watch lists warm
 //! across iterations — instead of re-reading a growing CNF from scratch
 //! every iteration. Each `solve*` call is recorded as a [`SolveRecord`]
 //! (outcome, wall time, and the [`SolverStats`] delta for just that call),
@@ -23,6 +23,7 @@ use crate::cnf::Cnf;
 use crate::lit::{Lit, Var};
 use crate::portfolio::{Portfolio, PortfolioStats};
 use crate::solver::{Budget, Outcome, Solver, SolverConfig, SolverStats};
+use crate::tseitin::ClauseSink;
 use std::time::{Duration, Instant};
 
 /// Accounting for one `solve*` call on a [`Session`].
@@ -302,6 +303,17 @@ impl Session {
     pub fn solve_within(&mut self, assumptions: &[Lit], budget: Budget) -> Outcome {
         self.set_budget(budget);
         self.solve_under(assumptions)
+    }
+}
+
+/// Encoders write straight into the live solver: no intermediate [`Cnf`].
+impl ClauseSink for Session {
+    fn new_var(&mut self) -> Var {
+        Session::new_var(self)
+    }
+
+    fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
+        Session::add_clause(self, lits);
     }
 }
 

@@ -1,11 +1,12 @@
 //! Conflict-driven clause-learning (CDCL) SAT solver.
 //!
 //! A MiniSat-style architecture: two-watched-literal propagation, first-UIP
-//! conflict analysis with non-chronological backjumping, VSIDS decision
-//! ordering with phase saving, Luby-sequence restarts and LBD/activity-based
-//! learnt-clause database reduction — the same algorithm family as the
-//! CaDiCaL solver the paper uses (Section IV, \[18\]). Feature toggles in
-//! [`SolverConfig`] support the solver-ablation bench.
+//! conflict analysis with non-chronological backjumping, a VMTF decision
+//! queue (CaDiCaL's focused-mode order) with phase saving, Luby-sequence
+//! restarts and LBD/activity-based learnt-clause database reduction — the
+//! same algorithm family as the CaDiCaL solver the paper uses (Section IV,
+//! \[18\]). Feature toggles in [`SolverConfig`] support the solver-ablation
+//! bench.
 
 use crate::cnf::Cnf;
 use crate::lit::{LBool, Lit, Var};
@@ -35,15 +36,14 @@ pub enum Outcome {
 /// Tunable solver behaviour. The toggles exist for the ablation study; the
 /// defaults are the full-strength configuration. The builder-style
 /// `with_*` setters validate their arguments at construction time (a
-/// malformed decay or thread count is a caller bug, not something to
-/// discover mid-solve).
+/// malformed restart interval or thread count is a caller bug, not
+/// something to discover mid-solve).
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
-    /// Multiplicative VSIDS activity decay (applied per conflict).
-    pub vsids_decay: f64,
-    /// Enable VSIDS ordering; when false, decisions pick the lowest-index
-    /// unassigned variable (DPLL-style static order).
-    pub vsids: bool,
+    /// Dynamic decision order: the VMTF queue, which moves the variables
+    /// of every conflict to the front. When false, decisions pick the
+    /// lowest-index unassigned variable (DPLL-style static order).
+    pub dynamic_order: bool,
     /// Enable Luby restarts.
     pub restarts: bool,
     /// Base Luby restart interval in conflicts (the sequence is scaled by
@@ -72,8 +72,7 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> SolverConfig {
         SolverConfig {
-            vsids_decay: 0.95,
-            vsids: true,
+            dynamic_order: true,
             restarts: true,
             restart_interval: 100,
             phase_saving: true,
@@ -93,26 +92,13 @@ impl SolverConfig {
     /// the "lingeling-class vs CaDiCaL-class" ablation baseline.
     pub fn weakened() -> SolverConfig {
         SolverConfig {
-            vsids: false,
+            dynamic_order: false,
             restarts: false,
             phase_saving: false,
             clause_minimization: false,
             reduce_db: false,
             ..SolverConfig::default()
         }
-    }
-
-    /// Sets the VSIDS decay factor; must lie strictly between 0 and 1.
-    pub fn with_decay(mut self, vsids_decay: f64) -> Result<SolverConfig, SolverConfigError> {
-        if !(vsids_decay > 0.0 && vsids_decay < 1.0) {
-            return Err(SolverConfigError {
-                field: "vsids_decay",
-                value: format!("{vsids_decay}"),
-                reason: "must lie strictly between 0 and 1",
-            });
-        }
-        self.vsids_decay = vsids_decay;
-        Ok(self)
     }
 
     /// Sets the base Luby restart interval (in conflicts); must be ≥ 1.
@@ -346,89 +332,125 @@ struct Watcher {
     blocker: Lit,
 }
 
-/// Indexed binary max-heap ordered by external activity scores.
-#[derive(Debug, Clone, Default)]
-struct VarHeap {
-    heap: Vec<Var>,
-    pos: Vec<Option<u32>>,
+const NONE: u32 = u32::MAX;
+
+/// One variable's neighbours in the [`VarQueue`] (`NONE` at either end,
+/// and both `NONE` while unlinked).
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
 }
 
-impl VarHeap {
-    fn grow(&mut self, n: usize) {
-        if self.pos.len() < n {
-            self.pos.resize(n, None);
+/// The VMTF (variable move-to-front) decision queue of CaDiCaL's focused
+/// mode (Biere & Fröhlich, "Evaluating CDCL Variable Scoring Schemes",
+/// SAT 2015). The decision variables sit in a doubly linked list in
+/// bump-stamp order, from `first` (oldest) to `last` (newest: the front of
+/// the decision order). `search` marks the point past which every
+/// variable is assigned, so a decision walks back from it. Bumping and
+/// unassigning are O(1), a decision amortized O(1).
+#[derive(Debug, Clone)]
+struct VarQueue {
+    links: Vec<Link>,
+    /// Per variable: the bump that last moved it to the front.
+    stamp: Vec<u64>,
+    first: u32,
+    last: u32,
+    search: u32,
+    bumps: u64,
+}
+
+impl Default for VarQueue {
+    fn default() -> VarQueue {
+        VarQueue {
+            links: Vec::new(),
+            stamp: Vec::new(),
+            first: NONE,
+            last: NONE,
+            search: NONE,
+            bumps: 0,
+        }
+    }
+}
+
+impl VarQueue {
+    /// Makes room for one more (unlinked) variable.
+    fn grow(&mut self) {
+        self.links.push(Link {
+            prev: NONE,
+            next: NONE,
+        });
+        self.stamp.push(0);
+    }
+
+    /// Links `v` at the front with a fresh stamp. An unassigned `v` is then
+    /// the newest unassigned variable, so the search starts from it.
+    fn push(&mut self, v: Var, unassigned: bool) {
+        let i = v.0;
+        self.bumps += 1;
+        self.stamp[i as usize] = self.bumps;
+        self.links[i as usize] = Link {
+            prev: self.last,
+            next: NONE,
+        };
+        match self.last {
+            NONE => self.first = i,
+            last => self.links[last as usize].next = i,
+        }
+        self.last = i;
+        if unassigned {
+            self.search = i;
         }
     }
 
-    fn contains(&self, v: Var) -> bool {
-        self.pos.get(v.index()).copied().flatten().is_some()
+    /// Unlinks `v`, stepping the search pointer back past it.
+    fn remove(&mut self, v: Var) {
+        let i = v.0;
+        let Link { prev, next } = self.links[i as usize];
+        match prev {
+            NONE => self.first = next,
+            p => self.links[p as usize].next = next,
+        }
+        match next {
+            NONE => self.last = prev,
+            n => self.links[n as usize].prev = prev,
+        }
+        if self.search == i {
+            self.search = prev;
+        }
+        self.links[i as usize] = Link {
+            prev: NONE,
+            next: NONE,
+        };
     }
 
-    fn insert(&mut self, v: Var, act: &[f64]) {
-        if self.contains(v) {
-            return;
-        }
-        self.grow(v.index() + 1);
-        self.pos[v.index()] = Some(self.heap.len() as u32);
-        self.heap.push(v);
-        self.sift_up(self.heap.len() - 1, act);
+    /// Moves the assigned variable `v` to the front.
+    fn bump(&mut self, v: Var) {
+        self.remove(v);
+        self.push(v, false);
     }
 
-    fn pop_max(&mut self, act: &[f64]) -> Option<Var> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let top = self.heap[0];
-        let last = self.heap.pop().expect("non-empty");
-        self.pos[top.index()] = None;
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.pos[last.index()] = Some(0);
-            self.sift_down(0, act);
-        }
-        Some(top)
-    }
-
-    fn bumped(&mut self, v: Var, act: &[f64]) {
-        if let Some(i) = self.pos.get(v.index()).copied().flatten() {
-            self.sift_up(i as usize, act);
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize, act: &[f64]) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if act[self.heap[i].index()] <= act[self.heap[parent].index()] {
-                break;
-            }
-            self.swap(i, parent);
-            i = parent;
+    /// `v` was just unassigned: the search restarts from it if it is newer
+    /// than the current search point.
+    fn unassigned(&mut self, v: Var) {
+        let newer = match self.search {
+            NONE => true,
+            s => self.stamp[v.index()] > self.stamp[s as usize],
+        };
+        if newer {
+            self.search = v.0;
         }
     }
 
-    fn sift_down(&mut self, mut i: usize, act: &[f64]) {
-        loop {
-            let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut best = i;
-            if l < self.heap.len() && act[self.heap[l].index()] > act[self.heap[best].index()] {
-                best = l;
-            }
-            if r < self.heap.len() && act[self.heap[r].index()] > act[self.heap[best].index()] {
-                best = r;
-            }
-            if best == i {
-                break;
-            }
-            self.swap(i, best);
-            i = best;
+    /// The newest unassigned variable, walking back from the search point
+    /// (which moves there); `None` when every linked variable is assigned.
+    fn next_unassigned(&mut self, assigned: impl Fn(usize) -> bool) -> Option<Var> {
+        let mut i = self.search;
+        while i != NONE && assigned(i as usize) {
+            i = self.links[i as usize].prev;
         }
-    }
-
-    fn swap(&mut self, i: usize, j: usize) {
-        self.heap.swap(i, j);
-        self.pos[self.heap[i].index()] = Some(i as u32);
-        self.pos[self.heap[j].index()] = Some(j as u32);
+        self.search = i;
+        (i != NONE).then_some(Var(i))
     }
 }
 
@@ -463,18 +485,19 @@ pub struct Solver {
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
-    activity: Vec<f64>,
-    var_inc: f64,
     cla_inc: f64,
-    heap: VarHeap,
-    /// Per variable: may the search branch on it? Cleared when the last
-    /// live clause naming the variable is deleted (it then reads `false`
-    /// in the model); attaching a clause that names it sets it again.
+    queue: VarQueue,
+    /// Per variable: may the search branch on it (is it in `queue`)?
+    /// Cleared when the variable is fixed at the root, or when the last
+    /// live clause naming it is deleted (it then reads `false` in the
+    /// model); attaching a clause that names it sets it again.
     decision: Vec<bool>,
     /// Per variable: live clauses naming it.
     occurs: Vec<u32>,
     saved_phase: Vec<bool>,
     seen: Vec<bool>,
+    /// Reused buffer [`Solver::add_clause`] simplifies a clause in.
+    add_buf: Vec<Lit>,
     ok: bool,
     model: Vec<bool>,
     stats: SolverStats,
@@ -522,14 +545,13 @@ impl Solver {
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
-            activity: Vec::new(),
-            var_inc: 1.0,
             cla_inc: 1.0,
-            heap: VarHeap::default(),
+            queue: VarQueue::default(),
             decision: Vec::new(),
             occurs: Vec::new(),
             saved_phase: Vec::new(),
             seen: Vec::new(),
+            add_buf: Vec::new(),
             ok: true,
             model: Vec::new(),
             stats: SolverStats::default(),
@@ -573,14 +595,14 @@ impl Solver {
         self.values.extend([LBool::Undef; 2]);
         self.level.push(0);
         self.reason.push(NO_REASON);
-        self.activity.push(0.0);
         self.decision.push(true);
         self.occurs.push(0);
         self.saved_phase.push(self.config.default_phase);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.heap.insert(v, &self.activity);
+        self.queue.grow();
+        self.queue.push(v, true);
         v
     }
 
@@ -656,52 +678,56 @@ impl Solver {
             return false;
         }
         debug_assert_eq!(self.decision_level(), 0, "add_clause at root only");
-        let mut clause: Vec<Lit> = lits.into_iter().collect();
-        for l in &clause {
-            self.reserve_vars(l.var().index() + 1);
+        // Sort, dedup and root-simplify in a reused buffer.
+        let mut clause = std::mem::take(&mut self.add_buf);
+        clause.clear();
+        clause.extend(lits);
+        if let Some(top) = clause.iter().map(|l| l.var().index()).max() {
+            self.reserve_vars(top + 1);
         }
         clause.sort_unstable();
         clause.dedup();
-        // Tautology / root-level simplification.
-        let mut simplified = Vec::with_capacity(clause.len());
-        for &l in &clause {
-            if clause.binary_search(&!l).is_ok() {
-                return true; // tautology: l and !l both present
-            }
-            match self.value_lit(l) {
-                LBool::True => return true, // already satisfied at root
-                LBool::False => continue,
-                LBool::Undef => simplified.push(l),
-            }
-        }
-        match simplified.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                self.enqueue(simplified[0], NO_REASON);
-                if self.propagate().is_some() {
+        // Sorted, so `l` and `!l` are neighbours: a tautology or a root-true
+        // literal satisfies the clause; root-false literals drop out.
+        let satisfied = clause.windows(2).any(|w| w[0].var() == w[1].var())
+            || clause.iter().any(|&l| self.value_lit(l) == LBool::True);
+        clause.retain(|&l| self.value_lit(l) == LBool::Undef);
+        let ok = if satisfied {
+            true
+        } else {
+            match clause.len() {
+                0 => {
                     self.ok = false;
+                    false
                 }
-                self.ok
+                1 => {
+                    self.enqueue(clause[0], NO_REASON);
+                    if self.propagate().is_some() {
+                        self.ok = false;
+                    }
+                    self.ok
+                }
+                _ => {
+                    self.attach_clause(&clause, false, 0);
+                    true
+                }
             }
-            _ => {
-                self.attach_clause(simplified, false, 0);
-                true
-            }
-        }
+        };
+        self.add_buf = clause;
+        ok
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> u32 {
-        for &l in &lits {
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> u32 {
+        for &l in lits {
             let v = l.var();
             self.occurs[v.index()] += 1;
             if !self.decision[v.index()] {
+                debug_assert!(
+                    self.value_var(v) == LBool::Undef || self.level[v.index()] > 0,
+                    "a root-fixed variable is never named again"
+                );
                 self.decision[v.index()] = true;
-                if self.value_var(v) == LBool::Undef {
-                    self.heap.insert(v, &self.activity);
-                }
+                self.queue.push(v, self.value_var(v) == LBool::Undef);
             }
         }
         if !learnt {
@@ -726,7 +752,7 @@ impl Solver {
             deleted: false,
             activity: 0.0,
         });
-        self.arena.extend_from_slice(&lits);
+        self.arena.extend_from_slice(lits);
         idx
     }
 
@@ -833,17 +859,6 @@ impl Solver {
         None
     }
 
-    fn bump_var(&mut self, v: Var) {
-        self.activity[v.index()] += self.var_inc;
-        if self.activity[v.index()] > 1e100 {
-            for a in &mut self.activity {
-                *a *= 1e-100;
-            }
-            self.var_inc *= 1e-100;
-        }
-        self.heap.bumped(v, &self.activity);
-    }
-
     fn bump_clause(&mut self, ci: usize) {
         self.clauses[ci].activity += self.cla_inc;
         if self.clauses[ci].activity > 1e20 {
@@ -877,7 +892,6 @@ impl Solver {
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
                     to_clear.push(v);
-                    self.bump_var(v);
                     if self.level[v.index()] >= current {
                         path_count += 1;
                     } else {
@@ -934,9 +948,17 @@ impl Solver {
         levels.dedup();
         let lbd = levels.len() as u32;
 
-        // Clear seen flags (everything set during this analysis).
-        for v in to_clear {
+        // Clear seen flags (everything set during this analysis), and
+        // move the analyzed variables to the front of the decision queue
+        // in their old order.
+        for &v in &to_clear {
             self.seen[v.index()] = false;
+        }
+        if self.config.dynamic_order {
+            to_clear.sort_unstable_by_key(|v| self.queue.stamp[v.index()]);
+            for &v in &to_clear {
+                self.queue.bump(v);
+            }
         }
 
         // Backjump level: highest level among learnt[1..].
@@ -968,8 +990,8 @@ impl Solver {
             }
             self.values[l.index()] = LBool::Undef;
             self.values[(!l).index()] = LBool::Undef;
-            if !self.heap.contains(v) {
-                self.heap.insert(v, &self.activity);
+            if self.decision[v.index()] {
+                self.queue.unassigned(v);
             }
         }
         self.trail.truncate(bound);
@@ -978,18 +1000,23 @@ impl Solver {
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
-        if self.config.vsids {
-            // Demoted variables are dropped as they surface.
-            while let Some(v) = self.heap.pop_max(&self.activity) {
-                if self.decision[v.index()] && self.value_var(v) == LBool::Undef {
-                    return Some(v);
-                }
-            }
-            None
+        if self.config.dynamic_order {
+            let values = &self.values;
+            self.queue
+                .next_unassigned(|v| values[Var::new(v).positive().index()] != LBool::Undef)
         } else {
             (0..self.num_vars())
                 .map(Var::new)
                 .find(|&v| self.decision[v.index()] && self.value_var(v) == LBool::Undef)
+        }
+    }
+
+    /// Takes `v` out of the decision queue for good, until a clause
+    /// naming it is attached.
+    fn demote(&mut self, v: Var) {
+        if self.decision[v.index()] {
+            self.decision[v.index()] = false;
+            self.queue.remove(v);
         }
     }
 
@@ -1000,11 +1027,10 @@ impl Solver {
     fn delete_clause(&mut self, ci: usize) {
         self.clauses[ci].deleted = true;
         for slot in self.slots(ci) {
-            let v = self.arena[slot].var().index();
-            self.occurs[v] -= 1;
-            if self.occurs[v] == 0 {
-                // Lazily dropped from the heap by `pick_branch_var`.
-                self.decision[v] = false;
+            let v = self.arena[slot].var();
+            self.occurs[v.index()] -= 1;
+            if self.occurs[v.index()] == 0 {
+                self.demote(v);
             }
         }
         if self.clauses[ci].learnt {
@@ -1056,9 +1082,12 @@ impl Solver {
             }
         }
         // A root reason is never expanded, and it is satisfied by the
-        // literal it implied, so it was just deleted.
-        for &l in &self.trail[self.simplified_trail..] {
-            self.reason[l.var().index()] = NO_REASON;
+        // literal it implied, so it was just deleted. A root-fixed
+        // variable is never decided again either.
+        for i in self.simplified_trail..self.trail.len() {
+            let v = self.trail[i].var();
+            self.reason[v.index()] = NO_REASON;
+            self.demote(v);
         }
         self.simplified_trail = self.trail.len();
         dirty.sort_unstable();
@@ -1219,7 +1248,6 @@ impl Solver {
                 // UNSAT-under-assumptions (MiniSat semantics).
                 let (learnt, bt, lbd) = self.analyze(confl);
                 self.learn_and_jump(learnt, bt, lbd);
-                self.var_inc /= self.config.vsids_decay;
                 self.cla_inc /= 0.999;
                 if self.budget_exhausted() {
                     self.backtrack_to(0);
@@ -1280,7 +1308,7 @@ impl Solver {
                         debug_assert!(
                             (0..self.num_vars()).all(|i| !self.decision[i]
                                 || self.value_var(Var::new(i)) != LBool::Undef),
-                            "an unassigned decision variable was missing from the heap"
+                            "an unassigned decision variable was missing from the queue"
                         );
                         // Full assignment: record model (non-decision
                         // variables read `false`).
@@ -1319,7 +1347,7 @@ impl Solver {
         if learnt.len() == 1 {
             self.enqueue(asserting, NO_REASON);
         } else {
-            let ci = self.attach_clause(learnt, true, lbd);
+            let ci = self.attach_clause(&learnt, true, lbd);
             self.stats.learned += 1;
             self.enqueue(asserting, ci);
         }
@@ -1508,6 +1536,96 @@ mod tests {
                 (true, Outcome::Sat) => assert!(cnf.is_satisfied_by(s.model())),
                 (false, Outcome::Unsat) => {}
                 other => panic!("trial {trial}: mismatch {other:?}"),
+            }
+        }
+    }
+
+    /// A random clause of 1–3 literals over variables `0..n`.
+    fn random_clause(rng: &mut StdRng, n: usize) -> Vec<Lit> {
+        let len = rng.gen_range(1..=3);
+        (0..len)
+            .map(|_| Lit::new(rng.gen_range(0..n), rng.gen()))
+            .collect()
+    }
+
+    #[test]
+    fn incremental_solves_agree_with_brute_force() {
+        // One solver per trial, driven through clause additions, solves
+        // under assumptions and guarded groups retired by a unit `¬g`.
+        // Every verdict is checked against enumeration of the live
+        // clauses and every model against them. Variables `a` and `b` are
+        // named only by the first guarded group, so its retirement demotes
+        // them (unlinking them from the decision queue), and a later
+        // clause `a ∨ b` must link them back.
+        let mut rng = StdRng::seed_from_u64(7);
+        for trial in 0..40 {
+            let n = rng.gen_range(4..9usize);
+            let (a, b) = (Var::new(n), Var::new(n + 1));
+            let mut s = Solver::new();
+            let mut live = Cnf::new();
+            let add = |s: &mut Solver, live: &mut Cnf, clause: Vec<Lit>| {
+                s.add_clause(clause.iter().copied());
+                live.add_clause(clause);
+            };
+            for _ in 0..rng.gen_range(1..2 * n) {
+                let c = random_clause(&mut rng, n);
+                add(&mut s, &mut live, c);
+            }
+            let mut guard = Var::new(n + 2);
+            let mut next_var = n + 3;
+            for c in [
+                vec![a.positive(), b.positive()],
+                vec![a.negative(), b.negative()],
+            ] {
+                let x = Lit::new(rng.gen_range(0..n), rng.gen());
+                add(&mut s, &mut live, [c, vec![x, guard.negative()]].concat());
+            }
+            for step in 0..14 {
+                match step {
+                    // Retire the first group; `a` and `b` lose every clause.
+                    4 => {
+                        add(&mut s, &mut live, vec![guard.negative()]);
+                        guard = Var::new(next_var);
+                        next_var += 1;
+                    }
+                    // Name the demoted pair again.
+                    7 => {
+                        let x = Lit::new(rng.gen_range(0..n), rng.gen());
+                        add(&mut s, &mut live, vec![a.positive(), b.positive()]);
+                        add(&mut s, &mut live, vec![a.negative(), b.negative(), x]);
+                    }
+                    // A retirement of whatever the live guard covers.
+                    10 => {
+                        add(&mut s, &mut live, vec![guard.negative()]);
+                        guard = Var::new(next_var);
+                        next_var += 1;
+                    }
+                    _ => {
+                        let mut c = random_clause(&mut rng, n);
+                        if rng.gen() {
+                            c.push(guard.negative());
+                        }
+                        add(&mut s, &mut live, c);
+                    }
+                }
+                let mut assumptions = vec![guard.positive()];
+                for _ in 0..rng.gen_range(0..3) {
+                    assumptions.push(Lit::new(rng.gen_range(0..n), rng.gen()));
+                }
+                let mut constrained = live.clone();
+                constrained.reserve_vars(next_var);
+                for &l in &assumptions {
+                    constrained.add_clause([l]);
+                }
+                let expect = brute_force_sat(&constrained);
+                match (expect, s.solve_with_assumptions(&assumptions)) {
+                    (true, Outcome::Sat) => assert!(
+                        constrained.is_satisfied_by(&s.model()[..constrained.num_vars()]),
+                        "trial {trial}, step {step}: model violates a live clause"
+                    ),
+                    (false, Outcome::Unsat) => {}
+                    other => panic!("trial {trial}, step {step}: mismatch {other:?}"),
+                }
             }
         }
     }

@@ -82,7 +82,7 @@ pub fn encode_netlist_into(
             .iter()
             .map(|n| vars[n.index()].positive())
             .collect();
-        encode_gate(cnf, gate.kind(), out, &ins, None)?;
+        encode_gate(cnf, gate.kind(), out, &ins)?;
     }
     // Sanity: every net consumed by a gate or output must be driven or PI.
     for (_, gate) in nl.gates() {
@@ -126,7 +126,7 @@ pub fn encode_selected(
             .iter()
             .map(|&n| var_of(cnf, &mut map, n).positive())
             .collect();
-        encode_gate(cnf, gate.kind(), out, &ins, None)?;
+        encode_gate(cnf, gate.kind(), out, &ins)?;
     }
     Ok(map)
 }
@@ -156,77 +156,88 @@ pub fn encode_netlist(nl: &Netlist) -> Result<(Cnf, CircuitVars), TseitinError> 
     Ok((cnf, vars))
 }
 
-/// Emits the clause group for one gate, `out ↔ kind(ins)`. With a
-/// `guard`, every clause also carries `¬guard`, so the group binds only
-/// while `guard` holds and is satisfied at the root once `¬guard` is.
+/// Where an encoder writes its variables and clauses: a [`Cnf`] being
+/// built up, or a live [`crate::Session`] that takes them straight into
+/// its solver.
+pub trait ClauseSink {
+    /// Allocates a fresh variable.
+    fn new_var(&mut self) -> Var;
+    /// Adds a clause.
+    fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>);
+}
+
+impl ClauseSink for Cnf {
+    fn new_var(&mut self) -> Var {
+        Cnf::new_var(self)
+    }
+
+    fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
+        Cnf::add_clause(self, lits);
+    }
+}
+
+/// Emits the clause group for one gate, `out ↔ kind(ins)`, into `sink`
+/// (XOR chains allocate their auxiliary variables there too).
 ///
 /// # Errors
 ///
 /// Returns [`TseitinError::Sequential`] for a DFF.
 pub fn encode_gate(
-    cnf: &mut Cnf,
+    sink: &mut impl ClauseSink,
     kind: GateKind,
     out: Lit,
     ins: &[Lit],
-    guard: Option<Lit>,
 ) -> Result<(), TseitinError> {
-    let add = |cnf: &mut Cnf, lits: &[Lit]| {
-        cnf.add_clause(lits.iter().copied().chain(guard.map(|g| !g)));
-    };
     match kind {
         GateKind::Buf => {
-            add(cnf, &[!out, ins[0]]);
-            add(cnf, &[out, !ins[0]]);
+            sink.add_clause([!out, ins[0]]);
+            sink.add_clause([out, !ins[0]]);
         }
         GateKind::Not => {
-            add(cnf, &[!out, !ins[0]]);
-            add(cnf, &[out, ins[0]]);
+            sink.add_clause([!out, !ins[0]]);
+            sink.add_clause([out, ins[0]]);
         }
         GateKind::And | GateKind::Nand => {
             let o = if kind == GateKind::And { out } else { !out };
             for &i in ins {
-                add(cnf, &[!o, i]);
+                sink.add_clause([!o, i]);
             }
-            let mut big: Vec<Lit> = ins.iter().map(|&i| !i).collect();
-            big.push(o);
-            add(cnf, &big);
+            sink.add_clause(ins.iter().map(|&i| !i).chain([o]));
         }
         GateKind::Or | GateKind::Nor => {
             let o = if kind == GateKind::Or { out } else { !out };
             for &i in ins {
-                add(cnf, &[o, !i]);
+                sink.add_clause([o, !i]);
             }
-            let mut big: Vec<Lit> = ins.to_vec();
-            big.push(!o);
-            add(cnf, &big);
+            sink.add_clause(ins.iter().copied().chain([!o]));
         }
         GateKind::Xor | GateKind::Xnor => {
             // Chain pairwise with auxiliary variables.
             let mut acc = ins[0];
             for &i in &ins[1..] {
-                let t = cnf.new_var().positive();
-                add(cnf, &[!t, acc, i]);
-                add(cnf, &[!t, !acc, !i]);
-                add(cnf, &[t, !acc, i]);
-                add(cnf, &[t, acc, !i]);
+                let t = sink.new_var().positive();
+                sink.add_clause([!t, acc, i]);
+                sink.add_clause([!t, !acc, !i]);
+                sink.add_clause([t, !acc, i]);
+                sink.add_clause([t, acc, !i]);
                 acc = t;
             }
             let o = if kind == GateKind::Xor { out } else { !out };
-            add(cnf, &[!o, acc]);
-            add(cnf, &[o, !acc]);
+            sink.add_clause([!o, acc]);
+            sink.add_clause([o, !acc]);
         }
         GateKind::Mux => {
             let (s, a, b) = (ins[0], ins[1], ins[2]);
-            add(cnf, &[s, !a, out]);
-            add(cnf, &[s, a, !out]);
-            add(cnf, &[!s, !b, out]);
-            add(cnf, &[!s, b, !out]);
+            sink.add_clause([s, !a, out]);
+            sink.add_clause([s, a, !out]);
+            sink.add_clause([!s, !b, out]);
+            sink.add_clause([!s, b, !out]);
             // Redundant but propagation-strengthening clauses.
-            add(cnf, &[!a, !b, out]);
-            add(cnf, &[a, b, !out]);
+            sink.add_clause([!a, !b, out]);
+            sink.add_clause([a, b, !out]);
         }
-        GateKind::Const0 => add(cnf, &[!out]),
-        GateKind::Const1 => add(cnf, &[out]),
+        GateKind::Const0 => sink.add_clause([!out]),
+        GateKind::Const1 => sink.add_clause([out]),
         GateKind::Lut2(tt) => {
             let (a, b) = (ins[0], ins[1]);
             for idx in 0..4u8 {
@@ -236,7 +247,7 @@ pub fn encode_gate(
                 // (a = av ∧ b = bv) → o
                 let la = if av { !a } else { a };
                 let lb = if bv { !b } else { b };
-                add(cnf, &[la, lb, o]);
+                sink.add_clause([la, lb, o]);
             }
         }
         GateKind::Dff => return Err(TseitinError::Sequential),
@@ -351,14 +362,7 @@ mod tests {
         // agree — the miter XOR must be UNSAT.
         let out = nl.outputs()[0];
         let miter = cnf.new_var().positive();
-        encode_gate(
-            &mut cnf,
-            GateKind::Xor,
-            miter,
-            &[v1.lit(out), v2.lit(out)],
-            None,
-        )
-        .unwrap();
+        encode_gate(&mut cnf, GateKind::Xor, miter, &[v1.lit(out), v2.lit(out)]).unwrap();
         cnf.add_clause([miter]);
         let mut solver = Solver::from_cnf(&cnf);
         assert_eq!(solver.solve(), Outcome::Unsat);

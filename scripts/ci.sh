@@ -9,6 +9,9 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
+echo "== benchmark suite (perfbench builds against the workspace crates by path) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== formatting =="
 cargo fmt --all --check
 
