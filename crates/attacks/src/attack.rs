@@ -5,16 +5,12 @@
 //! free-function entry point with its own config struct. This module puts
 //! one surface over all of them: [`AttackKind`] names an attack,
 //! [`AttackConfig`] carries every knob any of them understands (including
-//! the shared [`SolverConfig`], and with it the portfolio `threads`
-//! setting), the [`Attack`] trait runs one, and [`run_attack`] dispatches
-//! by kind. Every attack returns the same [`AttackOutcome`], so the bench
+//! the shared [`SolverConfig`]), and [`run_attack`] runs the one a kind
+//! names. Every attack returns the same [`AttackOutcome`], so the bench
 //! drivers iterate over kinds instead of special-casing call signatures.
-//!
-//! The pre-0.4 per-attack entry points (`run_sat_attack`, `run_appsat`,
-//! `scansat_attack`, `removal_attack`) are gone; the oracle-level drivers
-//! (`satattack::sat_attack`, `appsat::appsat_attack`,
-//! `scansat::scansat_model_attack`) stay at their module paths for callers
-//! that bring their own oracle.
+//! The oracle-level drivers (`satattack::sat_attack`,
+//! `appsat::appsat_attack`, `scansat::scansat_model_attack`) stay at their
+//! module paths for callers that bring their own oracle.
 
 use crate::appsat::{run_appsat_impl, AppSatConfig};
 use crate::removal::{removal_attack_impl, RemovalReport};
@@ -23,7 +19,7 @@ use crate::satattack::{default_timeout, run_sat_attack_impl, SatAttackConfig};
 use crate::scansat::scansat_attack_impl;
 use ril_core::LockedCircuit;
 use ril_netlist::NetlistError;
-use ril_sat::{SolverConfig, SolverStats, MAX_SOLVER_THREADS};
+use ril_sat::{SolverConfig, SolverStats};
 use std::time::{Duration, Instant};
 
 /// The attacks of the paper's Table III, by name.
@@ -80,7 +76,6 @@ pub struct AttackConfig {
     /// Maximum DIP iterations (SAT / AppSAT / ScanSAT).
     pub max_iterations: Option<usize>,
     /// Backend solver configuration, shared by every SAT-based attack.
-    /// `solver.threads > 1` races a diversified portfolio per solve.
     pub solver: SolverConfig,
     /// RNG seed (AppSAT's random queries, removal's scoring patterns).
     pub seed: u64,
@@ -102,14 +97,10 @@ pub struct AttackConfig {
 impl Default for AttackConfig {
     fn default() -> AttackConfig {
         let appsat = AppSatConfig::default();
-        let solver = SolverConfig {
-            threads: default_solver_threads(),
-            ..SolverConfig::default()
-        };
         AttackConfig {
             timeout: Some(default_timeout()),
             max_iterations: None,
-            solver,
+            solver: SolverConfig::default(),
             seed: appsat.seed,
             one_hot_routing: false,
             dip_batch: SatAttackConfig::default().dip_batch,
@@ -148,167 +139,58 @@ impl AttackConfig {
     }
 }
 
-/// The default solver worker count: the `RIL_SOLVER_THREADS` environment
-/// variable, leniently parsed like [`default_timeout`] parses
-/// `RIL_TIMEOUT_SECS` (missing/unparsable values fall back to 1, valid
-/// ones are clamped to `1..=`[`MAX_SOLVER_THREADS`]).
-pub fn default_solver_threads() -> usize {
-    std::env::var("RIL_SOLVER_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .map(|n| n.clamp(1, MAX_SOLVER_THREADS))
-        .unwrap_or(1)
-}
-
 /// What any attack produces: the common [`AttackReport`] plus any
 /// attack-specific extras.
 #[derive(Debug, Clone)]
 pub struct AttackOutcome {
     /// Which attack ran.
     pub kind: AttackKind,
-    /// The canonical report (for removal this is synthesized — see
-    /// [`RemovalAttack`]).
+    /// The canonical report (for removal this is synthesized from the
+    /// native [`RemovalReport`]).
     pub report: AttackReport,
     /// The full removal report, when [`AttackOutcome::kind`] is
     /// [`AttackKind::Removal`].
     pub removal: Option<RemovalReport>,
 }
 
-/// One oracle-guided (or structural) adversary behind the unified API.
-pub trait Attack {
-    /// Which [`AttackKind`] this adversary implements.
-    fn kind(&self) -> AttackKind;
-
-    /// Runs the attack on a locked circuit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates netlist/simulator construction failures.
-    fn run(
-        &self,
-        locked: &LockedCircuit,
-        cfg: &AttackConfig,
-    ) -> Result<AttackOutcome, NetlistError>;
-}
-
-/// The exact SAT attack behind the [`Attack`] trait.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SatAttack;
-
-impl Attack for SatAttack {
-    fn kind(&self) -> AttackKind {
-        AttackKind::Sat
-    }
-
-    fn run(
-        &self,
-        locked: &LockedCircuit,
-        cfg: &AttackConfig,
-    ) -> Result<AttackOutcome, NetlistError> {
-        let report = run_sat_attack_impl(locked, &cfg.sat_config())?;
-        Ok(AttackOutcome {
-            kind: AttackKind::Sat,
-            report,
-            removal: None,
-        })
-    }
-}
-
-/// AppSAT behind the [`Attack`] trait.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AppSatAttack;
-
-impl Attack for AppSatAttack {
-    fn kind(&self) -> AttackKind {
-        AttackKind::AppSat
-    }
-
-    fn run(
-        &self,
-        locked: &LockedCircuit,
-        cfg: &AttackConfig,
-    ) -> Result<AttackOutcome, NetlistError> {
-        let report = run_appsat_impl(locked, &cfg.appsat_config())?;
-        Ok(AttackOutcome {
-            kind: AttackKind::AppSat,
-            report,
-            removal: None,
-        })
-    }
-}
-
-/// ScanSAT behind the [`Attack`] trait.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScanSatAttack;
-
-impl Attack for ScanSatAttack {
-    fn kind(&self) -> AttackKind {
-        AttackKind::ScanSat
-    }
-
-    fn run(
-        &self,
-        locked: &LockedCircuit,
-        cfg: &AttackConfig,
-    ) -> Result<AttackOutcome, NetlistError> {
-        let report = scansat_attack_impl(locked, &cfg.sat_config())?;
-        Ok(AttackOutcome {
-            kind: AttackKind::ScanSat,
-            report,
-            removal: None,
-        })
-    }
-}
-
-/// Removal+bypass behind the [`Attack`] trait.
+/// Runs removal+bypass and synthesizes its canonical report.
 ///
 /// Removal is structural, not oracle-guided, so its native result is a
-/// [`RemovalReport`]. The adapter synthesizes the canonical report —
-/// success (an empty [`AttackResult::ExactKey`]: removal recovers a
-/// circuit, not a key) only when the exact miter proved the salvage
-/// equivalent, otherwise [`AttackResult::Failed`] carrying the sampled
-/// error rate — and keeps the full native report in
-/// [`AttackOutcome::removal`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RemovalAttack;
-
-impl Attack for RemovalAttack {
-    fn kind(&self) -> AttackKind {
-        AttackKind::Removal
-    }
-
-    fn run(
-        &self,
-        locked: &LockedCircuit,
-        cfg: &AttackConfig,
-    ) -> Result<AttackOutcome, NetlistError> {
-        let start = Instant::now();
-        let removal = removal_attack_impl(locked, cfg.patterns, cfg.seed)?;
-        let exact = removal.exact_equivalent;
-        let result = if exact == Some(true) {
-            AttackResult::ExactKey(Vec::new())
-        } else {
-            AttackResult::Failed(format!(
-                "salvaged netlist is not equivalent (sampled error rate {:.4})",
-                removal.error_rate
-            ))
-        };
-        let report = AttackReport {
-            result,
-            wall: start.elapsed(),
-            iterations: 0,
-            oracle_queries: 0,
-            functionally_correct: exact,
-            miter_stats: SolverStats::default(),
-            finder_stats: SolverStats::default(),
-            iteration_stats: Vec::new(),
-        };
-        Ok(AttackOutcome {
-            kind: AttackKind::Removal,
-            report,
-            removal: Some(removal),
-        })
-    }
+/// [`RemovalReport`]. The canonical report claims success (an empty
+/// [`AttackResult::ExactKey`]: removal recovers a circuit, not a key) only
+/// when the exact miter proved the salvage equivalent, and otherwise
+/// [`AttackResult::Failed`] carrying the sampled error rate. The full
+/// native report rides along in [`AttackOutcome::removal`].
+fn removal_outcome(
+    locked: &LockedCircuit,
+    cfg: &AttackConfig,
+) -> Result<AttackOutcome, NetlistError> {
+    let start = Instant::now();
+    let removal = removal_attack_impl(locked, cfg.patterns, cfg.seed)?;
+    let exact = removal.exact_equivalent;
+    let result = if exact == Some(true) {
+        AttackResult::ExactKey(Vec::new())
+    } else {
+        AttackResult::Failed(format!(
+            "salvaged netlist is not equivalent (sampled error rate {:.4})",
+            removal.error_rate
+        ))
+    };
+    let report = AttackReport {
+        result,
+        wall: start.elapsed(),
+        iterations: 0,
+        oracle_queries: 0,
+        functionally_correct: exact,
+        miter_stats: SolverStats::default(),
+        finder_stats: SolverStats::default(),
+        iteration_stats: Vec::new(),
+    };
+    Ok(AttackOutcome {
+        kind: AttackKind::Removal,
+        report,
+        removal: Some(removal),
+    })
 }
 
 /// Runs the attack named by `kind` — the canonical entry point of the
@@ -322,12 +204,17 @@ pub fn run_attack(
     locked: &LockedCircuit,
     cfg: &AttackConfig,
 ) -> Result<AttackOutcome, NetlistError> {
-    match kind {
-        AttackKind::Sat => SatAttack.run(locked, cfg),
-        AttackKind::AppSat => AppSatAttack.run(locked, cfg),
-        AttackKind::ScanSat => ScanSatAttack.run(locked, cfg),
-        AttackKind::Removal => RemovalAttack.run(locked, cfg),
-    }
+    let report = match kind {
+        AttackKind::Sat => run_sat_attack_impl(locked, &cfg.sat_config())?,
+        AttackKind::AppSat => run_appsat_impl(locked, &cfg.appsat_config())?,
+        AttackKind::ScanSat => scansat_attack_impl(locked, &cfg.sat_config())?,
+        AttackKind::Removal => return removal_outcome(locked, cfg),
+    };
+    Ok(AttackOutcome {
+        kind,
+        report,
+        removal: None,
+    })
 }
 
 #[cfg(test)]
@@ -398,18 +285,34 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_config_matches_sequential_outcome() {
+    fn sat_attack_is_deterministic() {
+        // One engine, one decision order: rerunning the same attack must
+        // replay the same search, solve by solve.
         let host = generators::adder(8);
         let locked = Obfuscator::new(RilBlockSpec::size_2x2())
             .blocks(2)
             .seed(5)
             .obfuscate(&host)
             .unwrap();
-        let mut cfg = fast_cfg();
-        cfg.solver.threads = 4;
-        let portfolio = run_attack(AttackKind::Sat, &locked, &cfg).unwrap();
-        assert!(portfolio.report.result.succeeded(), "{}", portfolio.report);
-        assert_eq!(portfolio.report.functionally_correct, Some(true));
+        let cfg = fast_cfg();
+        let first = run_attack(AttackKind::Sat, &locked, &cfg).unwrap().report;
+        let second = run_attack(AttackKind::Sat, &locked, &cfg).unwrap().report;
+        assert!(first.result.key().is_some(), "{first}");
+        assert_eq!(first.result.key(), second.result.key());
+        assert_eq!(first.iterations, second.iterations);
+        let searches = |r: &AttackReport| -> Vec<(u64, u64, u64)> {
+            r.iteration_stats
+                .iter()
+                .map(|it| {
+                    (
+                        it.stats.conflicts,
+                        it.stats.decisions,
+                        it.stats.propagations,
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(searches(&first), searches(&second));
     }
 
     #[test]
@@ -423,11 +326,5 @@ mod tests {
         assert_eq!(removal.exact_equivalent, Some(false));
         assert!(matches!(outcome.report.result, AttackResult::Failed(_)));
         assert_eq!(outcome.report.functionally_correct, Some(false));
-    }
-
-    #[test]
-    fn default_solver_threads_is_valid() {
-        let n = default_solver_threads();
-        assert!((1..=MAX_SOLVER_THREADS).contains(&n));
     }
 }

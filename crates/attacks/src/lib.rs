@@ -17,10 +17,10 @@
 //!
 //! ## Quickstart
 //!
-//! Every attack runs behind the unified [`Attack`] API ([`attack`]
-//! module): pick an [`AttackKind`], fill an [`AttackConfig`] (one struct
-//! for all four attacks, including the solver portfolio `threads` knob),
-//! and dispatch with [`run_attack`].
+//! Every attack runs behind the unified API of the [`attack`] module:
+//! pick an [`AttackKind`], fill an [`AttackConfig`] (one struct for all
+//! four attacks, including the shared solver configuration), and run it
+//! with [`run_attack`].
 //!
 //! ```
 //! use ril_attacks::prelude::*;
@@ -57,10 +57,7 @@ pub mod scansat;
 mod session;
 
 pub use appsat::AppSatConfig;
-pub use attack::{
-    default_solver_threads, run_attack, AppSatAttack, Attack, AttackConfig, AttackKind,
-    AttackOutcome, RemovalAttack, SatAttack, ScanSatAttack,
-};
+pub use attack::{run_attack, AttackConfig, AttackKind, AttackOutcome};
 pub use oracle::{attacker_view, Oracle, OracleError, OracleSource};
 // The lane-packed batch carriers every `OracleSource` speaks, re-exported
 // so oracle implementors need not depend on `ril-netlist` directly.

@@ -1,12 +1,9 @@
 //! One-line import for attack drivers:
-//! `use ril_attacks::prelude::*;` brings in the unified [`Attack`] API,
+//! `use ril_attacks::prelude::*;` brings in the unified [`run_attack`] API,
 //! the per-attack config structs it projects onto, and the report types.
 
 pub use crate::appsat::AppSatConfig;
-pub use crate::attack::{
-    default_solver_threads, run_attack, AppSatAttack, Attack, AttackConfig, AttackKind,
-    AttackOutcome, RemovalAttack, SatAttack, ScanSatAttack,
-};
+pub use crate::attack::{run_attack, AttackConfig, AttackKind, AttackOutcome};
 pub use crate::oracle::{attacker_view, Oracle, OracleError, OracleSource};
 pub use crate::removal::RemovalReport;
 pub use crate::report::{AttackReport, AttackResult, IterationStats};

@@ -21,10 +21,6 @@ pub struct RunConfig {
     /// Sweep worker threads (`RIL_THREADS`, default: available
     /// parallelism).
     pub threads: usize,
-    /// SAT-solver portfolio workers per solve (`RIL_SOLVER_THREADS`,
-    /// default 1 = sequential; capped at
-    /// [`ril_sat::MAX_SOLVER_THREADS`]).
-    pub solver_threads: usize,
     /// Output directory for tables, manifests, events and the cell cache
     /// (`RIL_OUT_DIR`, default `exp_out`).
     pub out_dir: PathBuf,
@@ -73,7 +69,6 @@ impl Default for RunConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            solver_threads: 1,
             out_dir: PathBuf::from("exp_out"),
             table1_full: false,
             mc_instances: 100,
@@ -124,28 +119,6 @@ impl RunConfig {
                 });
             }
             cfg.threads = n;
-        }
-        if let Some(v) = read_env("RIL_SOLVER_THREADS") {
-            let n: usize = v.parse().map_err(|_| ConfigError {
-                var: "RIL_SOLVER_THREADS",
-                value: v.clone(),
-                reason: "expected a positive integer solver worker count",
-            })?;
-            if n == 0 {
-                return Err(ConfigError {
-                    var: "RIL_SOLVER_THREADS",
-                    value: v,
-                    reason: "must be at least 1",
-                });
-            }
-            if n > ril_sat::MAX_SOLVER_THREADS {
-                return Err(ConfigError {
-                    var: "RIL_SOLVER_THREADS",
-                    value: v,
-                    reason: "exceeds ril_sat::MAX_SOLVER_THREADS (16)",
-                });
-            }
-            cfg.solver_threads = n;
         }
         if let Some(v) = read_env("RIL_OUT_DIR") {
             cfg.out_dir = PathBuf::from(v);
@@ -201,20 +174,6 @@ impl RunConfig {
         Ok(cfg)
     }
 
-    /// The per-attack wall-clock budget after oversubscription
-    /// compensation. A portfolio racing more workers than the machine
-    /// has cores gives each worker only a `1/factor` time-slice of the
-    /// wall clock; stretching the deadline by that factor keeps the
-    /// *per-worker effort* that `timeout` promises constant across
-    /// hardware, so portfolio and sequential runs reach the same
-    /// verdicts everywhere. With `solver_threads` ≤ available cores the
-    /// factor is 1 and this is exactly [`RunConfig::timeout`].
-    pub fn attack_timeout(&self) -> Duration {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let factor = self.solver_threads.div_ceil(cores).max(1);
-        self.timeout * factor as u32
-    }
-
     /// Applies the `--smoke` caps: per-cell budget ≤ 3 s, ≤ 20 MC
     /// instances, never the full Table I row set. Experiments additionally
     /// shrink their own sweeps when `smoke` is set.
@@ -229,10 +188,9 @@ impl RunConfig {
     /// The configuration as a JSON object, for manifests.
     pub fn to_json(&self) -> String {
         format!(
-            r#"{{"timeout_s":{},"threads":{},"solver_threads":{},"out_dir":"{}","table1_full":{},"mc_instances":{},"smoke":{},"use_cache":{},"log_level":"{}","trace":{}}}"#,
+            r#"{{"timeout_s":{},"threads":{},"out_dir":"{}","table1_full":{},"mc_instances":{},"smoke":{},"use_cache":{},"log_level":"{}","trace":{}}}"#,
             self.timeout.as_secs_f64(),
             self.threads,
-            self.solver_threads,
             ril_attacks::json::escape(&self.out_dir.display().to_string()),
             self.table1_full,
             self.mc_instances,
@@ -260,7 +218,6 @@ mod tests {
         let cfg = RunConfig::default();
         assert_eq!(cfg.timeout, Duration::from_secs(60));
         assert!(cfg.threads >= 1);
-        assert_eq!(cfg.solver_threads, 1);
         assert!(cfg.use_cache);
         assert!(!cfg.smoke);
     }
@@ -291,29 +248,10 @@ mod tests {
     }
 
     #[test]
-    fn attack_timeout_compensates_oversubscription() {
-        let sequential = RunConfig::default();
-        assert_eq!(sequential.attack_timeout(), sequential.timeout);
-
-        let portfolio = RunConfig {
-            solver_threads: 4,
-            ..RunConfig::default()
-        };
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let factor = 4usize.div_ceil(cores).max(1);
-        assert_eq!(
-            portfolio.attack_timeout(),
-            portfolio.timeout * factor as u32
-        );
-        assert!(portfolio.attack_timeout() >= portfolio.timeout);
-    }
-
-    #[test]
     fn config_json_parses_back() {
         let cfg = RunConfig::default();
         let v = ril_attacks::json::JsonValue::parse(&cfg.to_json()).unwrap();
         assert_eq!(v.get("timeout_s").unwrap().as_f64(), Some(60.0));
-        assert_eq!(v.get("solver_threads").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("use_cache").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("log_level").unwrap().as_str(), Some("note"));
         assert_eq!(v.get("trace").unwrap().as_bool(), Some(true));

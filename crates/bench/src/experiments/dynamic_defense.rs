@@ -68,8 +68,7 @@ fn attack_cell(
         .field("blocks", design.blocks)
         .field("seed", design.seed)
         .field("morph_queries", period.map_or(0, |k| k))
-        .field("timeout_s", cfg.timeout.as_secs())
-        .field("solver_threads", cfg.solver_threads);
+        .field("timeout_s", cfg.timeout.as_secs());
     cached_outcome(
         ctx,
         &key,
@@ -92,11 +91,7 @@ fn attack_cell(
             let mut oracle = RemoteOracle::activate_with(client, &design)
                 .map_err(|e| format!("activation failed: {e}"))?;
             let a_cfg = SatAttackConfig {
-                timeout: Some(cfg.attack_timeout()),
-                solver: ril_sat::SolverConfig {
-                    threads: cfg.solver_threads,
-                    ..ril_sat::SolverConfig::default()
-                },
+                timeout: Some(cfg.timeout),
                 // Sequential DIPs: batching would let up to 64 DIPs share
                 // one pre-morph generation, shifting the sweep's
                 // iteration counts — and the monotonicity assertion and

@@ -97,11 +97,7 @@ fn encoding_cell(
     locked.netlist.validate()?;
     let mut oracle = Oracle::new(&locked)?;
     let attack_cfg = SatAttackConfig {
-        timeout: Some(cfg.attack_timeout()),
-        solver: ril_sat::SolverConfig {
-            threads: cfg.solver_threads,
-            ..ril_sat::SolverConfig::default()
-        },
+        timeout: Some(cfg.timeout),
         ..SatAttackConfig::default()
     };
     let report = sat_attack(&locked.netlist, &mut oracle, &attack_cfg);
@@ -138,8 +134,7 @@ impl Experiment for Fig1 {
                     .field("bench", "c7552")
                     .field("devices", count)
                     .field("meso", meso)
-                    .field("timeout_s", cfg.timeout.as_secs())
-                    .field("solver_threads", cfg.solver_threads);
+                    .field("timeout_s", cfg.timeout.as_secs());
                 let label = format!("{count} devices, {}", if meso { "MESO" } else { "LUT-2" });
                 let outcome =
                     cached_outcome(ctx, &key, &label, || encoding_cell(&host, count, meso, cfg))?;

@@ -41,11 +41,7 @@ impl Experiment for LutScaling {
             cfg.timeout
         ));
         let attack_cfg = AttackConfig {
-            timeout: Some(cfg.attack_timeout()),
-            solver: ril_sat::SolverConfig {
-                threads: cfg.solver_threads,
-                ..ril_sat::SolverConfig::default()
-            },
+            timeout: Some(cfg.timeout),
             ..AttackConfig::default()
         };
 
@@ -59,8 +55,7 @@ impl Experiment for LutScaling {
                 .field("luts", 4)
                 .field("m", m)
                 .field("seed", 77)
-                .field("timeout_s", cfg.timeout.as_secs())
-                .field("solver_threads", cfg.solver_threads);
+                .field("timeout_s", cfg.timeout.as_secs());
             let outcome = cached_outcome(ctx, &key, &format!("4 × LUT-{m}"), || {
                 let locked = lutm_lock(&host, 4, m, 77)?;
                 let report = run_attack(AttackKind::Sat, &locked, &attack_cfg)?.report;
@@ -103,8 +98,7 @@ impl Experiment for LutScaling {
                 .field("spec", spec.cache_token())
                 .field("blocks", blocks)
                 .field("seed", 55)
-                .field("timeout_s", cfg.timeout.as_secs())
-                .field("solver_threads", cfg.solver_threads);
+                .field("timeout_s", cfg.timeout.as_secs());
             let outcome = cached_outcome(ctx, &key, spec_str, || {
                 match Obfuscator::new(spec)
                     .blocks(blocks)

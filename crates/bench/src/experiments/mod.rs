@@ -53,11 +53,11 @@ where
 
 /// The cache key for a plain SAT-attack cell. Deliberately **not**
 /// scoped to one experiment: the identity of a cell is its full attack
-/// configuration — including the portfolio width, since a portfolio run
-/// may converge along a different DIP sequence than a sequential one —
-/// so Table V's "RIL (static)" cell and a Table I cell with the same
-/// (bench, spec, blocks, seed, timeout, solver_threads) are the same
-/// cell.
+/// configuration, so Table V's "RIL (static)" cell and a Table I cell
+/// with the same (bench, spec, blocks, seed, timeout) are the same cell.
+/// The trailing `solver_threads=1` segment is a fixed part of the format:
+/// it keeps the addresses of cells cached before the solver went
+/// single-engine.
 #[must_use]
 pub fn sat_cell_key(
     bench: &str,
@@ -65,7 +65,6 @@ pub fn sat_cell_key(
     blocks: usize,
     seed: u64,
     timeout: Duration,
-    solver_threads: usize,
 ) -> CacheKey {
     CacheKey::new("attack")
         .field("kind", "sat")
@@ -74,7 +73,7 @@ pub fn sat_cell_key(
         .field("blocks", blocks)
         .field("seed", seed)
         .field("timeout_s", timeout.as_secs())
-        .field("solver_threads", solver_threads)
+        .field("solver_threads", 1)
 }
 
 /// A cached lock-then-SAT-attack cell (the Table I / Table III work
@@ -94,7 +93,7 @@ pub fn cached_sat_cell(
     seed: u64,
     cfg: &RunConfig,
 ) -> Result<CellOutcome, ExperimentError> {
-    let key = sat_cell_key(bench, spec, blocks, seed, cfg.timeout, cfg.solver_threads);
+    let key = sat_cell_key(bench, spec, blocks, seed, cfg.timeout);
     let label = format!("{bench} {blocks}×{}", spec.cache_token());
     cached_outcome(ctx, &key, &label, || {
         Ok(crate::attack_cell_report_with(
@@ -102,8 +101,7 @@ pub fn cached_sat_cell(
             spec,
             blocks,
             seed,
-            cfg.attack_timeout(),
-            cfg.solver_threads,
+            cfg.timeout,
         ))
     })
 }

@@ -9,7 +9,7 @@
 //! pattern: 64 lanes computed, 63 thrown away. This experiment times
 //! both paths doing identical work (same patterns, same chip, same
 //! correct key), asserts the responses are bit-identical, and
-//! **hard-asserts** the [`MIN_SPEEDUP`]× floor. Cells are timed live and
+//! **hard-asserts** the 10× (`MIN_SPEEDUP`) floor. Cells are timed live and
 //! never cached: a wall-clock ratio read back from another machine's
 //! cache would be meaningless.
 

@@ -44,17 +44,12 @@ fn attack_outcome(
         .field("spec", spec_token)
         .field("blocks", 3)
         .field("seed", 21)
-        .field("timeout_s", cfg.timeout.as_secs())
-        .field("solver_threads", cfg.solver_threads);
+        .field("timeout_s", cfg.timeout.as_secs());
     cached_outcome(ctx, &key, &format!("{design} / {attack}"), || {
         let kind =
             AttackKind::parse(attack).ok_or_else(|| format!("unknown attack kind {attack}"))?;
         let a_cfg = AttackConfig {
-            timeout: Some(cfg.attack_timeout()),
-            solver: ril_sat::SolverConfig {
-                threads: cfg.solver_threads,
-                ..ril_sat::SolverConfig::default()
-            },
+            timeout: Some(cfg.timeout),
             ..AttackConfig::default()
         };
         let report = run_attack(kind, locked, &a_cfg)?.report;

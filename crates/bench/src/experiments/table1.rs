@@ -156,14 +156,7 @@ impl Experiment for Table1 {
             .into_iter()
             .flat_map(|count| {
                 specs().into_iter().map(move |spec| {
-                    sat_cell_key(
-                        "c7552",
-                        spec,
-                        count,
-                        seed_for(count),
-                        cfg.timeout,
-                        cfg.solver_threads,
-                    )
+                    sat_cell_key("c7552", spec, count, seed_for(count), cfg.timeout)
                 })
             })
             .collect()

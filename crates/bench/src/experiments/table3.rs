@@ -70,8 +70,7 @@ fn appsat_cell(
         .field("spec", spec.with_scan(true).cache_token())
         .field("blocks", 1)
         .field("seed", 100)
-        .field("timeout_s", cfg.timeout.as_secs())
-        .field("solver_threads", cfg.solver_threads);
+        .field("timeout_s", cfg.timeout.as_secs());
     cached_outcome(
         ctx,
         &key,
@@ -80,11 +79,7 @@ fn appsat_cell(
             None => Ok(CellOutcome::bare("n/a")),
             Some(locked) => {
                 let app_cfg = AttackConfig {
-                    timeout: Some(cfg.attack_timeout()),
-                    solver: ril_sat::SolverConfig {
-                        threads: cfg.solver_threads,
-                        ..ril_sat::SolverConfig::default()
-                    },
+                    timeout: Some(cfg.timeout),
                     ..AttackConfig::default()
                 };
                 let report = run_attack(AttackKind::AppSat, &locked, &app_cfg)?.report;
@@ -217,7 +212,6 @@ impl Experiment for Table3 {
                         blocks,
                         seed_for(blocks),
                         cfg.timeout,
-                        cfg.solver_threads,
                     )
                 })
             })

@@ -37,20 +37,15 @@ fn matrix_cell(
     let key = CacheKey::new("attack")
         .field("kind", attack)
         .field("scheme", token)
-        .field("timeout_s", cfg.timeout.as_secs())
-        .field("solver_threads", cfg.solver_threads);
+        .field("timeout_s", cfg.timeout.as_secs());
     let outcome = cached_outcome(ctx, &key, &format!("{token} / {attack}"), || {
         let kind =
             AttackKind::parse(attack).ok_or_else(|| format!("unknown attack kind {attack}"))?;
         let a_cfg = AttackConfig {
-            timeout: Some(cfg.attack_timeout()),
+            timeout: Some(cfg.timeout),
             // AppSAT's relaxed acceptance for the matrix (ignored by the
             // other attacks).
             error_threshold: 0.02,
-            solver: ril_sat::SolverConfig {
-                threads: cfg.solver_threads,
-                ..ril_sat::SolverConfig::default()
-            },
             ..AttackConfig::default()
         };
         let out = run_attack(kind, locked, &a_cfg)?;

@@ -86,7 +86,7 @@ pub fn run_farm_phase(
 
     let lease = spec
         .lease
-        .unwrap_or_else(|| cfg.attack_timeout() * 2 + Duration::from_secs(15));
+        .unwrap_or_else(|| cfg.timeout * 2 + Duration::from_secs(15));
     let farm_cfg = FarmConfig {
         bind: "127.0.0.1:0".to_string(),
         lease,

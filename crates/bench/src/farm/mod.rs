@@ -47,7 +47,6 @@ use ril_netlist::{generators, Netlist};
 use crate::cache::{CacheKey, CACHE_VERSION};
 use crate::experiment::cell_payload;
 use crate::experiments::sat_cell_key;
-use crate::RunConfig;
 
 /// A SAT-attack cell reconstructed from its canonical cache-key string —
 /// the farm's executable work unit.
@@ -73,9 +72,11 @@ pub struct SatCellSpec {
     pub blocks: usize,
     /// Obfuscator seed.
     pub seed: u64,
-    /// Per-cell attack budget in whole seconds (pre-stretch).
+    /// Per-cell attack budget in whole seconds.
     pub timeout_s: u64,
-    /// SAT-solver portfolio width.
+    /// Always 1: the key format keeps the `solver_threads=1` segment so
+    /// cached cells keep their addresses, and [`SatCellSpec::parse`]
+    /// rejects any other value.
     pub solver_threads: usize,
 }
 
@@ -134,6 +135,12 @@ impl SatCellSpec {
                 .parse()
                 .map_err(|_| "bad solver_threads".to_string())?,
         };
+        if parsed.solver_threads != 1 {
+            return Err(format!(
+                "solver_threads={} (cells solve on one thread; only 1 is accepted)",
+                parsed.solver_threads
+            ));
+        }
         if parts.next().is_some() {
             return Err("trailing fields after solver_threads".to_string());
         }
@@ -158,7 +165,6 @@ impl SatCellSpec {
             self.blocks,
             self.seed,
             Duration::from_secs(self.timeout_s),
-            self.solver_threads,
         )
     }
 
@@ -186,10 +192,7 @@ impl SatCellSpec {
 
     /// Executes the cell — lock, attack, render — and returns the cache
     /// payload, exactly what an in-process [`crate::RunContext::cached_cell`]
-    /// would have persisted. The wall-clock budget gets the same
-    /// oversubscription stretch the local path applies
-    /// ([`RunConfig::attack_timeout`]), computed against *this* worker's
-    /// cores.
+    /// would have persisted.
     ///
     /// # Errors
     ///
@@ -198,18 +201,12 @@ impl SatCellSpec {
     /// else.
     pub fn execute(&self) -> Result<String, String> {
         let host = self.host()?;
-        let run_cfg = RunConfig {
-            timeout: Duration::from_secs(self.timeout_s),
-            solver_threads: self.solver_threads,
-            ..RunConfig::default()
-        };
         let outcome = crate::attack_cell_report_with(
             &host,
             self.spec,
             self.blocks,
             self.seed,
-            run_cfg.attack_timeout(),
-            self.solver_threads,
+            Duration::from_secs(self.timeout_s),
         );
         Ok(cell_payload(&outcome))
     }
@@ -227,13 +224,13 @@ mod tests {
             ("adder:8", RilBlockSpec::size_8x8x8(), 2, 9),
             ("sha256", RilBlockSpec::size_2x2().with_scan(true), 1, 100),
         ] {
-            let key = sat_cell_key(bench, spec, blocks, seed, Duration::from_secs(60), 4);
+            let key = sat_cell_key(bench, spec, blocks, seed, Duration::from_secs(60));
             let parsed = SatCellSpec::parse(key.canonical()).unwrap();
             assert_eq!(parsed.key().canonical(), key.canonical());
             assert_eq!(parsed.bench, bench);
             assert_eq!(parsed.blocks, blocks);
             assert_eq!(parsed.seed, seed);
-            assert_eq!(parsed.solver_threads, 4);
+            assert_eq!(parsed.solver_threads, 1);
         }
     }
 
@@ -252,9 +249,14 @@ mod tests {
             1,
             1,
             Duration::from_secs(1),
-            1,
         );
         assert!(SatCellSpec::parse(&format!("{}|extra=1", good.canonical())).is_err());
+        // Cells solve on one thread; a key asking for more is refused.
+        let threaded = good
+            .canonical()
+            .replace("solver_threads=1", "solver_threads=4");
+        let err = SatCellSpec::parse(&threaded).unwrap_err();
+        assert!(err.contains("solver_threads=4"), "{err}");
     }
 
     #[test]
@@ -265,7 +267,6 @@ mod tests {
             1,
             3,
             Duration::from_secs(10),
-            1,
         );
         let spec = SatCellSpec::parse(key.canonical()).unwrap();
         let payload = spec.execute().unwrap();

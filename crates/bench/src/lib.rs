@@ -23,8 +23,8 @@
 //! `ril-bench list` prints the registry; `ril-bench run <names…>` (or
 //! `--all`, `--smoke`) executes experiments with a typed, validated
 //! [`RunConfig`] (env knobs `RIL_TIMEOUT_SECS`, `RIL_THREADS`,
-//! `RIL_SOLVER_THREADS`, `RIL_OUT_DIR`, `RIL_TABLE1_FULL`,
-//! `RIL_MC_INSTANCES`, `RIL_LOG`, `RIL_TRACE` are parsed once, there),
+//! `RIL_OUT_DIR`, `RIL_TABLE1_FULL`, `RIL_MC_INSTANCES`, `RIL_LOG`,
+//! `RIL_TRACE` are parsed once, there),
 //! a content-addressed cell cache
 //! that makes interrupted sweeps resumable, per-run manifests, a JSONL
 //! event stream, and hierarchical trace spans (`SPANS_<exp>.jsonl` +
@@ -61,7 +61,6 @@ pub use tracereport::{
 use ril_attacks::{run_attack, AttackConfig, AttackKind, AttackReport, AttackResult};
 use ril_core::{LockedCircuit, Obfuscator, RilBlockSpec};
 use ril_netlist::Netlist;
-use ril_sat::SolverConfig;
 use std::time::Duration;
 
 /// Renders a markdown-ish table to stdout.
@@ -95,12 +94,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// The per-cell attack budget (`RIL_TIMEOUT_SECS`, default 60 s — the
-/// scaled-down stand-in for the paper's 5-day timeout).
-pub fn cell_timeout() -> Duration {
-    ril_attacks::default_timeout()
-}
-
 /// One table cell's outcome: the rendered cell plus, when an attack
 /// actually ran, the full [`AttackReport`] (with per-iteration solver
 /// statistics) for machine-readable output.
@@ -131,41 +124,15 @@ impl CellOutcome {
 }
 
 /// Locks `host` with `blocks` RIL-Blocks of shape `spec` and runs the SAT
-/// attack; returns the table cell string (`seconds`, `∞`, or `n/a` when the
-/// host cannot host that many independent blocks).
-pub fn attack_cell(host: &Netlist, spec: RilBlockSpec, blocks: usize, seed: u64) -> String {
-    attack_cell_report(host, spec, blocks, seed).cell
-}
-
-/// Like [`attack_cell`], but keeps the full [`AttackReport`] (per-iteration
-/// DIP statistics included) alongside the rendered cell.
-pub fn attack_cell_report(
-    host: &Netlist,
-    spec: RilBlockSpec,
-    blocks: usize,
-    seed: u64,
-) -> CellOutcome {
-    attack_cell_report_with(
-        host,
-        spec,
-        blocks,
-        seed,
-        cell_timeout(),
-        ril_attacks::default_solver_threads(),
-    )
-}
-
-/// [`attack_cell_report`] with an explicit attack budget and solver
-/// portfolio width — the experiment framework passes
-/// `RunConfig::timeout` / `RunConfig::solver_threads` here instead of
-/// re-reading the environment per cell.
+/// attack within `timeout`. The rendered cell is `seconds`, `∞`, or `n/a`
+/// when the host cannot host that many independent blocks; the full
+/// [`AttackReport`] (per-iteration DIP statistics included) rides along.
 pub fn attack_cell_report_with(
     host: &Netlist,
     spec: RilBlockSpec,
     blocks: usize,
     seed: u64,
     timeout: Duration,
-    solver_threads: usize,
 ) -> CellOutcome {
     let locked = {
         // Obfuscation is the cell's encode-side cost outside the attack
@@ -181,10 +148,6 @@ pub fn attack_cell_report_with(
         Ok(locked) => {
             let cfg = AttackConfig {
                 timeout: Some(timeout),
-                solver: SolverConfig {
-                    threads: solver_threads,
-                    ..SolverConfig::default()
-                },
                 ..AttackConfig::default()
             };
             match run_attack(AttackKind::Sat, &locked, &cfg) {
@@ -269,9 +232,15 @@ mod tests {
 
     #[test]
     fn attack_cell_solves_trivial_config() {
-        std::env::set_var("RIL_TIMEOUT_SECS", "30");
         let host = generators::adder(8);
-        let cell = attack_cell(&host, RilBlockSpec::size_2x2(), 1, 3);
+        let cell = attack_cell_report_with(
+            &host,
+            RilBlockSpec::size_2x2(),
+            1,
+            3,
+            Duration::from_secs(30),
+        )
+        .cell;
         assert_ne!(cell, "∞");
         assert_ne!(cell, "n/a");
         cell.parse::<f64>().expect("numeric cell");
@@ -280,7 +249,14 @@ mod tests {
     #[test]
     fn attack_cell_reports_na_when_host_too_small() {
         let host = generators::adder(2);
-        let cell = attack_cell(&host, RilBlockSpec::size_8x8(), 50, 1);
+        let cell = attack_cell_report_with(
+            &host,
+            RilBlockSpec::size_8x8(),
+            50,
+            1,
+            Duration::from_secs(30),
+        )
+        .cell;
         assert_eq!(cell, "n/a");
     }
 

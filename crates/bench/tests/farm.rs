@@ -32,7 +32,6 @@ fn tiny_cells(n: usize) -> Vec<CacheKey> {
                 1,
                 3 + i as u64,
                 Duration::from_secs(10),
-                1,
             )
         })
         .collect()
@@ -354,7 +353,6 @@ fn sigkilled_worker_process_cells_are_finished_by_a_peer_process() {
         2,
         1002,
         Duration::from_secs(2),
-        1,
     ));
     let mut handle = start_farm(&dir, cells.clone(), Duration::from_millis(700));
     let addr = handle.addr().to_string();

@@ -22,7 +22,6 @@ fn test_config(out_dir: &Path) -> RunConfig {
     RunConfig {
         timeout: Duration::from_secs(2),
         threads: 2,
-        solver_threads: 1,
         out_dir: out_dir.to_path_buf(),
         table1_full: false,
         mc_instances: 10,
@@ -42,34 +41,31 @@ fn read_manifest(out_dir: &Path, experiment: &str) -> Manifest {
 #[test]
 fn cache_hits_on_identical_config_and_misses_on_any_change() {
     let timeout = Duration::from_secs(60);
-    let base = sat_cell_key("c7552", RilBlockSpec::size_8x8(), 3, 7, timeout, 1);
-    let same = sat_cell_key("c7552", RilBlockSpec::size_8x8(), 3, 7, timeout, 1);
+    let base = sat_cell_key("c7552", RilBlockSpec::size_8x8(), 3, 7, timeout);
+    let same = sat_cell_key("c7552", RilBlockSpec::size_8x8(), 3, 7, timeout);
     assert_eq!(base.canonical(), same.canonical());
     assert_eq!(base.hash_hex(), same.hash_hex());
 
     // Any coordinate change must produce a different cell identity.
     let variants = [
-        sat_cell_key("c7552", RilBlockSpec::size_2x2(), 3, 7, timeout, 1),
+        sat_cell_key("c7552", RilBlockSpec::size_2x2(), 3, 7, timeout),
         sat_cell_key(
             "c7552",
             RilBlockSpec::size_8x8().with_scan(true),
             3,
             7,
             timeout,
-            1,
         ),
-        sat_cell_key("c7552", RilBlockSpec::size_8x8(), 4, 7, timeout, 1),
-        sat_cell_key("c7552", RilBlockSpec::size_8x8(), 3, 8, timeout, 1),
+        sat_cell_key("c7552", RilBlockSpec::size_8x8(), 4, 7, timeout),
+        sat_cell_key("c7552", RilBlockSpec::size_8x8(), 3, 8, timeout),
         sat_cell_key(
             "c7552",
             RilBlockSpec::size_8x8(),
             3,
             7,
             Duration::from_secs(61),
-            1,
         ),
-        sat_cell_key("b15", RilBlockSpec::size_8x8(), 3, 7, timeout, 1),
-        sat_cell_key("c7552", RilBlockSpec::size_8x8(), 3, 7, timeout, 4),
+        sat_cell_key("b15", RilBlockSpec::size_8x8(), 3, 7, timeout),
     ];
     for (i, v) in variants.iter().enumerate() {
         assert_ne!(

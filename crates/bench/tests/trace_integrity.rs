@@ -25,7 +25,6 @@ fn test_config(out_dir: &Path) -> RunConfig {
     RunConfig {
         timeout: Duration::from_secs(2),
         threads: 4,
-        solver_threads: 1,
         out_dir: out_dir.to_path_buf(),
         table1_full: false,
         mc_instances: 10,

@@ -12,6 +12,11 @@
 //! preprocessing passes (BVA and one-layer one-hot routing encoding,
 //! [`bva`]).
 //!
+//! There is one search engine: a [`Session`] owns one sequential
+//! [`Solver`], as the paper runs one CaDiCaL solve per query. Short of a
+//! wall-clock budget cutting it off, the same formula, assumptions and
+//! [`SolverConfig`] always replay the same search.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -33,7 +38,6 @@ pub mod bva;
 pub mod cnf;
 pub mod equiv;
 pub mod lit;
-pub mod portfolio;
 pub mod session;
 pub mod solver;
 pub mod tseitin;
@@ -44,12 +48,8 @@ pub use equiv::{
     IncrementalEquivSession,
 };
 pub use lit::{LBool, Lit, Var};
-pub use portfolio::{Portfolio, PortfolioStats};
 pub use session::{Session, SolveRecord};
-pub use solver::{
-    Budget, BudgetError, Outcome, Solver, SolverConfig, SolverConfigError, SolverStats,
-    MAX_SOLVER_THREADS,
-};
+pub use solver::{Budget, BudgetError, Outcome, Solver, SolverConfig, SolverStats};
 pub use tseitin::{
     encode_gate, encode_netlist, encode_netlist_into, CircuitVars, ClauseSink, TseitinError,
 };

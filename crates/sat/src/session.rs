@@ -21,7 +21,6 @@
 
 use crate::cnf::Cnf;
 use crate::lit::{Lit, Var};
-use crate::portfolio::{Portfolio, PortfolioStats};
 use crate::solver::{Budget, Outcome, Solver, SolverConfig, SolverStats};
 use crate::tseitin::ClauseSink;
 use std::time::{Duration, Instant};
@@ -58,20 +57,10 @@ pub struct SolveRecord {
 /// ```
 #[derive(Debug)]
 pub struct Session {
-    engine: Engine,
+    solver: Solver,
     records: Vec<SolveRecord>,
     clauses_since_solve: usize,
     stats_snapshot: SolverStats,
-}
-
-/// The solving backend: one CDCL instance, or a portfolio of diversified
-/// instances raced per call ([`SolverConfig::threads`] > 1).
-#[derive(Debug)]
-enum Engine {
-    // Boxed to keep the enum (and Session) small; Portfolio is a Vec of
-    // workers, Solver is a large inline struct.
-    Single(Box<Solver>),
-    Portfolio(Portfolio),
 }
 
 impl Default for Session {
@@ -86,19 +75,10 @@ impl Session {
         Session::with_config(SolverConfig::default())
     }
 
-    /// An empty session with the given solver configuration. When
-    /// `config.threads` > 1 the session solves through a [`Portfolio`]
-    /// of diversified workers instead of a single [`Solver`]; answers
-    /// are unchanged (worker 0 runs `config` verbatim), only wall-clock
-    /// behaviour differs.
+    /// An empty session with the given solver configuration.
     pub fn with_config(config: SolverConfig) -> Session {
-        let engine = if config.threads > 1 {
-            Engine::Portfolio(Portfolio::new(&config))
-        } else {
-            Engine::Single(Box::new(Solver::with_config(config)))
-        };
         Session {
-            engine,
+            solver: Solver::with_config(config),
             records: Vec::new(),
             clauses_since_solve: 0,
             stats_snapshot: SolverStats::default(),
@@ -119,37 +99,24 @@ impl Session {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        match &mut self.engine {
-            Engine::Single(s) => s.new_var(),
-            Engine::Portfolio(p) => p.new_var(),
-        }
+        self.solver.new_var()
     }
 
     /// Ensures at least `n` variables exist.
     pub fn reserve_vars(&mut self, n: usize) {
-        match &mut self.engine {
-            Engine::Single(s) => s.reserve_vars(n),
-            Engine::Portfolio(p) => p.reserve_vars(n),
-        }
+        self.solver.reserve_vars(n);
     }
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        match &self.engine {
-            Engine::Single(s) => s.num_vars(),
-            Engine::Portfolio(p) => p.num_vars(),
-        }
+        self.solver.num_vars()
     }
 
-    /// Appends a clause to the live solver (every worker, for a
-    /// portfolio). Returns `false` if the formula became trivially
-    /// unsatisfiable at the root.
+    /// Appends a clause to the live solver. Returns `false` if the
+    /// formula became trivially unsatisfiable at the root.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) -> bool {
         self.clauses_since_solve += 1;
-        match &mut self.engine {
-            Engine::Single(s) => s.add_clause(lits),
-            Engine::Portfolio(p) => p.add_clause(lits),
-        }
+        self.solver.add_clause(lits)
     }
 
     /// Appends every clause of `cnf` (growing the variable pool to match).
@@ -180,19 +147,8 @@ impl Session {
     pub fn solve_under(&mut self, assumptions: &[Lit]) -> Outcome {
         let mut span = ril_trace::span("solve", ril_trace::Phase::Solve);
         let start = Instant::now();
-        let outcome = match &mut self.engine {
-            Engine::Single(s) => s.solve_with_assumptions(assumptions),
-            Engine::Portfolio(p) => {
-                // Hand the portfolio this span as the parent so every
-                // worker's `solve_worker` span nests under it.
-                let trace = match (ril_trace::current(), span.is_active()) {
-                    (Some(tracer), true) => Some((tracer, span.id())),
-                    _ => None,
-                };
-                p.solve_traced(assumptions, trace)
-            }
-        };
-        let after = self.raw_stats();
+        let outcome = self.solver.solve_with_assumptions(assumptions);
+        let after = self.solver.stats();
         let wall = start.elapsed();
         let delta = after.since(&self.stats_snapshot);
         if span.is_active() {
@@ -210,13 +166,6 @@ impl Session {
             span.record_u64("learned", delta.learned);
             span.record_u64("clauses_added", self.clauses_since_solve as u64);
             span.record_u64("vars", self.num_vars() as u64);
-            if let Engine::Portfolio(p) = &self.engine {
-                span.record_u64("workers", p.workers() as u64);
-                match p.last_winner() {
-                    Some(w) => span.record_u64("winner", w as u64),
-                    None => span.record_str("winner", "none"),
-                }
-            }
             ril_trace::counter("sat.solves", 1);
             ril_trace::counter("sat.conflicts", delta.conflicts);
             ril_trace::counter("sat.propagations", delta.propagations);
@@ -233,35 +182,15 @@ impl Session {
         outcome
     }
 
-    fn raw_stats(&self) -> SolverStats {
-        match &self.engine {
-            Engine::Single(s) => s.stats(),
-            Engine::Portfolio(p) => p.stats(),
-        }
-    }
-
     /// The most recent satisfying model. Only meaningful directly after a
     /// solve call returned [`Outcome::Sat`].
     pub fn model(&self) -> &[bool] {
-        match &self.engine {
-            Engine::Single(s) => s.model(),
-            Engine::Portfolio(p) => p.model(),
-        }
+        self.solver.model()
     }
 
-    /// Cumulative statistics over the session's lifetime (summed over
-    /// workers for a portfolio session).
+    /// Cumulative statistics over the session's lifetime.
     pub fn stats(&self) -> SolverStats {
-        self.raw_stats()
-    }
-
-    /// Portfolio accounting (races, wins per worker, shared clauses), or
-    /// `None` for a single-threaded session.
-    pub fn portfolio_stats(&self) -> Option<PortfolioStats> {
-        match &self.engine {
-            Engine::Single(_) => None,
-            Engine::Portfolio(p) => Some(p.portfolio_stats()),
-        }
+        self.solver.stats()
     }
 
     /// Per-call records, oldest first.
@@ -282,20 +211,14 @@ impl Session {
     /// Whether the clause database is still consistent at the root. Once
     /// `false`, every future solve returns [`Outcome::Unsat`].
     pub fn root_consistent(&self) -> bool {
-        match &self.engine {
-            Engine::Single(s) => s.root_consistent(),
-            Engine::Portfolio(p) => p.root_consistent(),
-        }
+        self.solver.root_consistent()
     }
 
     /// Applies `budget` to subsequent solve calls, replacing any earlier
     /// budget (conflict limits count from now; wall-clock limits are
     /// measured per call). [`Budget::unlimited`] removes both limits.
     pub fn set_budget(&mut self, budget: Budget) {
-        match &mut self.engine {
-            Engine::Single(s) => s.set_budget(budget),
-            Engine::Portfolio(p) => p.set_budget(budget),
-        }
+        self.solver.set_budget(budget);
     }
 
     /// Solves under `assumptions` within `budget`, recording a
@@ -422,38 +345,5 @@ mod tests {
         // second call gets real work done rather than dying instantly.
         s.set_budget(Budget::conflicts(1_000_000).unwrap());
         assert_eq!(s.solve(), Outcome::Unsat);
-    }
-
-    #[test]
-    fn portfolio_session_matches_single_thread() {
-        let cfg = SolverConfig::default().with_threads(3).unwrap();
-        let mut single = Session::new();
-        let mut multi = Session::with_config(cfg);
-        assert!(multi.portfolio_stats().is_some());
-        assert!(single.portfolio_stats().is_none());
-        for s in [&mut single, &mut multi] {
-            pigeonhole_into(s, 4);
-        }
-        assert_eq!(multi.solve(), single.solve());
-        assert_eq!(multi.solve_count(), 1);
-        let delta = multi.records()[0].stats;
-        assert!(delta.decisions > 0);
-        let pstats = multi.portfolio_stats().unwrap();
-        assert_eq!(pstats.races, 1);
-        assert_eq!(pstats.wins.iter().sum::<u64>(), 1);
-    }
-
-    #[test]
-    fn portfolio_session_records_stay_consistent() {
-        let cfg = SolverConfig::default().with_threads(2).unwrap();
-        let mut s = Session::with_config(cfg);
-        s.add_clause([lit(0, false), lit(1, false)]);
-        s.solve();
-        s.add_clause([lit(0, true)]);
-        s.solve();
-        assert!(s.model()[1]);
-        // Per-call deltas still sum to the cumulative (summed) stats.
-        let sum = s.records()[0].stats.plus(&s.records()[1].stats);
-        assert_eq!(sum, s.stats());
     }
 }

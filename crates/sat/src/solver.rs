@@ -10,16 +10,17 @@
 
 use crate::cnf::Cnf;
 use crate::lit::{LBool, Lit, Var};
-use crate::portfolio::ExchangeHandle;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const NO_REASON: u32 = u32::MAX;
 
-/// Upper bound on portfolio workers (and therefore on
-/// [`SolverConfig::threads`]); keeps per-worker counter names static.
-pub const MAX_SOLVER_THREADS: usize = 16;
+/// Base Luby restart interval in conflicts (the sequence is scaled by
+/// this).
+const RESTART_INTERVAL: u64 = 100;
+
+/// Polarity decided for a variable that has no saved phase yet (and, with
+/// phase saving off, for every decision).
+const DEFAULT_PHASE: bool = false;
 
 /// Result of a solve call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,10 +35,7 @@ pub enum Outcome {
 }
 
 /// Tunable solver behaviour. The toggles exist for the ablation study; the
-/// defaults are the full-strength configuration. The builder-style
-/// `with_*` setters validate their arguments at construction time (a
-/// malformed restart interval or thread count is a caller bug, not
-/// something to discover mid-solve).
+/// defaults are the full-strength configuration.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Dynamic decision order: the VMTF queue, which moves the variables
@@ -46,15 +44,8 @@ pub struct SolverConfig {
     pub dynamic_order: bool,
     /// Enable Luby restarts.
     pub restarts: bool,
-    /// Base Luby restart interval in conflicts (the sequence is scaled by
-    /// this); a portfolio diversification lever.
-    pub restart_interval: u64,
     /// Enable phase saving.
     pub phase_saving: bool,
-    /// Polarity decided for a variable that has no saved phase yet (and,
-    /// with phase saving off, for every decision). The historical default
-    /// is `false`; flipping it is a portfolio diversification lever.
-    pub default_phase: bool,
     /// Enable learnt-clause minimization.
     pub clause_minimization: bool,
     /// Enable learnt-database reduction.
@@ -63,10 +54,6 @@ pub struct SolverConfig {
     pub max_conflicts: Option<u64>,
     /// Abort with [`Outcome::Unknown`] after this wall-clock budget.
     pub timeout: Option<Duration>,
-    /// Number of diversified portfolio workers a [`crate::Session`] built
-    /// from this config races per solve call (1 = plain single-thread
-    /// solver; a bare [`Solver`] ignores this field).
-    pub threads: usize,
 }
 
 impl Default for SolverConfig {
@@ -74,14 +61,11 @@ impl Default for SolverConfig {
         SolverConfig {
             dynamic_order: true,
             restarts: true,
-            restart_interval: 100,
             phase_saving: true,
-            default_phase: false,
             clause_minimization: true,
             reduce_db: true,
             max_conflicts: None,
             timeout: None,
-            threads: 1,
         }
     }
 }
@@ -101,41 +85,6 @@ impl SolverConfig {
         }
     }
 
-    /// Sets the base Luby restart interval (in conflicts); must be ≥ 1.
-    pub fn with_restart_interval(
-        mut self,
-        interval: u64,
-    ) -> Result<SolverConfig, SolverConfigError> {
-        if interval == 0 {
-            return Err(SolverConfigError {
-                field: "restart_interval",
-                value: "0".to_string(),
-                reason: "must be at least 1 conflict",
-            });
-        }
-        self.restart_interval = interval;
-        Ok(self)
-    }
-
-    /// Sets the portfolio width; must lie in `1..=MAX_SOLVER_THREADS`.
-    pub fn with_threads(mut self, threads: usize) -> Result<SolverConfig, SolverConfigError> {
-        if threads == 0 || threads > MAX_SOLVER_THREADS {
-            return Err(SolverConfigError {
-                field: "threads",
-                value: format!("{threads}"),
-                reason: "must lie in 1..=MAX_SOLVER_THREADS",
-            });
-        }
-        self.threads = threads;
-        Ok(self)
-    }
-
-    /// Sets the polarity used for unseen variables (infallible).
-    pub fn with_default_phase(mut self, phase: bool) -> SolverConfig {
-        self.default_phase = phase;
-        self
-    }
-
     /// Applies a [`Budget`]'s limits to the config (the budget was already
     /// validated at its own construction, so this is infallible). The
     /// conflict limit is absolute here — prefer [`Solver::set_budget`] for
@@ -146,29 +95,6 @@ impl SolverConfig {
         self
     }
 }
-
-/// A rejected [`SolverConfig`] builder argument.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SolverConfigError {
-    /// The offending field.
-    pub field: &'static str,
-    /// The rejected value, rendered.
-    pub value: String,
-    /// Why it was rejected.
-    pub reason: &'static str,
-}
-
-impl std::fmt::Display for SolverConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid SolverConfig.{}={}: {}",
-            self.field, self.value, self.reason
-        )
-    }
-}
-
-impl std::error::Error for SolverConfigError {}
 
 /// A validated resource budget for solve calls: optional conflict and
 /// wall-clock limits. Zero limits are rejected at construction (a zero
@@ -509,15 +435,6 @@ pub struct Solver {
     tombstones: usize,
     /// Root trail length at the last root simplification.
     simplified_trail: usize,
-    /// Cooperative cancellation: when set and raised, the next budget
-    /// check aborts the solve with [`Outcome::Unknown`]. This is how a
-    /// portfolio stops losing workers.
-    stop: Option<Arc<AtomicBool>>,
-    /// Portfolio clause exchange: export short learnt clauses, import
-    /// peers' at restart boundaries. `None` outside a portfolio race.
-    exchange: Option<ExchangeHandle>,
-    imported: u64,
-    exported: u64,
 }
 
 impl Default for Solver {
@@ -560,10 +477,6 @@ impl Solver {
             live_problem: 0,
             tombstones: 0,
             simplified_trail: 0,
-            stop: None,
-            exchange: None,
-            imported: 0,
-            exported: 0,
         }
     }
 
@@ -597,7 +510,7 @@ impl Solver {
         self.reason.push(NO_REASON);
         self.decision.push(true);
         self.occurs.push(0);
-        self.saved_phase.push(self.config.default_phase);
+        self.saved_phase.push(DEFAULT_PHASE);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -640,34 +553,6 @@ impl Solver {
     pub fn solve_within(&mut self, assumptions: &[Lit], budget: Budget) -> Outcome {
         self.set_budget(budget);
         self.solve_with_assumptions(assumptions)
-    }
-
-    /// Installs (or clears) a cooperative stop flag: once the flag is
-    /// raised by another thread, the solve aborts with
-    /// [`Outcome::Unknown`] at the next budget check. The flag is how a
-    /// [`crate::Portfolio`] race stops its losing workers; it is *not*
-    /// cleared automatically between solve calls.
-    pub fn set_stop_flag(&mut self, flag: Option<Arc<AtomicBool>>) {
-        self.stop = flag;
-    }
-
-    /// Attaches (or detaches) a portfolio clause-exchange endpoint: short
-    /// learnt clauses are published to it, and peers' clauses are imported
-    /// at restart boundaries.
-    pub(crate) fn set_exchange(&mut self, exchange: Option<ExchangeHandle>) {
-        self.exchange = exchange;
-    }
-
-    /// `(imported, exported)` shared-clause counts over this solver's
-    /// lifetime (only nonzero when it has raced in a portfolio).
-    pub fn shared_clause_counts(&self) -> (u64, u64) {
-        (self.imported, self.exported)
-    }
-
-    fn stopped(&self) -> bool {
-        self.stop
-            .as_ref()
-            .is_some_and(|s| s.load(Ordering::Relaxed))
     }
 
     /// Adds a clause. Tautologies are dropped, duplicate literals removed,
@@ -1182,9 +1067,6 @@ impl Solver {
     }
 
     fn budget_exhausted(&self) -> bool {
-        if self.stopped() {
-            return true;
-        }
         if let Some(max_c) = self.config.max_conflicts {
             if self.stats.conflicts >= max_c {
                 return true;
@@ -1231,7 +1113,7 @@ impl Solver {
             .max(2000.0);
 
         let mut restart_count = 0u64;
-        let mut conflicts_until_restart = Self::luby(restart_count) * self.config.restart_interval;
+        let mut conflicts_until_restart = Self::luby(restart_count) * RESTART_INTERVAL;
         let mut conflicts_this_restart = 0u64;
 
         loop {
@@ -1264,25 +1146,9 @@ impl Solver {
                     restart_count += 1;
                     self.stats.restarts += 1;
                     conflicts_this_restart = 0;
-                    conflicts_until_restart =
-                        Self::luby(restart_count) * self.config.restart_interval;
+                    conflicts_until_restart = Self::luby(restart_count) * RESTART_INTERVAL;
                     let keep = (assumptions.len() as u32).min(self.decision_level());
                     self.backtrack_to(keep);
-                    // Restart boundary: fold in clauses shared by portfolio
-                    // peers (requires the root level; cancelled assumption
-                    // levels are simply re-decided below).
-                    if self.exchange.is_some() {
-                        self.import_shared();
-                        if !self.ok {
-                            return Outcome::Unsat;
-                        }
-                    }
-                }
-                if self.stopped() {
-                    // Conflict-light instances never reach the per-conflict
-                    // budget check; honour cancellation per decision too.
-                    self.backtrack_to(0);
-                    return Outcome::Unknown;
                 }
                 // Assumption decisions first.
                 if (self.decision_level() as usize) < assumptions.len() {
@@ -1323,7 +1189,7 @@ impl Solver {
                         let phase = if self.config.phase_saving {
                             self.saved_phase[v.index()]
                         } else {
-                            self.config.default_phase
+                            DEFAULT_PHASE
                         };
                         self.trail_lim.push(self.trail.len());
                         self.enqueue(v.lit(!phase), NO_REASON);
@@ -1335,14 +1201,6 @@ impl Solver {
 
     fn learn_and_jump(&mut self, learnt: Vec<Lit>, bt: u32, lbd: u32) {
         self.backtrack_to(bt);
-        if let Some(ex) = &self.exchange {
-            // Share only high-quality clauses (short, low LBD): units and
-            // binaries always qualify, long clauses never do.
-            if ex.accepts(learnt.len(), lbd) {
-                ex.publish(&learnt);
-                self.exported += 1;
-            }
-        }
         let asserting = learnt[0];
         if learnt.len() == 1 {
             self.enqueue(asserting, NO_REASON);
@@ -1350,29 +1208,6 @@ impl Solver {
             let ci = self.attach_clause(&learnt, true, lbd);
             self.stats.learned += 1;
             self.enqueue(asserting, ci);
-        }
-    }
-
-    /// Drains clauses published by portfolio peers into the database.
-    /// Backtracks to the root first (clause addition requires it); any
-    /// restart-kept assumption levels are re-decided by the solve loop.
-    fn import_shared(&mut self) {
-        let pending = match &mut self.exchange {
-            Some(ex) => ex.take_pending(),
-            None => return,
-        };
-        if pending.is_empty() {
-            return;
-        }
-        self.backtrack_to(0);
-        for lits in pending {
-            self.imported += 1;
-            // Imported clauses are implied by the shared formula, so adding
-            // them as permanent clauses is sound; a derived empty clause
-            // (`ok` drops) is a genuine UNSAT proof.
-            if !self.add_clause(lits) {
-                return;
-            }
         }
     }
 

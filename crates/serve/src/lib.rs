@@ -19,7 +19,7 @@
 //! * [`server`] — an event-driven nonblocking reactor loop: per-connection
 //!   read/write buffers, request pipelining, and the chip table striped
 //!   over N shard locks.
-//! * [`scheduler`] — the re-keying triggers, walking one shard at a time.
+//! * `scheduler` — the re-keying triggers, walking one shard at a time.
 //! * [`client`] — [`RemoteOracle`]: an [`ril_attacks::OracleSource`] over
 //!   TCP with reconnect/retry, so SAT, AppSAT and ScanSAT run unchanged
 //!   against a live, morphing target. Built via [`ServeClient::builder`].

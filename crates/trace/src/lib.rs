@@ -6,7 +6,7 @@
 //! encoding vs. DIP search vs. key confirmation — not just report its
 //! wall clock. This crate provides that layer (DESIGN.md §9):
 //!
-//! - **Spans** ([`span`], [`Span`], [`Tracer`]): hierarchical timed
+//! - **Spans** ([`span()`], [`Span`], [`Tracer`]): hierarchical timed
 //!   regions following the taxonomy `experiment → cell → attack →
 //!   iteration → solve`, tagged with a [`Phase`] so post-processing can
 //!   bucket time into encode / solve / verify.

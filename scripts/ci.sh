@@ -15,6 +15,9 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "== formatting =="
 cargo fmt --all --check
 
+echo "== rustdoc (warnings are errors: no broken intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -134,13 +137,5 @@ cargo run --release -q -p ril-bench --bin ril-bench -- validate exp_out/ci_smoke
 cargo run --release -q -p ril-bench --bin ril-bench -- trace exp_out/ci_smoke \
   >exp_out/ci_trace.log || { tail -50 exp_out/ci_trace.log; exit 1; }
 tail -5 exp_out/ci_trace.log
-
-echo "== portfolio smoke (RIL_SOLVER_THREADS=4) =="
-RIL_OUT_DIR=exp_out/ci_smoke_portfolio RIL_LOG=error RIL_SOLVER_THREADS=4 \
-  cargo run --release -q -p ril-bench --bin ril-bench -- \
-  run --all --smoke >exp_out/ci_smoke_portfolio.log 2>&1 \
-  || { tail -50 exp_out/ci_smoke_portfolio.log; exit 1; }
-tail -15 exp_out/ci_smoke_portfolio.log
-cargo run --release -q -p ril-bench --bin ril-bench -- validate exp_out/ci_smoke_portfolio
 
 echo "ci.sh: all green"

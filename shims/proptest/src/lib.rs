@@ -149,7 +149,7 @@ pub mod collection {
     use crate::{Strategy, TestRng};
 
     /// Strategy for `Vec`s of `element` values with length drawn from
-    /// `size` ([`vec`]).
+    /// `size` ([`vec()`]).
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,
