@@ -88,7 +88,6 @@ fn appsat_attack_inner(
         nl,
         oracle,
         cfg.solver.clone(),
-        None,
         cfg.timeout,
         cfg.max_iterations,
         1,

@@ -79,8 +79,6 @@ pub struct AttackConfig {
     pub solver: SolverConfig,
     /// RNG seed (AppSAT's random queries, removal's scoring patterns).
     pub seed: u64,
-    /// SAT attack: add the one-layer one-hot routing re-encoding.
-    pub one_hot_routing: bool,
     /// SAT / ScanSAT: DIPs accumulated per round before one lane-packed
     /// oracle flush (`1` = strictly sequential; clamped to `1..=64`).
     pub dip_batch: usize,
@@ -102,7 +100,6 @@ impl Default for AttackConfig {
             max_iterations: None,
             solver: SolverConfig::default(),
             seed: appsat.seed,
-            one_hot_routing: false,
             dip_batch: SatAttackConfig::default().dip_batch,
             rounds_per_estimate: appsat.rounds_per_estimate,
             queries_per_estimate: appsat.queries_per_estimate,
@@ -120,7 +117,6 @@ impl AttackConfig {
             timeout: self.timeout,
             max_iterations: self.max_iterations,
             solver: self.solver.clone(),
-            one_hot_routing: self.one_hot_routing,
             dip_batch: self.dip_batch,
         }
     }
@@ -244,14 +240,12 @@ mod tests {
     fn config_projections_carry_shared_knobs() {
         let mut cfg = fast_cfg();
         cfg.max_iterations = Some(7);
-        cfg.one_hot_routing = true;
         cfg.error_threshold = 0.25;
         cfg.seed = 99;
         cfg.dip_batch = 16;
         let sat = cfg.sat_config();
         assert_eq!(sat.timeout, cfg.timeout);
         assert_eq!(sat.max_iterations, Some(7));
-        assert!(sat.one_hot_routing);
         assert_eq!(sat.dip_batch, 16);
         let app = cfg.appsat_config();
         assert_eq!(app.timeout, cfg.timeout);

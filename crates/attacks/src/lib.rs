@@ -4,14 +4,13 @@
 //! attacks *do* break):
 //!
 //! * [`satattack`] — the oracle-guided SAT attack with a CaDiCaL-class
-//!   CDCL backend, optional one-layer one-hot routing re-encoding.
+//!   CDCL backend.
 //! * [`appsat`] — the approximate attack, with error-estimation rounds.
 //! * [`removal`] — removal + bypass of key-dependent logic.
 //! * [`scansat`] — the scan-chain modelling attack and the
 //!   boundary-inversion victim it was designed for.
 //! * [`oracle`] — the activated-IC black box (scan accesses assert `SE`,
 //!   so Scan-Enable-defended designs answer with corrupted responses).
-//! * [`preprocess`] — CNF statistics and BVA preprocessing.
 //! * [`json`] — the hand-rolled JSON reader matching the suite's
 //!   hand-rolled writers (no crates-io `serde` in this environment).
 //!
@@ -49,7 +48,6 @@ pub mod json;
 mod miter;
 pub mod oracle;
 pub mod prelude;
-pub mod preprocess;
 pub mod removal;
 pub mod report;
 pub mod satattack;
@@ -59,11 +57,10 @@ mod session;
 pub use appsat::AppSatConfig;
 pub use attack::{run_attack, AttackConfig, AttackKind, AttackOutcome};
 pub use oracle::{attacker_view, Oracle, OracleError, OracleSource};
-// The lane-packed batch carriers every `OracleSource` speaks, re-exported
-// so oracle implementors need not depend on `ril-netlist` directly.
-pub use preprocess::{bva_stats, encoding_stats, EncodingStats};
 pub use removal::RemovalReport;
 pub use report::{AttackReport, AttackResult, IterationStats};
+// The lane-packed batch carriers every `OracleSource` speaks, re-exported
+// so oracle implementors need not depend on `ril-netlist` directly.
 pub use ril_netlist::{PatternBlock, ResponseBlock, MAX_LANES};
 pub use satattack::{default_timeout, SatAttackConfig};
 pub use scansat::{output_inversion_lock, scansat_model_attack};

@@ -26,9 +26,8 @@
 //! built: a clause a true rail satisfies is never built, and a false rail
 //! literal is dropped.
 
-use ril_core::{LockedCircuit, SE_PIN};
+use ril_core::SE_PIN;
 use ril_netlist::{GateId, GateKind, NetId, Netlist, Simulator};
-use ril_sat::bva::one_hot_selection;
 use ril_sat::tseitin::encode_selected;
 use ril_sat::{
     encode_gate, encode_netlist_into, Budget, ClauseSink, Cnf, Lit, Outcome, Session, SolverConfig,
@@ -84,11 +83,7 @@ impl AttackInstance {
     /// # Panics
     ///
     /// Panics if the netlist has no key inputs or is sequential.
-    pub(crate) fn new(
-        nl: &Netlist,
-        solver_config: SolverConfig,
-        one_hot_meta: Option<&LockedCircuit>,
-    ) -> AttackInstance {
+    pub(crate) fn new(nl: &Netlist, solver_config: SolverConfig) -> AttackInstance {
         let mut span = ril_trace::span("encode_miter", ril_trace::Phase::Encode);
         assert!(!nl.key_inputs().is_empty(), "netlist carries no key inputs");
         let data_inputs = nl.data_inputs();
@@ -137,38 +132,6 @@ impl AttackInstance {
             dependent_gates.contains(&gid)
         })
         .expect("combinational");
-
-        // Optional one-layer one-hot routing re-encoding (both copies).
-        if let Some(locked) = one_hot_meta {
-            let lit1 = |n: NetId| vars1.lit(n);
-            let lit2 = |n: NetId| {
-                map2.get(&n)
-                    .copied()
-                    .unwrap_or_else(|| vars1.var(n))
-                    .positive()
-            };
-            for meta in &locked.block_meta {
-                for copy in 0..2 {
-                    for (ports, lines) in [
-                        (&meta.in_port_nets, &meta.in_line_nets),
-                        (&meta.out_rail_nets, &meta.out_line_nets),
-                    ] {
-                        if ports.is_empty() {
-                            continue;
-                        }
-                        let pl: Vec<Lit> = ports
-                            .iter()
-                            .map(|&n| if copy == 0 { lit1(n) } else { lit2(n) })
-                            .collect();
-                        let ll: Vec<Lit> = lines
-                            .iter()
-                            .map(|&n| if copy == 0 { lit1(n) } else { lit2(n) })
-                            .collect();
-                        one_hot_selection(&mut miter_cnf, &pl, &ll, true);
-                    }
-                }
-            }
-        }
 
         // Miter over the key-dependent outputs only (the rest are shared).
         let mut diff = Vec::new();
@@ -719,7 +682,7 @@ mod tests {
             let key_bits = view.key_inputs().len();
             assert!(key_bits <= 12, "key space too large to enumerate");
             let mut oracle = Oracle::new(&locked).unwrap();
-            let mut inst = AttackInstance::new(&view, SolverConfig::default(), None);
+            let mut inst = AttackInstance::new(&view, SolverConfig::default());
             let mut sim = Simulator::new(&view).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut recorded: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();

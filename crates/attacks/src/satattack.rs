@@ -29,10 +29,6 @@ pub struct SatAttackConfig {
     pub max_iterations: Option<usize>,
     /// Backend solver configuration.
     pub solver: SolverConfig,
-    /// Add the one-layer one-hot re-encoding of every routing network
-    /// (Section IV-B preprocessing). Requires block metadata, i.e. the
-    /// [`crate::run_attack`] entry point.
-    pub one_hot_routing: bool,
     /// DIPs accumulated per round before one lane-packed oracle flush
     /// (clamped to `1..=64`, the simulator's lane width). `1` restores
     /// the classic strictly sequential DIP loop; larger batches trade a
@@ -48,7 +44,6 @@ impl Default for SatAttackConfig {
             timeout: Some(default_timeout()),
             max_iterations: None,
             solver: SolverConfig::default(),
-            one_hot_routing: false,
             dip_batch: 8,
         }
     }
@@ -78,17 +73,8 @@ pub fn sat_attack(
     oracle: &mut dyn OracleSource,
     cfg: &SatAttackConfig,
 ) -> AttackReport {
-    sat_attack_inner(nl, oracle, cfg, None)
-}
-
-pub(crate) fn sat_attack_inner(
-    nl: &Netlist,
-    oracle: &mut dyn OracleSource,
-    cfg: &SatAttackConfig,
-    one_hot_meta: Option<&LockedCircuit>,
-) -> AttackReport {
     let mut span = ril_trace::span("satattack", ril_trace::Phase::Attack);
-    let report = sat_attack_loop(nl, oracle, cfg, one_hot_meta);
+    let report = sat_attack_loop(nl, oracle, cfg);
     if span.is_active() {
         span.record_str("result", report.result.kind());
         span.record_u64("iterations", report.iterations as u64);
@@ -102,13 +88,11 @@ fn sat_attack_loop(
     nl: &Netlist,
     oracle: &mut dyn OracleSource,
     cfg: &SatAttackConfig,
-    one_hot_meta: Option<&LockedCircuit>,
 ) -> AttackReport {
     let mut sess = AttackSession::new(
         nl,
         oracle,
         cfg.solver.clone(),
-        one_hot_meta,
         cfg.timeout,
         cfg.max_iterations,
         cfg.dip_batch,
@@ -158,8 +142,7 @@ pub(crate) fn run_sat_attack_impl(
 ) -> Result<AttackReport, ril_netlist::NetlistError> {
     let view = attacker_view(locked);
     let mut oracle = Oracle::new(locked)?;
-    let meta = cfg.one_hot_routing.then_some(locked);
-    let mut report = sat_attack_inner(&view, &mut oracle, cfg, meta);
+    let mut report = sat_attack(&view, &mut oracle, cfg);
     if let Some(key) = report.result.key() {
         let _v = ril_trace::span("verify_key", ril_trace::Phase::Verify);
         let ok = locked.equivalent_under_key(key, 32)?;
@@ -389,22 +372,5 @@ mod tests {
                 "{name}: functional correctness diverges"
             );
         }
-    }
-
-    #[test]
-    fn one_hot_preprocessing_still_finds_keys() {
-        let host = generators::adder(8);
-        let locked = Obfuscator::new(RilBlockSpec::size_2x2())
-            .blocks(2)
-            .seed(17)
-            .obfuscate(&host)
-            .unwrap();
-        let cfg = SatAttackConfig {
-            one_hot_routing: true,
-            ..fast_cfg()
-        };
-        let report = run_sat_attack_impl(&locked, &cfg).unwrap();
-        assert!(report.result.succeeded(), "{report}");
-        assert_eq!(report.functionally_correct, Some(true));
     }
 }

@@ -116,7 +116,6 @@ pub fn scansat_model_attack(
         &view,
         oracle,
         cfg.solver.clone(),
-        None,
         cfg.timeout,
         cfg.max_iterations,
         cfg.dip_batch,

@@ -14,7 +14,6 @@
 use crate::miter::AttackInstance;
 use crate::oracle::{OracleError, OracleSource};
 use crate::report::{AttackReport, AttackResult, IterationStats};
-use ril_core::LockedCircuit;
 use ril_netlist::{Netlist, PatternBlock, MAX_LANES};
 use ril_sat::{Budget, Outcome, SolverConfig};
 use std::time::{Duration, Instant};
@@ -63,12 +62,11 @@ impl<'a> AttackSession<'a> {
         nl: &'a Netlist,
         oracle: &dyn OracleSource,
         solver_config: SolverConfig,
-        one_hot_meta: Option<&LockedCircuit>,
         timeout: Option<Duration>,
         max_iterations: Option<usize>,
         dip_batch: usize,
     ) -> AttackSession<'a> {
-        let mut inst = AttackInstance::new(nl, solver_config, one_hot_meta);
+        let mut inst = AttackInstance::new(nl, solver_config);
         assert_eq!(
             inst.oracle_positions.len(),
             oracle.input_width(),
@@ -274,7 +272,7 @@ mod tests {
     use crate::oracle::{attacker_view, Oracle, OracleError};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use ril_core::{morph_all, Obfuscator, RilBlockSpec};
+    use ril_core::{morph_all, LockedCircuit, Obfuscator, RilBlockSpec};
     use ril_netlist::generators;
 
     /// An activated chip that morphs itself: after `morph_after` chip
@@ -362,7 +360,6 @@ mod tests {
             &view,
             &oracle,
             SolverConfig::default(),
-            None,
             Some(Duration::from_secs(60)),
             None,
             1,
@@ -402,7 +399,6 @@ mod tests {
             &view,
             &oracle,
             SolverConfig::default(),
-            None,
             Some(Duration::from_secs(60)),
             Some(6),
             1,
@@ -436,7 +432,6 @@ mod tests {
             &view,
             &oracle,
             SolverConfig::default(),
-            None,
             Some(Duration::from_secs(60)),
             Some(80),
             1,
@@ -464,7 +459,6 @@ mod tests {
             &view,
             &oracle,
             SolverConfig::default(),
-            None,
             Some(Duration::from_secs(60)),
             None,
             1,
@@ -494,7 +488,6 @@ mod tests {
             &view,
             &oracle,
             SolverConfig::default(),
-            None,
             Some(Duration::from_secs(60)),
             None,
             8,
@@ -526,7 +519,6 @@ mod tests {
             &view,
             &oracle,
             SolverConfig::default(),
-            None,
             Some(Duration::from_secs(60)),
             Some(3),
             64,

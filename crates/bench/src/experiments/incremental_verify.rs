@@ -5,11 +5,13 @@
 //! defender (and any formal harness) must re-establish that the chip
 //! still computes the host function under the new key. The naive way
 //! rebuilds the whole original-vs-locked miter and re-proves every output
-//! per generation. The incremental way keeps one live
-//! [`ril_core::MorphVerifier`] and, per generation, re-checks only the
-//! outputs whose cones read a key bit named by that morph's
-//! [`ril_core::MorphDelta`] — sound because a morph changes key *values*
-//! only, so untouched cones still compute their certified function.
+//! per generation: `verify_formal`, a fresh [`ril_sat::EquivSession`]
+//! whose one full check encodes every cone. The incremental way keeps one
+//! live [`ril_core::MorphVerifier`] (the same engine) and, per generation,
+//! re-checks only the outputs whose cones read a key bit named by that
+//! morph's [`ril_core::MorphDelta`] — sound because a morph changes key
+//! *values* only, so untouched cones still compute their certified
+//! function.
 //!
 //! Both paths must return the identical verdict on every generation (and
 //! on a deliberately corrupted key), and the incremental path must be at

@@ -183,18 +183,6 @@ pub struct BlockMeta {
     /// For double-routing blocks: the output-banyan line index wired to
     /// each absorbed gate's fan-out (per LUT slot). Empty otherwise.
     pub out_ports: Vec<usize>,
-    /// Nets entering the input banyan, port order (the routing element's
-    /// structural boundary — what an attacker recovers by inspecting the
-    /// MUX trees, used by the one-layer linear re-encoding).
-    pub in_port_nets: Vec<NetId>,
-    /// Nets leaving the input banyan, line order.
-    pub in_line_nets: Vec<NetId>,
-    /// Nets entering the output banyan (true/complement rails), port order.
-    /// Empty for single-routing blocks.
-    pub out_rail_nets: Vec<NetId>,
-    /// Nets leaving the output banyan, line order. Empty for single-routing
-    /// blocks.
-    pub out_line_nets: Vec<NetId>,
 }
 
 impl BlockMeta {
@@ -438,10 +426,6 @@ pub fn insert_block<R: Rng>(
             spec: *spec,
             first_key,
             out_ports,
-            in_port_nets: ports,
-            in_line_nets: lines,
-            out_rail_nets: rails,
-            out_line_nets: out_lines,
         })
     } else {
         for (j, a) in absorbed.iter().enumerate() {
@@ -451,10 +435,6 @@ pub fn insert_block<R: Rng>(
             spec: *spec,
             first_key,
             out_ports: Vec::new(),
-            in_port_nets: ports,
-            in_line_nets: lines,
-            out_rail_nets: Vec::new(),
-            out_line_nets: Vec::new(),
         })
     }
 }

@@ -206,12 +206,12 @@ impl LockedCircuit {
     }
 
     /// Builds a reusable formal verifier for this circuit pair: the miter
-    /// `original` vs `locked` encoded once into an [`ril_sat::EquivSession`]
-    /// with `SE` pinned to functional mode and the key inputs left free, so
+    /// `original` vs `locked` in one live [`ril_sat::EquivSession`] with
+    /// `SE` pinned to functional mode and the key inputs left free, so
     /// each candidate key is just an assumption set for
     /// [`ril_sat::EquivSession::check_with`]. Checking many keys (key
-    /// sweeps, attack evaluation) against one warm verifier avoids paying
-    /// miter encoding and solver construction per key.
+    /// sweeps, attack evaluation) against one warm verifier pays miter
+    /// encoding and solver construction once, not per key.
     ///
     /// # Errors
     ///
@@ -224,9 +224,9 @@ impl LockedCircuit {
         ril_sat::EquivSession::new(&self.original, &self.netlist, &self.equiv_options(timeout))
     }
 
-    /// The miter options shared by the eager and incremental verifiers:
-    /// key inputs free (ignored on the original side), `SE` pinned to
-    /// functional mode.
+    /// The miter options shared by [`LockedCircuit::formal_verifier`] and
+    /// [`MorphVerifier`]: key inputs free (ignored on the original side),
+    /// `SE` pinned to functional mode.
     fn equiv_options(&self, timeout: Option<std::time::Duration>) -> ril_sat::EquivOptions {
         let mut ignore: Vec<String> = self
             .netlist
@@ -305,16 +305,16 @@ impl LockedCircuit {
 /// Incremental post-morph formal verifier (built by
 /// [`LockedCircuit::incremental_verifier`]).
 ///
-/// Wraps a [`ril_sat::IncrementalEquivSession`] — a lazily-encoded
-/// `original` vs `locked` miter over one live incremental SAT session —
-/// together with the locked design's cached key analysis, so a
+/// Wraps a [`ril_sat::EquivSession`] — a lazily-encoded `original` vs
+/// `locked` miter over one live incremental SAT session — together with
+/// the locked design's cached key analysis, so a
 /// [`MorphDelta`] maps directly to the subset of outputs whose cones must
 /// be re-checked. Clean outputs keep their previous verdict: a morph only
 /// changes key *values*, and an output whose cone reads no changed bit
 /// still computes the function that was last certified.
 #[derive(Debug)]
 pub struct MorphVerifier {
-    session: ril_sat::IncrementalEquivSession,
+    session: ril_sat::EquivSession,
     /// Locked-netlist output index → miter output index. Miter pairs
     /// follow the *original* netlist's output order; for circuits from
     /// [`Obfuscator`] the map is the identity, but it is derived by name
@@ -331,13 +331,13 @@ impl MorphVerifier {
     ///
     /// # Errors
     ///
-    /// Propagates port-matching errors (cannot occur for circuits
+    /// Propagates port-matching and encoding errors (cannot occur for circuits
     /// produced by [`Obfuscator`]).
     pub fn new(
         locked: &LockedCircuit,
         timeout: Option<std::time::Duration>,
     ) -> Result<MorphVerifier, ril_sat::EquivError> {
-        let session = ril_sat::IncrementalEquivSession::new(
+        let session = ril_sat::EquivSession::new(
             &locked.original,
             &locked.netlist,
             &locked.equiv_options(timeout),
@@ -388,7 +388,9 @@ impl MorphVerifier {
     ///
     /// # Errors
     ///
-    /// Propagates encoding errors (sequential cones).
+    /// Returns a port error only if the key names no longer match the
+    /// miter's inputs (cannot occur for circuits produced by
+    /// [`Obfuscator`]).
     ///
     /// # Panics
     ///
@@ -404,7 +406,9 @@ impl MorphVerifier {
     ///
     /// # Errors
     ///
-    /// Propagates encoding errors (sequential cones).
+    /// Returns a port error only if the key names no longer match the
+    /// miter's inputs (cannot occur for circuits produced by
+    /// [`Obfuscator`]).
     ///
     /// # Panics
     ///
@@ -422,36 +426,6 @@ impl MorphVerifier {
             .collect();
         let assignment = self.assignment(key);
         self.session.check_outputs(&dirty, &assignment)
-    }
-
-    /// Checks `key` on an explicit output subset (locked-netlist output
-    /// indices).
-    ///
-    /// # Errors
-    ///
-    /// Returns a port error for out-of-range indices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key.len()` differs from the key width.
-    pub fn verify_outputs(
-        &mut self,
-        outputs: &[usize],
-        key: &[bool],
-    ) -> Result<ril_sat::EquivResult, ril_sat::EquivError> {
-        let mapped: Vec<usize> = outputs
-            .iter()
-            .map(|&o| {
-                self.out_map.get(o).copied().ok_or_else(|| {
-                    ril_sat::EquivError::PortMismatch(format!(
-                        "output index {o} out of range ({} outputs)",
-                        self.out_map.len()
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let assignment = self.assignment(key);
-        self.session.check_outputs(&mapped, &assignment)
     }
 
     /// Number of matched output pairs.
@@ -473,11 +447,6 @@ impl MorphVerifier {
     /// Cumulative solver statistics.
     pub fn stats(&self) -> ril_sat::SolverStats {
         self.session.stats()
-    }
-
-    /// Updates the per-check wall-clock budget.
-    pub fn set_timeout(&mut self, timeout: Option<std::time::Duration>) {
-        self.session.set_timeout(timeout);
     }
 }
 
@@ -653,14 +622,16 @@ mod tests {
         );
         assert_eq!(verifier.encoded_outputs(), verifier.outputs());
         // Morph rounds: only dirty cones are re-checked, verdicts agree
-        // with the eager full-miter verifier.
-        let mut eager = locked.formal_verifier(timeout).unwrap();
+        // with a full-miter verifier that checks every output each round.
+        let mut full_verifier = locked.formal_verifier(timeout).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         for round in 0..3 {
             let (_, delta) = crate::morph::morph_all_delta(&mut locked, &mut rng);
             let bits = locked.keys.bits().to_vec();
             let fast = verifier.verify_after(&delta, &bits).unwrap();
-            let full = eager.check_with(&locked.key_assignment(&bits)).unwrap();
+            let full = full_verifier
+                .check_with(&locked.key_assignment(&bits))
+                .unwrap();
             assert_eq!(fast, full, "round {round} verdicts diverge");
             assert_eq!(fast, ril_sat::EquivResult::Equivalent);
         }

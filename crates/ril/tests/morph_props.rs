@@ -3,6 +3,12 @@
 //! functional I/O equivalence — checked formally through a warm
 //! [`ril_sat::EquivSession`] miter, not just by simulation — and every
 //! morph that applied a key-changing move must report `bits_changed > 0`.
+//!
+//! The incremental [`ril_core::MorphVerifier`] and the full
+//! `verify_formal` check run the same engine, so their agreement here is
+//! a check of the dirty-output selection, not of the engine itself; the
+//! engine is checked against exhaustive simulation in the workspace's
+//! `tests/properties.rs`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -110,8 +116,8 @@ proptest! {
     }
 
     /// Incremental post-morph verification (dirty cones only, one live
-    /// solver) must reach the same verdict as a scratch full-miter check
-    /// on every round of a random morph sequence — for both the correct
+    /// solver) must reach the same verdict as a fresh full check on every
+    /// round of a random morph sequence — for both the correct
     /// morphed key and a perturbed (usually wrong) candidate.
     #[test]
     fn incremental_verifier_agrees_with_scratch(seed in 0u64..500, blocks in 1usize..3) {

@@ -43,13 +43,6 @@ impl Cnf {
         (0..n).map(|_| self.new_var()).collect()
     }
 
-    /// Ensures at least `n` variables exist, so fresh variables continue an
-    /// external pool (e.g. a [`crate::Session`]'s) and clauses transfer
-    /// verbatim.
-    pub fn reserve_vars(&mut self, n: usize) {
-        self.num_vars = self.num_vars.max(n);
-    }
-
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
         self.num_vars
@@ -89,11 +82,6 @@ impl Cnf {
     /// The clauses.
     pub fn clauses(&self) -> &[Vec<Lit>] {
         &self.clauses
-    }
-
-    /// Mutable access to the clause list (used by preprocessing passes).
-    pub(crate) fn clauses_mut(&mut self) -> &mut Vec<Vec<Lit>> {
-        &mut self.clauses
     }
 
     /// Checks a full assignment (`model[v]` = value of variable `v`).

@@ -6,12 +6,10 @@
 //! flow to certify `locked(correct key) ≡ original` and by attack
 //! evaluation to certify recovered keys.
 
-use crate::cnf::Cnf;
 use crate::lit::{Lit, Var};
 use crate::session::Session;
-use crate::solver::{Budget, Outcome, SolverConfig, SolverStats};
-use crate::tseitin::{encode_netlist_into, encode_selected, TseitinError};
-use ril_netlist::cone::fanin_cone;
+use crate::solver::{Outcome, SolverConfig, SolverStats};
+use crate::tseitin::{check_encodable, encode_selected, TseitinError};
 use ril_netlist::{GateId, NetId, Netlist};
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
@@ -79,9 +77,7 @@ pub struct EquivOptions {
     pub match_outputs_by_position: bool,
 }
 
-/// Result of matching two netlists' ports into a shared CNF variable pool:
-/// the common substrate of [`EquivSession`] and
-/// [`IncrementalEquivSession`].
+/// Result of matching two netlists' ports into a shared variable pool.
 struct MiterPorts {
     out_pairs: Vec<(NetId, NetId)>,
     shared_vars: Vec<Var>,
@@ -92,11 +88,11 @@ struct MiterPorts {
 }
 
 /// Matches outputs (by name, or by position on request) and inputs (by
-/// name) of `left` vs `right`, allocating one CNF input variable per port
-/// name. Inputs present on only one side must be ignored or fixed by
-/// `options`.
+/// name) of `left` vs `right`, allocating one input variable per port
+/// name in `session`. Inputs present on only one side must be ignored or
+/// fixed by `options`.
 fn match_ports(
-    cnf: &mut Cnf,
+    session: &mut Session,
     left: &Netlist,
     right: &Netlist,
     options: &EquivOptions,
@@ -161,7 +157,7 @@ fn match_ports(
     let mut base_assumptions: Vec<Lit> = Vec::new();
     for &li in left.inputs() {
         let name = left.net(li).name().to_string();
-        let var = cnf.new_var();
+        let var = session.new_var();
         pins_left.insert(li, var);
         if let Some(&ri) = right_inputs.get(name.as_str()) {
             pins_right.insert(ri, var);
@@ -181,7 +177,7 @@ fn match_ports(
         if pins_right.contains_key(&ri) {
             continue;
         }
-        let var = cnf.new_var();
+        let var = session.new_var();
         pins_right.insert(ri, var);
         if let Some(&v) = fixed.get(name) {
             base_assumptions.push(var.lit(!v));
@@ -203,42 +199,69 @@ fn match_ports(
     })
 }
 
-/// Builds the assumption vector for one query: `head`, then every base
-/// assumption not overridden by `fixed`, then the per-call pins.
-fn layered_assumptions(
-    head: &[Lit],
-    base: &[Lit],
-    input_vars: &HashMap<String, Var>,
-    fixed: &[(String, bool)],
-) -> Result<Vec<Lit>, EquivError> {
-    let mut assumptions: Vec<Lit> = head.to_vec();
-    for l in base {
-        let keep = !fixed
-            .iter()
-            .any(|(n, _)| input_vars.get(n) == Some(&l.var()));
-        if keep {
-            assumptions.push(*l);
-        }
-    }
-    for (name, value) in fixed {
-        let var = input_vars.get(name).ok_or_else(|| {
-            EquivError::PortMismatch(format!("input `{name}` not present in the miter"))
-        })?;
-        assumptions.push(var.lit(!*value));
-    }
-    Ok(assumptions)
+/// One side of the miter: a netlist, the variables of its nets so far,
+/// and the gates already in the solver. The encoded set is closed under
+/// fan-in, because only whole cones are ever encoded.
+#[derive(Debug)]
+struct Side {
+    nl: Netlist,
+    vars: HashMap<NetId, Var>,
+    encoded: HashSet<GateId>,
 }
 
-/// A miter encoded once into a persistent [`Session`], for *repeated*
-/// equivalence checks of the same circuit pair under varying fixed inputs
-/// — key verification after an attack, morph validation, `SE`-mode checks.
+impl Side {
+    /// Encodes the union of the fan-in cones of `nets`, minus the gates
+    /// already in the solver, straight into `session`.
+    fn encode_cones(&mut self, session: &mut Session, nets: impl IntoIterator<Item = NetId>) {
+        let mut fresh: HashSet<GateId> = HashSet::new();
+        let mut stack: Vec<NetId> = nets.into_iter().collect();
+        while let Some(net) = stack.pop() {
+            if let Some(g) = self.nl.net(net).driver() {
+                if !self.encoded.contains(&g) && fresh.insert(g) {
+                    stack.extend(self.nl.gate(g).inputs().iter().copied());
+                }
+            }
+        }
+        self.vars = encode_selected(&self.nl, session, &self.vars, |g| fresh.contains(&g))
+            .expect("checked combinational by EquivSession::new");
+        self.encoded.extend(fresh);
+    }
+
+    /// The variable of output net `net`. An output that is a primary input
+    /// already has its pin; an undriven one gets a free variable.
+    fn output_lit(&mut self, session: &mut Session, net: NetId) -> Lit {
+        self.vars
+            .entry(net)
+            .or_insert_with(|| session.new_var())
+            .positive()
+    }
+}
+
+/// A persistent equivalence miter between two netlists, for *repeated*
+/// checks of the same circuit pair under varying pinned inputs — key
+/// verification after an attack, morph validation, `SE`-mode checks.
 ///
-/// The expensive part of an equivalence query on circuits produced by the
-/// locking flow is re-encoding the miter and re-constructing the solver;
-/// an `EquivSession` pays that once, then answers each query with a
-/// [`Session::solve_under`] call against the warm solver (learned clauses
-/// from earlier keys carry over — they are implied by the miter formula
-/// alone, so they remain sound for every later query).
+/// Ports are matched once, by name (outputs optionally by position), at
+/// construction. Gates are encoded lazily: a check encodes the fan-in
+/// cones of the outputs it asks about that are not yet in the solver,
+/// then gives each output pair a difference literal `xᵢ ↔ (lᵢ ⊕ rᵢ)`.
+/// Each distinct output subset gets one guarded disjunction clause
+/// (`∨ xᵢ ∨ ¬g`), memoized so a recurring subset re-uses its guard, and a
+/// query only assumes that guard plus the pinned inputs. Learned clauses
+/// carry over between checks: they are implied by the miter formula
+/// alone, so they stay sound for every later query.
+///
+/// After a morph reports which key bits changed, a verifier asks only
+/// about the *dirty* outputs — the cones that read a changed bit — and the
+/// clean outputs keep their earlier verdict (their difference depends on
+/// inputs whose pinned values did not change). A full check encodes every
+/// missing cone in one pass: the left cones, then the right cones, then
+/// the difference literals.
+///
+/// A failed call leaves the session untouched: the netlists are checked
+/// to be encodable at construction, and a check validates its output
+/// indices and pinned names before it writes a clause. The session owns
+/// clones of both netlists and is keyed to them *as constructed*.
 ///
 /// # Examples
 ///
@@ -248,233 +271,50 @@ fn layered_assumptions(
 ///
 /// let nl = generators::adder(4);
 /// let mut sess = EquivSession::new(&nl, &nl.clone(), &EquivOptions::default()).unwrap();
+/// // Check a single output's cone — only that cone gets encoded.
+/// assert_eq!(sess.check_outputs(&[0], &[]).unwrap(), EquivResult::Equivalent);
+/// assert!(sess.encoded_outputs() < sess.outputs());
+/// // The full check encodes the rest on demand; repeats are warm solves.
 /// for _ in 0..3 {
 ///     assert_eq!(sess.check(), EquivResult::Equivalent);
 /// }
+/// assert_eq!(sess.encoded_outputs(), sess.outputs());
 /// ```
 #[derive(Debug)]
 pub struct EquivSession {
     session: Session,
-    /// Activation literal guarding the miter's difference clause, so that
-    /// an equivalent pair yields UNSAT-under-assumptions rather than a
-    /// root-level contradiction that would poison the session.
-    act: Lit,
-    shared_vars: Vec<Var>,
-    input_vars: HashMap<String, Var>,
-    base_assumptions: Vec<Lit>,
-}
-
-impl EquivSession {
-    /// Encodes the miter of `left` vs `right` (ports matched by name) into
-    /// a fresh session. `options.fixed_inputs` become *base* assumptions
-    /// applied to every check; `options.timeout` bounds each solve call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EquivError::PortMismatch`] on name mismatches and
-    /// [`EquivError::Encode`] for sequential netlists.
-    pub fn new(
-        left: &Netlist,
-        right: &Netlist,
-        options: &EquivOptions,
-    ) -> Result<EquivSession, EquivError> {
-        let mut session = Session::with_config(SolverConfig {
-            timeout: options.timeout,
-            ..SolverConfig::default()
-        });
-        EquivSession::encode_into(&mut session, left, right, options)
-    }
-
-    /// Like [`EquivSession::new`], but encodes into a caller-provided
-    /// session (whose solver config, learned clauses and variable pool are
-    /// reused). The difference clause is guarded by a fresh activation
-    /// literal, so several miters can live in one session without
-    /// interfering at the root level.
-    ///
-    /// On success the passed-in session is **moved into** the returned
-    /// `EquivSession` (the caller's binding is left empty); reclaim it with
-    /// [`EquivSession::into_session`]. On error the session is untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EquivError::PortMismatch`] on name mismatches and
-    /// [`EquivError::Encode`] for sequential netlists.
-    pub fn encode_into(
-        session: &mut Session,
-        left: &Netlist,
-        right: &Netlist,
-        options: &EquivOptions,
-    ) -> Result<EquivSession, EquivError> {
-        // Encode into a scratch CNF whose variable pool continues the
-        // session's (so clauses transfer verbatim).
-        let mut cnf = Cnf::new();
-        cnf.reserve_vars(session.num_vars());
-        let MiterPorts {
-            out_pairs,
-            shared_vars,
-            input_vars,
-            pins_left,
-            pins_right,
-            base_assumptions,
-        } = match_ports(&mut cnf, left, right, options)?;
-
-        // --- Miter -------------------------------------------------------
-        let vars_l = encode_netlist_into(left, &mut cnf, &pins_left)?;
-        let vars_r = encode_netlist_into(right, &mut cnf, &pins_right)?;
-        let act = cnf.new_var().positive();
-        let mut diff = Vec::with_capacity(out_pairs.len() + 1);
-        for (lo, ro) in out_pairs {
-            let x = cnf.new_var().positive();
-            let a = vars_l.lit(lo);
-            let b = vars_r.lit(ro);
-            cnf.add_clause([!x, a, b]);
-            cnf.add_clause([!x, !a, !b]);
-            cnf.add_clause([x, !a, b]);
-            cnf.add_clause([x, a, !b]);
-            diff.push(x);
-        }
-        // Guarded difference clause: active only while `act` is assumed.
-        diff.push(!act);
-        cnf.add_clause(diff);
-
-        // All fallible work is done; take ownership of the session now so
-        // an earlier error leaves the caller's session untouched.
-        let mut owned = std::mem::take(session);
-        owned.append_cnf(&cnf);
-        Ok(EquivSession {
-            session: owned,
-            act,
-            shared_vars,
-            input_vars,
-            base_assumptions,
-        })
-    }
-
-    /// Consumes the miter and returns the underlying (grown, warm) session
-    /// for further reuse.
-    pub fn into_session(self) -> Session {
-        self.session
-    }
-
-    /// One equivalence query under the base fixed inputs.
-    pub fn check(&mut self) -> EquivResult {
-        self.check_with(&[]).expect("no overrides: names known")
-    }
-
-    /// One equivalence query with additional per-call pinned inputs (by
-    /// name), layered over — and overriding — the base fixed inputs. This
-    /// is the repeated-key-verification fast path: the miter is warm, only
-    /// the assumptions change.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EquivError::PortMismatch`] if a name matches no input.
-    pub fn check_with(&mut self, fixed: &[(String, bool)]) -> Result<EquivResult, EquivError> {
-        let assumptions =
-            layered_assumptions(&[self.act], &self.base_assumptions, &self.input_vars, fixed)?;
-        Ok(match self.session.solve_under(&assumptions) {
-            Outcome::Unsat => EquivResult::Equivalent,
-            Outcome::Unknown => EquivResult::Unknown,
-            Outcome::Sat => {
-                let model = self.session.model();
-                EquivResult::Inequivalent {
-                    counterexample: self.shared_vars.iter().map(|v| model[v.index()]).collect(),
-                }
-            }
-        })
-    }
-
-    /// Updates the per-call wall-clock budget.
-    pub fn set_timeout(&mut self, timeout: Option<Duration>) {
-        self.session.set_budget(Budget::from_timeout(timeout));
-    }
-
-    /// Cumulative solver statistics across all checks.
-    pub fn stats(&self) -> SolverStats {
-        self.session.stats()
-    }
-
-    /// Number of checks answered so far.
-    pub fn checks(&self) -> usize {
-        self.session.solve_count()
-    }
-}
-
-/// A persistent miter with **per-output** difference literals and **lazy
-/// cone encoding**, built for the post-morph incremental verification loop.
-///
-/// Where [`EquivSession`] encodes both circuits up front and owns a single
-/// all-outputs difference clause, an `IncrementalEquivSession` encodes an
-/// output pair's fan-in cones only when that output is first checked, and
-/// can restrict a query to any output subset. After a morph reports which
-/// key bits changed, the verifier asks only about the *dirty* outputs —
-/// the cones actually containing changed key bits — and the clean outputs'
-/// previous verdicts carry over (their difference is a function of inputs
-/// whose pinned values did not change). Each distinct output subset gets
-/// one guarded disjunction clause (`∨ xᵢ ∨ ¬g`), memoized so a recurring
-/// dirty set re-uses its guard instead of growing the clause database.
-///
-/// The session owns clones of both netlists so cones can be encoded on
-/// demand; it is keyed to the netlists *as constructed* (structural edits
-/// afterwards are not observed — check [`IncrementalEquivSession::generations`]
-/// against [`Netlist::generation`] to detect staleness).
-///
-/// # Examples
-///
-/// ```
-/// use ril_netlist::generators;
-/// use ril_sat::{EquivOptions, EquivResult, IncrementalEquivSession};
-///
-/// let nl = generators::adder(4);
-/// let mut sess =
-///     IncrementalEquivSession::new(&nl, &nl.clone(), &EquivOptions::default()).unwrap();
-/// // Check a single output's cone — only that cone gets encoded.
-/// assert_eq!(sess.check_outputs(&[0], &[]).unwrap(), EquivResult::Equivalent);
-/// assert!(sess.encoded_outputs() < sess.outputs());
-/// // The full check encodes the rest on demand.
-/// assert_eq!(sess.check(), EquivResult::Equivalent);
-/// assert_eq!(sess.encoded_outputs(), sess.outputs());
-/// ```
-#[derive(Debug)]
-pub struct IncrementalEquivSession {
-    session: Session,
-    left: Netlist,
-    right: Netlist,
+    left: Side,
+    right: Side,
     out_pairs: Vec<(NetId, NetId)>,
     /// Per-output difference literal, allocated when the cone is encoded.
     diff: Vec<Option<Lit>>,
-    vars_left: HashMap<NetId, Var>,
-    vars_right: HashMap<NetId, Var>,
-    encoded_left: HashSet<GateId>,
-    encoded_right: HashSet<GateId>,
     input_vars: HashMap<String, Var>,
     shared_vars: Vec<Var>,
     base_assumptions: Vec<Lit>,
     /// Guard literal per (sorted, deduped) output subset already queried.
     guards: HashMap<Vec<usize>, Lit>,
-    generations: (u64, u64),
 }
 
-impl IncrementalEquivSession {
-    /// Matches ports of `left` vs `right` (same rules as
-    /// [`EquivSession::new`]) and allocates input variables, but encodes
-    /// **no** gates yet — cones are pushed into the session on first use by
-    /// [`IncrementalEquivSession::check_outputs`].
+impl EquivSession {
+    /// Matches ports of `left` vs `right` and allocates input variables,
+    /// but encodes **no** gates yet. `options.fixed_inputs` become *base*
+    /// assumptions applied to every check; `options.timeout` bounds each
+    /// solve call.
     ///
     /// # Errors
     ///
-    /// Returns [`EquivError::PortMismatch`] on name mismatches.
+    /// Returns [`EquivError::PortMismatch`] on name mismatches and
+    /// [`EquivError::Encode`] if either netlist has a DFF or an undriven
+    /// used net.
     pub fn new(
         left: &Netlist,
         right: &Netlist,
         options: &EquivOptions,
-    ) -> Result<IncrementalEquivSession, EquivError> {
+    ) -> Result<EquivSession, EquivError> {
         let mut session = Session::with_config(SolverConfig {
             timeout: options.timeout,
             ..SolverConfig::default()
         });
-        let mut cnf = Cnf::new();
-        cnf.reserve_vars(session.num_vars());
         let MiterPorts {
             out_pairs,
             shared_vars,
@@ -482,31 +322,25 @@ impl IncrementalEquivSession {
             pins_left,
             pins_right,
             base_assumptions,
-        } = match_ports(&mut cnf, left, right, options)?;
-        session.append_cnf(&cnf);
-        let n_outputs = out_pairs.len();
-        Ok(IncrementalEquivSession {
+        } = match_ports(&mut session, left, right, options)?;
+        check_encodable(left)?;
+        check_encodable(right)?;
+        let side = |nl: &Netlist, vars| Side {
+            nl: nl.clone(),
+            vars,
+            encoded: HashSet::new(),
+        };
+        Ok(EquivSession {
             session,
-            left: left.clone(),
-            right: right.clone(),
+            left: side(left, pins_left),
+            right: side(right, pins_right),
+            diff: vec![None; out_pairs.len()],
             out_pairs,
-            diff: vec![None; n_outputs],
-            vars_left: pins_left,
-            vars_right: pins_right,
-            encoded_left: HashSet::new(),
-            encoded_right: HashSet::new(),
             input_vars,
             shared_vars,
             base_assumptions,
             guards: HashMap::new(),
-            generations: (left.generation(), right.generation()),
         })
-    }
-
-    /// The netlist [`Netlist::generation`] stamps `(left, right)` this
-    /// miter was encoded against.
-    pub fn generations(&self) -> (u64, u64) {
-        self.generations
     }
 
     /// Number of matched output pairs.
@@ -519,59 +353,57 @@ impl IncrementalEquivSession {
         self.diff.iter().filter(|d| d.is_some()).count()
     }
 
-    /// Encodes output pair `i`'s fan-in cones (left and right, minus gates
-    /// already in the solver) and its difference literal.
-    fn ensure_output(&mut self, i: usize) -> Result<(), EquivError> {
-        if self.diff[i].is_some() {
-            return Ok(());
+    /// Encodes the cones and difference literals of every output in
+    /// `subset` that is not yet in the solver: the union of the left
+    /// cones, then the union of the right cones, then the differences.
+    fn encode_outputs(&mut self, subset: &[usize]) {
+        let missing: Vec<usize> = subset
+            .iter()
+            .copied()
+            .filter(|&o| self.diff[o].is_none())
+            .collect();
+        let pairs: Vec<(NetId, NetId)> = missing.iter().map(|&o| self.out_pairs[o]).collect();
+        self.left
+            .encode_cones(&mut self.session, pairs.iter().map(|&(l, _)| l));
+        self.right
+            .encode_cones(&mut self.session, pairs.iter().map(|&(_, r)| r));
+        for (&o, &(lo, ro)) in missing.iter().zip(&pairs) {
+            let a = self.left.output_lit(&mut self.session, lo);
+            let b = self.right.output_lit(&mut self.session, ro);
+            let x = self.session.new_var().positive();
+            self.session.add_clause([!x, a, b]);
+            self.session.add_clause([!x, !a, !b]);
+            self.session.add_clause([x, !a, b]);
+            self.session.add_clause([x, a, !b]);
+            self.diff[o] = Some(x);
         }
-        let (lo, ro) = self.out_pairs[i];
-        let mut cnf = Cnf::new();
-        cnf.reserve_vars(self.session.num_vars());
+    }
 
-        let cone_l = fanin_cone(&self.left, lo);
-        let encoded = &self.encoded_left;
-        let map = encode_selected(&self.left, &mut cnf, &self.vars_left, |g| {
-            cone_l.binary_search(&g).is_ok() && !encoded.contains(&g)
-        })?;
-        self.vars_left = map;
-        self.encoded_left.extend(cone_l.iter().copied());
-
-        let cone_r = fanin_cone(&self.right, ro);
-        let encoded = &self.encoded_right;
-        let map = encode_selected(&self.right, &mut cnf, &self.vars_right, |g| {
-            cone_r.binary_search(&g).is_ok() && !encoded.contains(&g)
-        })?;
-        self.vars_right = map;
-        self.encoded_right.extend(cone_r.iter().copied());
-
-        // An output that is itself a primary input already has a pin; any
-        // other un-encoded output net gets a free variable (mirroring the
-        // eager encoder, which allocates variables for every net).
-        let a = self
-            .vars_left
-            .entry(lo)
-            .or_insert_with(|| cnf.new_var())
-            .positive();
-        let b = self
-            .vars_right
-            .entry(ro)
-            .or_insert_with(|| cnf.new_var())
-            .positive();
-        let x = cnf.new_var().positive();
-        cnf.add_clause([!x, a, b]);
-        cnf.add_clause([!x, !a, !b]);
-        cnf.add_clause([x, !a, b]);
-        cnf.add_clause([x, a, !b]);
-        self.diff[i] = Some(x);
-        self.session.append_cnf(&cnf);
-        Ok(())
+    /// The input literals to assume for one query: every base assumption
+    /// not overridden by `fixed`, then the per-call pins.
+    fn pinned_inputs(&self, fixed: &[(String, bool)]) -> Result<Vec<Lit>, EquivError> {
+        let mut assumptions: Vec<Lit> = Vec::new();
+        for l in &self.base_assumptions {
+            let keep = !fixed
+                .iter()
+                .any(|(n, _)| self.input_vars.get(n) == Some(&l.var()));
+            if keep {
+                assumptions.push(*l);
+            }
+        }
+        for (name, value) in fixed {
+            let var = self.input_vars.get(name).ok_or_else(|| {
+                EquivError::PortMismatch(format!("input `{name}` not present in the miter"))
+            })?;
+            assumptions.push(var.lit(!*value));
+        }
+        Ok(assumptions)
     }
 
     /// One equivalence query restricted to the given output indices
     /// (positions in the matched output-pair order, which follows the left
     /// netlist's [`Netlist::outputs`] order), with per-call pinned inputs
-    /// layered over the base fixed inputs.
+    /// layered over — and overriding — the base fixed inputs.
     ///
     /// An empty `outputs` slice is vacuously [`EquivResult::Equivalent`].
     /// Cones are encoded on demand; the subset's guarded difference clause
@@ -580,8 +412,7 @@ impl IncrementalEquivSession {
     /// # Errors
     ///
     /// Returns [`EquivError::PortMismatch`] for out-of-range output indices
-    /// or unknown input names, [`EquivError::Encode`] if a cone contains a
-    /// DFF.
+    /// or unknown input names, before anything is encoded.
     pub fn check_outputs(
         &mut self,
         outputs: &[usize],
@@ -596,12 +427,11 @@ impl IncrementalEquivSession {
                 self.out_pairs.len()
             )));
         }
+        let pins = self.pinned_inputs(fixed)?;
         if subset.is_empty() {
             return Ok(EquivResult::Equivalent);
         }
-        for &o in &subset {
-            self.ensure_output(o)?;
-        }
+        self.encode_outputs(&subset);
         let guard = match self.guards.get(&subset) {
             Some(&g) => g,
             None => {
@@ -612,12 +442,13 @@ impl IncrementalEquivSession {
                     .collect();
                 clause.push(!g);
                 self.session.add_clause(clause);
-                self.guards.insert(subset.clone(), g);
+                self.guards.insert(subset, g);
                 g
             }
         };
-        let assumptions =
-            layered_assumptions(&[guard], &self.base_assumptions, &self.input_vars, fixed)?;
+        let mut assumptions = Vec::with_capacity(pins.len() + 1);
+        assumptions.push(guard);
+        assumptions.extend(pins);
         Ok(match self.session.solve_under(&assumptions) {
             Outcome::Unsat => EquivResult::Equivalent,
             Outcome::Unknown => EquivResult::Unknown,
@@ -636,7 +467,10 @@ impl IncrementalEquivSession {
         self.check_with(&[]).expect("no overrides: names known")
     }
 
-    /// One full equivalence query with per-call pinned inputs.
+    /// One full equivalence query with per-call pinned inputs (by name),
+    /// layered over the base fixed inputs. This is the repeated-key
+    /// verification fast path: the miter is warm, only the assumptions
+    /// change.
     ///
     /// # Errors
     ///
@@ -644,16 +478,6 @@ impl IncrementalEquivSession {
     pub fn check_with(&mut self, fixed: &[(String, bool)]) -> Result<EquivResult, EquivError> {
         let all: Vec<usize> = (0..self.out_pairs.len()).collect();
         self.check_outputs(&all, fixed)
-    }
-
-    /// Updates the per-call wall-clock budget.
-    pub fn set_timeout(&mut self, timeout: Option<Duration>) {
-        self.session.set_budget(Budget::from_timeout(timeout));
-    }
-
-    /// Applies a full [`Budget`] to subsequent checks.
-    pub fn set_budget(&mut self, budget: Budget) {
-        self.session.set_budget(budget);
     }
 
     /// Cumulative solver statistics across all checks.
@@ -675,44 +499,17 @@ impl IncrementalEquivSession {
 /// [`EquivOptions::ignore_inputs`] or pinned in
 /// [`EquivOptions::fixed_inputs`]; outputs must match exactly by name.
 /// One-shot convenience over [`EquivSession`]; callers issuing repeated
-/// checks of the same pair should hold an `EquivSession` (or pass a shared
-/// [`Session`] to [`check_equivalence_in`]) instead of paying miter
-/// encoding and solver construction per call.
+/// checks of the same pair should hold an `EquivSession` instead.
 ///
 /// # Errors
 ///
-/// Returns [`EquivError::PortMismatch`] on name mismatches and
-/// [`EquivError::Encode`] for sequential netlists.
+/// See [`EquivSession::new`].
 pub fn check_equivalence(
     left: &Netlist,
     right: &Netlist,
     options: &EquivOptions,
 ) -> Result<EquivResult, EquivError> {
     Ok(EquivSession::new(left, right, options)?.check())
-}
-
-/// Like [`check_equivalence`], but encodes into an existing [`Session`],
-/// reusing its solver state (allocations, learned clauses, activity
-/// ordering). Each miter's difference clause is guarded by a fresh
-/// activation literal assumed only for its own query, so sequential checks
-/// of *different* circuit pairs can share one session soundly.
-///
-/// # Errors
-///
-/// Returns [`EquivError::PortMismatch`] on name mismatches and
-/// [`EquivError::Encode`] for sequential netlists.
-pub fn check_equivalence_in(
-    session: &mut Session,
-    left: &Netlist,
-    right: &Netlist,
-    options: &EquivOptions,
-) -> Result<EquivResult, EquivError> {
-    session.set_budget(Budget::from_timeout(options.timeout));
-    let mut equiv = EquivSession::encode_into(session, left, right, options)?;
-    let result = equiv.check();
-    // Give the (grown) session back to the caller.
-    *session = equiv.into_session();
-    Ok(result)
 }
 
 #[cfg(test)]
@@ -842,70 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_session_survives_multiple_miters() {
-        // Independent miters (one UNSAT, one SAT) in a single session: the
-        // activation guards keep the UNSAT one from poisoning the rest.
-        let mut session = Session::new();
-        let l = and_circuit("l", GateKind::And);
-        let r = and_circuit("r", GateKind::And);
-        assert_eq!(
-            check_equivalence_in(&mut session, &l, &r, &EquivOptions::default()).unwrap(),
-            EquivResult::Equivalent
-        );
-        let vars_after_first = session.num_vars();
-        let r2 = and_circuit("r2", GateKind::Or);
-        assert!(matches!(
-            check_equivalence_in(&mut session, &l, &r2, &EquivOptions::default()).unwrap(),
-            EquivResult::Inequivalent { .. }
-        ));
-        // The session really was reused: the second miter extended the
-        // first's variable pool instead of starting over.
-        assert!(session.num_vars() > vars_after_first);
-        assert_eq!(
-            check_equivalence_in(&mut session, &l, &r, &EquivOptions::default()).unwrap(),
-            EquivResult::Equivalent
-        );
-        assert!(session.root_consistent());
-        assert_eq!(session.solve_count(), 3);
-    }
-
-    #[test]
-    fn encode_errors_leave_caller_session_untouched() {
-        let mut session = Session::new();
-        session.add_clause([Lit::new(0, false)]);
-        let l = and_circuit("l", GateKind::And);
-        let mut r = and_circuit("r", GateKind::And);
-        r.add_input("extra").unwrap();
-        let err = check_equivalence_in(&mut session, &l, &r, &EquivOptions::default());
-        assert!(matches!(err, Err(EquivError::PortMismatch(_))));
-        assert_eq!(session.num_vars(), 1);
-        assert_eq!(session.solve(), Outcome::Sat);
-    }
-
-    #[test]
-    fn incremental_session_agrees_with_scratch() {
-        let l = and_circuit("l", GateKind::And);
-        let r_eq = and_circuit("r", GateKind::And);
-        let r_ne = and_circuit("r2", GateKind::Or);
-        for (right, expect_eq) in [(&r_eq, true), (&r_ne, false)] {
-            let scratch = check_equivalence(&l, right, &EquivOptions::default()).unwrap();
-            let mut inc =
-                IncrementalEquivSession::new(&l, right, &EquivOptions::default()).unwrap();
-            let got = inc.check();
-            assert_eq!(
-                matches!(got, EquivResult::Equivalent),
-                expect_eq,
-                "incremental verdict"
-            );
-            assert_eq!(
-                matches!(scratch, EquivResult::Equivalent),
-                matches!(got, EquivResult::Equivalent),
-                "scratch vs incremental"
-            );
-        }
-    }
-
-    #[test]
     fn incremental_session_lazy_cones_and_subsets() {
         // Two independent outputs: y0 = AND(a,b) on both sides, y1 = XOR
         // vs XNOR (inequivalent).
@@ -923,7 +656,7 @@ mod tests {
         };
         let l = build("l", GateKind::Xor);
         let r = build("r", GateKind::Xnor);
-        let mut inc = IncrementalEquivSession::new(&l, &r, &EquivOptions::default()).unwrap();
+        let mut inc = EquivSession::new(&l, &r, &EquivOptions::default()).unwrap();
         assert_eq!(inc.outputs(), 2);
         assert_eq!(inc.encoded_outputs(), 0);
         // Output 0 alone: equivalent, and only its cone was encoded.
@@ -970,7 +703,7 @@ mod tests {
             fixed_inputs: vec![("se".into(), false)],
             ..EquivOptions::default()
         };
-        let mut inc = IncrementalEquivSession::new(&l, &r, &opts).unwrap();
+        let mut inc = EquivSession::new(&l, &r, &opts).unwrap();
         assert_eq!(inc.check(), EquivResult::Equivalent);
         assert!(matches!(
             inc.check_with(&[("se".into(), true)]).unwrap(),
@@ -981,6 +714,53 @@ mod tests {
             inc.check_outputs(&[0], &[("nope".into(), true)]),
             Err(EquivError::PortMismatch(_))
         ));
+    }
+
+    #[test]
+    fn sequential_netlist_is_rejected_at_construction() {
+        let l = and_circuit("l", GateKind::And);
+        let mut r = Netlist::new("r");
+        let a = r.add_input("a").unwrap();
+        r.add_input("b").unwrap();
+        let y = r.add_net("y").unwrap();
+        r.add_gate(GateKind::Dff, &[a], y).unwrap();
+        r.mark_output(y);
+        let err = EquivSession::new(&l, &r, &EquivOptions::default()).unwrap_err();
+        assert_eq!(err, EquivError::Encode(TseitinError::Sequential));
+    }
+
+    #[test]
+    fn undriven_gate_input_is_rejected_at_construction() {
+        let l = and_circuit("l", GateKind::And);
+        let mut r = Netlist::new("r");
+        let a = r.add_input("a").unwrap();
+        r.add_input("b").unwrap();
+        let floating = r.add_net("floating").unwrap();
+        let y = r.add_net("y").unwrap();
+        r.add_gate(GateKind::And, &[a, floating], y).unwrap();
+        r.mark_output(y);
+        let err = EquivSession::new(&l, &r, &EquivOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            EquivError::Encode(TseitinError::Undriven("floating".into()))
+        );
+    }
+
+    #[test]
+    fn unknown_pin_leaves_session_untouched() {
+        let l = and_circuit("l", GateKind::And);
+        let r = and_circuit("r", GateKind::Or);
+        let mut sess = EquivSession::new(&l, &r, &EquivOptions::default()).unwrap();
+        let err = sess.check_outputs(&[0], &[("nope".into(), true)]);
+        assert!(matches!(err, Err(EquivError::PortMismatch(_))));
+        assert_eq!(sess.encoded_outputs(), 0, "a failed check encodes nothing");
+        assert_eq!(sess.checks(), 0, "a failed check never solves");
+        assert!(matches!(
+            sess.check_outputs(&[0], &[("a".into(), true)]).unwrap(),
+            EquivResult::Inequivalent { .. }
+        ));
+        assert_eq!(sess.encoded_outputs(), 1);
+        assert_eq!(sess.checks(), 1);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! incremental use. Companion modules provide CNF formulas with DIMACS
 //! I/O ([`Cnf`]), Tseitin encoding of gate-level netlists
 //! ([`encode_netlist`]) into a [`Cnf`] or straight into a live
-//! [`Session`] (both are a [`ClauseSink`]), and the attack-side
-//! preprocessing passes (BVA and one-layer one-hot routing encoding,
-//! [`bva`]).
+//! [`Session`] (both are a [`ClauseSink`]), and SAT-based combinational
+//! equivalence checking ([`EquivSession`]).
 //!
 //! There is one search engine: a [`Session`] owns one sequential
 //! [`Solver`], as the paper runs one CaDiCaL solve per query. Short of a
@@ -34,7 +33,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bva;
 pub mod cnf;
 pub mod equiv;
 pub mod lit;
@@ -43,10 +41,7 @@ pub mod solver;
 pub mod tseitin;
 
 pub use cnf::{Cnf, ParseDimacsError};
-pub use equiv::{
-    check_equivalence, check_equivalence_in, EquivError, EquivOptions, EquivResult, EquivSession,
-    IncrementalEquivSession,
-};
+pub use equiv::{check_equivalence, EquivError, EquivOptions, EquivResult, EquivSession};
 pub use lit::{LBool, Lit, Var};
 pub use session::{Session, SolveRecord};
 pub use solver::{Budget, BudgetError, Outcome, Solver, SolverConfig, SolverStats};

@@ -16,8 +16,8 @@
 //! UNSAT-under-assumptions without poisoning the clause database. To make
 //! a whole clause retractable, guard it with a fresh activation variable
 //! `a` (`clause ∨ ¬a`) and assume `a` while the clause should hold — the
-//! pattern [`crate::equiv::check_equivalence_in`] uses to share one
-//! session across independent miters.
+//! pattern [`crate::EquivSession`] uses to give each queried output subset
+//! its own difference clause in one live miter.
 
 use crate::cnf::Cnf;
 use crate::lit::{Lit, Var};

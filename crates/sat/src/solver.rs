@@ -1447,8 +1447,8 @@ mod tests {
                 for _ in 0..rng.gen_range(0..3) {
                     assumptions.push(Lit::new(rng.gen_range(0..n), rng.gen()));
                 }
+                // The unit `guard` clause grows the pool to `next_var`.
                 let mut constrained = live.clone();
-                constrained.reserve_vars(next_var);
                 for &l in &assumptions {
                     constrained.add_clause([l]);
                 }

@@ -54,6 +54,29 @@ impl CircuitVars {
     }
 }
 
+/// Checks that `nl` can be encoded: it contains no DFF and every net a
+/// gate reads is driven or a primary input. Encoders that must not write
+/// a clause before they know they will succeed run this first.
+///
+/// # Errors
+///
+/// Returns [`TseitinError::Sequential`] if the netlist contains DFFs and
+/// [`TseitinError::Undriven`] if a used net has no driver and is not a
+/// primary input.
+pub(crate) fn check_encodable(nl: &Netlist) -> Result<(), TseitinError> {
+    if nl.gates().any(|(_, gate)| gate.kind() == GateKind::Dff) {
+        return Err(TseitinError::Sequential);
+    }
+    for (_, gate) in nl.gates() {
+        for &inp in gate.inputs() {
+            if nl.net(inp).driver().is_none() && !nl.is_input(inp) {
+                return Err(TseitinError::Undriven(nl.net(inp).name().to_string()));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Encodes `nl` into `cnf`. Nets listed in `pinned` reuse the given
 /// variables; all other nets get fresh ones. Returns the complete net→var
 /// map.
@@ -62,12 +85,13 @@ impl CircuitVars {
 ///
 /// Returns [`TseitinError::Sequential`] if the netlist contains DFFs and
 /// [`TseitinError::Undriven`] if a used net has no driver and is not a
-/// primary input.
+/// primary input. Both are found before anything is written to `cnf`.
 pub fn encode_netlist_into(
     nl: &Netlist,
     cnf: &mut Cnf,
     pinned: &HashMap<NetId, Var>,
 ) -> Result<CircuitVars, TseitinError> {
+    check_encodable(nl)?;
     let mut vars = Vec::with_capacity(nl.net_count());
     for (id, _) in nl.nets() {
         match pinned.get(&id) {
@@ -84,49 +108,40 @@ pub fn encode_netlist_into(
             .collect();
         encode_gate(cnf, gate.kind(), out, &ins)?;
     }
-    // Sanity: every net consumed by a gate or output must be driven or PI.
-    for (_, gate) in nl.gates() {
-        for &inp in gate.inputs() {
-            if nl.net(inp).driver().is_none() && !nl.is_input(inp) {
-                return Err(TseitinError::Undriven(nl.net(inp).name().to_string()));
-            }
-        }
-    }
     Ok(CircuitVars { vars })
 }
 
-/// Encodes only the gates accepted by `include`, allocating variables
-/// lazily: a net gets a variable only if it is pinned or touched by an
-/// included gate. Returns the sparse net→var map.
+/// Encodes only the gates accepted by `include` into `sink`, allocating
+/// variables lazily: a net gets a variable only if it is pinned or touched
+/// by an included gate. Returns the sparse net→var map.
 ///
-/// This is the workhorse of structure-sharing attack encodings: a second
-/// circuit copy pins every key-independent net to the first copy's
-/// variables and encodes only the key-dependent cones.
+/// This is the workhorse of structure-sharing encodings: the attack's
+/// second circuit copy pins every key-independent net to the first copy's
+/// variables and encodes only the key-dependent cones, and the
+/// equivalence miter encodes output cones on demand.
 ///
 /// # Errors
 ///
 /// Returns [`TseitinError::Sequential`] if an included gate is a DFF.
 pub fn encode_selected(
     nl: &Netlist,
-    cnf: &mut Cnf,
+    sink: &mut impl ClauseSink,
     pinned: &HashMap<NetId, Var>,
     mut include: impl FnMut(ril_netlist::GateId) -> bool,
 ) -> Result<HashMap<NetId, Var>, TseitinError> {
     let mut map: HashMap<NetId, Var> = pinned.clone();
-    let var_of = |cnf: &mut Cnf, map: &mut HashMap<NetId, Var>, net: NetId| {
-        *map.entry(net).or_insert_with(|| cnf.new_var())
-    };
     for (gid, gate) in nl.gates() {
         if !include(gid) {
             continue;
         }
-        let out = var_of(cnf, &mut map, gate.output()).positive();
+        let mut var_of = |net: NetId| *map.entry(net).or_insert_with(|| sink.new_var());
+        let out = var_of(gate.output()).positive();
         let ins: Vec<Lit> = gate
             .inputs()
             .iter()
-            .map(|&n| var_of(cnf, &mut map, n).positive())
+            .map(|&n| var_of(n).positive())
             .collect();
-        encode_gate(cnf, gate.kind(), out, &ins)?;
+        encode_gate(sink, gate.kind(), out, &ins)?;
     }
     Ok(map)
 }

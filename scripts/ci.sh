@@ -3,6 +3,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Cell-cache keys carry no code version, so a reused out dir could build
+# tables from cells an earlier build computed. The smoke stages start from
+# an empty dir and then check that every manifest computed all its cells.
+assert_no_cached_cells() {
+  local manifest
+  for manifest in "$1"/MANIFEST_*.json; do
+    grep -q '"cached_cells":0' "$manifest" \
+      || { echo "$manifest reports cached cells"; exit 1; }
+  done
+}
+
 echo "== tier-1: build (release) =="
 cargo build --release
 
@@ -68,11 +79,13 @@ grep -q "ril-serve drained" exp_out/ci_serve.log
 tail -4 exp_out/ci_remote_attack.log
 
 echo "== dynamic defense smoke (ril-bench run dynamic_defense --smoke) =="
+rm -rf exp_out/ci_dynamic
 RIL_OUT_DIR=exp_out/ci_dynamic RIL_LOG=error cargo run --release -q -p ril-bench --bin ril-bench -- \
   run dynamic_defense --smoke >exp_out/ci_dynamic.log 2>&1 \
   || { tail -50 exp_out/ci_dynamic.log; exit 1; }
 tail -10 exp_out/ci_dynamic.log
 cargo run --release -q -p ril-bench --bin ril-bench -- validate exp_out/ci_dynamic
+assert_no_cached_cells exp_out/ci_dynamic
 
 echo "== incremental verify smoke (ril-bench run incremental_verify --smoke) =="
 # Timed live, never cached (--no-cache is belt-and-braces): the ≥5x
@@ -127,10 +140,12 @@ grep -q '"farm.cells.completed"' exp_out/ci_farm/MANIFEST_table1.json
 cargo run --release -q -p ril-bench --bin ril-bench -- validate exp_out/ci_farm
 
 echo "== experiment smoke (ril-bench run --all --smoke) =="
+rm -rf exp_out/ci_smoke
 RIL_OUT_DIR=exp_out/ci_smoke RIL_LOG=error cargo run --release -q -p ril-bench --bin ril-bench -- \
   run --all --smoke >exp_out/ci_smoke.log 2>&1 \
   || { tail -50 exp_out/ci_smoke.log; exit 1; }
 tail -15 exp_out/ci_smoke.log
+assert_no_cached_cells exp_out/ci_smoke
 
 echo "== run artifacts (ril-bench validate + trace) =="
 cargo run --release -q -p ril-bench --bin ril-bench -- validate exp_out/ci_smoke

@@ -11,12 +11,12 @@
 //! * [`netlist`] — gate-level netlists, `.bench` I/O, simulation, synthetic
 //!   ISCAS/CEP benchmark generators;
 //! * [`sat`] — a from-scratch CDCL SAT solver with Tseitin encoding and
-//!   BVA preprocessing;
+//!   SAT-based equivalence checking;
 //! * [`mram`] — behavioural STT-MRAM LUT circuit models (transient,
 //!   Monte-Carlo, energy);
 //! * [`core`] — the RIL-Block obfuscation primitives, insertion, dynamic
 //!   morphing, metrics and baseline locks;
-//! * [`attacks`] — SAT attack, AppSAT, removal, ScanSAT, preprocessing;
+//! * [`attacks`] — SAT attack, AppSAT, removal, ScanSAT;
 //! * [`sca`] — power-trace synthesis and DPA/CPA attacks;
 //! * [`serve`] — the networked activation service: hosted chips behind a
 //!   framed TCP protocol, a live morph scheduler, and the

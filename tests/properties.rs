@@ -6,8 +6,53 @@ use rand::{Rng, SeedableRng};
 use ril_blocks::core::banyan::BanyanNetwork;
 use ril_blocks::core::lut::{complement_lut, swap_lut_inputs};
 use ril_blocks::core::{Obfuscator, RilBlockSpec};
-use ril_blocks::netlist::{generators, parse_bench, write_bench, Simulator};
-use ril_blocks::sat::{encode_netlist, Cnf, Lit, Outcome, Session, Solver};
+use ril_blocks::netlist::{generators, parse_bench, write_bench, GateKind, Netlist, Simulator};
+use ril_blocks::sat::{
+    check_equivalence, encode_netlist, Cnf, EquivOptions, EquivResult, EquivSession, Lit, Outcome,
+    Session, Solver,
+};
+
+/// A copy of `nl` with the kind of its `pick`-th gate (mod the gate count)
+/// changed to another kind of the same arity.
+fn with_one_gate_kind_changed(nl: &Netlist, pick: u64) -> Netlist {
+    let mut copy = nl.clone();
+    let gates: Vec<_> = copy.gates().map(|(id, g)| (id, g.kind())).collect();
+    let (id, kind) = gates[(pick % gates.len() as u64) as usize];
+    let next = match kind {
+        GateKind::And => GateKind::Or,
+        GateKind::Or => GateKind::Nand,
+        GateKind::Nand => GateKind::Nor,
+        GateKind::Nor => GateKind::Xor,
+        GateKind::Xor => GateKind::Xnor,
+        GateKind::Xnor => GateKind::And,
+        GateKind::Not => GateKind::Buf,
+        GateKind::Buf => GateKind::Not,
+        other => panic!("random_circuit never emits {other:?}"),
+    };
+    copy.set_gate_kind(id, next).expect("same arity");
+    copy
+}
+
+/// For every input pattern (bit `i` of the pattern index drives input
+/// `i`), which outputs of `left` and `right` differ.
+fn exhaustive_output_diffs(left: &Netlist, right: &Netlist) -> Vec<Vec<bool>> {
+    let n = left.inputs().len();
+    let mut sim_l = Simulator::new(left).expect("sim");
+    let mut sim_r = Simulator::new(right).expect("sim");
+    (0u64..1 << n)
+        .map(|p| {
+            let bits: Vec<bool> = (0..n).map(|i| (p >> i) & 1 == 1).collect();
+            let l = sim_l.eval_bits(left, &bits);
+            let r = sim_r.eval_bits(right, &bits);
+            l.iter().zip(&r).map(|(a, b)| a != b).collect()
+        })
+        .collect()
+}
+
+/// The outputs of `nl` on one input pattern.
+fn outputs_at(nl: &Netlist, bits: &[bool]) -> Vec<bool> {
+    Simulator::new(nl).expect("sim").eval_bits(nl, bits)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -161,6 +206,60 @@ proptest! {
         let mut solver = Solver::from_cnf(&cnf);
         if solver.solve() == Outcome::Sat {
             prop_assert!(cnf.is_satisfied_by(solver.model()));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The SAT equivalence engine against an independent reference,
+    /// exhaustive simulation. A random circuit is paired with itself and
+    /// with a copy that has one gate kind changed; outputs are matched by
+    /// name and then by position. `check_equivalence` must say
+    /// `Equivalent` exactly when no input pattern separates the pair, its
+    /// counterexamples must separate it, and a `check_outputs` subset must
+    /// match simulation restricted to those outputs.
+    #[test]
+    fn equivalence_engine_matches_exhaustive_simulation(
+        seed in 0u64..5000,
+        n_inputs in 1usize..=8,
+        n_gates in 8usize..40,
+        n_outputs in 1usize..=4,
+        pick in any::<u64>(),
+    ) {
+        let nl = generators::random_circuit(seed, n_inputs, n_gates, n_outputs);
+        let mutant = with_one_gate_kind_changed(&nl, pick);
+        let subset: Vec<usize> = (0..n_outputs).filter(|i| (pick >> (32 + i)) & 1 == 1).collect();
+        for right in [&nl, &mutant] {
+            let diffs = exhaustive_output_diffs(&nl, right);
+            let differ_on = |outs: &[usize]| diffs.iter().any(|d| outs.iter().any(|&o| d[o]));
+            let all: Vec<usize> = (0..n_outputs).collect();
+            for by_position in [false, true] {
+                let opts = EquivOptions {
+                    match_outputs_by_position: by_position,
+                    ..EquivOptions::default()
+                };
+                match check_equivalence(&nl, right, &opts).expect("ports align") {
+                    EquivResult::Equivalent => prop_assert!(!differ_on(&all)),
+                    EquivResult::Inequivalent { counterexample } => {
+                        prop_assert!(differ_on(&all));
+                        prop_assert_ne!(outputs_at(&nl, &counterexample), outputs_at(right, &counterexample));
+                    }
+                    EquivResult::Unknown => prop_assert!(false, "no budget was set"),
+                }
+                let mut sess = EquivSession::new(&nl, right, &opts).expect("ports align");
+                match sess.check_outputs(&subset, &[]).expect("indices in range") {
+                    EquivResult::Equivalent => prop_assert!(!differ_on(&subset)),
+                    EquivResult::Inequivalent { counterexample } => {
+                        prop_assert!(differ_on(&subset));
+                        let l = outputs_at(&nl, &counterexample);
+                        let r = outputs_at(right, &counterexample);
+                        prop_assert!(subset.iter().any(|&o| l[o] != r[o]));
+                    }
+                    EquivResult::Unknown => prop_assert!(false, "no budget was set"),
+                }
+            }
         }
     }
 }
