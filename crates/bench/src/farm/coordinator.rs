@@ -2,22 +2,22 @@
 //! lease table, persists finished cells into the shared cache, and
 //! records farm telemetry.
 //!
-//! The control plane is deliberately boring compared to the oracle
-//! server's reactor: farm traffic is a few frames per cell (seconds to
-//! minutes of compute each), so a thread per connection with short read
-//! timeouts is plenty, and keeps the lease logic synchronous — one
-//! mutex around the [`LeaseTable`], taken per frame.
+//! It runs the oracle server's connection loop ([`ril_serve::conn`]): a
+//! blocking `accept`, then one thread per connection that blocks in
+//! `read` and answers each complete frame. A frame that arrives in
+//! pieces is buffered until it is whole, so a slow peer never knocks the
+//! stream off its frame boundaries. The lease logic stays synchronous —
+//! one mutex around the [`LeaseTable`], taken per frame.
 
 use std::collections::HashSet;
-use std::io::{self, ErrorKind};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use ril_serve::conn::{spawn_acceptor, Handler, Stop};
 use ril_serve::farm::{FarmRequest, FarmResponse, FARM_PROTOCOL_VERSION};
-use ril_serve::{read_frame_bytes, write_frame_bytes, FrameError};
 use ril_trace::{Metrics, MetricsSnapshot, Tracer};
 
 use crate::cache::{CacheKey, CellCache};
@@ -51,7 +51,7 @@ struct Shared {
     cache: CellCache,
     metrics: Metrics,
     trace: Option<Tracer>,
-    shutdown: AtomicBool,
+    stop: Stop,
     workers: Mutex<HashSet<String>>,
 }
 
@@ -99,19 +99,16 @@ impl Coordinator {
     ) -> io::Result<FarmHandle> {
         let listener = TcpListener::bind(&cfg.bind)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let stop = Stop::new(&listener)?;
         let shared = Arc::new(Shared {
             table: Mutex::new(LeaseTable::new(cells, cfg.lease)),
             cache,
             metrics: Metrics::new(),
             trace: cfg.trace,
-            shutdown: AtomicBool::new(false),
+            stop: stop.clone(),
             workers: Mutex::new(HashSet::new()),
         });
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
-        };
+        let accept = spawn_acceptor(listener, Arc::clone(&shared), stop);
         Ok(FarmHandle {
             addr,
             shared,
@@ -173,10 +170,10 @@ impl FarmHandle {
     }
 
     /// Stops accepting, tells polling workers the farm is done, and
-    /// joins the accept thread. Connection threads notice the flag
-    /// within one read timeout.
+    /// joins the accept thread, which wakes and joins every connection
+    /// thread.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.stop.trigger();
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -189,55 +186,45 @@ impl Drop for FarmHandle {
     }
 }
 
-const READ_TIMEOUT: Duration = Duration::from_millis(250);
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || serve_conn(stream, &shared));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
-fn serve_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    loop {
-        let payload = match read_frame_bytes(&mut stream) {
-            Ok(p) => p,
-            Err(FrameError::Io(e))
-                if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        let resp = match FarmRequest::decode(&payload) {
-            Ok(req) => handle(shared, req),
+impl Handler for Shared {
+    fn answer(&self, payload: &[u8]) -> (Vec<u8>, bool) {
+        let resp = match FarmRequest::decode(payload) {
+            Ok(req) => handle(self, req),
             Err(e) => FarmResponse::FarmError {
                 message: format!("bad farm frame: {e}"),
             },
         };
-        let Ok(frame) = resp.encode() else {
-            return;
-        };
-        if write_frame_bytes(&mut stream, &frame).is_err() {
-            return;
-        }
+        (encode(&resp), false)
+    }
+
+    fn oversized(&self, len: usize) -> Vec<u8> {
+        encode(&FarmResponse::FarmError {
+            message: format!("{len}-byte frame exceeds the cap"),
+        })
+    }
+
+    fn farewell(&self) -> Option<Vec<u8>> {
+        // A worker reads this as the answer to its next request: a
+        // polling worker learns the farm is done and exits cleanly.
+        Some(encode(&FarmResponse::Leases {
+            leases: Vec::new(),
+            done: true,
+        }))
     }
 }
 
-fn handle(shared: &Arc<Shared>, req: FarmRequest) -> FarmResponse {
+/// Encodes `resp`; one too large for a frame degrades to a short error.
+fn encode(resp: &FarmResponse) -> Vec<u8> {
+    resp.encode().unwrap_or_else(|_| {
+        FarmResponse::FarmError {
+            message: "response exceeded the frame cap".to_string(),
+        }
+        .encode()
+        .expect("a short error encodes")
+    })
+}
+
+fn handle(shared: &Shared, req: FarmRequest) -> FarmResponse {
     let now = Instant::now();
     match req {
         FarmRequest::Join { worker, version } => {
@@ -255,7 +242,7 @@ fn handle(shared: &Arc<Shared>, req: FarmRequest) -> FarmResponse {
             }
         }
         FarmRequest::Lease { worker, max } => {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.stop.is_set() {
                 return FarmResponse::Leases {
                     leases: Vec::new(),
                     done: true,
@@ -384,7 +371,7 @@ fn unescape(v: &str) -> String {
     v.replace("%7c", "|").replace("%25", "%")
 }
 
-fn store(shared: &Arc<Shared>, key: &CacheKey, payload: &str) {
+fn store(shared: &Shared, key: &CacheKey, payload: &str) {
     // The cache's temp+rename makes racing stores safe; a cell already
     // on disk stays (first write wins at the table level already).
     if shared.cache.get(key).is_none() {

@@ -2,6 +2,7 @@
 //! lifecycle over a real socket, crash recovery, worker processes, and
 //! first-write-wins artifact idempotence.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -241,6 +242,36 @@ fn unknown_version_bytes_get_a_farm_error_naming_the_version() {
     frame[1] = 2;
     assert_farm_error(client.send_raw(&frame), "version 2");
     assert!(matches!(client.call(&join), FarmResponse::Welcome { .. }));
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_frame_split_by_a_pause_is_answered_whole() {
+    let dir = temp_dir("split");
+    let mut handle = start_farm(&dir, tiny_cells(1), Duration::from_secs(30));
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let payload = FarmRequest::Lease {
+        worker: "a".into(),
+        max: 1,
+    }
+    .encode()
+    .unwrap();
+    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(&payload);
+    // Half the header, then a pause longer than any read timeout the
+    // coordinator might use, then the rest of the frame.
+    stream.write_all(&frame[..2]).unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    stream.write_all(&frame[2..]).unwrap();
+    let answer = read_frame_bytes(&mut stream).expect("an answer frame");
+    match FarmResponse::decode(&answer) {
+        Ok(FarmResponse::Leases { leases, .. }) => assert_eq!(leases.len(), 1),
+        other => panic!("expected leases, got {other:?}"),
+    }
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

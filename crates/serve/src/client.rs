@@ -14,7 +14,7 @@ use crate::protocol::{DesignSpec, ErrorKind, FrameError, Request, Response, Serv
 use ril_attacks::{OracleError, OracleSource, PatternBlock, ResponseBlock};
 use ril_core::MorphDelta;
 use std::io::Write;
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// A client-side failure.
@@ -310,11 +310,23 @@ impl ServeClient {
                     let payload = req.encode().map_err(|e| e.to_string())?;
                     append_frame(&mut wire, &payload).map_err(|e| e.to_string())?;
                 }
-                stream.write_all(&wire).map_err(|e| e.to_string())?;
-                stream.flush().map_err(|e| e.to_string())?;
-                for _ in window {
-                    out.push(read_response(stream)?);
-                }
+                // The server answers as it reads and blocks writing answers
+                // nobody reads, so a window larger than the socket buffers
+                // is written from a second thread while this one reads.
+                let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
+                std::thread::scope(|s| {
+                    let sent = s.spawn(move || writer.write_all(&wire));
+                    let read = window.iter().try_for_each(|_| {
+                        out.push(read_response(stream)?);
+                        Ok::<(), String>(())
+                    });
+                    if read.is_err() {
+                        let _ = stream.shutdown(Shutdown::Both);
+                    }
+                    let sent = sent.join().expect("a socket write does not panic");
+                    read?;
+                    sent.map_err(|e| e.to_string())
+                })?;
             }
             Ok(out)
         })();

@@ -66,25 +66,26 @@ pub fn read_frame_bytes(r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     }
 }
 
-/// Writes one length-prefixed frame payload.
+/// Writes one length-prefixed frame payload in a single write.
+///
+/// One write puts a request on the wire as one segment, and it lets a
+/// peer read the farewell frame of a server that has already closed:
+/// only a second write would meet the server's reset.
 ///
 /// # Errors
 ///
 /// [`FrameError::Oversized`] when `payload` exceeds [`MAX_FRAME_BYTES`];
 /// otherwise propagates I/O failures.
 pub fn write_frame_bytes(w: &mut impl Write, payload: &[u8]) -> Result<(), FrameError> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(FrameError::Oversized(payload.len()));
-    }
-    let header = (payload.len() as u32).to_be_bytes();
-    w.write_all(&header).map_err(FrameError::Io)?;
-    w.write_all(payload).map_err(FrameError::Io)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    append_frame(&mut frame, payload)?;
+    w.write_all(&frame).map_err(FrameError::Io)?;
     w.flush().map_err(FrameError::Io)
 }
 
-/// Appends a frame (header + payload) to an in-memory buffer — the
-/// event-driven server's write path, where the socket write happens later
-/// and nonblocking.
+/// Appends a frame (header + payload) to an in-memory buffer, so that
+/// several frames go out in one write (pipelined requests, and the
+/// responses a connection thread answers in one pass).
 ///
 /// # Errors
 ///

@@ -16,9 +16,10 @@
 //!   length prefix, then the compact binary encoding
 //!   ([`Request::encode`]/[`Request::decode`] and the [`Response`] pair),
 //!   whose version byte is the only version check.
-//! * [`server`] — an event-driven nonblocking reactor loop: per-connection
-//!   read/write buffers, request pipelining, and the chip table striped
-//!   over N shard locks.
+//! * [`server`] — the oracle service: request dispatch, request
+//!   pipelining, and the chip table striped over N shard locks.
+//! * [`conn`] — one blocking thread per connection, with explicit
+//!   shutdown wake-ups; the farm coordinator runs the same loop.
 //! * `scheduler` — the re-keying triggers, walking one shard at a time.
 //! * [`client`] — [`RemoteOracle`]: an [`ril_attacks::OracleSource`] over
 //!   TCP with reconnect/retry, so SAT, AppSAT and ScanSAT run unchanged
@@ -55,6 +56,7 @@
 
 pub mod client;
 pub mod codec;
+pub mod conn;
 pub mod farm;
 pub mod protocol;
 mod scheduler;

@@ -1,16 +1,14 @@
-//! The activation service: an event-driven nonblocking reactor loop over
+//! The activation service: one blocking thread per connection over
 //! `std::net`, with the hosted-chip table striped across shard locks.
 //!
-//! The acceptor hands each connection to one of `workers` reactor
-//! threads round-robin. A reactor owns its connections outright: each
-//! pass it drains its handoff inbox, pulls whatever bytes are readable
-//! into per-connection read buffers, decodes and dispatches **every**
-//! complete frame it finds (request pipelining — a client may write many
-//! frames before reading any response), appends the responses to
-//! per-connection write buffers, and flushes what the sockets will take
-//! without blocking. No thread ever parks on one peer, so a stalled or
-//! hostile connection cannot pin a worker, and one reactor multiplexes
-//! thousands of in-flight oracle streams.
+//! The acceptor blocks in `accept` and gives each connection its own
+//! thread ([`crate::conn`]). That thread blocks in `read`, decodes and
+//! dispatches **every** complete frame it has buffered (request
+//! pipelining — a client may write many frames before reading any
+//! response), and writes the responses in order. Nothing on the request
+//! path sleeps, spins or polls, so a serial caller that thinks between
+//! queries (a SAT attack) pays no wake-up latency. A stalled peer parks
+//! its own thread and delays no one else.
 //!
 //! Every frame is binary in both directions ([`crate::codec`]), errors
 //! included. A payload that does not decode — wrong magic, wrong version
@@ -24,25 +22,21 @@
 //! atomic-block invariant) — while traffic to chips on other shards
 //! proceeds in parallel. The scheduler walks one shard at a time.
 //!
-//! Idle behavior: a reactor that makes no progress on a pass yields for
-//! its first few dozen spins, then naps in sub-millisecond sleeps. The
-//! spin window keeps serial request/response latency low (a reply
-//! usually arrives while the reactor is still yielding); the nap keeps
-//! an idle service off the CPU.
+//! Shutdown — [`ServerHandle::shutdown`] or the wire `shutdown` op —
+//! wakes the acceptor and every blocked connection explicitly. Each
+//! connection still open gets a typed `shutting_down` frame, and the
+//! acceptor joins every connection thread before it returns.
 
-use crate::codec::append_frame;
-use crate::protocol::{
-    ChipStats, DesignSpec, ErrorKind, Request, Response, ServerStats, MAX_FRAME_BYTES,
-};
+use crate::conn::{spawn_acceptor, Handler, Stop};
+use crate::protocol::{ChipStats, DesignSpec, ErrorKind, Request, Response, ServerStats};
 use crate::scheduler::{do_morph, spawn_scheduler};
 use rand::{rngs::StdRng, SeedableRng};
 use ril_attacks::{Oracle, PatternBlock, MAX_LANES};
 use ril_core::LockedCircuit;
 use ril_trace::{Metrics, MetricsSnapshot, SpanId, Tracer};
 use std::collections::BTreeMap;
-use std::io::{ErrorKind as IoKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -51,19 +45,11 @@ use std::time::{Duration, Instant};
 /// so the morph stream is not the lock stream replayed.
 const MORPH_SEED_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Pure-yield spins before an idle reactor starts sleeping.
-const IDLE_SPINS: u32 = 64;
-
-/// Nap length once a reactor is past its spin window.
-const IDLE_NAP: Duration = Duration::from_micros(200);
-
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Listen address; use port 0 for an OS-assigned port.
     pub addr: String,
-    /// Reactor threads (each multiplexes many connections).
-    pub workers: usize,
     /// Chip-table stripes. More stripes = more chips morphing/answering
     /// concurrently; a single chip's traffic still serializes on its own
     /// stripe (that's the batch-atomicity guarantee).
@@ -80,7 +66,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: 2,
             shards: 8,
             morph_queries: None,
             morph_interval: None,
@@ -110,9 +95,7 @@ pub(crate) struct State {
     pub(crate) shards: Vec<Mutex<BTreeMap<u64, HostedChip>>>,
     next_chip: AtomicU64,
     requests: AtomicU64,
-    pub(crate) shutdown: AtomicBool,
-    /// Per-reactor connection inboxes, filled by the acceptor.
-    handoffs: Vec<Mutex<Vec<TcpStream>>>,
+    stop: Stop,
     trace: Option<(Tracer, SpanId)>,
     /// The server's own metrics registry (DESIGN.md §15): request
     /// counters, per-phase and per-chip latency histograms. Distinct
@@ -127,7 +110,7 @@ pub(crate) struct State {
 
 impl State {
     pub(crate) fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.stop.is_set()
     }
 
     pub(crate) fn metrics(&self) -> &Metrics {
@@ -150,7 +133,7 @@ impl State {
 pub struct Server;
 
 impl Server {
-    /// Binds, spawns the acceptor + reactor threads (+ time-based morph
+    /// Binds, spawns the acceptor (+ time-based morph
     /// scheduler when configured), and returns the control handle.
     ///
     /// # Errors
@@ -160,7 +143,8 @@ impl Server {
         Server::start_inner(cfg, None)
     }
 
-    /// Like [`Server::start`], but every reactor and the scheduler join
+    /// Like [`Server::start`], but every connection thread and the
+    /// scheduler join
     /// `tracer`'s trace as children of `parent`, so `serve.*` counters
     /// and spans land in the caller's export.
     ///
@@ -180,9 +164,8 @@ impl Server {
         trace: Option<(Tracer, SpanId)>,
     ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let workers = cfg.workers.max(1);
+        let stop = Stop::new(&listener)?;
         let shards = cfg.shards.max(1);
         let started = Instant::now();
         let state = Arc::new(State {
@@ -190,23 +173,14 @@ impl Server {
             shards: (0..shards).map(|_| Mutex::new(BTreeMap::new())).collect(),
             next_chip: AtomicU64::new(1),
             requests: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            handoffs: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
+            stop: stop.clone(),
             trace,
             metrics: Metrics::new(),
             started,
             last_poll: Mutex::new((started, 0)),
         });
 
-        let mut threads = Vec::new();
-        {
-            let state = Arc::clone(&state);
-            threads.push(std::thread::spawn(move || accept_loop(&state, &listener)));
-        }
-        for idx in 0..workers {
-            let state = Arc::clone(&state);
-            threads.push(std::thread::spawn(move || reactor_loop(&state, idx)));
-        }
+        let mut threads = vec![spawn_acceptor(listener, Arc::clone(&state), stop)];
         if state.cfg.morph_interval.is_some() {
             threads.push(spawn_scheduler(Arc::clone(&state)));
         }
@@ -272,281 +246,62 @@ impl ServerHandle {
 
     /// Signals shutdown and joins every service thread. Idempotent.
     pub fn shutdown(&self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        let handles: Vec<JoinHandle<()>> = {
-            let mut guard = self.threads.lock().expect("thread table");
-            guard.drain(..).collect()
+        self.state.stop.trigger();
+        self.wait();
+    }
+}
+
+impl Handler for State {
+    /// Decodes, dispatches, and answers one frame.
+    fn answer(&self, payload: &[u8]) -> (Vec<u8>, bool) {
+        ril_trace::counter("serve.requests", 1);
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.metrics.counter_add("serve.requests", 1);
+        let t_decode = Instant::now();
+        let decoded = Request::decode(payload);
+        self.metrics
+            .record_timing("serve.phase.decode", t_decode.elapsed());
+        let (resp, close) = match decoded {
+            Ok(req) => dispatch(self, req),
+            // Framing is still aligned (the length prefix was valid), so a
+            // malformed payload answers a typed error and keeps the stream.
+            Err(e) => (err(ErrorKind::Malformed, e.to_string()), false),
         };
-        for h in handles {
-            let _ = h.join();
-        }
+        (encode_response(self, &resp), close)
+    }
+
+    fn oversized(&self, len: usize) -> Vec<u8> {
+        let resp = err(
+            ErrorKind::Oversized,
+            format!("{len}-byte frame exceeds the cap"),
+        );
+        encode_response(self, &resp)
+    }
+
+    fn farewell(&self) -> Option<Vec<u8>> {
+        err(ErrorKind::ShuttingDown, "server is shutting down")
+            .encode()
+            .ok()
+    }
+
+    fn enter(&self) -> Option<ril_trace::ContextGuard> {
+        self.install_trace()
     }
 }
 
-fn accept_loop(state: &State, listener: &TcpListener) {
-    let _guard = state.install_trace();
-    let mut next = 0usize;
-    while !state.shutting_down() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_nonblocking(true);
-                let slot = next % state.handoffs.len();
-                next = next.wrapping_add(1);
-                state.handoffs[slot]
-                    .lock()
-                    .expect("handoff inbox")
-                    .push(stream);
-            }
-            Err(e) if e.kind() == IoKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-/// One multiplexed connection: its socket and the buffered halves of the
-/// frame streams in both directions.
-struct Conn {
-    stream: TcpStream,
-    /// Bytes received but not yet consumed as complete frames.
-    read_buf: Vec<u8>,
-    /// Encoded response frames not yet accepted by the socket.
-    write_buf: Vec<u8>,
-    /// How much of `write_buf` the socket has taken.
-    write_pos: usize,
-    /// Stop reading; close once `write_buf` drains (oversized frame,
-    /// `shutdown` ack, or peer EOF).
-    close_after_flush: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            write_pos: 0,
-            close_after_flush: false,
-        }
-    }
-
-    fn write_drained(&self) -> bool {
-        self.write_pos == self.write_buf.len()
-    }
-}
-
-/// One complete frame pulled off a connection's read buffer.
-enum FramePoll {
-    /// A full payload (header already stripped).
-    Ready(Vec<u8>),
-    /// Not enough bytes yet.
-    Pending,
-    /// The header declares more than [`MAX_FRAME_BYTES`]; the stream can
-    /// never re-align to a frame boundary.
-    Oversized(usize),
-}
-
-fn next_frame(read_buf: &mut Vec<u8>) -> FramePoll {
-    if read_buf.len() < 4 {
-        return FramePoll::Pending;
-    }
-    let len = u32::from_be_bytes(read_buf[..4].try_into().expect("4")) as usize;
-    if len > MAX_FRAME_BYTES {
-        return FramePoll::Oversized(len);
-    }
-    if read_buf.len() < 4 + len {
-        return FramePoll::Pending;
-    }
-    let payload = read_buf[4..4 + len].to_vec();
-    read_buf.drain(..4 + len);
-    FramePoll::Ready(payload)
-}
-
-fn reactor_loop(state: &State, idx: usize) {
-    let _guard = state.install_trace();
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut idle_spins = 0u32;
-    loop {
-        let mut progress = false;
-        {
-            let mut inbox = state.handoffs[idx].lock().expect("handoff inbox");
-            for stream in inbox.drain(..) {
-                conns.push(Conn::new(stream));
-                progress = true;
-            }
-        }
-        if state.shutting_down() {
-            drain_conns(&mut conns);
-            return;
-        }
-        let mut i = 0;
-        while i < conns.len() {
-            if service_conn(state, &mut conns[i], &mut progress) {
-                i += 1;
-            } else {
-                conns.swap_remove(i);
-            }
-        }
-        if progress {
-            idle_spins = 0;
-        } else if idle_spins < IDLE_SPINS {
-            idle_spins += 1;
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(IDLE_NAP);
-        }
-    }
-}
-
-/// One reactor pass over one connection: read what's there, answer every
-/// complete frame, flush what the socket takes. Returns `false` when the
-/// connection is finished and should be dropped.
-fn service_conn(state: &State, conn: &mut Conn, progress: &mut bool) -> bool {
-    let mut eof = false;
-    if !conn.close_after_flush {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&buf[..n]);
-                    *progress = true;
-                    if n < buf.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == IoKind::WouldBlock => break,
-                Err(e) if e.kind() == IoKind::Interrupted => {}
-                Err(_) => return false,
-            }
-        }
-    }
-    // Decode and dispatch every complete frame already buffered — this is
-    // the pipelining path: a client that wrote N requests back-to-back
-    // gets all N answered in order from one pass.
-    while !conn.close_after_flush {
-        match next_frame(&mut conn.read_buf) {
-            FramePoll::Pending => break,
-            FramePoll::Oversized(n) => {
-                let resp = err(
-                    ErrorKind::Oversized,
-                    format!("{n}-byte frame exceeds the cap"),
-                );
-                queue_response(state, conn, &resp);
-                conn.close_after_flush = true;
-                *progress = true;
-            }
-            FramePoll::Ready(payload) => {
-                handle_frame(state, conn, &payload);
-                *progress = true;
-            }
-        }
-    }
-    if !flush_conn(conn, progress) {
-        return false;
-    }
-    if conn.close_after_flush {
-        return !conn.write_drained();
-    }
-    if eof {
-        // The peer half-closed; answer what was buffered, then go.
-        conn.close_after_flush = true;
-        return !conn.write_drained();
-    }
-    true
-}
-
-/// Pushes buffered bytes into the socket without blocking. Returns
-/// `false` on a dead socket.
-fn flush_conn(conn: &mut Conn, progress: &mut bool) -> bool {
-    while conn.write_pos < conn.write_buf.len() {
-        match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-            Ok(0) => return false,
-            Ok(n) => {
-                conn.write_pos += n;
-                *progress = true;
-            }
-            Err(e) if e.kind() == IoKind::WouldBlock => break,
-            Err(e) if e.kind() == IoKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-    if conn.write_drained() && !conn.write_buf.is_empty() {
-        conn.write_buf.clear();
-        conn.write_pos = 0;
-    }
-    true
-}
-
-/// Encodes `resp` and appends it to the connection's write buffer. A
-/// response too large for a frame degrades to a typed `internal` error
-/// rather than killing the stream.
-fn queue_response(state: &State, conn: &mut Conn, resp: &Response) {
+/// Encodes `resp`. A response too large for a frame degrades to a typed
+/// `internal` error rather than killing the stream.
+fn encode_response(state: &State, resp: &Response) -> Vec<u8> {
     let t_write = Instant::now();
     let payload = resp.encode().unwrap_or_else(|_| {
         err(ErrorKind::Internal, "response exceeded the frame cap")
             .encode()
             .expect("a short error encodes")
     });
-    append_frame(&mut conn.write_buf, &payload).expect("payload is under the cap");
     state
         .metrics
         .record_timing("serve.phase.write", t_write.elapsed());
-}
-
-/// Decodes, dispatches, and answers one frame.
-fn handle_frame(state: &State, conn: &mut Conn, payload: &[u8]) {
-    ril_trace::counter("serve.requests", 1);
-    state.requests.fetch_add(1, Ordering::Relaxed);
-    state.metrics.counter_add("serve.requests", 1);
-    let t_decode = Instant::now();
-    let decoded = Request::decode(payload);
-    state
-        .metrics
-        .record_timing("serve.phase.decode", t_decode.elapsed());
-    let (resp, close) = match decoded {
-        Ok(req) => dispatch(state, req),
-        // Framing is still aligned (the length prefix was valid), so a
-        // malformed payload answers a typed error and keeps the stream.
-        Err(e) => (err(ErrorKind::Malformed, e.to_string()), false),
-    };
-    queue_response(state, conn, &resp);
-    if close {
-        conn.close_after_flush = true;
-    }
-}
-
-/// Shutdown path: tell every remaining peer the service is draining,
-/// give the sockets a short grace window to take the bytes, and drop.
-fn drain_conns(conns: &mut Vec<Conn>) {
-    let payload = err(ErrorKind::ShuttingDown, "server is shutting down")
-        .encode()
-        .expect("a short error encodes");
-    for conn in conns.iter_mut() {
-        if !conn.close_after_flush {
-            let _ = append_frame(&mut conn.write_buf, &payload);
-        }
-    }
-    let deadline = Instant::now() + Duration::from_millis(500);
-    loop {
-        let mut pending = false;
-        for conn in conns.iter_mut() {
-            let mut progress = false;
-            if !conn.write_drained() && flush_conn(conn, &mut progress) && !conn.write_drained() {
-                pending = true;
-            }
-        }
-        if !pending || Instant::now() >= deadline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    conns.clear();
+    payload
 }
 
 fn err(kind: ErrorKind, message: impl Into<String>) -> Response {
@@ -572,7 +327,7 @@ fn dispatch(state: &State, req: Request) -> (Response, bool) {
         Request::Morph { chip } => (morph(state, chip), false),
         Request::Stats => (stats(state), false),
         Request::Shutdown => {
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.stop.trigger();
             (Response::Bye, true)
         }
     }
@@ -631,7 +386,7 @@ fn query(state: &State, chip_id: u64, patterns: &[Vec<bool>], batch: bool) -> Re
     }
     let width = chip.oracle.input_width();
     // Validate every row before packing: `PatternBlock::pack` panics on
-    // ragged input, and a malformed request must not bring a reactor down.
+    // ragged input, and a malformed request must not bring a connection down.
     for pattern in patterns {
         if pattern.len() != width {
             return err(

@@ -351,3 +351,37 @@ fn pipelined_windows_answer_in_request_order() {
     }
     handle.shutdown();
 }
+
+/// A window far larger than the socket buffers still completes: the
+/// server thread blocks writing answers until the client reads them, so
+/// the client must read while it is still writing the window.
+#[test]
+fn a_window_larger_than_the_socket_buffers_completes() {
+    use ril_serve::{Request, Response};
+    let handle = Server::start(ServeConfig::default()).unwrap();
+    let design = DesignSpec {
+        benchmark: "adder:32".to_string(),
+        ..design(false, false, 5)
+    };
+    let chip = handle.activate(&design).unwrap();
+    let width = ril_attacks::Oracle::new(&design.build().unwrap())
+        .unwrap()
+        .input_width();
+    let mut client = ServeClient::builder(handle.addr().to_string())
+        .pipeline(256)
+        .build()
+        .unwrap();
+    // 256 frames of 4096 patterns: ~12 MiB each way in one window.
+    let reqs: Vec<Request> = (0..256)
+        .map(|i| Request::QueryBatch {
+            chip,
+            patterns: vec![vec![i % 2 == 0; width]; 4096],
+        })
+        .collect();
+    let resps = client.request_pipelined(&reqs).unwrap();
+    assert_eq!(resps.len(), 256);
+    assert!(resps
+        .iter()
+        .all(|r| matches!(r, Response::Batch { rows, .. } if rows.len() == 4096)));
+    handle.shutdown();
+}

@@ -1,5 +1,5 @@
 //! Protocol-robustness tests: hostile and broken clients must get typed
-//! errors, never panic a worker or wedge the service.
+//! errors, never panic a connection thread or wedge the service.
 
 use ril_serve::{
     read_frame_bytes, write_frame_bytes, ClientError, DesignSpec, ErrorKind, RemoteOracle, Request,
@@ -7,7 +7,8 @@ use ril_serve::{
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 fn small_design() -> DesignSpec {
     DesignSpec {
@@ -260,6 +261,55 @@ fn shutdown_op_drains_the_server() {
     std::thread::sleep(Duration::from_millis(50));
     let refused = TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err();
     assert!(refused, "listener should be closed after shutdown");
+}
+
+#[test]
+fn shutdown_op_releases_a_waiting_handle() {
+    // `rilock serve` blocks in `wait()` until a client sends `shutdown`;
+    // the op itself must wake the acceptor out of its blocking `accept`.
+    let handle = Arc::new(Server::start(ServeConfig::default()).unwrap());
+    let (done, waited) = mpsc::channel();
+    {
+        let handle = Arc::clone(&handle);
+        std::thread::spawn(move || {
+            handle.wait();
+            let _ = done.send(());
+        });
+    }
+    fast_client(handle.addr().to_string())
+        .shutdown_server()
+        .unwrap();
+    waited
+        .recv_timeout(Duration::from_secs(2))
+        .expect("wait() must return within 2 s of the shutdown op");
+}
+
+#[test]
+fn a_stalled_peer_delays_no_one_and_is_told_about_the_drain() {
+    let handle = Server::start(ServeConfig::default()).unwrap();
+    // Half a frame, and the socket stays open.
+    let mut stalled = raw_stream(handle.addr());
+    stalled.write_all(&[0u8, 0]).unwrap();
+    stalled.flush().unwrap();
+
+    let design = small_design();
+    let mut oracle = RemoteOracle::activate_with(fast_client(handle.addr().to_string()), &design)
+        .expect("activation past a stalled peer");
+    use ril_attacks::OracleSource;
+    let width = oracle.input_width();
+    let started = Instant::now();
+    for i in 0..100 {
+        let pattern: Vec<bool> = (0..width).map(|b| (i >> (b % 8)) & 1 == 1).collect();
+        oracle.try_query(&pattern).unwrap();
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "100 queries took {:?} beside a stalled peer",
+        started.elapsed()
+    );
+
+    handle.shutdown();
+    assert_eq!(read_error(&mut stalled).0, ErrorKind::ShuttingDown);
 }
 
 #[test]

@@ -42,7 +42,7 @@ mkdir -p exp_out
 ADDR_FILE=exp_out/ci_serve.addr
 rm -f "$ADDR_FILE"
 target/release/rilock serve --addr 127.0.0.1:0 --addr-file "$ADDR_FILE" \
-  --workers 2 --morph-queries 2 >exp_out/ci_serve.log 2>&1 &
+  --morph-queries 2 >exp_out/ci_serve.log 2>&1 &
 SERVE_PID=$!
 for _ in $(seq 1 100); do [ -s "$ADDR_FILE" ] && break; sleep 0.1; done
 [ -s "$ADDR_FILE" ] || { echo "serve never became ready"; kill "$SERVE_PID"; exit 1; }

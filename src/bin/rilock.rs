@@ -6,9 +6,8 @@
 //!               [--seed N] [--out locked.bench] [--key key.txt]
 //! rilock attack <locked.bench> --key key.txt [--timeout SECS] [--appsat]
 //! rilock morph  <locked.bench> --key key.txt [--seed N]
-//! rilock serve  [--addr HOST:PORT] [--addr-file PATH] [--workers N]
-//!               [--shards N] [--morph-queries K] [--morph-ms T]
-//!               [--query-limit N]
+//! rilock serve  [--addr HOST:PORT] [--addr-file PATH] [--shards N]
+//!               [--morph-queries K] [--morph-ms T] [--query-limit N]
 //! rilock remote-attack <HOST:PORT> [--benchmark NAME] [--spec 2x2]
 //!               [--blocks N] [--seed N] [--scan] [--zero-se]
 //!               [--timeout SECS] [--appsat] [--probe-batch N]
@@ -66,7 +65,7 @@ fn run() -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  rilock info   <design.bench>\n  rilock lock   <design.bench|.v> [--spec 8x8x8] [--blocks 3] [--scan] [--seed N] [--out locked.bench] [--key key.txt]\n  rilock attack <locked.bench> --key key.txt [--timeout SECS] [--appsat]\n  rilock morph  <locked.bench> --key key.txt [--seed N]\n  rilock serve  [--addr HOST:PORT] [--addr-file PATH] [--workers N] [--shards N] [--morph-queries K] [--morph-ms T] [--query-limit N]\n  rilock remote-attack <HOST:PORT> [--benchmark NAME] [--spec 2x2] [--blocks N] [--seed N] [--scan] [--zero-se] [--timeout SECS] [--appsat] [--probe-batch N] [--probe-pipeline N] [--shutdown]\n  rilock top    <HOST:PORT> [--interval-ms N] [--frames N] [--shutdown]".to_string()
+    "usage:\n  rilock info   <design.bench>\n  rilock lock   <design.bench|.v> [--spec 8x8x8] [--blocks 3] [--scan] [--seed N] [--out locked.bench] [--key key.txt]\n  rilock attack <locked.bench> --key key.txt [--timeout SECS] [--appsat]\n  rilock morph  <locked.bench> --key key.txt [--seed N]\n  rilock serve  [--addr HOST:PORT] [--addr-file PATH] [--shards N] [--morph-queries K] [--morph-ms T] [--query-limit N]\n  rilock remote-attack <HOST:PORT> [--benchmark NAME] [--spec 2x2] [--blocks N] [--seed N] [--scan] [--zero-se] [--timeout SECS] [--appsat] [--probe-batch N] [--probe-pipeline N] [--shutdown]\n  rilock top    <HOST:PORT> [--interval-ms N] [--frames N] [--shutdown]".to_string()
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -252,9 +251,6 @@ fn serve(args: &[String]) -> Result<(), String> {
             .to_string(),
         ..ServeConfig::default()
     };
-    if let Some(n) = flag_value(args, "--workers") {
-        cfg.workers = n.parse().map_err(|_| "bad --workers".to_string())?;
-    }
     if let Some(n) = flag_value(args, "--shards") {
         cfg.shards = n.parse().map_err(|_| "bad --shards".to_string())?;
     }
