@@ -112,7 +112,7 @@ fn appsat_attack_inner(
             }
             DipStep::Converged => {
                 // Converged exactly — extract like the plain SAT attack.
-                return match sess.extract_key() {
+                return match sess.extract_key(&[]) {
                     Ok(Some(key)) => sess.report(oracle, AttackResult::ExactKey(key)),
                     Ok(None) => sess.report(
                         oracle,
@@ -125,11 +125,12 @@ fn appsat_attack_inner(
             }
         }
 
-        // Periodic error estimation with random-query reinforcement,
-        // against the warm finder session (no rebuild per candidate).
+        // Periodic error estimation with random-query reinforcement; the
+        // candidate comes from the warm miter with its difference switched
+        // off (no rebuild per candidate).
         if sess.iterations.is_multiple_of(cfg.rounds_per_estimate) {
             let _est = ril_trace::span("estimate_error", ril_trace::Phase::Verify);
-            let candidate = match sess.extract_key() {
+            let candidate = match sess.extract_key(&[]) {
                 Ok(Some(key)) => key,
                 Ok(None) => {
                     return sess.report(
@@ -281,6 +282,40 @@ mod tests {
         let report = run_appsat_impl(&locked, &fast_cfg()).unwrap();
         assert!(report.result.succeeded(), "{report}");
         assert_eq!(report.functionally_correct, Some(true));
+    }
+
+    #[test]
+    fn key_extractions_are_booked_apart_from_dip_solves() {
+        // AppSAT extracts a candidate key every `rounds_per_estimate` DIPs
+        // from the same miter it finds DIPs on. Those extractions go to
+        // `finder_stats`, never into the per-iteration records.
+        let host = generators::adder(8);
+        let locked = Obfuscator::new(RilBlockSpec::size_2x2())
+            .blocks(2)
+            .seed(8)
+            .obfuscate(&host)
+            .unwrap();
+        let cfg = AppSatConfig {
+            rounds_per_estimate: 2,
+            ..fast_cfg()
+        };
+        let report = run_appsat_impl(&locked, &cfg).unwrap();
+        assert!(report.result.succeeded(), "{report}");
+        assert!(report.iterations >= cfg.rounds_per_estimate, "{report}");
+        // One solve per DIP, plus the UNSAT proof of an exact convergence.
+        let converged = matches!(report.result, AttackResult::ExactKey(_));
+        assert_eq!(
+            report.iteration_stats.len(),
+            report.iterations + usize::from(converged)
+        );
+        let summed = report
+            .iteration_stats
+            .iter()
+            .fold(ril_sat::SolverStats::default(), |acc, it| {
+                acc.plus(&it.stats)
+            });
+        assert_eq!(summed, report.miter_stats);
+        assert!(report.finder_stats.propagations > 0, "{report}");
     }
 
     #[test]

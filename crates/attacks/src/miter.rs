@@ -21,7 +21,7 @@
 //! leaves its whole encoding satisfied at the root, where the solver's
 //! root simplification collects it.
 //!
-//! A DIP copy is encoded straight into the live sessions. The decided
+//! A DIP copy is encoded straight into the live session. The decided
 //! nets ride on the constant rails, which are resolved before a clause is
 //! built: a clause a true rail satisfies is never built, and a false rail
 //! literal is dropped.
@@ -38,42 +38,45 @@ use std::time::Duration;
 
 /// The incremental state of one oracle-guided attack.
 ///
-/// Both formulas live in persistent [`Session`]s constructed exactly once:
-/// each DIP's constraint is encoded straight into the live solvers, so
-/// learned clauses, the decision order and watch lists stay warm across
-/// the whole DIP loop instead of being rebuilt per iteration.
+/// One persistent [`Session`], constructed exactly once, answers every
+/// question the attack asks: each DIP's constraint is encoded straight
+/// into the live solver, so learned clauses, the decision order and watch
+/// lists stay warm across the whole DIP loop instead of being rebuilt per
+/// iteration. The miter's difference clause is guarded by an activation
+/// literal: DIP solves assume it, and key extraction solves the same
+/// formula without it and reads copy 1's key variables.
 pub(crate) struct AttackInstance {
-    /// The distinguishing-input miter (`C(x,k1) ≠ C(x,k2)` + recorded I/O).
+    /// The miter (`C(x,k1) ≠ C(x,k2)` under `diff_on`, plus the recorded
+    /// I/O on both key vectors).
     pub(crate) miter: Session,
-    /// The key finder (recorded I/O constraints only), solved for candidate
-    /// and final keys.
-    pub(crate) finder: Session,
     /// Shared data-input vars (netlist data-input order, incl. tied SE).
     pub(crate) input_vars: Vec<Var>,
-    key1: Vec<Var>,
+    /// Copy 1's key vars: the key an extraction reads.
+    pub(crate) key1: Vec<Var>,
     key2: Vec<Var>,
-    pub(crate) keyf: Vec<Var>,
     /// Positions within the data inputs that are real oracle inputs.
     pub(crate) oracle_positions: Vec<usize>,
     /// The key cones, prepared once for per-DIP folding and encoding.
     dip: DipEncoder,
-    /// Constant rails of the miter and finder formulas.
-    const_m: (Var, Var),
-    const_f: (Var, Var),
-    /// Key-generation guard literals (miter, finder). Every clause of a
-    /// DIP's encoding is conditioned on the guard of the oracle
-    /// generation it was recorded under, so when the target morphs the
-    /// stale constraints retire in O(1) — the old guard is falsified, the
-    /// solvers collect the now root-satisfied clauses, and keep their
-    /// variable pools, learned clauses and heuristic state.
-    guard_m: Lit,
-    guard_f: Lit,
-    /// Oracle key generation the current guards cover.
+    /// Constant rails: variables fixed true and false at the root.
+    rails: (Var, Var),
+    /// Activation literal of the difference clause.
+    diff_on: Lit,
+    /// Key-generation guard. Every clause of a DIP's encoding is
+    /// conditioned on the guard of the oracle generation it was recorded
+    /// under, so when the target morphs the stale constraints retire in
+    /// O(1) — the old guard is falsified, the solver collects the now
+    /// root-satisfied clauses, and keeps its variable pool, learned
+    /// clauses and heuristic state.
+    guard: Lit,
+    /// Oracle key generation the current guard covers.
     generation: u64,
     /// DIP constraints recorded under the current generation.
     active_dips: usize,
     /// DIP constraints retired by generation bumps so far.
     retired_dips: usize,
+    /// Indices into the session's solve records of the key extractions.
+    extractions: Vec<usize>,
     sim: Simulator,
 }
 
@@ -133,23 +136,26 @@ impl AttackInstance {
         })
         .expect("combinational");
 
-        // Miter over the key-dependent outputs only (the rest are shared).
-        let mut diff = Vec::new();
+        // Miter over the key-dependent outputs only (the rest are shared),
+        // switched on by `diff_on`.
+        let diff_on = miter_cnf.new_var().positive();
+        let mut diff = vec![!diff_on];
         for &o in nl.outputs() {
             if !dependent_nets.contains(&o) {
                 continue;
             }
             let x = miter_cnf.new_var().positive();
-            let a = vars1.lit(o);
-            let b = map2[&o].positive();
-            miter_cnf.add_clause([!x, a, b]);
-            miter_cnf.add_clause([!x, !a, !b]);
-            miter_cnf.add_clause([x, !a, b]);
-            miter_cnf.add_clause([x, a, !b]);
+            encode_gate(
+                &mut miter_cnf,
+                GateKind::Xor,
+                x,
+                &[vars1.lit(o), map2[&o].positive()],
+            )
+            .expect("combinational");
             diff.push(x);
         }
         assert!(
-            !diff.is_empty(),
+            diff.len() > 1,
             "no output depends on any key input — nothing to attack"
         );
         miter_cnf.add_clause(diff);
@@ -159,21 +165,11 @@ impl AttackInstance {
         let cf = miter_cnf.new_var();
         miter_cnf.add_clause([ct.positive()]);
         miter_cnf.add_clause([cf.negative()]);
-        let guard_m = miter_cnf.new_var().positive();
+        let guard = miter_cnf.new_var().positive();
 
-        // Finder formula: key vars + its own constant rails and guard.
-        let mut finder_cnf = Cnf::new();
-        let keyf = finder_cnf.new_vars(key_inputs.len());
-        let ft = finder_cnf.new_var();
-        let ff = finder_cnf.new_var();
-        finder_cnf.add_clause([ft.positive()]);
-        finder_cnf.add_clause([ff.negative()]);
-        let guard_f = finder_cnf.new_var().positive();
-
-        // Both solvers are constructed here, once; from now on clauses are
+        // The solver is constructed here, once; from now on clauses are
         // only ever *appended*.
-        let miter = Session::from_cnf_with_config(&miter_cnf, solver_config.clone());
-        let finder = Session::from_cnf_with_config(&finder_cnf, solver_config);
+        let miter = Session::from_cnf_with_config(&miter_cnf, solver_config);
         if span.is_active() {
             span.record_u64("key_bits", key_inputs.len() as u64);
             span.record_u64("miter_vars", miter.num_vars() as u64);
@@ -181,20 +177,18 @@ impl AttackInstance {
         }
         AttackInstance {
             miter,
-            finder,
             input_vars,
             key1,
             key2,
-            keyf,
             oracle_positions,
             dip: DipEncoder::new(nl, &dependent_gates),
-            const_m: (ct, cf),
-            const_f: (ft, ff),
-            guard_m,
-            guard_f,
+            rails: (ct, cf),
+            diff_on,
+            guard,
             generation: 0,
             active_dips: 0,
             retired_dips: 0,
+            extractions: Vec::new(),
             sim: Simulator::new(nl).expect("combinational"),
         }
     }
@@ -203,8 +197,8 @@ impl AttackInstance {
     /// morphed), the DIP responses recorded so far may be stale — with
     /// Scan-Enable obfuscation a re-rolled `K_SE` changes every scan
     /// response, so keeping them could exclude *all* keys of the new
-    /// generation. The old generation's guards are permanently falsified
-    /// (the dead clauses are never satisfied again) and fresh guards are
+    /// generation. The old generation's guard is permanently falsified
+    /// (the dead clauses are never satisfied again) and a fresh guard is
     /// allocated. Returns how many DIP constraints were retired.
     pub(crate) fn observe_generation(&mut self, generation: u64) -> usize {
         if generation == self.generation {
@@ -213,14 +207,12 @@ impl AttackInstance {
         self.generation = generation;
         if self.active_dips == 0 {
             // Nothing recorded under the old generation — reuse its
-            // untouched guards.
+            // untouched guard.
             return 0;
         }
         let retired = self.active_dips;
-        let old = std::mem::replace(&mut self.guard_m, self.miter.new_var().positive());
+        let old = std::mem::replace(&mut self.guard, self.miter.new_var().positive());
         self.miter.add_clause([!old]);
-        let old = std::mem::replace(&mut self.guard_f, self.finder.new_var().positive());
-        self.finder.add_clause([!old]);
         self.retired_dips += retired;
         self.active_dips = 0;
         ril_trace::counter("attack.dips_retired", retired as u64);
@@ -236,7 +228,7 @@ impl AttackInstance {
     /// Solves the miter for a fresh DIP under the current generation's
     /// guard (retired generations' constraints stay inactive).
     pub(crate) fn solve_miter(&mut self) -> Outcome {
-        self.miter.solve_under(&[self.guard_m])
+        self.miter.solve_under(&[self.guard, self.diff_on])
     }
 
     /// Opens a DIP-collection batch: a fresh guard literal the in-batch
@@ -261,7 +253,7 @@ impl AttackInstance {
     /// [`AttackInstance::solve_miter`] with the batch guard asserted, so
     /// in-batch blocking clauses apply.
     pub(crate) fn solve_miter_in_batch(&mut self, guard: Lit) -> Outcome {
-        self.miter.solve_under(&[self.guard_m, guard])
+        self.miter.solve_under(&[self.guard, self.diff_on, guard])
     }
 
     /// Closes a DIP-collection batch: the guard is permanently falsified,
@@ -283,11 +275,10 @@ impl AttackInstance {
         self.oracle_positions.iter().map(|&p| dip_full[p]).collect()
     }
 
-    /// Adds the I/O constraint `circuit(dip, K) = response` for the three
-    /// key vectors (both miter copies and the finder), using simulation for
-    /// all key-independent logic. The DIP's boundary constants and their
-    /// fold through the key cones are computed once and shared by the
-    /// three copies.
+    /// Adds the I/O constraint `circuit(dip, K) = response` for both miter
+    /// key vectors, using simulation for all key-independent logic. The
+    /// DIP's boundary constants and their fold through the key cones are
+    /// computed once and shared by the two copies.
     ///
     /// # Errors
     ///
@@ -318,70 +309,50 @@ impl AttackInstance {
         }
         self.dip.fold(&self.sim);
 
-        // Both miter copies, then the finder's, straight into the sessions.
         for key_vars in [&self.key1, &self.key2] {
             self.dip.encode_copy(
                 &mut self.miter,
                 &self.sim,
                 key_vars,
-                self.const_m,
-                self.guard_m,
+                self.rails,
+                self.guard,
                 response,
             );
         }
-        self.dip.encode_copy(
-            &mut self.finder,
-            &self.sim,
-            &self.keyf,
-            self.const_f,
-            self.guard_f,
-            response,
-        );
         self.active_dips += 1;
         Ok(())
     }
 
-    /// Solves the key-extraction formula on the *persistent* finder session
-    /// (no rebuild — everything it learned over earlier extractions stays);
-    /// `Some(key)` on success, `None` on UNSAT (no key consistent with the
-    /// recorded responses), or `Err` on budget exhaustion.
+    /// Solves the miter with the difference switched off, under the
+    /// generation guard and `assumptions`, for a key consistent with the
+    /// recorded responses: `Some(key)` (copy 1's key variables) on
+    /// success, `None` on UNSAT (no key satisfies the responses *and*
+    /// the assumptions — the caller may retry with fewer), or `Err` on
+    /// budget exhaustion. ScanSAT assumes its mask bits off first.
     pub(crate) fn extract_key(
         &mut self,
+        assumptions: &[Lit],
         timeout: Option<Duration>,
     ) -> Result<Option<Vec<bool>>, ()> {
-        self.finder.set_budget(Budget::from_timeout(timeout));
-        match self.finder.solve_under(&[self.guard_f]) {
+        self.miter.set_budget(Budget::from_timeout(timeout));
+        let mut guarded = Vec::with_capacity(assumptions.len() + 1);
+        guarded.push(self.guard);
+        guarded.extend_from_slice(assumptions);
+        let outcome = self.miter.solve_under(&guarded);
+        self.extractions.push(self.miter.solve_count() - 1);
+        match outcome {
             Outcome::Sat => {
-                let model = self.finder.model();
-                Ok(Some(self.keyf.iter().map(|v| model[v.index()]).collect()))
+                let model = self.miter.model();
+                Ok(Some(self.key1.iter().map(|v| model[v.index()]).collect()))
             }
             Outcome::Unsat => Ok(None),
             Outcome::Unknown => Err(()),
         }
     }
 
-    /// Like [`AttackInstance::extract_key`], but under extra assumptions on
-    /// the *same warm finder session* (nothing is rebuilt): `None` means no
-    /// key satisfies the recorded responses *and* the assumptions — the
-    /// caller may retry unconstrained. ScanSAT uses this to prefer the
-    /// no-boundary-inversion hypothesis over its mask variables.
-    pub(crate) fn extract_key_under(
-        &mut self,
-        assumptions: &[Lit],
-        timeout: Option<Duration>,
-    ) -> Result<Option<Vec<bool>>, ()> {
-        self.finder.set_budget(Budget::from_timeout(timeout));
-        let mut guarded = Vec::with_capacity(assumptions.len() + 1);
-        guarded.push(self.guard_f);
-        guarded.extend_from_slice(assumptions);
-        match self.finder.solve_under(&guarded) {
-            Outcome::Sat => {
-                let model = self.finder.model();
-                Ok(Some(self.keyf.iter().map(|v| model[v.index()]).collect()))
-            }
-            Outcome::Unsat => Ok(None),
-            Outcome::Unknown => Err(()),
-        }
+    /// Whether solve record `index` of the session is a key extraction.
+    pub(crate) fn is_extraction(&self, index: usize) -> bool {
+        self.extractions.binary_search(&index).is_ok()
     }
 }
 
@@ -668,10 +639,11 @@ mod tests {
 
     #[test]
     fn folded_dip_encoding_matches_simulation_for_every_key() {
-        // After each random DIP, the finder must admit exactly the keys
-        // under which the locked netlist reproduces every recorded
-        // response: the folded, rail-resolved clauses are checked against
-        // plain simulation over the whole key space.
+        // After each random DIP, the miter with its difference switched
+        // off (the extraction formula) must admit exactly the keys under
+        // which the locked netlist reproduces every recorded response: the
+        // folded, rail-resolved clauses are checked against plain
+        // simulation over the whole key space.
         for (blocks, seed) in [(1, 3u64), (2, 11)] {
             let locked = Obfuscator::new(RilBlockSpec::size_2x2())
                 .blocks(blocks)
@@ -697,9 +669,9 @@ mod tests {
                     let explains = recorded
                         .iter()
                         .all(|(dip, response)| sim.eval_pattern(&view, dip, &key) == *response);
-                    let mut assumptions = vec![inst.guard_f];
-                    assumptions.extend(inst.keyf.iter().zip(&key).map(|(v, &b)| v.lit(!b)));
-                    let sat = inst.finder.solve_under(&assumptions) == Outcome::Sat;
+                    let mut assumptions = vec![inst.guard];
+                    assumptions.extend(inst.key1.iter().zip(&key).map(|(v, &b)| v.lit(!b)));
+                    let sat = inst.miter.solve_under(&assumptions) == Outcome::Sat;
                     assert_eq!(
                         sat,
                         explains,

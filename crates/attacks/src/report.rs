@@ -101,9 +101,12 @@ pub struct AttackReport {
     /// equivalent against the *functional-mode* circuit — the ground-truth
     /// check the attacker cannot run but our harness can.
     pub functionally_correct: Option<bool>,
-    /// Cumulative solver statistics of the DIP-finding miter session.
+    /// Cumulative solver statistics of the DIP-finding miter solves (key
+    /// extractions excluded).
     pub miter_stats: SolverStats,
-    /// Cumulative solver statistics of the key-extraction finder session.
+    /// Cumulative solver statistics of the key extractions: solves of the
+    /// same miter with its difference switched off. Serialized under the
+    /// JSON key `finder`.
     pub finder_stats: SolverStats,
     /// Per-DIP-iteration solver accounting, oldest first.
     pub iteration_stats: Vec<IterationStats>,

@@ -120,7 +120,7 @@ fn sat_attack_loop(
         }
     }
 
-    match sess.extract_key() {
+    match sess.extract_key(&[]) {
         Ok(Some(key)) => sess.report(oracle, AttackResult::ExactKey(key)),
         Ok(None) => sess.report(
             oracle,
@@ -216,7 +216,7 @@ mod tests {
                 acc.plus(&it.stats)
             });
         assert_eq!(summed, report.miter_stats);
-        // The finder session did real work and is reported separately.
+        // The key extraction did real work and is reported separately.
         assert!(report.finder_stats.propagations > 0);
         let json = report.to_json();
         assert!(

@@ -65,14 +65,14 @@ pub fn output_inversion_lock(original: &Netlist, seed: u64) -> Result<LockedCirc
 /// Runs the ScanSAT model: the attacker augments his netlist view with one
 /// hypothetical inversion key per primary output (`out ⊕ m_i`), then
 /// drives the incremental [`AttackSession`] directly — one persistent
-/// miter/finder pair for the whole DIP loop, nothing rebuilt per
-/// iteration. On convergence the warm finder is first solved *under the
-/// assumption that every mask bit is 0* (the no-boundary-inversion
-/// hypothesis, which yields the cleanest key when the target has no scan
-/// masking), falling back to an unconstrained extraction when a mask is
-/// genuinely required. The recovered key is truncated back to the real key
-/// bits for the ground-truth functional check.
-///
+/// miter for the whole DIP loop, nothing rebuilt per iteration. On
+/// convergence the warm miter, its difference switched off, is first
+/// solved for a key *under the assumption that every mask bit is 0* (the
+/// no-boundary-inversion hypothesis, which yields the cleanest key when the
+/// target has no scan masking), falling back to an unconstrained
+/// extraction when a mask is genuinely required. The recovered key is
+/// truncated back to the real key bits for the ground-truth functional
+/// check.
 pub(crate) fn scansat_attack_impl(
     locked: &LockedCircuit,
     cfg: &SatAttackConfig,
@@ -132,14 +132,14 @@ pub fn scansat_model_attack(
             }
             DipStep::OracleFailed(e) => break AttackResult::Failed(format!("oracle failure: {e}")),
             DipStep::Converged => {
-                let no_mask: Vec<Lit> = sess.inst.keyf[real_key_width..]
+                let no_mask: Vec<Lit> = sess.inst.key1[real_key_width..]
                     .iter()
                     .map(|v| v.negative())
                     .collect();
-                break match sess.extract_key_under(&no_mask) {
+                break match sess.extract_key(&no_mask) {
                     Ok(Some(key)) => AttackResult::ExactKey(key),
                     // No key works without a mask — let the masks float.
-                    Ok(None) => match sess.extract_key() {
+                    Ok(None) => match sess.extract_key(&[]) {
                         Ok(Some(key)) => AttackResult::ExactKey(key),
                         Ok(None) => AttackResult::Failed(
                             "no key/mask pair is consistent with the scan oracle".into(),

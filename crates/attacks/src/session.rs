@@ -3,19 +3,20 @@
 //! The exact SAT attack, AppSAT and (through the SAT attack) ScanSAT all
 //! run the same inner machine: solve the persistent miter for a
 //! distinguishing input, query the oracle, append the I/O constraint, and
-//! eventually extract a key from the persistent finder. [`AttackSession`]
-//! owns that machine — the incremental [`AttackInstance`], the wall-clock
-//! and iteration budgets, and the oracle-query baseline — so the attack
-//! entry points reduce to policy around [`AttackSession::step`]. It is also
-//! the single place where per-iteration solver statistics are lifted out of
-//! the miter session's [`ril_sat::SolveRecord`]s into the
+//! eventually extract a key from the same miter with its difference
+//! switched off. [`AttackSession`] owns that machine — the incremental
+//! [`AttackInstance`], the wall-clock and iteration budgets, and the
+//! oracle-query baseline — so the attack entry points reduce to policy
+//! around [`AttackSession::step`]. It is also the single place where the
+//! miter session's [`ril_sat::SolveRecord`]s are split into per-iteration
+//! DIP statistics and key-extraction statistics for the
 //! [`AttackReport`].
 
 use crate::miter::AttackInstance;
 use crate::oracle::{OracleError, OracleSource};
 use crate::report::{AttackReport, AttackResult, IterationStats};
 use ril_netlist::{Netlist, PatternBlock, MAX_LANES};
-use ril_sat::{Budget, Outcome, SolverConfig};
+use ril_sat::{Budget, Outcome, SolverConfig, SolverStats};
 use std::time::{Duration, Instant};
 
 /// Outcome of one DIP iteration.
@@ -51,8 +52,8 @@ pub(crate) struct AttackSession<'a> {
 }
 
 impl<'a> AttackSession<'a> {
-    /// Builds the miter/finder sessions (exactly once for the whole attack)
-    /// and starts the clocks.
+    /// Builds the miter session (exactly once for the whole attack) and
+    /// starts the clocks.
     ///
     /// # Panics
     ///
@@ -218,49 +219,50 @@ impl<'a> AttackSession<'a> {
         self.inst.add_dip(self.nl, dip_full, response)
     }
 
-    /// Solves the persistent finder for a key consistent with everything
-    /// recorded so far, under the remaining budget (floored at 100 ms so a
+    /// Solves the warm miter, difference switched off, for a key
+    /// consistent with everything recorded so far and with `assumptions`
+    /// (`Ok(None)` = no such key; the caller may retry with fewer
+    /// assumptions), under the remaining budget (floored at 100 ms so a
     /// nearly-expired attack still gets a token extraction attempt).
-    pub(crate) fn extract_key(&mut self) -> Result<Option<Vec<bool>>, ()> {
-        let budget = self.remaining().map(|d| d.max(Duration::from_millis(100)));
-        self.inst.extract_key(budget)
-    }
-
-    /// [`AttackSession::extract_key`] under extra assumptions against the
-    /// same warm finder (`Ok(None)` = no key under these assumptions; the
-    /// caller may fall back to an unconstrained extraction).
-    pub(crate) fn extract_key_under(
+    pub(crate) fn extract_key(
         &mut self,
         assumptions: &[ril_sat::Lit],
     ) -> Result<Option<Vec<bool>>, ()> {
         let budget = self.remaining().map(|d| d.max(Duration::from_millis(100)));
-        self.inst.extract_key_under(assumptions, budget)
+        self.inst.extract_key(assumptions, budget)
     }
 
-    /// Finalizes the attack into an [`AttackReport`], lifting the miter
-    /// session's per-solve records into per-iteration statistics.
+    /// Finalizes the attack into an [`AttackReport`]. The miter session's
+    /// per-solve records split into per-iteration DIP statistics and the
+    /// key extractions' `finder_stats`; `miter_stats` excludes the
+    /// extractions.
     pub(crate) fn report(&self, oracle: &dyn OracleSource, result: AttackResult) -> AttackReport {
-        let iteration_stats = self
-            .inst
-            .miter
-            .records()
-            .iter()
-            .enumerate()
-            .map(|(i, r)| IterationStats {
-                iteration: i + 1,
-                wall: r.wall,
-                stats: r.stats,
-                clauses_added: r.clauses_added,
-            })
-            .collect();
+        let mut finder_stats = SolverStats::default();
+        let mut iteration_stats = Vec::new();
+        // Clauses appended before an extraction count toward the next DIP
+        // solve, the first to search with them.
+        let mut carried = 0;
+        for (i, r) in self.inst.miter.records().iter().enumerate() {
+            if self.inst.is_extraction(i) {
+                finder_stats = finder_stats.plus(&r.stats);
+                carried += r.clauses_added;
+            } else {
+                iteration_stats.push(IterationStats {
+                    iteration: iteration_stats.len() + 1,
+                    wall: r.wall,
+                    stats: r.stats,
+                    clauses_added: r.clauses_added + std::mem::take(&mut carried),
+                });
+            }
+        }
         AttackReport {
             result,
             wall: self.start.elapsed(),
             iterations: self.iterations,
             oracle_queries: oracle.queries() - self.queries_before,
             functionally_correct: None,
-            miter_stats: self.inst.miter.stats(),
-            finder_stats: self.inst.finder.stats(),
+            miter_stats: self.inst.miter.stats().since(&finder_stats),
+            finder_stats,
             iteration_stats,
         }
     }
@@ -372,7 +374,7 @@ mod tests {
             }
         }
         let key = sess
-            .extract_key()
+            .extract_key(&[])
             .expect("budget not exhausted")
             .expect("a key consistent with the current generation exists");
         assert!(locked.equivalent_under_key(&key, 32).unwrap());
@@ -471,7 +473,7 @@ mod tests {
             }
         }
         assert_eq!(sess.inst.retired_dips(), 0);
-        let key = sess.extract_key().unwrap().unwrap();
+        let key = sess.extract_key(&[]).unwrap().unwrap();
         assert!(locked.equivalent_under_key(&key, 32).unwrap());
     }
 
@@ -506,7 +508,7 @@ mod tests {
             steps <= sess.iterations,
             "a batched step records at least one DIP"
         );
-        let key = sess.extract_key().unwrap().unwrap();
+        let key = sess.extract_key(&[]).unwrap().unwrap();
         assert!(locked.equivalent_under_key(&key, 32).unwrap());
     }
 

@@ -228,7 +228,7 @@ impl SolverStats {
     }
 
     /// The per-field sum `self + other` (saturating): aggregate work of
-    /// two solvers, e.g. a miter and its key finder.
+    /// several solve calls, e.g. an attack's key extractions.
     pub fn plus(&self, other: &SolverStats) -> SolverStats {
         SolverStats {
             decisions: self.decisions.saturating_add(other.decisions),

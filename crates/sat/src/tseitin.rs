@@ -227,19 +227,28 @@ pub fn encode_gate(
             sink.add_clause(ins.iter().copied().chain([!o]));
         }
         GateKind::Xor | GateKind::Xnor => {
-            // Chain pairwise with auxiliary variables.
+            // Chain pairwise; the last link ends on the output literal, so
+            // a k-input gate needs k−2 auxiliary variables, a 2-input gate
+            // none, and a 1-input gate is a buffer or inverter.
+            let o = if kind == GateKind::Xor { out } else { !out };
+            if let [a] = ins {
+                sink.add_clause([!o, *a]);
+                sink.add_clause([o, !*a]);
+                return Ok(());
+            }
             let mut acc = ins[0];
-            for &i in &ins[1..] {
-                let t = sink.new_var().positive();
+            for (n, &i) in ins[1..].iter().enumerate() {
+                let t = if n + 2 == ins.len() {
+                    o
+                } else {
+                    sink.new_var().positive()
+                };
                 sink.add_clause([!t, acc, i]);
                 sink.add_clause([!t, !acc, !i]);
                 sink.add_clause([t, !acc, i]);
                 sink.add_clause([t, acc, !i]);
                 acc = t;
             }
-            let o = if kind == GateKind::Xor { out } else { !out };
-            sink.add_clause([!o, acc]);
-            sink.add_clause([o, !acc]);
         }
         GateKind::Mux => {
             let (s, a, b) = (ins[0], ins[1], ins[2]);
@@ -344,6 +353,59 @@ mod tests {
             nl.mark_output(y);
             check_equiv_exhaustive(&nl);
         }
+    }
+
+    #[test]
+    fn xor_xnor_admit_exactly_the_simulated_output() {
+        for kind in [GateKind::Xor, GateKind::Xnor] {
+            for k in 1..=4usize {
+                let mut cnf = Cnf::new();
+                let ins = cnf.new_vars(k);
+                let out = cnf.new_var();
+                let in_lits: Vec<Lit> = ins.iter().map(|v| v.positive()).collect();
+                encode_gate(&mut cnf, kind, out.positive(), &in_lits).unwrap();
+                for m in 0u32..1 << k {
+                    let bits: Vec<bool> = (0..k).map(|i| (m >> i) & 1 == 1).collect();
+                    let expect = kind.eval_bits(&bits);
+                    for value in [false, true] {
+                        let mut assumptions: Vec<Lit> =
+                            ins.iter().zip(&bits).map(|(v, &b)| v.lit(!b)).collect();
+                        assumptions.push(out.lit(!value));
+                        let outcome = Solver::from_cnf(&cnf).solve_with_assumptions(&assumptions);
+                        let want = if value == expect {
+                            Outcome::Sat
+                        } else {
+                            Outcome::Unsat
+                        };
+                        assert_eq!(outcome, want, "{kind:?} {bits:?} out={value}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn xor_xnor_chain_ends_on_the_output() {
+        for kind in [GateKind::Xor, GateKind::Xnor] {
+            for k in 1..=6usize {
+                let mut cnf = Cnf::new();
+                let ins: Vec<Lit> = cnf.new_vars(k).iter().map(|v| v.positive()).collect();
+                let out = cnf.new_var().positive();
+                let (vars, clauses) = (cnf.num_vars(), cnf.num_clauses());
+                encode_gate(&mut cnf, kind, out, &ins).unwrap();
+                let want_clauses = if k == 1 { 2 } else { 4 * (k - 1) };
+                assert_eq!(cnf.num_vars() - vars, k.saturating_sub(2), "{kind:?}/{k}");
+                assert_eq!(cnf.num_clauses() - clauses, want_clauses, "{kind:?}/{k}");
+            }
+        }
+    }
+
+    #[test]
+    fn adder_encodes_one_variable_per_net() {
+        let nl = generators::adder(16);
+        let (cnf, _) = encode_netlist(&nl).unwrap();
+        assert_eq!(cnf.num_vars(), nl.net_count());
+        assert_eq!(cnf.num_vars(), 113);
     }
 
     #[test]

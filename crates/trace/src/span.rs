@@ -25,7 +25,8 @@ pub enum Phase {
     Iteration,
     /// Problem construction: obfuscation, miter building, CNF encoding.
     Encode,
-    /// A SAT solve call (miter, finder, or equivalence miter).
+    /// A SAT solve call (DIP search, key extraction, or equivalence
+    /// miter).
     Solve,
     /// Confirmation work: error estimation, ground-truth key checks.
     Verify,
