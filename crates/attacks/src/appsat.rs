@@ -17,7 +17,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ril_core::LockedCircuit;
 use ril_netlist::{Netlist, PatternBlock, Simulator, MAX_LANES};
-use ril_sat::SolverConfig;
 use std::time::Duration;
 
 /// AppSAT configuration ("default setting" = the published d/q/threshold).
@@ -33,8 +32,6 @@ pub struct AppSatConfig {
     pub timeout: Option<Duration>,
     /// Maximum DIP iterations.
     pub max_iterations: Option<usize>,
-    /// Backend solver configuration.
-    pub solver: SolverConfig,
     /// RNG seed for the random queries.
     pub seed: u64,
 }
@@ -47,7 +44,6 @@ impl Default for AppSatConfig {
             error_threshold: 0.0,
             timeout: Some(default_timeout()),
             max_iterations: None,
-            solver: SolverConfig::default(),
             seed: 0xA995A7,
         }
     }
@@ -84,14 +80,7 @@ fn appsat_attack_inner(
     // cadence is defined per single DIP); batching pays off in the
     // estimation phase below, where whole probe blocks ride one oracle
     // access each.
-    let mut sess = AttackSession::new(
-        nl,
-        oracle,
-        cfg.solver.clone(),
-        cfg.timeout,
-        cfg.max_iterations,
-        1,
-    );
+    let mut sess = AttackSession::new(nl, oracle, cfg.timeout, cfg.max_iterations, 1);
     let mut predict_sim = Simulator::new(nl).expect("combinational attacker view");
 
     loop {

@@ -4,9 +4,8 @@
 //! AppSAT, ScanSAT and removal+bypass — historically each had their own
 //! free-function entry point with its own config struct. This module puts
 //! one surface over all of them: [`AttackKind`] names an attack,
-//! [`AttackConfig`] carries every knob any of them understands (including
-//! the shared [`SolverConfig`]), and [`run_attack`] runs the one a kind
-//! names. Every attack returns the same [`AttackOutcome`], so the bench
+//! [`AttackConfig`] carries every knob any of them understands, and
+//! [`run_attack`] runs the one a kind names. Every attack returns the same [`AttackOutcome`], so the bench
 //! drivers iterate over kinds instead of special-casing call signatures.
 //! The oracle-level drivers (`satattack::sat_attack`,
 //! `appsat::appsat_attack`, `scansat::scansat_model_attack`) stay at their
@@ -19,7 +18,7 @@ use crate::satattack::{default_timeout, run_sat_attack_impl, SatAttackConfig};
 use crate::scansat::scansat_attack_impl;
 use ril_core::LockedCircuit;
 use ril_netlist::NetlistError;
-use ril_sat::{SolverConfig, SolverStats};
+use ril_sat::SolverStats;
 use std::time::{Duration, Instant};
 
 /// The attacks of the paper's Table III, by name.
@@ -75,8 +74,6 @@ pub struct AttackConfig {
     pub timeout: Option<Duration>,
     /// Maximum DIP iterations (SAT / AppSAT / ScanSAT).
     pub max_iterations: Option<usize>,
-    /// Backend solver configuration, shared by every SAT-based attack.
-    pub solver: SolverConfig,
     /// RNG seed (AppSAT's random queries, removal's scoring patterns).
     pub seed: u64,
     /// SAT / ScanSAT: DIPs accumulated per round before one lane-packed
@@ -98,7 +95,6 @@ impl Default for AttackConfig {
         AttackConfig {
             timeout: Some(default_timeout()),
             max_iterations: None,
-            solver: SolverConfig::default(),
             seed: appsat.seed,
             dip_batch: SatAttackConfig::default().dip_batch,
             rounds_per_estimate: appsat.rounds_per_estimate,
@@ -116,7 +112,6 @@ impl AttackConfig {
         SatAttackConfig {
             timeout: self.timeout,
             max_iterations: self.max_iterations,
-            solver: self.solver.clone(),
             dip_batch: self.dip_batch,
         }
     }
@@ -129,7 +124,6 @@ impl AttackConfig {
             error_threshold: self.error_threshold,
             timeout: self.timeout,
             max_iterations: self.max_iterations,
-            solver: self.solver.clone(),
             seed: self.seed,
         }
     }

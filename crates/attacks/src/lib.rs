@@ -18,8 +18,7 @@
 //!
 //! Every attack runs behind the unified API of the [`attack`] module:
 //! pick an [`AttackKind`], fill an [`AttackConfig`] (one struct for all
-//! four attacks, including the shared solver configuration), and run it
-//! with [`run_attack`].
+//! four attacks), and run it with [`run_attack`].
 //!
 //! ```
 //! use ril_attacks::prelude::*;

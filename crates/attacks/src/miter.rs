@@ -29,10 +29,7 @@
 use ril_core::SE_PIN;
 use ril_netlist::{GateId, GateKind, NetId, Netlist, Simulator};
 use ril_sat::tseitin::encode_selected;
-use ril_sat::{
-    encode_gate, encode_netlist_into, Budget, ClauseSink, Cnf, Lit, Outcome, Session, SolverConfig,
-    Var,
-};
+use ril_sat::{encode_gate, encode_netlist_into, Budget, ClauseSink, Lit, Outcome, Session, Var};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
@@ -86,7 +83,7 @@ impl AttackInstance {
     /// # Panics
     ///
     /// Panics if the netlist has no key inputs or is sequential.
-    pub(crate) fn new(nl: &Netlist, solver_config: SolverConfig) -> AttackInstance {
+    pub(crate) fn new(nl: &Netlist) -> AttackInstance {
         let mut span = ril_trace::span("encode_miter", ril_trace::Phase::Encode);
         assert!(!nl.key_inputs().is_empty(), "netlist carries no key inputs");
         let data_inputs = nl.data_inputs();
@@ -110,15 +107,18 @@ impl AttackInstance {
             .map(|&g| nl.gate(g).output())
             .collect();
 
-        let mut miter_cnf = Cnf::new();
-        let input_vars = miter_cnf.new_vars(data_inputs.len());
-        let key1 = miter_cnf.new_vars(key_inputs.len());
-        let key2 = miter_cnf.new_vars(key_inputs.len());
+        // The session is constructed here, once, and the miter is encoded
+        // straight into it; from now on clauses are only ever *appended*.
+        let mut miter = Session::new();
+        let mut new_vars = |n: usize| -> Vec<Var> { (0..n).map(|_| miter.new_var()).collect() };
+        let input_vars = new_vars(data_inputs.len());
+        let key1 = new_vars(key_inputs.len());
+        let key2 = new_vars(key_inputs.len());
 
         // Copy 1: the full netlist.
         let mut pins1 = pin_map(&data_inputs, &input_vars);
         pins1.extend(pin_map(&key_inputs, &key1));
-        let vars1 = encode_netlist_into(nl, &mut miter_cnf, &pins1).expect("combinational");
+        let vars1 = encode_netlist_into(nl, &mut miter, &pins1).expect("combinational");
 
         // Copy 2: only the key-dependent cones; every other net shares
         // copy 1's variable.
@@ -131,22 +131,20 @@ impl AttackInstance {
         for (net, var) in key_inputs.iter().zip(&key2) {
             pins2.insert(*net, *var);
         }
-        let map2 = encode_selected(nl, &mut miter_cnf, &pins2, |gid| {
-            dependent_gates.contains(&gid)
-        })
-        .expect("combinational");
+        let map2 = encode_selected(nl, &mut miter, &pins2, |gid| dependent_gates.contains(&gid))
+            .expect("combinational");
 
         // Miter over the key-dependent outputs only (the rest are shared),
         // switched on by `diff_on`.
-        let diff_on = miter_cnf.new_var().positive();
+        let diff_on = miter.new_var().positive();
         let mut diff = vec![!diff_on];
         for &o in nl.outputs() {
             if !dependent_nets.contains(&o) {
                 continue;
             }
-            let x = miter_cnf.new_var().positive();
+            let x = miter.new_var().positive();
             encode_gate(
-                &mut miter_cnf,
+                &mut miter,
                 GateKind::Xor,
                 x,
                 &[vars1.lit(o), map2[&o].positive()],
@@ -158,18 +156,15 @@ impl AttackInstance {
             diff.len() > 1,
             "no output depends on any key input — nothing to attack"
         );
-        miter_cnf.add_clause(diff);
+        miter.add_clause(diff);
 
         // Constant rails + generation-0 DIP guard.
-        let ct = miter_cnf.new_var();
-        let cf = miter_cnf.new_var();
-        miter_cnf.add_clause([ct.positive()]);
-        miter_cnf.add_clause([cf.negative()]);
-        let guard = miter_cnf.new_var().positive();
+        let ct = miter.new_var();
+        let cf = miter.new_var();
+        miter.add_clause([ct.positive()]);
+        miter.add_clause([cf.negative()]);
+        let guard = miter.new_var().positive();
 
-        // The solver is constructed here, once; from now on clauses are
-        // only ever *appended*.
-        let miter = Session::from_cnf_with_config(&miter_cnf, solver_config);
         if span.is_active() {
             span.record_u64("key_bits", key_inputs.len() as u64);
             span.record_u64("miter_vars", miter.num_vars() as u64);
@@ -654,7 +649,7 @@ mod tests {
             let key_bits = view.key_inputs().len();
             assert!(key_bits <= 12, "key space too large to enumerate");
             let mut oracle = Oracle::new(&locked).unwrap();
-            let mut inst = AttackInstance::new(&view, SolverConfig::default());
+            let mut inst = AttackInstance::new(&view);
             let mut sim = Simulator::new(&view).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut recorded: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
@@ -684,6 +679,23 @@ mod tests {
                 assert!(admitted >= 1, "seed {seed}");
             }
         }
+    }
+
+    #[test]
+    fn miter_formula_size_is_pinned() {
+        // The miter is written straight into its session; on this fixed
+        // lock it must encode to exactly the formula the scratch-CNF
+        // construction built: 224 variables and 625 clauses before the
+        // first DIP.
+        let locked = Obfuscator::new(RilBlockSpec::size_2x2())
+            .blocks(2)
+            .seed(5)
+            .obfuscate(&generators::adder(16))
+            .unwrap();
+        let mut inst = AttackInstance::new(&attacker_view(&locked));
+        assert_eq!(inst.miter.num_vars(), 224);
+        inst.solve_miter();
+        assert_eq!(inst.miter.records()[0].clauses_added, 625);
     }
 
     /// Every {0, 1, X} input vector of length `n` (`None` = X).

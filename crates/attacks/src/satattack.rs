@@ -16,7 +16,6 @@ use crate::report::{AttackReport, AttackResult};
 use crate::session::{AttackSession, DipStep};
 use ril_core::LockedCircuit;
 use ril_netlist::Netlist;
-use ril_sat::SolverConfig;
 use std::time::Duration;
 
 /// SAT-attack configuration.
@@ -27,8 +26,6 @@ pub struct SatAttackConfig {
     pub timeout: Option<Duration>,
     /// Maximum DIP iterations.
     pub max_iterations: Option<usize>,
-    /// Backend solver configuration.
-    pub solver: SolverConfig,
     /// DIPs accumulated per round before one lane-packed oracle flush
     /// (clamped to `1..=64`, the simulator's lane width). `1` restores
     /// the classic strictly sequential DIP loop; larger batches trade a
@@ -43,7 +40,6 @@ impl Default for SatAttackConfig {
         SatAttackConfig {
             timeout: Some(default_timeout()),
             max_iterations: None,
-            solver: SolverConfig::default(),
             dip_batch: 8,
         }
     }
@@ -89,14 +85,7 @@ fn sat_attack_loop(
     oracle: &mut dyn OracleSource,
     cfg: &SatAttackConfig,
 ) -> AttackReport {
-    let mut sess = AttackSession::new(
-        nl,
-        oracle,
-        cfg.solver.clone(),
-        cfg.timeout,
-        cfg.max_iterations,
-        cfg.dip_batch,
-    );
+    let mut sess = AttackSession::new(nl, oracle, cfg.timeout, cfg.max_iterations, cfg.dip_batch);
 
     loop {
         match sess.step(oracle) {

@@ -115,7 +115,6 @@ pub fn scansat_model_attack(
     let mut sess = AttackSession::new(
         &view,
         oracle,
-        cfg.solver.clone(),
         cfg.timeout,
         cfg.max_iterations,
         cfg.dip_batch,

@@ -16,7 +16,7 @@ use crate::miter::AttackInstance;
 use crate::oracle::{OracleError, OracleSource};
 use crate::report::{AttackReport, AttackResult, IterationStats};
 use ril_netlist::{Netlist, PatternBlock, MAX_LANES};
-use ril_sat::{Budget, Outcome, SolverConfig, SolverStats};
+use ril_sat::{Budget, Outcome, SolverStats};
 use std::time::{Duration, Instant};
 
 /// Outcome of one DIP iteration.
@@ -62,12 +62,11 @@ impl<'a> AttackSession<'a> {
     pub(crate) fn new(
         nl: &'a Netlist,
         oracle: &dyn OracleSource,
-        solver_config: SolverConfig,
         timeout: Option<Duration>,
         max_iterations: Option<usize>,
         dip_batch: usize,
     ) -> AttackSession<'a> {
-        let mut inst = AttackInstance::new(nl, solver_config);
+        let mut inst = AttackInstance::new(nl);
         assert_eq!(
             inst.oracle_positions.len(),
             oracle.input_width(),
@@ -358,14 +357,7 @@ mod tests {
         oracle.morph_after = Some(3);
         // dip_batch = 1: the retire-count assertion below depends on the
         // strictly sequential query order.
-        let mut sess = AttackSession::new(
-            &view,
-            &oracle,
-            SolverConfig::default(),
-            Some(Duration::from_secs(60)),
-            None,
-            1,
-        );
+        let mut sess = AttackSession::new(&view, &oracle, Some(Duration::from_secs(60)), None, 1);
         loop {
             match sess.step(&mut oracle) {
                 DipStep::Distinguished => {}
@@ -397,14 +389,8 @@ mod tests {
         oracle.morph_every_query = true;
         // dip_batch = 1: starvation is a property of the one-query-per-
         // round economics this test pins down exactly.
-        let mut sess = AttackSession::new(
-            &view,
-            &oracle,
-            SolverConfig::default(),
-            Some(Duration::from_secs(60)),
-            Some(6),
-            1,
-        );
+        let mut sess =
+            AttackSession::new(&view, &oracle, Some(Duration::from_secs(60)), Some(6), 1);
         loop {
             match sess.step(&mut oracle) {
                 DipStep::Distinguished => {}
@@ -430,14 +416,8 @@ mod tests {
         let view = attacker_view(&locked);
         let mut oracle = MorphingOracle::new(locked);
         oracle.morph_every_query = true;
-        let mut sess = AttackSession::new(
-            &view,
-            &oracle,
-            SolverConfig::default(),
-            Some(Duration::from_secs(60)),
-            Some(80),
-            1,
-        );
+        let mut sess =
+            AttackSession::new(&view, &oracle, Some(Duration::from_secs(60)), Some(80), 1);
         while sess.step(&mut oracle) == DipStep::Distinguished {}
         let report = sess.report(&oracle, AttackResult::Timeout);
         let stats = &report.iteration_stats;
@@ -457,14 +437,7 @@ mod tests {
         let locked = locked_adder();
         let view = attacker_view(&locked);
         let mut oracle = Oracle::new(&locked).unwrap();
-        let mut sess = AttackSession::new(
-            &view,
-            &oracle,
-            SolverConfig::default(),
-            Some(Duration::from_secs(60)),
-            None,
-            1,
-        );
+        let mut sess = AttackSession::new(&view, &oracle, Some(Duration::from_secs(60)), None, 1);
         loop {
             match sess.step(&mut oracle) {
                 DipStep::Distinguished => {}
@@ -486,14 +459,7 @@ mod tests {
         let locked = locked_adder();
         let view = attacker_view(&locked);
         let mut oracle = Oracle::new(&locked).unwrap();
-        let mut sess = AttackSession::new(
-            &view,
-            &oracle,
-            SolverConfig::default(),
-            Some(Duration::from_secs(60)),
-            None,
-            8,
-        );
+        let mut sess = AttackSession::new(&view, &oracle, Some(Duration::from_secs(60)), None, 8);
         let mut steps = 0usize;
         loop {
             match sess.step(&mut oracle) {
@@ -517,14 +483,8 @@ mod tests {
         let locked = locked_adder();
         let view = attacker_view(&locked);
         let mut oracle = Oracle::new(&locked).unwrap();
-        let mut sess = AttackSession::new(
-            &view,
-            &oracle,
-            SolverConfig::default(),
-            Some(Duration::from_secs(60)),
-            Some(3),
-            64,
-        );
+        let mut sess =
+            AttackSession::new(&view, &oracle, Some(Duration::from_secs(60)), Some(3), 64);
         loop {
             match sess.step(&mut oracle) {
                 DipStep::Distinguished => {}

@@ -383,6 +383,7 @@ pub fn registry() -> Vec<Box<dyn Experiment>> {
         Box::new(crate::experiments::scan_defense::ScanDefense),
         Box::new(crate::experiments::incremental_verify::IncrementalVerify),
         Box::new(crate::experiments::oracle_throughput::OracleThroughput),
+        Box::new(crate::experiments::solver_ablation::SolverAblation),
         Box::new(crate::experiments::serve_load::ServeLoad),
         Box::new(crate::experiments::dynamic_defense::DynamicDefense),
         Box::new(crate::experiments::table1::Table1),
@@ -502,7 +503,7 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "duplicate experiment names");
-        assert_eq!(names.len(), 16);
+        assert_eq!(names.len(), 17);
         for required in [
             "table1",
             "table3",
@@ -515,6 +516,7 @@ mod tests {
             "scan_defense",
             "incremental_verify",
             "oracle_throughput",
+            "solver_ablation",
             "serve_load",
             "dynamic_defense",
             "corruptibility",

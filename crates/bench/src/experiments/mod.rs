@@ -16,6 +16,7 @@ pub mod oracle_throughput;
 pub mod overhead;
 pub mod scan_defense;
 pub mod serve_load;
+pub mod solver_ablation;
 pub mod table1;
 pub mod table3;
 pub mod table4;

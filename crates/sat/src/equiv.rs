@@ -8,7 +8,7 @@
 
 use crate::lit::{Lit, Var};
 use crate::session::Session;
-use crate::solver::{Outcome, SolverConfig, SolverStats};
+use crate::solver::{Budget, Outcome, SolverStats};
 use crate::tseitin::{check_encodable, encode_selected, TseitinError};
 use ril_netlist::{GateId, NetId, Netlist};
 use std::collections::{HashMap, HashSet};
@@ -60,7 +60,8 @@ impl From<TseitinError> for EquivError {
 /// Options for [`check_equivalence`].
 #[derive(Debug, Clone, Default)]
 pub struct EquivOptions {
-    /// Wall-clock budget for the solve.
+    /// Wall-clock budget for each solve call, applied through
+    /// [`Budget::from_timeout`].
     pub timeout: Option<Duration>,
     /// Inputs of either circuit that are allowed to be missing from the
     /// other; they are treated as free (universally quantified) on their
@@ -311,10 +312,8 @@ impl EquivSession {
         right: &Netlist,
         options: &EquivOptions,
     ) -> Result<EquivSession, EquivError> {
-        let mut session = Session::with_config(SolverConfig {
-            timeout: options.timeout,
-            ..SolverConfig::default()
-        });
+        let mut session = Session::new();
+        session.set_budget(Budget::from_timeout(options.timeout));
         let MiterPorts {
             out_pairs,
             shared_vars,

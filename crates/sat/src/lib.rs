@@ -12,9 +12,11 @@
 //! equivalence checking ([`EquivSession`]).
 //!
 //! There is one search engine: a [`Session`] owns one sequential
-//! [`Solver`], as the paper runs one CaDiCaL solve per query. Short of a
-//! wall-clock budget cutting it off, the same formula, assumptions and
-//! [`SolverConfig`] always replay the same search.
+//! [`Solver`] in its full-strength default configuration, as the paper
+//! runs one CaDiCaL solve per query ([`SolverConfig`]'s toggles exist for
+//! the solver-ablation experiment). A solve is bounded only by a
+//! [`Budget`]. Short of a wall-clock budget cutting it off, the same
+//! formula and assumptions always replay the same search.
 //!
 //! ## Quickstart
 //!

@@ -21,7 +21,7 @@
 
 use crate::cnf::Cnf;
 use crate::lit::{Lit, Var};
-use crate::solver::{Budget, Outcome, Solver, SolverConfig, SolverStats};
+use crate::solver::{Budget, Outcome, Solver, SolverStats};
 use crate::tseitin::ClauseSink;
 use std::time::{Duration, Instant};
 
@@ -70,15 +70,11 @@ impl Default for Session {
 }
 
 impl Session {
-    /// An empty session with default solver configuration.
+    /// An empty session over a full-strength [`Solver`] with no budget;
+    /// bound its solves with [`Session::set_budget`].
     pub fn new() -> Session {
-        Session::with_config(SolverConfig::default())
-    }
-
-    /// An empty session with the given solver configuration.
-    pub fn with_config(config: SolverConfig) -> Session {
         Session {
-            solver: Solver::with_config(config),
+            solver: Solver::new(),
             records: Vec::new(),
             clauses_since_solve: 0,
             stats_snapshot: SolverStats::default(),
@@ -87,12 +83,7 @@ impl Session {
 
     /// A session pre-loaded with the clauses of `cnf`.
     pub fn from_cnf(cnf: &Cnf) -> Session {
-        Session::from_cnf_with_config(cnf, SolverConfig::default())
-    }
-
-    /// A configured session pre-loaded with the clauses of `cnf`.
-    pub fn from_cnf_with_config(cnf: &Cnf, config: SolverConfig) -> Session {
-        let mut s = Session::with_config(config);
+        let mut s = Session::new();
         s.append_cnf(cnf);
         s
     }

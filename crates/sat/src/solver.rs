@@ -6,7 +6,7 @@
 //! restarts and LBD/activity-based learnt-clause database reduction — the
 //! same algorithm family as the CaDiCaL solver the paper uses (Section IV,
 //! \[18\]). Feature toggles in [`SolverConfig`] support the solver-ablation
-//! bench.
+//! experiment; solve calls are bounded by a [`Budget`].
 
 use crate::cnf::Cnf;
 use crate::lit::{LBool, Lit, Var};
@@ -34,8 +34,9 @@ pub enum Outcome {
     Unknown,
 }
 
-/// Tunable solver behaviour. The toggles exist for the ablation study; the
-/// defaults are the full-strength configuration.
+/// The solver's heuristic switches. They exist for the solver-ablation
+/// experiment; the defaults are the full-strength configuration. Solve
+/// calls are bounded by a [`Budget`], not by the configuration.
 #[derive(Debug, Clone)]
 pub struct SolverConfig {
     /// Dynamic decision order: the VMTF queue, which moves the variables
@@ -50,10 +51,6 @@ pub struct SolverConfig {
     pub clause_minimization: bool,
     /// Enable learnt-database reduction.
     pub reduce_db: bool,
-    /// Abort with [`Outcome::Unknown`] after this many conflicts.
-    pub max_conflicts: Option<u64>,
-    /// Abort with [`Outcome::Unknown`] after this wall-clock budget.
-    pub timeout: Option<Duration>,
 }
 
 impl Default for SolverConfig {
@@ -64,8 +61,6 @@ impl Default for SolverConfig {
             phase_saving: true,
             clause_minimization: true,
             reduce_db: true,
-            max_conflicts: None,
-            timeout: None,
         }
     }
 }
@@ -81,18 +76,7 @@ impl SolverConfig {
             phase_saving: false,
             clause_minimization: false,
             reduce_db: false,
-            ..SolverConfig::default()
         }
-    }
-
-    /// Applies a [`Budget`]'s limits to the config (the budget was already
-    /// validated at its own construction, so this is infallible). The
-    /// conflict limit is absolute here — prefer [`Solver::set_budget`] for
-    /// the per-call form.
-    pub fn with_budget(mut self, budget: Budget) -> SolverConfig {
-        self.max_conflicts = budget.max_conflicts();
-        self.timeout = budget.timeout();
-        self
     }
 }
 
@@ -170,10 +154,11 @@ impl Budget {
         Ok(self)
     }
 
-    /// Adapts the `Option<Duration>` timeout shape the attack configs
-    /// carry. `None` means unlimited; a zero duration (an already-spent
-    /// budget) is clamped up to 1 ms, preserving its "no time left"
-    /// meaning instead of silently becoming unlimited.
+    /// Adapts the `Option<Duration>` timeout shape the attack configs and
+    /// [`crate::EquivOptions`] carry. `None` means unlimited; a zero
+    /// duration (an already-spent budget) is clamped up to 1 ms,
+    /// preserving its "no time left" meaning instead of silently becoming
+    /// unlimited.
     pub fn from_timeout(timeout: Option<Duration>) -> Budget {
         Budget {
             conflicts: None,
@@ -428,6 +413,11 @@ pub struct Solver {
     model: Vec<bool>,
     stats: SolverStats,
     start: Option<Instant>,
+    /// Absolute conflict count at which a solve gives up, set by
+    /// [`Solver::set_budget`].
+    conflict_limit: Option<u64>,
+    /// Wall-clock limit of each solve call, set by [`Solver::set_budget`].
+    wall_limit: Option<Duration>,
     learnt_limit: f64,
     /// Live (undeleted) problem clauses; sizes the learnt budget.
     live_problem: usize,
@@ -473,6 +463,8 @@ impl Solver {
             model: Vec::new(),
             stats: SolverStats::default(),
             start: None,
+            conflict_limit: None,
+            wall_limit: None,
             learnt_limit: 2000.0,
             live_problem: 0,
             tombstones: 0,
@@ -542,10 +534,10 @@ impl Solver {
     /// from the start of each call. [`Budget::unlimited`] removes both
     /// limits.
     pub fn set_budget(&mut self, budget: Budget) {
-        self.config.max_conflicts = budget
+        self.conflict_limit = budget
             .max_conflicts()
             .map(|b| self.stats.conflicts.saturating_add(b));
-        self.config.timeout = budget.timeout();
+        self.wall_limit = budget.timeout();
     }
 
     /// Solves under `assumptions` within `budget` (see
@@ -1067,12 +1059,12 @@ impl Solver {
     }
 
     fn budget_exhausted(&self) -> bool {
-        if let Some(max_c) = self.config.max_conflicts {
+        if let Some(max_c) = self.conflict_limit {
             if self.stats.conflicts >= max_c {
                 return true;
             }
         }
-        if let Some(timeout) = self.config.timeout {
+        if let Some(timeout) = self.wall_limit {
             if let Some(start) = self.start {
                 // Cheap check: only probe the clock periodically.
                 if self.stats.conflicts.is_multiple_of(256) && start.elapsed() >= timeout {
@@ -1493,13 +1485,8 @@ mod tests {
     #[test]
     fn conflict_budget_returns_unknown() {
         let cnf = pigeonhole(7); // hard enough to exceed 10 conflicts
-        let mut s = Solver::from_cnf_with_config(
-            &cnf,
-            SolverConfig {
-                max_conflicts: Some(10),
-                ..SolverConfig::default()
-            },
-        );
+        let mut s = Solver::from_cnf(&cnf);
+        s.set_budget(Budget::conflicts(10).unwrap());
         assert_eq!(s.solve(), Outcome::Unknown);
     }
 

@@ -77,18 +77,18 @@ pub(crate) fn check_encodable(nl: &Netlist) -> Result<(), TseitinError> {
     Ok(())
 }
 
-/// Encodes `nl` into `cnf`. Nets listed in `pinned` reuse the given
-/// variables; all other nets get fresh ones. Returns the complete net→var
-/// map.
+/// Encodes `nl` into `sink` (a [`Cnf`] or a live [`crate::Session`]).
+/// Nets listed in `pinned` reuse the given variables; all other nets get
+/// fresh ones. Returns the complete net→var map.
 ///
 /// # Errors
 ///
 /// Returns [`TseitinError::Sequential`] if the netlist contains DFFs and
 /// [`TseitinError::Undriven`] if a used net has no driver and is not a
-/// primary input. Both are found before anything is written to `cnf`.
+/// primary input. Both are found before anything is written to `sink`.
 pub fn encode_netlist_into(
     nl: &Netlist,
-    cnf: &mut Cnf,
+    sink: &mut impl ClauseSink,
     pinned: &HashMap<NetId, Var>,
 ) -> Result<CircuitVars, TseitinError> {
     check_encodable(nl)?;
@@ -96,7 +96,7 @@ pub fn encode_netlist_into(
     for (id, _) in nl.nets() {
         match pinned.get(&id) {
             Some(&v) => vars.push(v),
-            None => vars.push(cnf.new_var()),
+            None => vars.push(sink.new_var()),
         }
     }
     for (_, gate) in nl.gates() {
@@ -106,7 +106,7 @@ pub fn encode_netlist_into(
             .iter()
             .map(|n| vars[n.index()].positive())
             .collect();
-        encode_gate(cnf, gate.kind(), out, &ins)?;
+        encode_gate(sink, gate.kind(), out, &ins)?;
     }
     Ok(CircuitVars { vars })
 }

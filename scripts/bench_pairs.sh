@@ -6,10 +6,10 @@
 #
 # Builds perfbench twice: from <parent-rev>, exported with `git archive`
 # into .bench_build/parent-<sha>/, and from the working tree. Then it runs
-# `pairs` (default 10) untraced pairs at BENCHMARK.json's run_seconds,
-# alternating which side goes first, and one traced pair for the
-# per-layer metrics. `seed` (default 1000, perfbench's default) is passed
-# as --seed. Every run overwrites perfbench/out/, so each record is copied
+# `pairs` (default 10, at least 2) untraced pairs at BENCHMARK.json's
+# run_seconds, alternating which side goes first, and one traced pair for
+# the per-layer metrics. `seed` (default 1000, perfbench's default) is
+# passed as --seed. Every run overwrites perfbench/out/, so each record is copied
 # to .bench_build/pairs/<workload>-seed<seed>/{base,change}/. Guest steal,
 # the 8th field of /proc/stat's cpu line, is logged per run to steal.tsv
 # there.
@@ -27,11 +27,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 ROOT=$(pwd)
 
-[ $# -ge 2 ] || { sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
-PARENT=$(git rev-parse --verify "$1^{commit}")
-WORKLOAD=$2
+usage() { sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+[ $# -ge 2 ] || usage
 PAIRS=${3:-10}
 SEED=${4:-1000}
+# The summary takes quartiles over the pairs, which needs at least two.
+[[ $PAIRS =~ ^[0-9]+$ && $SEED =~ ^[0-9]+$ ]] || usage
+[ "$PAIRS" -ge 2 ] || usage
+PARENT=$(git rev-parse --verify "$1^{commit}")
+WORKLOAD=$2
 SECONDS_PER_RUN=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' BENCHMARK.json)
 TICKS=$(getconf CLK_TCK)
 
