@@ -16,7 +16,7 @@ use crate::session::{AttackSession, DipStep};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ril_core::LockedCircuit;
-use ril_netlist::{Netlist, PatternBlock, Simulator, MAX_LANES};
+use ril_netlist::{CompiledSim, Netlist, PatternBlock, MAX_LANES};
 use std::time::Duration;
 
 /// AppSAT configuration ("default setting" = the published d/q/threshold).
@@ -81,7 +81,7 @@ fn appsat_attack_inner(
     // estimation phase below, where whole probe blocks ride one oracle
     // access each.
     let mut sess = AttackSession::new(nl, oracle, cfg.timeout, cfg.max_iterations, 1);
-    let mut predict_sim = Simulator::new(nl).expect("combinational attacker view");
+    let mut predict_sim = CompiledSim::new(nl).expect("combinational attacker view");
 
     loop {
         match sess.step(oracle) {
@@ -169,7 +169,7 @@ fn appsat_attack_inner(
                     for (slot, &pos) in sess.inst.oracle_positions.iter().enumerate() {
                         full[pos] = probe[slot];
                     }
-                    let predict = predict_sim.eval_pattern(nl, &full, &candidate);
+                    let predict = predict_sim.eval_pattern(&full, &candidate);
                     let diff = predict.iter().zip(truth).filter(|(a, b)| a != b).count();
                     wrong_bits += diff;
                     total_bits += truth.len();

@@ -27,7 +27,7 @@
 //! literal is dropped.
 
 use ril_core::SE_PIN;
-use ril_netlist::{GateId, GateKind, NetId, Netlist, Simulator};
+use ril_netlist::{CompiledSim, GateId, GateKind, NetId, Netlist};
 use ril_sat::tseitin::encode_selected;
 use ril_sat::{encode_gate, encode_netlist_into, Budget, ClauseSink, Lit, Outcome, Session, Var};
 use std::collections::{HashMap, HashSet};
@@ -74,7 +74,8 @@ pub(crate) struct AttackInstance {
     retired_dips: usize,
     /// Indices into the session's solve records of the key extractions.
     extractions: Vec<usize>,
-    sim: Simulator,
+    /// The attacker view's compiled plan: each DIP's key-free values.
+    sim: CompiledSim,
 }
 
 impl AttackInstance {
@@ -184,7 +185,7 @@ impl AttackInstance {
             active_dips: 0,
             retired_dips: 0,
             extractions: Vec::new(),
-            sim: Simulator::new(nl).expect("combinational"),
+            sim: CompiledSim::new(nl).expect("combinational"),
         }
     }
 
@@ -280,12 +281,7 @@ impl AttackInstance {
     /// Returns `Err(())` when a key-independent output contradicts the
     /// oracle's response — no key can explain the oracle (the Scan-Enable
     /// defense manifests here).
-    pub(crate) fn add_dip(
-        &mut self,
-        nl: &Netlist,
-        dip_full: &[bool],
-        response: &[bool],
-    ) -> Result<(), ()> {
+    pub(crate) fn add_dip(&mut self, dip_full: &[bool], response: &[bool]) -> Result<(), ()> {
         let _span = ril_trace::span("encode_dip", ril_trace::Phase::Encode);
         // Baseline simulation with keys = 0: key-independent nets get their
         // true value.
@@ -293,8 +289,8 @@ impl AttackInstance {
             .iter()
             .map(|&b| if b { u64::MAX } else { 0 })
             .collect();
-        let key_words = vec![0u64; nl.key_inputs().len()];
-        self.sim.eval_words(nl, &data_words, &key_words);
+        let key_words = vec![0u64; self.key1.len()];
+        self.sim.eval_words(&data_words, &key_words);
 
         // Consistency check on key-independent outputs.
         for &(pos, net) in &self.dip.free_outputs {
@@ -405,7 +401,7 @@ impl DipEncoder {
             .collect();
         let mut gate_of: HashMap<NetId, usize> = HashMap::new();
         let mut cone = Vec::with_capacity(dependent_gates.len());
-        for &gid in nl.topo_order_shared().expect("combinational").iter() {
+        for &gid in nl.topo_order().expect("combinational").iter() {
             if !dependent_gates.contains(&gid) {
                 continue;
             }
@@ -447,7 +443,7 @@ impl DipEncoder {
 
     /// Folds the simulated boundary constants through the cones (keys
     /// unknown) and marks the open gates the DIP's constraint needs.
-    fn fold(&mut self, sim: &Simulator) {
+    fn fold(&mut self, sim: &CompiledSim) {
         self.folded.clear();
         let mut values = Vec::new();
         for g in &self.cone {
@@ -485,7 +481,7 @@ impl DipEncoder {
     fn encode_copy(
         &mut self,
         session: &mut Session,
-        sim: &Simulator,
+        sim: &CompiledSim,
         key_vars: &[Var],
         rails: (Var, Var),
         guard: Lit,
@@ -650,20 +646,20 @@ mod tests {
             assert!(key_bits <= 12, "key space too large to enumerate");
             let mut oracle = Oracle::new(&locked).unwrap();
             let mut inst = AttackInstance::new(&view);
-            let mut sim = Simulator::new(&view).unwrap();
+            let mut sim = CompiledSim::new(&view).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
             let mut recorded: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
             for _ in 0..5 {
                 let dip: Vec<bool> = (0..view.data_inputs().len()).map(|_| rng.gen()).collect();
                 let response = oracle.query(&inst.oracle_dip(&dip));
-                inst.add_dip(&view, &dip, &response).unwrap();
+                inst.add_dip(&dip, &response).unwrap();
                 recorded.push((dip, response));
                 let mut admitted = 0;
                 for k in 0u32..1 << key_bits {
                     let key: Vec<bool> = (0..key_bits).map(|i| (k >> i) & 1 == 1).collect();
                     let explains = recorded
                         .iter()
-                        .all(|(dip, response)| sim.eval_pattern(&view, dip, &key) == *response);
+                        .all(|(dip, response)| sim.eval_pattern(dip, &key) == *response);
                     let mut assumptions = vec![inst.guard];
                     assumptions.extend(inst.key1.iter().zip(&key).map(|(v, &b)| v.lit(!b)));
                     let sat = inst.miter.solve_under(&assumptions) == Outcome::Sat;

@@ -382,7 +382,7 @@ pub fn attacker_view(locked: &LockedCircuit) -> Netlist {
 mod tests {
     use super::*;
     use ril_core::{Obfuscator, RilBlockSpec};
-    use ril_netlist::{generators, Simulator};
+    use ril_netlist::{generators, CompiledSim};
 
     fn locked(scan: bool) -> LockedCircuit {
         let host = generators::adder(6);
@@ -397,13 +397,13 @@ mod tests {
     fn oracle_matches_original_without_scan_defense() {
         let lc = locked(false);
         let mut oracle = Oracle::new(&lc).unwrap();
-        let mut sim = Simulator::new(&lc.original).unwrap();
+        let mut sim = CompiledSim::new(&lc.original).unwrap();
         for pattern in [0u64, 5, 63, 4095] {
             let bits: Vec<bool> = (0..oracle.input_width())
                 .map(|i| (pattern >> i) & 1 == 1)
                 .collect();
             let resp = oracle.query(&bits);
-            let expect = sim.eval_bits(&lc.original, &bits);
+            let expect = sim.eval_bits(&bits);
             assert_eq!(resp, expect);
         }
         assert_eq!(oracle.queries(), 4);
@@ -574,8 +574,8 @@ mod tests {
         assert_eq!(view.inputs().len(), lc.netlist.inputs().len());
         // Under the correct key the view equals the functional circuit even
         // with SE pin driven high — the XOR stages are tied off.
-        let mut sim_view = Simulator::new(&view).unwrap();
-        let mut sim_orig = Simulator::new(&lc.original).unwrap();
+        let mut sim_view = CompiledSim::new(&view).unwrap();
+        let mut sim_orig = CompiledSim::new(&lc.original).unwrap();
         let kw = lc.keys.as_words();
         let n = lc.original.data_inputs().len();
         for pattern in [1u64, 77, 1023] {
@@ -584,8 +584,8 @@ mod tests {
                 .collect();
             let mut dv = data.clone();
             dv.push(u64::MAX); // SE pin high — must not matter in the view
-            let o1 = sim_orig.eval_words(&lc.original, &data, &[]);
-            let o2 = sim_view.eval_words(&view, &dv, &kw);
+            let o1 = sim_orig.eval_words(&data, &[]);
+            let o2 = sim_view.eval_words(&dv, &kw);
             assert_eq!(o1, o2);
         }
     }

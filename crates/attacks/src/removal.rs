@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ril_core::LockedCircuit;
 use ril_netlist::generators::const_net;
-use ril_netlist::{GateId, NetId, Netlist, NetlistError, PatternBlock, ResponseBlock, Simulator};
+use ril_netlist::{CompiledSim, GateId, NetId, Netlist, NetlistError, PatternBlock, ResponseBlock};
 use ril_sat::{EquivOptions, EquivResult, EquivSession};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -88,7 +88,7 @@ fn removal_attack_inner(
     let order = nl.topo_order()?;
     let mut replacement: HashMap<NetId, NetId> = HashMap::new();
     let zero = const_net(&mut nl, false);
-    for gid in order {
+    for &gid in order.iter() {
         if !cone.contains(&gid) {
             continue;
         }
@@ -122,8 +122,8 @@ fn removal_attack_inner(
     // Score against the true function (sampled + exact): one
     // `verify_salvage` span covers both checks.
     let _v = ril_trace::span("verify_salvage", ril_trace::Phase::Verify);
-    let mut sim_true = Simulator::new(&locked.original)?;
-    let mut sim_rec = Simulator::new(&nl)?;
+    let mut sim_true = CompiledSim::new(&locked.original)?;
+    let mut sim_rec = CompiledSim::new(&nl)?;
     let n_data_orig = locked.original.data_inputs().len();
     let n_data_rec = nl.data_inputs().len();
     let n_keys_rec = nl.key_inputs().len();
@@ -138,12 +138,10 @@ fn removal_attack_inner(
         let mut data_rec = block.words().to_vec();
         data_rec.resize(n_data_rec, 0); // SE pin (if any) low
         let keys_rec = vec![0u64; n_keys_rec]; // dangling keys — any value
-        let truth = ResponseBlock::from_words(
-            sim_true.eval_words(&locked.original, block.words(), &[]),
-            block.lanes(),
-        );
+        let truth =
+            ResponseBlock::from_words(sim_true.eval_words(block.words(), &[]), block.lanes());
         let salvage =
-            ResponseBlock::from_words(sim_rec.eval_words(&nl, &data_rec, &keys_rec), block.lanes());
+            ResponseBlock::from_words(sim_rec.eval_words(&data_rec, &keys_rec), block.lanes());
         diff += truth.diff_bits(&salvage);
         total += block.lanes() as u64 * n_outputs;
     }

@@ -38,8 +38,7 @@ pub(crate) enum DipStep {
 
 /// One long-lived oracle-guided attack over a persistent
 /// [`AttackInstance`].
-pub(crate) struct AttackSession<'a> {
-    nl: &'a Netlist,
+pub(crate) struct AttackSession {
     pub(crate) inst: AttackInstance,
     start: Instant,
     queries_before: u64,
@@ -51,7 +50,7 @@ pub(crate) struct AttackSession<'a> {
     pub(crate) iterations: usize,
 }
 
-impl<'a> AttackSession<'a> {
+impl AttackSession {
     /// Builds the miter session (exactly once for the whole attack) and
     /// starts the clocks.
     ///
@@ -60,12 +59,12 @@ impl<'a> AttackSession<'a> {
     /// Panics if the netlist has no key inputs, is sequential, or its
     /// data-input count does not match the oracle.
     pub(crate) fn new(
-        nl: &'a Netlist,
+        nl: &Netlist,
         oracle: &dyn OracleSource,
         timeout: Option<Duration>,
         max_iterations: Option<usize>,
         dip_batch: usize,
-    ) -> AttackSession<'a> {
+    ) -> AttackSession {
         let mut inst = AttackInstance::new(nl);
         assert_eq!(
             inst.oracle_positions.len(),
@@ -78,7 +77,6 @@ impl<'a> AttackSession<'a> {
             inst.observe_generation(g);
         }
         AttackSession {
-            nl,
             inst,
             start: Instant::now(),
             queries_before: oracle.queries(),
@@ -170,7 +168,7 @@ impl<'a> AttackSession<'a> {
             self.inst.observe_generation(g);
         }
         for (dip_full, response) in dips.iter().zip(&responses) {
-            if self.inst.add_dip(self.nl, dip_full, response).is_err() {
+            if self.inst.add_dip(dip_full, response).is_err() {
                 return DipStep::OracleInconsistent;
             }
         }
@@ -215,7 +213,7 @@ impl<'a> AttackSession<'a> {
     /// Appends an externally chosen I/O constraint (AppSAT's random-query
     /// reinforcement). `Err(())` on oracle inconsistency.
     pub(crate) fn reinforce(&mut self, dip_full: &[bool], response: &[bool]) -> Result<(), ()> {
-        self.inst.add_dip(self.nl, dip_full, response)
+        self.inst.add_dip(dip_full, response)
     }
 
     /// Solves the warm miter, difference switched off, for a key

@@ -70,6 +70,56 @@ impl CacheKey {
         self
     }
 
+    /// Parses a canonical key string back into its key: the inverse of
+    /// [`CacheKey::new`] + [`CacheKey::field`], so
+    /// `CacheKey::parse(k.canonical()) == Ok(k)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for a foreign cache version, a missing leading
+    /// `exp=` field, a segment that is not `name=value`, or a string that
+    /// is not canonical (a value with a bare `%`).
+    pub fn parse(canonical: &str) -> Result<CacheKey, String> {
+        let mut parts = canonical.split('|');
+        let version = parts.next().unwrap_or_default();
+        if version != CACHE_VERSION {
+            return Err(format!(
+                "cell key version {version:?} (this build speaks {CACHE_VERSION:?})"
+            ));
+        }
+        let experiment = parts
+            .next()
+            .and_then(|p| p.strip_prefix("exp="))
+            .ok_or_else(|| format!("key {canonical:?} has no exp= field"))?;
+        let mut key = CacheKey::new(experiment);
+        for part in parts {
+            let (name, value) = part
+                .split_once('=')
+                .ok_or_else(|| format!("key field {part:?} is not name=value"))?;
+            key = key.field(name, unescape(value));
+        }
+        if key.canonical != canonical {
+            return Err(format!("key {canonical:?} is not canonical"));
+        }
+        Ok(key)
+    }
+
+    /// The experiment the key was started for.
+    #[must_use]
+    pub fn experiment(&self) -> &str {
+        let exp = self.canonical.split('|').nth(1).unwrap_or_default();
+        exp.strip_prefix("exp=").unwrap_or_default()
+    }
+
+    /// The `name=value` fields after `exp=`, in order, values unescaped.
+    pub fn fields(&self) -> impl Iterator<Item = (&str, String)> + '_ {
+        self.canonical
+            .split('|')
+            .skip(2)
+            .filter_map(|p| p.split_once('='))
+            .map(|(name, value)| (name, unescape(value)))
+    }
+
     /// The canonical key string.
     #[must_use]
     pub fn canonical(&self) -> &str {
@@ -81,6 +131,11 @@ impl CacheKey {
     pub fn hash_hex(&self) -> String {
         format!("{:016x}", fnv1a64(self.canonical.as_bytes()))
     }
+}
+
+/// The inverse of [`CacheKey::field`]'s value escaping.
+fn unescape(v: &str) -> String {
+    v.replace("%7c", "|").replace("%25", "%")
 }
 
 /// The on-disk cell cache for one run directory.
@@ -308,6 +363,37 @@ mod tests {
         let a = CacheKey::new("t").field("x", "1|y=2");
         let b = CacheKey::new("t").field("x", "1").field("y", "2");
         assert_ne!(a.canonical(), b.canonical());
+    }
+
+    #[test]
+    fn parse_round_trips_canonical_strings() {
+        let original = CacheKey::new("attack")
+            .field("kind", "sat")
+            .field("bench", "weird|name%x")
+            .field("blocks", 3);
+        let parsed = CacheKey::parse(original.canonical()).unwrap();
+        assert_eq!(parsed, original);
+        assert_eq!(parsed.experiment(), "attack");
+        let fields: Vec<(&str, String)> = parsed.fields().collect();
+        assert_eq!(
+            fields,
+            vec![
+                ("kind", "sat".to_string()),
+                ("bench", "weird|name%x".to_string()),
+                ("blocks", "3".to_string()),
+            ]
+        );
+    }
+
+    #[test]
+    fn parse_rejects_malformed_keys() {
+        let no_exp = format!("{CACHE_VERSION}|kind=sat|bench=c17");
+        assert!(CacheKey::parse(&no_exp).unwrap_err().contains("exp="));
+        assert!(CacheKey::parse(CACHE_VERSION).is_err());
+        assert!(CacheKey::parse("v0|exp=attack").is_err());
+        assert!(CacheKey::parse(&format!("{CACHE_VERSION}|exp=attack|kind")).is_err());
+        // A bare `%` is never produced by `field`.
+        assert!(CacheKey::parse(&format!("{CACHE_VERSION}|exp=attack|x=5%")).is_err());
     }
 
     #[test]

@@ -100,7 +100,11 @@ impl Experiment for IncrementalVerify {
         for generation in 1..=generations {
             let (_report, delta) = morph_all_delta(&mut locked, &mut rng);
             let key: Vec<bool> = locked.keys.bits().to_vec();
-            let dirty = locked.dirty_outputs(&delta).len();
+            let dirty = locked
+                .netlist
+                .key_analysis()
+                .dirty_outputs(delta.changed_bits())
+                .len();
 
             let started = Instant::now();
             let inc = verifier

@@ -275,7 +275,14 @@ fn handle(shared: &Shared, req: FarmRequest) -> FarmResponse {
                     message: format!("rejected payload for {key}: {e}"),
                 };
             }
-            let cache_key = rebuild_key(&key);
+            let cache_key = match CacheKey::parse(&key) {
+                Ok(k) => k,
+                Err(e) => {
+                    return FarmResponse::FarmError {
+                        message: format!("rejected key {key}: {e}"),
+                    }
+                }
+            };
             let settle = {
                 let mut table = shared.table.lock().expect("lease table");
                 table.complete(lease_id, &key, now)
@@ -348,50 +355,10 @@ fn handle(shared: &Shared, req: FarmRequest) -> FarmResponse {
     }
 }
 
-/// Reconstructs a [`CacheKey`] whose canonical string equals `key`.
-/// [`CacheKey::field`] escapes values, so the already-escaped canonical
-/// string is rebuilt field-by-field from its unescaped parts.
-fn rebuild_key(key: &str) -> CacheKey {
-    let mut parts = key.split('|');
-    let _version = parts.next();
-    let exp = parts
-        .next()
-        .and_then(|p| p.strip_prefix("exp="))
-        .unwrap_or_default();
-    let mut k = CacheKey::new(&unescape(exp));
-    for part in parts {
-        if let Some((name, value)) = part.split_once('=') {
-            k = k.field(name, unescape(value));
-        }
-    }
-    k
-}
-
-fn unescape(v: &str) -> String {
-    v.replace("%7c", "|").replace("%25", "%")
-}
-
 fn store(shared: &Shared, key: &CacheKey, payload: &str) {
     // The cache's temp+rename makes racing stores safe; a cell already
     // on disk stays (first write wins at the table level already).
     if shared.cache.get(key).is_none() {
         let _ = shared.cache.put(key, payload);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rebuild_key_round_trips_canonical_strings() {
-        let original = CacheKey::new("attack")
-            .field("kind", "sat")
-            .field("bench", "weird|name%x")
-            .field("blocks", 3);
-        assert_eq!(
-            rebuild_key(original.canonical()).canonical(),
-            original.canonical()
-        );
     }
 }

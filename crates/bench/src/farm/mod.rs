@@ -44,7 +44,7 @@ use std::time::Duration;
 use ril_core::RilBlockSpec;
 use ril_netlist::{generators, Netlist};
 
-use crate::cache::{CacheKey, CACHE_VERSION};
+use crate::cache::CacheKey;
 use crate::experiment::cell_payload;
 use crate::experiments::sat_cell_key;
 
@@ -80,10 +80,6 @@ pub struct SatCellSpec {
     pub solver_threads: usize,
 }
 
-fn unescape(v: &str) -> String {
-    v.replace("%7c", "|").replace("%25", "%")
-}
-
 impl SatCellSpec {
     /// Parses a canonical cache-key string back into an executable cell.
     ///
@@ -94,20 +90,15 @@ impl SatCellSpec {
     /// fields. The worker reports such cells as failed rather than
     /// guessing.
     pub fn parse(canonical: &str) -> Result<SatCellSpec, String> {
-        let mut parts = canonical.split('|');
-        let version = parts.next().unwrap_or_default();
-        if version != CACHE_VERSION {
-            return Err(format!(
-                "cell key version {version:?} (worker speaks {CACHE_VERSION:?})"
-            ));
-        }
+        let key = CacheKey::parse(canonical)?;
+        let exp = key.experiment();
+        let mut parts = key.fields();
         let mut field = |name: &str| -> Result<String, String> {
-            match parts.next().and_then(|p| p.split_once('=')) {
-                Some((k, v)) if k == name => Ok(unescape(v)),
+            match parts.next() {
+                Some((k, v)) if k == name => Ok(v),
                 other => Err(format!("expected field {name:?}, got {other:?}")),
             }
         };
-        let exp = field("exp")?;
         let kind = field("kind")?;
         if exp != "attack" || kind != "sat" {
             return Err(format!("unsupported cell kind {exp}/{kind}"));

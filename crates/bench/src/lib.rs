@@ -52,7 +52,6 @@ pub use experiment::{
     RunContext,
 };
 pub use farm::{run_farm_phase, run_worker, FarmSpec, SatCellSpec, WorkerConfig, WorkerSummary};
-pub use sweep::{parallel_sweep, parallel_sweep_traced, parallel_sweep_with, sweep_threads};
 pub use tracereport::{
     breakdown, check_chrome_trace, check_events_jsonl, check_spans_jsonl, trace_report,
     validate_run_dir, CellBreakdown, PhaseTotals, SpanRec, SpanStats,
@@ -170,22 +169,6 @@ pub fn attack_cell_report_with(
             }
         }
     }
-}
-
-/// Writes a benchmark's machine-readable output to
-/// `$RIL_OUT_DIR/<name>` (default `exp_out/<name>`), creating the
-/// directory if needed. Returns the path written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_output_file(name: &str, content: &str) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::env::var("RIL_OUT_DIR").unwrap_or_else(|_| "exp_out".to_string());
-    let dir = std::path::PathBuf::from(dir);
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(name);
-    std::fs::write(&path, content)?;
-    Ok(path)
 }
 
 /// Obfuscates with the Scan-Enable stage on, retrying seeds until at least

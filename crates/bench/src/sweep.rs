@@ -6,75 +6,26 @@
 //! threads pulling from an atomic work queue. No thread pool dependency:
 //! the whole driver is `std::thread::scope` + one `AtomicUsize`.
 //!
-//! Worker count comes from `RIL_THREADS`, defaulting to the machine's
-//! available parallelism. `RIL_THREADS=1` restores fully serial runs (for
-//! clean per-cell wall-clock comparisons, since parallel cells share
-//! memory bandwidth).
+//! The worker count is the caller's: experiments pass
+//! `RunConfig::threads` (the validated `RIL_THREADS`, defaulting to the
+//! machine's available parallelism) through `RunContext::sweep`.
+//! `RIL_THREADS=1` gives fully serial runs (for clean per-cell wall-clock
+//! comparisons, since parallel cells share memory bandwidth).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker-thread count for [`parallel_sweep`]: the `RIL_THREADS`
-/// environment variable (minimum 1), or the machine's available
-/// parallelism.
-pub fn sweep_threads() -> usize {
-    std::env::var("RIL_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-/// Runs `job` over every item on [`sweep_threads`] scoped worker threads,
-/// returning results in input order. Jobs are claimed from an atomic
-/// queue, so long cells (an `∞` attack next to a 0.3 s one) don't stall
-/// the sweep the way fixed chunking would.
+/// Runs `job` over every item on `workers` scoped worker threads (clamped
+/// to `1..=items.len()`), returning results in input order. Jobs are
+/// claimed from an atomic queue, so long cells (an `∞` attack next to a
+/// 0.3 s one) don't stall the sweep the way fixed chunking would.
 ///
-/// # Panics
-///
-/// Propagates a panicking job once all workers are joined.
-pub fn parallel_sweep<T, R, F>(items: &[T], job: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_sweep_with(sweep_threads(), items, job)
-}
-
-/// [`parallel_sweep`] with an explicit worker count — the experiment
-/// framework passes `RunConfig::threads` here instead of re-reading the
-/// environment per sweep.
-///
-/// # Panics
-///
-/// Propagates a panicking job once all workers are joined.
-pub fn parallel_sweep_with<T, R, F>(workers: usize, items: &[T], job: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_sweep_traced(
-        workers,
-        &ril_trace::Tracer::disabled(),
-        ril_trace::SpanId::NONE,
-        items,
-        job,
-    )
-}
-
-/// [`parallel_sweep_with`] with a trace context: every worker thread
-/// installs `tracer` with `parent` as the ambient parent span before
-/// pulling jobs, so spans opened inside `job` (cells, attacks, solver
-/// calls) attach to the sweep's owning span instead of vanishing. Workers
-/// are plain `std::thread`s, which would otherwise start with no
-/// thread-local trace context. A disabled tracer makes this identical to
-/// the untraced sweep.
+/// Every worker thread installs `tracer` with `parent` as the ambient
+/// parent span before pulling jobs, so spans opened inside `job` (cells,
+/// attacks, solver calls) attach to the sweep's owning span instead of
+/// vanishing. Workers are plain `std::thread`s, which would otherwise
+/// start with no thread-local trace context; pass a disabled tracer for
+/// an untraced sweep.
 ///
 /// # Panics
 ///
@@ -124,10 +75,19 @@ where
 mod tests {
     use super::*;
 
+    fn sweep<T: Sync, R: Send>(
+        workers: usize,
+        items: &[T],
+        job: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<R> {
+        let tracer = ril_trace::Tracer::disabled();
+        parallel_sweep_traced(workers, &tracer, ril_trace::SpanId::NONE, items, job)
+    }
+
     #[test]
     fn results_preserve_input_order() {
         let items: Vec<usize> = (0..64).collect();
-        let squares = parallel_sweep(&items, |i, &x| {
+        let squares = sweep(4, &items, |i, &x| {
             assert_eq!(i, x);
             x * x
         });
@@ -136,7 +96,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let out: Vec<u32> = parallel_sweep(&[] as &[u32], |_, &x| x);
+        let out: Vec<u32> = sweep(4, &[] as &[u32], |_, &x| x);
         assert!(out.is_empty());
     }
 
@@ -144,7 +104,7 @@ mod tests {
     fn each_item_processed_exactly_once() {
         let hits = AtomicUsize::new(0);
         let items: Vec<u32> = (0..257).collect();
-        let out = parallel_sweep(&items, |_, &x| {
+        let out = sweep(4, &items, |_, &x| {
             hits.fetch_add(1, Ordering::Relaxed);
             x
         });
@@ -155,17 +115,10 @@ mod tests {
     #[test]
     fn explicit_worker_count_is_honored() {
         let items: Vec<usize> = (0..16).collect();
-        let out = parallel_sweep_with(3, &items, |_, &x| x + 1);
+        let out = sweep(3, &items, |_, &x| x + 1);
         assert_eq!(out, (1..=16).collect::<Vec<_>>());
         // Degenerate worker counts are clamped, not panicked on.
-        let out = parallel_sweep_with(0, &items[..2], |_, &x| x);
+        let out = sweep(0, &items[..2], |_, &x| x);
         assert_eq!(out, vec![0, 1]);
-    }
-
-    #[test]
-    fn thread_knob_parses() {
-        // Can't mutate the env safely under the parallel test harness, so
-        // just assert the fallback is sane.
-        assert!(sweep_threads() >= 1);
     }
 }

@@ -19,7 +19,6 @@
 //! | `mark_output`       | keep        | keep  | keep   | drop | drop      |
 //! | `add_gate`          | attach      | drop  | drop   | drop | drop      |
 //! | `remove_gate`       | detach      | drop  | drop   | drop | drop      |
-//! | `replace_fanin`     | move        | drop  | drop   | drop | drop      |
 //! | `redirect_consumers`| move        | drop  | drop   | drop | drop      |
 //! | `set_gate_kind`     | keep        | keep  | keep   | drop | keep      |
 //!
@@ -37,8 +36,7 @@ use std::sync::{Arc, RwLock};
 /// The net → consuming-gates table, maintained incrementally across edits.
 ///
 /// A gate listing the same net twice in its fan-in appears once per
-/// occurrence (mirroring the historical `fanout_map` semantics); each
-/// per-net list is kept sorted by [`GateId`].
+/// occurrence; each per-net list is kept sorted by [`GateId`].
 #[derive(Debug, Clone, Default)]
 pub struct FanoutTable {
     consumers: Vec<Vec<GateId>>,

@@ -1,42 +1,22 @@
-//! Logic-cone analysis: transitive fan-in / fan-out extraction.
+//! Logic-cone analysis: transitive fan-out extraction.
 //!
 //! The paper's insertion discussion (Section III-D) contrasts random gate
 //! selection with the community habit of targeting large output logic cones;
-//! these helpers supply the cone statistics both policies need.
+//! [`fanout_cone`] supplies the cone a candidate insertion point drives.
 //!
-//! All queries route through the netlist's [`AnalysisCache`]: fan-out
-//! traversals reuse the incrementally-maintained [`FanoutTable`] instead of
-//! rebuilding the net → consumers map per call, and key-bit cones come
-//! straight from the cached [`KeyAnalysis`]. Results are sorted `Vec`s so
+//! The traversal reuses the netlist's incrementally maintained
+//! [`FanoutTable`] instead of rebuilding the net → consumers map per call.
+//! Key-bit cones and the outputs a morph dirtied have one accessor each,
+//! on the cached [`KeyAnalysis`] (`nl.key_analysis().cone(bit)` and
+//! `nl.key_analysis().dirty_outputs(bits)`). Results are sorted `Vec`s so
 //! iteration order is deterministic.
 //!
-//! [`AnalysisCache`]: crate::analysis::AnalysisCache
 //! [`FanoutTable`]: crate::analysis::FanoutTable
 //! [`KeyAnalysis`]: crate::analysis::KeyAnalysis
 
 #![deny(clippy::iter_over_hash_type)]
 
 use crate::netlist::{GateId, NetId, Netlist};
-
-/// The transitive fan-in cone of a net: every gate whose output can reach
-/// `net` going forward (i.e. all gates `net` structurally depends on,
-/// including its own driver). Sorted by gate id.
-pub fn fanin_cone(nl: &Netlist, net: NetId) -> Vec<GateId> {
-    let mut seen_nets = vec![false; nl.net_count()];
-    let mut cone: Vec<GateId> = Vec::new();
-    let mut stack = vec![net];
-    while let Some(n) = stack.pop() {
-        if std::mem::replace(&mut seen_nets[n.index()], true) {
-            continue;
-        }
-        if let Some(gid) = nl.net(n).driver() {
-            cone.push(gid);
-            stack.extend(nl.gate(gid).inputs().iter().copied());
-        }
-    }
-    cone.sort_unstable();
-    cone
-}
 
 /// The transitive fan-out cone of a net: every gate whose output
 /// structurally depends on `net`. Sorted by gate id.
@@ -61,98 +41,10 @@ pub fn fanout_cone(nl: &Netlist, net: NetId) -> Vec<GateId> {
     cone
 }
 
-/// The primary inputs in the transitive fan-in of a net (its structural
-/// support). Sorted by net id.
-pub fn input_support(nl: &Netlist, net: NetId) -> Vec<NetId> {
-    let mut seen = vec![false; nl.net_count()];
-    let mut support: Vec<NetId> = Vec::new();
-    let mut stack = vec![net];
-    while let Some(n) = stack.pop() {
-        if std::mem::replace(&mut seen[n.index()], true) {
-            continue;
-        }
-        match nl.net(n).driver() {
-            Some(gid) => stack.extend(nl.gate(gid).inputs().iter().copied()),
-            None => {
-                if nl.is_input(n) {
-                    support.push(n);
-                }
-            }
-        }
-    }
-    support.sort_unstable();
-    support
-}
-
-/// The primary outputs reachable from a gate's output net, in
-/// [`Netlist::outputs`] order.
-pub fn reachable_outputs(nl: &Netlist, gate: GateId) -> Vec<NetId> {
-    let out = nl.gate(gate).output();
-    let cone = fanout_cone(nl, out);
-    let mut in_cone = vec![false; nl.net_count()];
-    in_cone[out.index()] = true;
-    for &g in &cone {
-        in_cone[nl.gate(g).output().index()] = true;
-    }
-    nl.outputs()
-        .iter()
-        .copied()
-        .filter(|o| in_cone[o.index()])
-        .collect()
-}
-
-/// Per-output fan-in cone sizes, in [`Netlist::outputs`] order.
-pub fn output_cone_sizes(nl: &Netlist) -> Vec<usize> {
-    nl.outputs()
-        .iter()
-        .map(|&o| fanin_cone(nl, o).len())
-        .collect()
-}
-
-/// The fan-out cone of key bit `bit`, from the cached [`KeyAnalysis`]
-/// (sorted gate ids; empty for out-of-range bits).
-///
-/// [`KeyAnalysis`]: crate::analysis::KeyAnalysis
-pub fn key_cone(nl: &Netlist, bit: usize) -> Vec<GateId> {
-    nl.key_analysis().cone(bit).to_vec()
-}
-
-/// Output indices (positions in [`Netlist::outputs`]) whose structural
-/// support contains any of the given key-bit indices. Sorted, deduped.
-pub fn dirty_outputs(nl: &Netlist, changed_bits: &[usize]) -> Vec<usize> {
-    nl.key_analysis().dirty_outputs(changed_bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bench::c17;
-
-    #[test]
-    fn c17_cones() {
-        let nl = c17();
-        let g22 = nl.net_id("G22").unwrap();
-        let cone = fanin_cone(&nl, g22);
-        // G22 depends on G22, G10, G16, G11 drivers = 4 gates.
-        assert_eq!(cone.len(), 4);
-
-        let g23 = nl.net_id("G23").unwrap();
-        let cone23 = fanin_cone(&nl, g23);
-        assert_eq!(cone23.len(), 4); // G23, G16, G19, G11
-    }
-
-    #[test]
-    fn support_of_c17_outputs() {
-        let nl = c17();
-        let g22 = nl.net_id("G22").unwrap();
-        let support = input_support(&nl, g22);
-        let names: Vec<&str> = {
-            let mut v: Vec<&str> = support.iter().map(|&n| nl.net(n).name()).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(names, vec!["G1", "G2", "G3", "G6"]);
-    }
 
     #[test]
     fn fanout_cone_reaches_outputs() {
@@ -166,39 +58,13 @@ mod tests {
     #[test]
     fn cones_are_sorted_and_deduped() {
         let nl = c17();
-        for (_, netname) in [("a", "G11"), ("b", "G16")] {
-            let id = nl.net_id(netname).unwrap();
-            for cone in [fanout_cone(&nl, id), fanin_cone(&nl, id)] {
-                let mut sorted = cone.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                assert_eq!(cone, sorted);
-            }
+        for netname in ["G3", "G11", "G16"] {
+            let cone = fanout_cone(&nl, nl.net_id(netname).unwrap());
+            let mut sorted = cone.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(cone, sorted);
         }
-    }
-
-    #[test]
-    fn reachable_outputs_from_inner_gate() {
-        let nl = c17();
-        let g11 = nl.net_id("G11").unwrap();
-        let driver = nl.net(g11).driver().unwrap();
-        let outs = reachable_outputs(&nl, driver);
-        assert_eq!(outs.len(), 2); // both primary outputs
-    }
-
-    #[test]
-    fn cone_sizes_per_output() {
-        let nl = c17();
-        let sizes = output_cone_sizes(&nl);
-        assert_eq!(sizes, vec![4, 4]);
-    }
-
-    #[test]
-    fn input_net_has_empty_fanin_cone() {
-        let nl = c17();
-        let g1 = nl.net_id("G1").unwrap();
-        assert!(fanin_cone(&nl, g1).is_empty());
-        assert_eq!(input_support(&nl, g1).len(), 1);
     }
 
     #[test]
@@ -217,8 +83,10 @@ mod tests {
         nl.add_gate(crate::gate::GateKind::Xor, &[kn, k], masked)
             .unwrap();
         nl.redirect_consumers(g10, masked);
-        assert_eq!(key_cone(&nl, 0), fanout_cone(&nl, k));
-        assert!(!dirty_outputs(&nl, &[0]).is_empty());
-        assert!(dirty_outputs(&nl, &[]).is_empty());
+        // The cached key cone equals a fresh traversal.
+        let keys = nl.key_analysis();
+        assert_eq!(keys.cone(0), fanout_cone(&nl, k).as_slice());
+        assert!(!keys.dirty_outputs(&[0]).is_empty());
+        assert!(keys.dirty_outputs(&[]).is_empty());
     }
 }

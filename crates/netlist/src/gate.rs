@@ -137,15 +137,6 @@ impl GateKind {
         }
     }
 
-    /// Returns `true` for kinds whose output inverts their "base" function
-    /// (NAND/NOR/XNOR/NOT).
-    pub fn is_inverting(self) -> bool {
-        matches!(
-            self,
-            GateKind::Nand | GateKind::Nor | GateKind::Xnor | GateKind::Not
-        )
-    }
-
     /// Returns `true` if this is a combinational kind (everything but DFF).
     pub fn is_combinational(self) -> bool {
         !matches!(self, GateKind::Dff)

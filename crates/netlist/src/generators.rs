@@ -735,11 +735,11 @@ pub const BENCHMARK_NAMES: [&str; 9] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
+    use crate::sim::CompiledSim;
 
     fn eval_u64(nl: &Netlist, words: &[(String, u64, usize)]) -> Vec<bool> {
         // Assign each named word's bits to inputs, eval single pattern.
-        let mut sim = Simulator::new(nl).unwrap();
+        let mut sim = CompiledSim::new(nl).unwrap();
         let mut bits = vec![false; nl.inputs().len()];
         for (pos, &inp) in nl.inputs().iter().enumerate() {
             let name = nl.net(inp).name();
@@ -751,7 +751,7 @@ mod tests {
                 }
             }
         }
-        sim.eval_bits(nl, &bits)
+        sim.eval_bits(&bits)
     }
 
     #[test]
@@ -835,11 +835,11 @@ mod tests {
         // Flipping one plaintext bit should change many state bits after
         // 3 rounds (avalanche).
         let nl = spn_cipher(3);
-        let mut sim = Simulator::new(&nl).unwrap();
+        let mut sim = CompiledSim::new(&nl).unwrap();
         let mut bits = vec![false; nl.inputs().len()];
-        let base = sim.eval_bits(&nl, &bits);
+        let base = sim.eval_bits(&bits);
         bits[0] = true;
-        let flipped = sim.eval_bits(&nl, &bits);
+        let flipped = sim.eval_bits(&bits);
         let diff = base.iter().zip(&flipped).filter(|(a, b)| a != b).count();
         assert!(diff >= 8, "only {diff} output bits changed");
     }

@@ -396,12 +396,6 @@ impl Netlist {
         self.gates[id.index()].as_ref().expect("gate was removed")
     }
 
-    /// Returns the live gate with the given id, or `None` if removed/out of
-    /// range.
-    pub fn try_gate(&self, id: GateId) -> Option<&Gate> {
-        self.gates.get(id.index()).and_then(|g| g.as_ref())
-    }
-
     /// Iterates over live gates.
     pub fn gates(&self) -> impl Iterator<Item = (GateId, &Gate)> + '_ {
         self.gates
@@ -476,28 +470,6 @@ impl Netlist {
         gate
     }
 
-    /// Replaces occurrences of input net `old` with `new` in one gate's
-    /// fan-in list. Returns the number of positions changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gate is removed or out of range.
-    pub fn replace_fanin(&mut self, id: GateId, old: NetId, new: NetId) -> usize {
-        let gate = self.gates[id.index()].as_mut().expect("gate was removed");
-        let mut changed = 0;
-        for inp in &mut gate.inputs {
-            if *inp == old {
-                *inp = new;
-                changed += 1;
-            }
-        }
-        if changed > 0 {
-            self.generation += 1;
-            self.cache.note_fanin_moved(id, old, new, changed);
-        }
-        changed
-    }
-
     /// Redirects every consumer of `old` (gate fan-ins and the primary output
     /// list) to `new`. The driver of `old` is untouched. Returns the number
     /// of redirected references.
@@ -566,37 +538,17 @@ impl Netlist {
         self.cache.fanout(self)
     }
 
-    /// Builds the net → consuming-gates map as plain vectors (compatibility
-    /// view of [`Netlist::fanout`]; prefer the cached table for repeated
-    /// queries).
-    pub fn fanout_map(&self) -> Vec<Vec<GateId>> {
-        let table = self.fanout();
-        (0..self.nets.len())
-            .map(|i| table.consumers(NetId(i as u32)).to_vec())
-            .collect()
-    }
-
     /// Computes a topological order of the live gates (inputs before
     /// consumers). DFF gates are treated as combinational nodes, so a
     /// sequential loop reports a cycle; convert with
     /// [`Netlist::to_combinational`] first for sequential designs.
     ///
-    /// The order is cached; repeated calls between edits are O(gates) copies.
+    /// The order is cached between edits; every call shares it.
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::CombinationalCycle`] naming a net on a cycle.
-    pub fn topo_order(&self) -> Result<Vec<GateId>, NetlistError> {
-        self.cache.topo(self).map(|o| o.as_ref().clone())
-    }
-
-    /// Like [`Netlist::topo_order`] but returns the shared cached order
-    /// without copying.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalCycle`] naming a net on a cycle.
-    pub fn topo_order_shared(&self) -> Result<Arc<Vec<GateId>>, NetlistError> {
+    pub fn topo_order(&self) -> Result<Arc<Vec<GateId>>, NetlistError> {
         self.cache.topo(self)
     }
 

@@ -85,7 +85,7 @@ pub fn propagate_constants(nl: &mut Netlist) -> Result<(usize, usize), NetlistEr
     }
     let mut folded = 0usize;
     let mut pruned = 0usize;
-    for gid in order {
+    for &gid in order.iter() {
         let gate = nl.gate(gid);
         let kind = gate.kind();
         if matches!(kind, GateKind::Const0 | GateKind::Const1 | GateKind::Dff) {
@@ -296,20 +296,20 @@ mod tests {
     use super::*;
     use crate::generators;
     use crate::parse_bench;
-    use crate::Simulator;
+    use crate::CompiledSim;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn equivalent(before: &Netlist, after: &Netlist, patterns: usize) -> bool {
-        let mut s1 = Simulator::new(before).expect("sim");
-        let mut s2 = Simulator::new(after).expect("sim");
+        let mut s1 = CompiledSim::new(before).expect("sim");
+        let mut s2 = CompiledSim::new(after).expect("sim");
         let mut rng = StdRng::seed_from_u64(404);
         let nd = before.data_inputs().len();
         let nk = before.key_inputs().len();
         for _ in 0..patterns {
             let data: Vec<u64> = (0..nd).map(|_| rng.gen()).collect();
             let keys: Vec<u64> = (0..nk).map(|_| rng.gen()).collect();
-            if s1.eval_words(before, &data, &keys) != s2.eval_words(after, &data, &keys) {
+            if s1.eval_words(&data, &keys) != s2.eval_words(&data, &keys) {
                 return false;
             }
         }

@@ -439,7 +439,7 @@ mod tests {
     use super::*;
     use crate::bench::c17;
     use crate::generators;
-    use crate::Simulator;
+    use crate::CompiledSim;
 
     fn roundtrip_equivalent(nl: &Netlist) {
         let text = write_verilog(nl);
@@ -447,15 +447,15 @@ mod tests {
         assert_eq!(back.inputs().len(), nl.inputs().len());
         assert_eq!(back.outputs().len(), nl.outputs().len());
         // Functional spot check by name-aligned simulation.
-        let mut s1 = Simulator::new(nl).expect("sim");
-        let mut s2 = Simulator::new(&back).expect("sim");
+        let mut s1 = CompiledSim::new(nl).expect("sim");
+        let mut s2 = CompiledSim::new(&back).expect("sim");
         for pattern in [0u64, 0xDEADBEEF, u64::MAX, 0x1234_5678_9ABC_DEF0] {
             let bits: Vec<bool> = (0..nl.inputs().len())
                 .map(|i| (pattern >> (i % 64)) & 1 == 1)
                 .collect();
             // Align by name: back's input order equals declaration order,
             // which matches nl's.
-            assert_eq!(s1.eval_bits(nl, &bits), s2.eval_bits(&back, &bits));
+            assert_eq!(s1.eval_bits(&bits), s2.eval_bits(&bits));
         }
     }
 

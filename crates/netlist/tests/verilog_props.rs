@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use ril_netlist::generators::{const_net, random_circuit};
-use ril_netlist::{parse_verilog, write_verilog, GateKind, Netlist, Simulator};
+use ril_netlist::{parse_verilog, write_verilog, CompiledSim, GateKind, Netlist};
 
 /// A random circuit extended with the constructs the Verilog writer
 /// lowers specially: a key input (round-trips via the `// KEYINPUTS:`
@@ -70,14 +70,14 @@ proptest! {
 
         // Semantic identity: identical outputs on random input patterns
         // (all inputs driven, key inputs included).
-        let mut sim_a = Simulator::new(&nl).expect("original simulates");
-        let mut sim_b = Simulator::new(&back).expect("re-import simulates");
+        let mut sim_a = CompiledSim::new(&nl).expect("original simulates");
+        let mut sim_b = CompiledSim::new(&back).expect("re-import simulates");
         let width = nl.inputs().len();
         for p in &patterns {
             let bits: Vec<bool> = (0..width).map(|i| (p >> (i % 64)) & 1 == 1).collect();
             prop_assert_eq!(
-                sim_a.eval_bits(&nl, &bits),
-                sim_b.eval_bits(&back, &bits),
+                sim_a.eval_bits(&bits),
+                sim_b.eval_bits(&bits),
                 "simulation diverged on pattern {:#x}",
                 p
             );

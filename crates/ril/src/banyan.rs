@@ -226,7 +226,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use ril_netlist::Simulator;
+    use ril_netlist::CompiledSim;
 
     #[test]
     fn sizes_and_counts() {
@@ -350,7 +350,7 @@ mod tests {
             nl.mark_output(o);
         }
         nl.validate().unwrap();
-        let mut sim = Simulator::new(&nl).unwrap();
+        let mut sim = CompiledSim::new(&nl).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..30 {
             let keybits: Vec<bool> = (0..net.num_keys()).map(|_| rng.gen()).collect();
@@ -359,7 +359,7 @@ mod tests {
             // output perm[i].
             for (i, &target) in perm.iter().enumerate() {
                 let data: Vec<bool> = (0..4).map(|x| x == i).collect();
-                let outbits = sim.eval_pattern(&nl, &data, &keybits);
+                let outbits = sim.eval_pattern(&data, &keybits);
                 for (o, &bit) in outbits.iter().enumerate() {
                     assert_eq!(bit, o == target, "input {i} key {keybits:?}");
                 }
@@ -408,12 +408,12 @@ mod tests {
         for o in outs {
             nl.mark_output(o);
         }
-        let mut sim = Simulator::new(&nl).unwrap();
+        let mut sim = CompiledSim::new(&nl).unwrap();
         // route straight, no invert: (a, b) -> (a, b)
-        let o = sim.eval_pattern(&nl, &[true, false], &[false, false]);
+        let o = sim.eval_pattern(&[true, false], &[false, false]);
         assert_eq!(o, vec![true, false]);
         // invert key flips line 1.
-        let o = sim.eval_pattern(&nl, &[true, false], &[false, true]);
+        let o = sim.eval_pattern(&[true, false], &[false, true]);
         assert_eq!(o, vec![true, true]);
     }
 }

@@ -444,7 +444,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use ril_netlist::{generators, Simulator};
+    use ril_netlist::{generators, CompiledSim};
 
     #[test]
     fn spec_parsing_and_counts() {
@@ -497,8 +497,8 @@ mod tests {
         assert_eq!(locked.key_inputs().len(), keys.len());
 
         // Equivalence under the correct key (SE = 0).
-        let mut sim_orig = Simulator::new(&original).unwrap();
-        let mut sim_lock = Simulator::new(&locked).unwrap();
+        let mut sim_orig = CompiledSim::new(&original).unwrap();
+        let mut sim_lock = CompiledSim::new(&locked).unwrap();
         let kw = keys.as_words();
         for trial in 0..20 {
             let mut trng = StdRng::seed_from_u64(seed * 1000 + trial);
@@ -509,8 +509,8 @@ mod tests {
             if se.is_some() {
                 data_lock.push(0); // SE pin low in functional mode
             }
-            let o1 = sim_orig.eval_words(&original, &data_orig, &[]);
-            let o2 = sim_lock.eval_words(&locked, &data_lock, &kw);
+            let o1 = sim_orig.eval_words(&data_orig, &[]);
+            let o2 = sim_lock.eval_words(&data_lock, &kw);
             assert_eq!(o1, o2, "{spec} trial {trial}");
         }
 
@@ -526,8 +526,8 @@ mod tests {
             if se.is_some() {
                 data_lock.push(0);
             }
-            let o1 = sim_orig.eval_words(&original, &data_orig, &[]);
-            let o2 = sim_lock.eval_words(&locked, &data_lock, &wrong);
+            let o1 = sim_orig.eval_words(&data_orig, &[]);
+            let o2 = sim_lock.eval_words(&data_lock, &wrong);
             if o1 != o2 {
                 corrupted = true;
                 break;
@@ -596,8 +596,8 @@ mod tests {
             if !any_se_key_set {
                 continue; // all SE keys drew 0 — no inversion expected
             }
-            let mut sim_orig = Simulator::new(&original).unwrap();
-            let mut sim_lock = Simulator::new(&locked).unwrap();
+            let mut sim_orig = CompiledSim::new(&original).unwrap();
+            let mut sim_lock = CompiledSim::new(&locked).unwrap();
             let kw = keys.as_words();
             let mut trng = StdRng::seed_from_u64(seed + 999);
             let data_orig: Vec<u64> = (0..original.data_inputs().len())
@@ -605,8 +605,8 @@ mod tests {
                 .collect();
             let mut data_se = data_orig.clone();
             data_se.push(u64::MAX); // SE asserted
-            let o1 = sim_orig.eval_words(&original, &data_orig, &[]);
-            let o2 = sim_lock.eval_words(&locked, &data_se, &kw);
+            let o1 = sim_orig.eval_words(&data_orig, &[]);
+            let o2 = sim_lock.eval_words(&data_se, &kw);
             if o1 != o2 {
                 return; // observed the corruption — test passes
             }

@@ -145,7 +145,7 @@ pub fn meso_selector_for(tt: u8) -> Option<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ril_netlist::Simulator;
+    use ril_netlist::CompiledSim;
 
     fn lut_fixture(tt: u8) -> (Netlist, u8) {
         let mut nl = Netlist::new("lut_fixture");
@@ -163,11 +163,11 @@ mod tests {
     fn mux_tree_realizes_every_function() {
         for tt in 0u8..16 {
             let (nl, _) = lut_fixture(tt);
-            let mut sim = Simulator::new(&nl).unwrap();
+            let mut sim = CompiledSim::new(&nl).unwrap();
             let keys: Vec<bool> = (0..4).map(|i| (tt >> i) & 1 == 1).collect();
             for a in [false, true] {
                 for b in [false, true] {
-                    let out = sim.eval_pattern(&nl, &[a, b], &keys);
+                    let out = sim.eval_pattern(&[a, b], &keys);
                     let expect = (tt >> ((a as u8) | ((b as u8) << 1))) & 1 == 1;
                     assert_eq!(out[0], expect, "tt={tt:04b} a={a} b={b}");
                 }
@@ -202,11 +202,11 @@ mod tests {
             nl.mark_output(out);
             // 4 + 2 + 1 MUXes for a 3-input tree.
             assert_eq!(nl.gate_count(), 7);
-            let mut sim = Simulator::new(&nl).unwrap();
+            let mut sim = CompiledSim::new(&nl).unwrap();
             let keybits: Vec<bool> = (0..8).map(|i| (tt >> i) & 1 == 1).collect();
             for m in 0u8..8 {
                 let data: Vec<bool> = (0..3).map(|i| (m >> i) & 1 == 1).collect();
-                let got = sim.eval_pattern(&nl, &data, &keybits)[0];
+                let got = sim.eval_pattern(&data, &keybits)[0];
                 assert_eq!(got, (tt >> m) & 1 == 1, "tt={tt:08b} m={m:03b}");
             }
         }
@@ -223,11 +223,11 @@ mod tests {
                 .collect();
             let out = materialize_lutm(&mut nl, &[a, b], &keys).unwrap();
             nl.mark_output(out);
-            let mut sim = Simulator::new(&nl).unwrap();
+            let mut sim = CompiledSim::new(&nl).unwrap();
             let keybits: Vec<bool> = (0..4).map(|i| (tt >> i) & 1 == 1).collect();
             for m in 0u8..4 {
                 let data: Vec<bool> = (0..2).map(|i| (m >> i) & 1 == 1).collect();
-                let got = sim.eval_pattern(&nl, &data, &keybits)[0];
+                let got = sim.eval_pattern(&data, &keybits)[0];
                 assert_eq!(got, (tt >> m) & 1 == 1);
             }
         }
@@ -263,13 +263,13 @@ mod tests {
             .collect();
         let out = materialize_meso(&mut nl, a, b, [keys[0], keys[1], keys[2]]).unwrap();
         nl.mark_output(out);
-        let mut sim = Simulator::new(&nl).unwrap();
+        let mut sim = CompiledSim::new(&nl).unwrap();
         for sel in 0u8..8 {
             let tt = MESO_FUNCTIONS[sel as usize];
             let keybits: Vec<bool> = (0..3).map(|i| (sel >> i) & 1 == 1).collect();
             for av in [false, true] {
                 for bv in [false, true] {
-                    let got = sim.eval_pattern(&nl, &[av, bv], &keybits)[0];
+                    let got = sim.eval_pattern(&[av, bv], &keybits)[0];
                     let expect = (tt >> ((av as u8) | ((bv as u8) << 1))) & 1 == 1;
                     assert_eq!(got, expect, "sel={sel} a={av} b={bv}");
                 }
@@ -307,8 +307,8 @@ mod tests {
             .collect();
         let out = materialize_meso(&mut nl, a, b, [keys[0], keys[1], keys[2]]).unwrap();
         nl.mark_output(out);
-        let mut sim = Simulator::new(&nl).unwrap();
-        let got = sim.eval_pattern(&nl, &[true, false], &[true, false, false])[0];
+        let mut sim = CompiledSim::new(&nl).unwrap();
+        let got = sim.eval_pattern(&[true, false], &[true, false, false])[0];
         assert!(got); // OR(1,0) = 1
     }
 }

@@ -43,8 +43,8 @@ pub fn keyed_corruption<R: Rng>(
     patterns: usize,
     rng: &mut R,
 ) -> Result<f64, NetlistError> {
-    use ril_netlist::Simulator;
-    let mut sim = Simulator::new(&locked.netlist)?;
+    use ril_netlist::CompiledSim;
+    let mut sim = CompiledSim::new(&locked.netlist)?;
     let correct: Vec<u64> = locked.keys.as_words();
     let wrong: Vec<u64> = key.iter().map(|&b| if b { u64::MAX } else { 0 }).collect();
     let has_se = locked.netlist.net_id(crate::obfuscate::SE_PIN).is_some();
@@ -58,8 +58,8 @@ pub fn keyed_corruption<R: Rng>(
             let last = data.len() - 1;
             data[last] = 0;
         }
-        let a = sim.eval_words(&locked.netlist, &data, &correct);
-        let b = sim.eval_words(&locked.netlist, &data, &wrong);
+        let a = sim.eval_words(&data, &correct);
+        let b = sim.eval_words(&data, &wrong);
         for (x, y) in a.iter().zip(&b) {
             diff += (x ^ y).count_ones() as u64;
             total += 64;

@@ -21,7 +21,6 @@ use crate::key::KeyStore;
 use crate::lut::{complement_lut, swap_lut_inputs};
 use crate::obfuscate::LockedCircuit;
 use rand::Rng;
-use ril_netlist::Netlist;
 
 /// The *net* effect of a morph on the stored key: which key-bit indices
 /// (netlist key-input order) hold a different value than before.
@@ -88,13 +87,6 @@ impl MorphDelta {
         self.changed_bits.extend_from_slice(&other.changed_bits);
         self.changed_bits.sort_unstable();
         self.changed_bits.dedup();
-    }
-
-    /// Output indices of `nl` (its [`Netlist::outputs`] order) whose fan-in
-    /// cone reads at least one changed key bit — the outputs a post-morph
-    /// check must revisit. Uses the netlist's cached key analysis.
-    pub fn dirty_outputs(&self, nl: &Netlist) -> Vec<usize> {
-        ril_netlist::cone::dirty_outputs(nl, &self.changed_bits)
     }
 }
 
@@ -363,7 +355,7 @@ mod tests {
         // Dirty outputs are exactly those whose key support intersects the
         // changed bits, per the netlist's cached key analysis.
         let keys = locked.netlist.key_analysis();
-        let dirty = delta.dirty_outputs(&locked.netlist);
+        let dirty = keys.dirty_outputs(delta.changed_bits());
         for out in 0..locked.netlist.outputs().len() {
             let touched = keys
                 .output_support(out)

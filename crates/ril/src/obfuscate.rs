@@ -6,7 +6,7 @@ use crate::key::KeyStore;
 use crate::morph::MorphDelta;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ril_netlist::{Netlist, Simulator};
+use ril_netlist::{CompiledSim, Netlist};
 
 /// The conventional name of the scan-enable pin added to locked netlists.
 pub const SE_PIN: &str = "SE";
@@ -162,8 +162,8 @@ impl LockedCircuit {
         patterns: usize,
     ) -> Result<bool, ril_netlist::NetlistError> {
         assert_eq!(key.len(), self.keys.len(), "key width mismatch");
-        let mut sim_orig = Simulator::new(&self.original)?;
-        let mut sim_lock = Simulator::new(&self.netlist)?;
+        let mut sim_orig = CompiledSim::new(&self.original)?;
+        let mut sim_lock = CompiledSim::new(&self.netlist)?;
         let kw: Vec<u64> = key.iter().map(|&b| if b { u64::MAX } else { 0 }).collect();
         let n_data_orig = self.original.data_inputs().len();
         let has_se = self.netlist.net_id(SE_PIN).is_some();
@@ -174,8 +174,8 @@ impl LockedCircuit {
             if has_se {
                 data_lock.push(0);
             }
-            let o1 = sim_orig.eval_words(&self.original, &data, &[]);
-            let o2 = sim_lock.eval_words(&self.netlist, &data_lock, &kw);
+            let o1 = sim_orig.eval_words(&data, &[]);
+            let o2 = sim_lock.eval_words(&data_lock, &kw);
             if o1 != o2 {
                 return Ok(false);
             }
@@ -265,12 +265,6 @@ impl LockedCircuit {
         timeout: Option<std::time::Duration>,
     ) -> Result<MorphVerifier, ril_sat::EquivError> {
         MorphVerifier::new(self, timeout)
-    }
-
-    /// Output indices of the locked netlist whose logic changed under
-    /// `delta` — convenience over [`crate::morph::MorphDelta::dirty_outputs`].
-    pub fn dirty_outputs(&self, delta: &crate::morph::MorphDelta) -> Vec<usize> {
-        delta.dirty_outputs(&self.netlist)
     }
 
     /// The `(key input name, value)` pin list for a candidate key, in the

@@ -283,18 +283,18 @@ pub fn encode_gate(
 mod tests {
     use super::*;
     use crate::solver::{Outcome, Solver};
-    use ril_netlist::{generators, Netlist, Simulator};
+    use ril_netlist::{generators, CompiledSim, Netlist};
 
     /// Checks CNF/model equivalence: for every input pattern, constrain
     /// inputs in the CNF and verify the implied outputs match simulation.
     fn check_equiv_exhaustive(nl: &Netlist) {
         let (cnf, vars) = encode_netlist(nl).unwrap();
-        let mut sim = Simulator::new(nl).unwrap();
+        let mut sim = CompiledSim::new(nl).unwrap();
         let n = nl.inputs().len();
         assert!(n <= 12, "too many inputs for exhaustive check");
         for pattern in 0u64..(1 << n) {
             let bits: Vec<bool> = (0..n).map(|i| (pattern >> i) & 1 == 1).collect();
-            let expect = sim.eval_bits(nl, &bits);
+            let expect = sim.eval_bits(&bits);
             let mut solver = Solver::from_cnf(&cnf);
             let assumptions: Vec<Lit> = nl
                 .inputs()
@@ -460,7 +460,7 @@ mod tests {
         // 4-bit adder: constrain inputs via assumptions, check sums.
         let nl = generators::adder(4);
         let (cnf, vars) = encode_netlist(&nl).unwrap();
-        let mut sim = Simulator::new(&nl).unwrap();
+        let mut sim = CompiledSim::new(&nl).unwrap();
         for (a, b) in [(3u64, 9u64), (15, 15), (0, 0), (7, 8)] {
             let bits: Vec<bool> = (0..8)
                 .map(|i| {
@@ -471,7 +471,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let expect = sim.eval_bits(&nl, &bits);
+            let expect = sim.eval_bits(&bits);
             let mut solver = Solver::from_cnf(&cnf);
             let assumptions: Vec<Lit> = nl
                 .inputs()

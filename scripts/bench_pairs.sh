@@ -4,6 +4,8 @@
 #
 #   scripts/bench_pairs.sh <parent-rev> <workload> [pairs] [seed]
 #
+# <workload> must be one of the workloads BENCHMARK.json names.
+#
 # Builds perfbench twice: from <parent-rev>, exported with `git archive`
 # into .bench_build/parent-<sha>/, and from the working tree. Then it runs
 # `pairs` (default 10, at least 2) untraced pairs at BENCHMARK.json's
@@ -27,15 +29,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 ROOT=$(pwd)
 
-usage() { sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+usage() { sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 [ $# -ge 2 ] || usage
 PAIRS=${3:-10}
 SEED=${4:-1000}
 # The summary takes quartiles over the pairs, which needs at least two.
 [[ $PAIRS =~ ^[0-9]+$ && $SEED =~ ^[0-9]+$ ]] || usage
 [ "$PAIRS" -ge 2 ] || usage
-PARENT=$(git rev-parse --verify "$1^{commit}")
 WORKLOAD=$2
+python3 -c 'import json,sys; sys.exit(sys.argv[2] not in [w["name"] for w in json.load(open(sys.argv[1]))["workloads"]])' \
+  BENCHMARK.json "$WORKLOAD" || usage
+PARENT=$(git rev-parse --verify "$1^{commit}")
 SECONDS_PER_RUN=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' BENCHMARK.json)
 TICKS=$(getconf CLK_TCK)
 

@@ -5,7 +5,7 @@ use rand::SeedableRng;
 use ril_blocks::attacks::satattack::sat_attack;
 use ril_blocks::attacks::{attacker_view, run_attack, AttackConfig, AttackKind, Oracle};
 use ril_blocks::core::{morph_all, InsertionPolicy, KeyBitKind, Obfuscator, RilBlockSpec};
-use ril_blocks::netlist::{generators, parse_bench, write_bench, Simulator};
+use ril_blocks::netlist::{generators, parse_bench, write_bench, CompiledSim};
 use std::time::Duration;
 
 fn fast_cfg() -> AttackConfig {
@@ -160,10 +160,10 @@ fn attacker_view_is_simulatable_and_key_complete() {
         .expect("lock");
     let view = attacker_view(&locked);
     view.validate().expect("valid view");
-    let mut sim = Simulator::new(&view).expect("sim");
+    let mut sim = CompiledSim::new(&view).expect("sim");
     let data = vec![0u64; view.data_inputs().len()];
     let keys = vec![0u64; view.key_inputs().len()];
-    let outs = sim.eval_words(&view, &data, &keys);
+    let outs = sim.eval_words(&data, &keys);
     assert_eq!(outs.len(), host.outputs().len());
     assert_eq!(view.key_inputs().len(), locked.key_width());
 }

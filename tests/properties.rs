@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use ril_blocks::core::banyan::BanyanNetwork;
 use ril_blocks::core::lut::{complement_lut, swap_lut_inputs};
 use ril_blocks::core::{Obfuscator, RilBlockSpec};
-use ril_blocks::netlist::{generators, parse_bench, write_bench, GateKind, Netlist, Simulator};
+use ril_blocks::netlist::{generators, parse_bench, write_bench, CompiledSim, GateKind, Netlist};
 use ril_blocks::sat::{
     check_equivalence, encode_netlist, Cnf, EquivOptions, EquivResult, EquivSession, Lit, Outcome,
     Session, Solver,
@@ -37,13 +37,13 @@ fn with_one_gate_kind_changed(nl: &Netlist, pick: u64) -> Netlist {
 /// `i`), which outputs of `left` and `right` differ.
 fn exhaustive_output_diffs(left: &Netlist, right: &Netlist) -> Vec<Vec<bool>> {
     let n = left.inputs().len();
-    let mut sim_l = Simulator::new(left).expect("sim");
-    let mut sim_r = Simulator::new(right).expect("sim");
+    let mut sim_l = CompiledSim::new(left).expect("sim");
+    let mut sim_r = CompiledSim::new(right).expect("sim");
     (0u64..1 << n)
         .map(|p| {
             let bits: Vec<bool> = (0..n).map(|i| (p >> i) & 1 == 1).collect();
-            let l = sim_l.eval_bits(left, &bits);
-            let r = sim_r.eval_bits(right, &bits);
+            let l = sim_l.eval_bits(&bits);
+            let r = sim_r.eval_bits(&bits);
             l.iter().zip(&r).map(|(a, b)| a != b).collect()
         })
         .collect()
@@ -51,7 +51,7 @@ fn exhaustive_output_diffs(left: &Netlist, right: &Netlist) -> Vec<Vec<bool>> {
 
 /// The outputs of `nl` on one input pattern.
 fn outputs_at(nl: &Netlist, bits: &[bool]) -> Vec<bool> {
-    Simulator::new(nl).expect("sim").eval_bits(nl, bits)
+    CompiledSim::new(nl).expect("sim").eval_bits(bits)
 }
 
 proptest! {
@@ -63,9 +63,9 @@ proptest! {
     fn cnf_encoding_matches_simulation(seed in 0u64..5000, pattern in 0u64..u64::MAX) {
         let nl = generators::random_circuit(seed, 6, 30, 4);
         let (cnf, vars) = encode_netlist(&nl).expect("combinational");
-        let mut sim = Simulator::new(&nl).expect("sim");
+        let mut sim = CompiledSim::new(&nl).expect("sim");
         let bits: Vec<bool> = (0..6).map(|i| (pattern >> i) & 1 == 1).collect();
-        let expect = sim.eval_bits(&nl, &bits);
+        let expect = sim.eval_bits(&bits);
         let mut solver = Solver::from_cnf(&cnf);
         let assumptions: Vec<Lit> = nl.inputs().iter().zip(&bits)
             .map(|(&n, &b)| vars.var(n).lit(!b)).collect();
@@ -80,12 +80,12 @@ proptest! {
     fn bench_round_trip_preserves_function(seed in 0u64..5000, pattern in 0u64..u64::MAX) {
         let nl = generators::random_circuit(seed, 5, 25, 3);
         let back = parse_bench("rt", &write_bench(&nl)).expect("parse");
-        let mut sim1 = Simulator::new(&nl).expect("sim");
-        let mut sim2 = Simulator::new(&back).expect("sim");
+        let mut sim1 = CompiledSim::new(&nl).expect("sim");
+        let mut sim2 = CompiledSim::new(&back).expect("sim");
         let bits: Vec<bool> = (0..5).map(|i| (pattern >> i) & 1 == 1).collect();
         // Output order may differ only if names differ — compare by name.
-        let o1 = sim1.eval_bits(&nl, &bits);
-        let o2 = sim2.eval_bits(&back, &bits);
+        let o1 = sim1.eval_bits(&bits);
+        let o2 = sim2.eval_bits(&bits);
         prop_assert_eq!(o1, o2);
     }
 
