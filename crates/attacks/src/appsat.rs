@@ -16,7 +16,7 @@ use crate::session::{AttackSession, DipStep};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ril_core::LockedCircuit;
-use ril_netlist::{CompiledSim, Netlist, PatternBlock, MAX_LANES};
+use ril_netlist::{CompiledSim, Netlist, PatternBlock, ResponseBlock, MAX_LANES};
 use std::time::Duration;
 
 /// AppSAT configuration ("default setting" = the published d/q/threshold).
@@ -131,6 +131,10 @@ fn appsat_attack_inner(
                 }
                 Err(()) => return sess.report(oracle, AttackResult::Timeout),
             };
+            let candidate_words: Vec<u64> = candidate
+                .iter()
+                .map(|&b| if b { u64::MAX } else { 0 })
+                .collect();
             let mut wrong_bits = 0usize;
             let mut total_bits = 0usize;
             // The probes are drawn up front (same RNG order as querying
@@ -164,24 +168,42 @@ fn appsat_attack_inner(
                         }
                     }
                 };
-                for (probe, truth) in probes.iter().zip(&truths) {
-                    let mut full = vec![false; sess.inst.input_vars.len()];
-                    for (slot, &pos) in sess.inst.oracle_positions.iter().enumerate() {
-                        full[pos] = probe[slot];
-                    }
-                    let predict = predict_sim.eval_pattern(&full, &candidate);
-                    let diff = predict.iter().zip(truth).filter(|(a, b)| a != b).count();
+                // The candidate's predictions for the whole block come
+                // from one lane-packed pass, and the probes it gets wrong
+                // are recorded as one batch.
+                let fulls: Vec<Vec<bool>> = probes
+                    .iter()
+                    .map(|probe| {
+                        let mut full = vec![false; sess.inst.input_vars.len()];
+                        for (slot, &pos) in sess.inst.oracle_positions.iter().enumerate() {
+                            full[pos] = probe[slot];
+                        }
+                        full
+                    })
+                    .collect();
+                let predicted = ResponseBlock::from_words(
+                    predict_sim.eval_words(PatternBlock::pack(&fulls).words(), &candidate_words),
+                    lanes,
+                )
+                .unpack();
+                let (mut wrong_dips, mut wrong_truths) = (Vec::new(), Vec::new());
+                for ((full, truth), predict) in fulls.into_iter().zip(truths).zip(&predicted) {
+                    let diff = predict.iter().zip(&truth).filter(|(a, b)| a != b).count();
                     wrong_bits += diff;
                     total_bits += truth.len();
-                    if diff > 0 && sess.reinforce(&full, truth).is_err() {
-                        return sess.report(
-                            oracle,
-                            AttackResult::Failed(
-                                "AppSAT terminated erroneously: oracle contradicts key-independent logic"
-                                    .into(),
-                            ),
-                        );
+                    if diff > 0 {
+                        wrong_dips.push(full);
+                        wrong_truths.push(truth);
                     }
+                }
+                if !wrong_dips.is_empty() && sess.reinforce(&wrong_dips, &wrong_truths).is_err() {
+                    return sess.report(
+                        oracle,
+                        AttackResult::Failed(
+                            "AppSAT terminated erroneously: oracle contradicts key-independent logic"
+                                .into(),
+                        ),
+                    );
                 }
                 remaining -= lanes;
             }

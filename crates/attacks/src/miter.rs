@@ -14,22 +14,33 @@
 //!
 //! Each DIP copy is constant-folded before it is encoded: the simulated
 //! key-free boundary values are propagated through the key cones with the
-//! keys unknown (3-valued), so nets the DIP already decides are pinned to
-//! the constant rails and only the still-open remainder becomes clauses.
-//! Every clause of a DIP copy carries the `¬guard` of the oracle
-//! generation it was recorded under; retiring a generation therefore
-//! leaves its whole encoding satisfied at the root, where the solver's
-//! root simplification collects it.
+//! keys unknown (3-valued), so nets the DIP already decides are constants
+//! and only the still-open remainder is encoded. The DIPs of one flushed
+//! batch share a single lane-packed simulation pass, DIP *j* in lane *j*.
 //!
-//! A DIP copy is encoded straight into the live session. The decided
-//! nets ride on the constant rails, which are resolved before a clause is
-//! built: a clause a true rail satisfies is never built, and a false rail
-//! literal is dropped.
+//! The open remainder is encoded gate by gate, and every DIP copy reuses
+//! the gates earlier copies already encoded. Each open gate is first
+//! simplified over literals: constants vanish, duplicate inputs collapse,
+//! a complementary pair decides the gate, XOR inputs are normalised to
+//! parity, and MUX and LUT2 gates reduce through their truth table over
+//! their distinct inputs. What remains is a literal or an AND, XOR or MUX
+//! over normalised literals, and it is looked up in one structural hash
+//! table that lives for the whole attack; only a miss allocates a
+//! variable and writes its Tseitin definition.
+//!
+//! A definition only names a fresh variable as a function of earlier
+//! literals, so it excludes no key. Definitions are therefore written
+//! unguarded and kept across key generations; only the unit clauses that
+//! force each key-dependent output to the oracle's response carry the
+//! `¬guard` of the generation they were recorded under. Retiring a
+//! generation leaves those units satisfied at the root, where the
+//! solver's root simplification collects them. The definitions stay, and
+//! a later DIP copy may share them.
 
 use ril_core::SE_PIN;
-use ril_netlist::{CompiledSim, GateId, GateKind, NetId, Netlist};
+use ril_netlist::{CompiledSim, GateId, GateKind, NetId, Netlist, PatternBlock, MAX_LANES};
 use ril_sat::tseitin::encode_selected;
-use ril_sat::{encode_gate, encode_netlist_into, Budget, ClauseSink, Lit, Outcome, Session, Var};
+use ril_sat::{encode_gate, encode_netlist_into, Budget, Lit, Outcome, Session, Var};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
@@ -55,16 +66,14 @@ pub(crate) struct AttackInstance {
     pub(crate) oracle_positions: Vec<usize>,
     /// The key cones, prepared once for per-DIP folding and encoding.
     dip: DipEncoder,
-    /// Constant rails: variables fixed true and false at the root.
-    rails: (Var, Var),
     /// Activation literal of the difference clause.
     diff_on: Lit,
-    /// Key-generation guard. Every clause of a DIP's encoding is
-    /// conditioned on the guard of the oracle generation it was recorded
-    /// under, so when the target morphs the stale constraints retire in
-    /// O(1) — the old guard is falsified, the solver collects the now
-    /// root-satisfied clauses, and keeps its variable pool, learned
-    /// clauses and heuristic state.
+    /// Key-generation guard. The response units of every DIP are
+    /// conditioned on the guard of the oracle generation they were
+    /// recorded under, so when the target morphs the stale constraints
+    /// retire in O(1) — the old guard is falsified, the solver collects
+    /// the now root-satisfied units, and keeps its variable pool, gate
+    /// definitions, learned clauses and heuristic state.
     guard: Lit,
     /// Oracle key generation the current guard covers.
     generation: u64,
@@ -159,11 +168,9 @@ impl AttackInstance {
         );
         miter.add_clause(diff);
 
-        // Constant rails + generation-0 DIP guard.
-        let ct = miter.new_var();
-        let cf = miter.new_var();
-        miter.add_clause([ct.positive()]);
-        miter.add_clause([cf.negative()]);
+        // The constant literal + generation-0 DIP guard.
+        let truth = miter.new_var().positive();
+        miter.add_clause([truth]);
         let guard = miter.new_var().positive();
 
         if span.is_active() {
@@ -177,8 +184,7 @@ impl AttackInstance {
             key1,
             key2,
             oracle_positions,
-            dip: DipEncoder::new(nl, &dependent_gates),
-            rails: (ct, cf),
+            dip: DipEncoder::new(nl, &dependent_gates, truth),
             diff_on,
             guard,
             generation: 0,
@@ -194,8 +200,9 @@ impl AttackInstance {
     /// Scan-Enable obfuscation a re-rolled `K_SE` changes every scan
     /// response, so keeping them could exclude *all* keys of the new
     /// generation. The old generation's guard is permanently falsified
-    /// (the dead clauses are never satisfied again) and a fresh guard is
-    /// allocated. Returns how many DIP constraints were retired.
+    /// (its response units never bind again; the gate definitions stay
+    /// for later DIPs to share) and a fresh guard is allocated. Returns
+    /// how many DIP constraints were retired.
     pub(crate) fn observe_generation(&mut self, generation: u64) -> usize {
         if generation == self.generation {
             return 0;
@@ -271,46 +278,72 @@ impl AttackInstance {
         self.oracle_positions.iter().map(|&p| dip_full[p]).collect()
     }
 
-    /// Adds the I/O constraint `circuit(dip, K) = response` for both miter
-    /// key vectors, using simulation for all key-independent logic. The
-    /// DIP's boundary constants and their fold through the key cones are
-    /// computed once and shared by the two copies.
+    /// Adds the I/O constraint `circuit(dip, K) = response` of each DIP,
+    /// in order, for both miter key vectors, using simulation for all
+    /// key-independent logic. Up to 64 DIPs share one lane-packed
+    /// simulation pass; each DIP's fold through the key cones is computed
+    /// once and shared by the two copies.
     ///
     /// # Errors
     ///
-    /// Returns `Err(())` when a key-independent output contradicts the
-    /// oracle's response — no key can explain the oracle (the Scan-Enable
-    /// defense manifests here).
-    pub(crate) fn add_dip(&mut self, dip_full: &[bool], response: &[bool]) -> Result<(), ()> {
-        let _span = ril_trace::span("encode_dip", ril_trace::Phase::Encode);
-        // Baseline simulation with keys = 0: key-independent nets get their
-        // true value.
-        let data_words: Vec<u64> = dip_full
-            .iter()
-            .map(|&b| if b { u64::MAX } else { 0 })
-            .collect();
-        let key_words = vec![0u64; self.key1.len()];
-        self.sim.eval_words(&data_words, &key_words);
+    /// Returns `Err(())` at the first DIP whose key-independent outputs
+    /// contradict the oracle's response — no key can explain the oracle
+    /// (the Scan-Enable defense manifests here). The DIPs before it stay
+    /// recorded.
+    pub(crate) fn add_dips(
+        &mut self,
+        dips: &[Vec<bool>],
+        responses: &[Vec<bool>],
+    ) -> Result<(), ()> {
+        let mut span = ril_trace::span("encode_dip", ril_trace::Phase::Encode);
+        let (encoded, shared) = (self.dip.encoded, self.dip.shared);
+        let result = dips
+            .chunks(MAX_LANES)
+            .zip(responses.chunks(MAX_LANES))
+            .try_for_each(|(dips, responses)| self.add_block(dips, responses));
+        if span.is_active() {
+            let encoded = self.dip.encoded - encoded;
+            let shared = self.dip.shared - shared;
+            span.record_u64("dips", dips.len() as u64);
+            span.record_u64("gates_encoded", encoded);
+            span.record_u64("gates_shared", shared);
+            ril_trace::counter("attack.dip_gates_encoded", encoded);
+            ril_trace::counter("attack.dip_gates_shared", shared);
+        }
+        result
+    }
 
-        // Consistency check on key-independent outputs.
-        for &(pos, net) in &self.dip.free_outputs {
-            if (self.sim.net_value(net) & 1 == 1) != response[pos] {
+    /// [`AttackInstance::add_dips`] for at most [`MAX_LANES`] DIPs: one
+    /// simulation pass with DIP *j* in lane *j*.
+    fn add_block(&mut self, dips: &[Vec<bool>], responses: &[Vec<bool>]) -> Result<(), ()> {
+        // Keys = 0: key-independent nets get their true value.
+        let key_words = vec![0u64; self.key1.len()];
+        self.sim
+            .eval_words(PatternBlock::pack(dips).words(), &key_words);
+        for (lane, response) in responses.iter().enumerate() {
+            // Consistency check on key-independent outputs.
+            let bit = |net| (self.sim.net_value(net) >> lane) & 1 == 1;
+            if self
+                .dip
+                .free_outputs
+                .iter()
+                .any(|&(pos, net)| bit(net) != response[pos])
+            {
                 return Err(());
             }
+            self.dip.fold(&self.sim, lane);
+            for key_vars in [&self.key1, &self.key2] {
+                self.dip.encode_copy(
+                    &mut self.miter,
+                    &self.sim,
+                    lane,
+                    key_vars,
+                    self.guard,
+                    response,
+                );
+            }
+            self.active_dips += 1;
         }
-        self.dip.fold(&self.sim);
-
-        for key_vars in [&self.key1, &self.key2] {
-            self.dip.encode_copy(
-                &mut self.miter,
-                &self.sim,
-                key_vars,
-                self.rails,
-                self.guard,
-                response,
-            );
-        }
-        self.active_dips += 1;
         Ok(())
     }
 
@@ -370,7 +403,29 @@ struct ConeGate {
     inputs: Vec<ConeInput>,
 }
 
-/// The key cones in topological order, resolved once per attack, plus
+/// A simplified gate: `kind` is `And`, `Xor` or `Mux`, and `ins` are its
+/// normalised input literals (sorted for AND and XOR, all positive for
+/// XOR, select and first data input positive for MUX). It is the key of
+/// the structural hash table.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct GateKey {
+    kind: GateKind,
+    ins: Vec<Lit>,
+}
+
+/// What a cone gate simplifies to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Simple {
+    /// A literal already in the formula (`truth` or `¬truth` for a
+    /// constant).
+    Lit(Lit),
+    /// The gate in the [`GateKey`] buffer, complemented when `negate` is
+    /// set.
+    Gate { negate: bool },
+}
+
+/// The key cones in topological order, resolved once per attack, the
+/// structural hash table of every gate a DIP copy encoded so far, plus
 /// the current DIP's fold and liveness marks.
 #[derive(Debug)]
 struct DipEncoder {
@@ -384,15 +439,23 @@ struct DipEncoder {
     /// Open cone gates some open key-dependent output reads through
     /// open gates only: the ones this DIP has to encode.
     live: Vec<bool>,
+    /// A literal fixed true at the root; its complement is constant false.
+    truth: Lit,
+    /// Every gate encoded so far, by its simplified form: the positive
+    /// literal of the variable its definition names.
+    table: HashMap<GateKey, Lit>,
+    /// Gates written to the session, and gates found in `table`.
+    encoded: u64,
+    shared: u64,
     /// Reused buffers of [`DipEncoder::encode_copy`]: the literal carrying
-    /// each cone gate, one gate's inputs, and one clause.
+    /// each cone gate, one gate's inputs, and one simplified gate.
     lits: Vec<Lit>,
     ins: Vec<Lit>,
-    clause: Vec<Lit>,
+    key: GateKey,
 }
 
 impl DipEncoder {
-    fn new(nl: &Netlist, dependent_gates: &HashSet<GateId>) -> DipEncoder {
+    fn new(nl: &Netlist, dependent_gates: &HashSet<GateId>, truth: Lit) -> DipEncoder {
         let key_index: HashMap<NetId, usize> = nl
             .key_inputs()
             .iter()
@@ -435,15 +498,22 @@ impl DipEncoder {
             free_outputs,
             folded: Vec::new(),
             live: Vec::new(),
+            truth,
+            table: HashMap::new(),
+            encoded: 0,
+            shared: 0,
             lits: Vec::new(),
             ins: Vec::new(),
-            clause: Vec::new(),
+            key: GateKey {
+                kind: GateKind::And,
+                ins: Vec::new(),
+            },
         }
     }
 
-    /// Folds the simulated boundary constants through the cones (keys
-    /// unknown) and marks the open gates the DIP's constraint needs.
-    fn fold(&mut self, sim: &CompiledSim) {
+    /// Folds the boundary constants simulated in `lane` through the cones
+    /// (keys unknown) and marks the open gates the DIP's constraint needs.
+    fn fold(&mut self, sim: &CompiledSim, lane: usize) {
         self.folded.clear();
         let mut values = Vec::new();
         for g in &self.cone {
@@ -451,7 +521,7 @@ impl DipEncoder {
             values.extend(g.inputs.iter().map(|&i| match i {
                 ConeInput::Key(_) => None,
                 ConeInput::Gate(j) => self.folded[j],
-                ConeInput::Fixed(n) => Some(sim.net_value(n) & 1 == 1),
+                ConeInput::Fixed(n) => Some((sim.net_value(n) >> lane) & 1 == 1),
             }));
             self.folded.push(fold_gate(g.kind, &values));
         }
@@ -475,90 +545,250 @@ impl DipEncoder {
     }
 
     /// Encodes one copy of the folded DIP constraint over `key_vars`
-    /// into `session`: the live open gates as clauses, decided nets as the
-    /// `(ct, cf)` rails, and the key-dependent outputs forced to
-    /// `response`. Every clause carries `¬guard`.
+    /// into `session`: each live open gate is simplified and shared
+    /// through the structural table (a miss writes its unguarded
+    /// definition), and each key-dependent output is forced to
+    /// `response` by a unit clause carrying `¬guard`.
     fn encode_copy(
         &mut self,
         session: &mut Session,
         sim: &CompiledSim,
+        lane: usize,
         key_vars: &[Var],
-        rails: (Var, Var),
         guard: Lit,
         response: &[bool],
     ) {
-        let (ct, cf) = rails;
-        let rail = |v: bool| if v { ct.positive() } else { cf.positive() };
-        let mut sink = RailSink {
-            session,
-            rails,
-            guard,
-            clause: &mut self.clause,
-        };
-        let lits = &mut self.lits;
-        lits.clear();
+        let truth = self.truth;
+        let constant = |v: bool| if v { truth } else { !truth };
+        self.lits.clear();
         for (j, g) in self.cone.iter().enumerate() {
             let lit = match self.folded[j] {
-                Some(v) => rail(v),
-                // Nothing live reads a dead gate; the rail is a filler.
-                None if !self.live[j] => rail(false),
+                Some(v) => constant(v),
+                // Nothing live reads a dead gate; the constant is a filler.
+                None if !self.live[j] => !truth,
                 None => {
                     self.ins.clear();
                     self.ins.extend(g.inputs.iter().map(|&i| match i {
                         ConeInput::Key(k) => key_vars[k].positive(),
-                        ConeInput::Gate(k) => lits[k],
-                        ConeInput::Fixed(n) => rail(sim.net_value(n) & 1 == 1),
+                        ConeInput::Gate(k) => self.lits[k],
+                        ConeInput::Fixed(n) => constant((sim.net_value(n) >> lane) & 1 == 1),
                     }));
-                    let out = sink.new_var().positive();
-                    encode_gate(&mut sink, g.kind, out, &self.ins).expect("combinational");
-                    out
+                    match simplify(g.kind, &self.ins, truth, &mut self.key) {
+                        Simple::Lit(l) => l,
+                        Simple::Gate { negate } => {
+                            let out = match self.table.get(&self.key) {
+                                Some(&out) => {
+                                    self.shared += 1;
+                                    out
+                                }
+                                None => {
+                                    let out = session.new_var().positive();
+                                    encode_gate(session, self.key.kind, out, &self.key.ins)
+                                        .expect("combinational");
+                                    self.table.insert(self.key.clone(), out);
+                                    self.encoded += 1;
+                                    out
+                                }
+                            };
+                            negate_if(out, negate)
+                        }
+                    }
                 }
             };
-            lits.push(lit);
+            self.lits.push(lit);
         }
         for &(pos, j) in &self.cone_outputs {
-            let o = lits[j];
-            sink.add_clause([if response[pos] { o } else { !o }]);
-        }
-    }
-}
-
-/// A DIP copy's clause sink: the live session, with the constant rails
-/// resolved before a clause is built. A clause a true rail satisfies is
-/// dropped whole, a false rail literal is dropped from its clause, and
-/// every clause that remains gains the generation's `¬guard`. The solver
-/// would drop both itself; filtering here spares it the work.
-struct RailSink<'a> {
-    session: &'a mut Session,
-    /// `(ct, cf)`: the variables fixed true and false at the root.
-    rails: (Var, Var),
-    guard: Lit,
-    clause: &'a mut Vec<Lit>,
-}
-
-impl ClauseSink for RailSink<'_> {
-    fn new_var(&mut self) -> Var {
-        self.session.new_var()
-    }
-
-    fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
-        self.clause.clear();
-        for l in lits {
-            let (ct, cf) = self.rails;
-            let value = if l.var() == ct {
-                l.target()
-            } else if l.var() == cf {
-                !l.target()
-            } else {
-                self.clause.push(l);
-                continue;
-            };
-            if value {
-                return;
+            // The literal the response requires. When the DIP decided the
+            // output against the response it is `¬truth`, which the
+            // solver drops, leaving `¬guard`: no key of this generation
+            // explains the oracle.
+            let o = negate_if(self.lits[j], !response[pos]);
+            if o != truth {
+                session.add_clause([o, !guard]);
             }
         }
-        self.clause.push(!self.guard);
-        self.session.add_clause(self.clause.iter().copied());
+    }
+}
+
+/// Simplifies `kind(ins)` over literals, `truth` being the literal fixed
+/// true. Returns the equivalent literal, or leaves the normalised gate in
+/// `key` (see [`GateKey`]).
+fn simplify(kind: GateKind, ins: &[Lit], truth: Lit, key: &mut GateKey) -> Simple {
+    let constant = |v: bool| Simple::Lit(if v { truth } else { !truth });
+    match kind {
+        GateKind::Buf | GateKind::Dff => Simple::Lit(ins[0]),
+        GateKind::Not => Simple::Lit(!ins[0]),
+        GateKind::Const0 => constant(false),
+        GateKind::Const1 => constant(true),
+        // De Morgan: OR(x) = ¬AND(¬x).
+        GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
+            let or = matches!(kind, GateKind::Or | GateKind::Nor);
+            let negate = matches!(kind, GateKind::Nand | GateKind::Or);
+            simplify_and(ins.iter().map(|&l| negate_if(l, or)), truth, key).negated(negate)
+        }
+        GateKind::Xor | GateKind::Xnor => {
+            simplify_xor(ins.iter().copied(), truth, key).negated(kind == GateKind::Xnor)
+        }
+        GateKind::Mux | GateKind::Lut2(_) => simplify_small(kind, ins, truth, key),
+    }
+}
+
+/// AND over literals: true inputs drop, a false input or a complementary
+/// pair decides it, duplicates collapse.
+fn simplify_and(ins: impl Iterator<Item = Lit>, truth: Lit, key: &mut GateKey) -> Simple {
+    key.kind = GateKind::And;
+    key.ins.clear();
+    for l in ins {
+        if l == !truth {
+            return Simple::Lit(!truth);
+        }
+        if l != truth {
+            key.ins.push(l);
+        }
+    }
+    key.ins.sort_unstable();
+    key.ins.dedup();
+    // Sorted, `x` and `¬x` are neighbours.
+    if key.ins.windows(2).any(|w| w[0].var() == w[1].var()) {
+        return Simple::Lit(!truth);
+    }
+    match key.ins[..] {
+        [] => Simple::Lit(truth),
+        [l] => Simple::Lit(l),
+        _ => Simple::Gate { negate: false },
+    }
+}
+
+/// XOR over literals, normalised to parity: constants and complemented
+/// inputs flip the output, and equal inputs cancel in pairs.
+fn simplify_xor(ins: impl Iterator<Item = Lit>, truth: Lit, key: &mut GateKey) -> Simple {
+    key.kind = GateKind::Xor;
+    key.ins.clear();
+    let mut parity = false;
+    for l in ins {
+        if l.var() == truth.var() {
+            parity ^= l == truth;
+        } else {
+            parity ^= l.is_negated();
+            key.ins.push(l.var().positive());
+        }
+    }
+    key.ins.sort_unstable();
+    let mut kept = 0;
+    let mut i = 0;
+    while i < key.ins.len() {
+        if key.ins.get(i + 1) == Some(&key.ins[i]) {
+            i += 2;
+        } else {
+            key.ins[kept] = key.ins[i];
+            kept += 1;
+            i += 1;
+        }
+    }
+    key.ins.truncate(kept);
+    match key.ins[..] {
+        [] => Simple::Lit(negate_if(truth, !parity)),
+        [l] => Simple::Lit(negate_if(l, parity)),
+        _ => Simple::Gate { negate: parity },
+    }
+}
+
+/// MUX and LUT2 (at most three inputs), through their truth table over
+/// the distinct non-constant input variables. Three distinct variables
+/// only occur in a MUX, which stays a MUX; anything smaller becomes a
+/// constant, a literal, an AND or an XOR.
+fn simplify_small(kind: GateKind, ins: &[Lit], truth: Lit, key: &mut GateKey) -> Simple {
+    let mut vars = [truth.var(); 3];
+    let mut n = 0;
+    for &l in ins {
+        if l.var() != truth.var() && !vars[..n].contains(&l.var()) {
+            vars[n] = l.var();
+            n += 1;
+        }
+    }
+    if let [s, a, b] = *ins {
+        if n == 3 {
+            // `s ? b : a`, with the select and then `a` made positive.
+            let (s, a, b) = if s.is_negated() {
+                (!s, b, a)
+            } else {
+                (s, a, b)
+            };
+            let negate = a.is_negated();
+            key.kind = GateKind::Mux;
+            key.ins.clear();
+            key.ins
+                .extend([s, negate_if(a, negate), negate_if(b, negate)]);
+            return Simple::Gate { negate };
+        }
+    }
+    // Bit `m` of `tt`: the gate when variable `i` takes bit `i` of `m`.
+    let mut tt = 0u8;
+    let mut bits = [false; 3];
+    for m in 0..1u8 << n {
+        for (bit, &l) in bits.iter_mut().zip(ins) {
+            *bit = match vars[..n].iter().position(|&v| v == l.var()) {
+                Some(i) => ((m >> i) & 1 == 1) != l.is_negated(),
+                None => l == truth,
+            };
+        }
+        if kind.eval_bits(&bits[..ins.len()]) {
+            tt |= 1 << m;
+        }
+    }
+    from_table(tt, &vars[..n], truth, key)
+}
+
+/// The function with truth table `tt` over at most two variables (see
+/// [`simplify_small`]).
+fn from_table(tt: u8, vars: &[Var], truth: Lit, key: &mut GateKey) -> Simple {
+    match *vars {
+        [] => Simple::Lit(negate_if(truth, tt & 1 == 0)),
+        [x] => match tt & 0b11 {
+            0b00 => Simple::Lit(!truth),
+            0b11 => Simple::Lit(truth),
+            0b10 => Simple::Lit(x.positive()),
+            _ => Simple::Lit(x.negative()),
+        },
+        [x, y] => {
+            // A variable the table ignores is projected out.
+            if (tt ^ (tt >> 2)) & 0b0011 == 0 {
+                return from_table(tt & 0b11, &[x], truth, key);
+            }
+            if (tt ^ (tt >> 1)) & 0b0101 == 0 {
+                return from_table((tt & 1) | ((tt >> 1) & 0b10), &[y], truth, key);
+            }
+            // The literals true in row `m`.
+            let row = |m: u32| [x.lit(m & 1 == 0), y.lit(m & 2 == 0)].into_iter();
+            match tt.count_ones() {
+                1 => simplify_and(row(tt.trailing_zeros()), truth, key),
+                3 => simplify_and(row((!tt & 0b1111).trailing_zeros()), truth, key).negated(true),
+                // Two rows, and both variables matter: XOR or XNOR.
+                _ => simplify_xor([x.positive(), y.positive()].into_iter(), truth, key)
+                    .negated(tt & 1 == 1),
+            }
+        }
+        _ => unreachable!("more than two variables reach the table only in a MUX"),
+    }
+}
+
+impl Simple {
+    fn negated(self, negate: bool) -> Simple {
+        match self {
+            Simple::Lit(l) => Simple::Lit(negate_if(l, negate)),
+            Simple::Gate { negate: n } => Simple::Gate {
+                negate: n != negate,
+            },
+        }
+    }
+}
+
+/// `¬l` when `negate` is set, else `l`.
+fn negate_if(l: Lit, negate: bool) -> Lit {
+    if negate {
+        !l
+    } else {
+        l
     }
 }
 
@@ -652,7 +882,8 @@ mod tests {
             for _ in 0..5 {
                 let dip: Vec<bool> = (0..view.data_inputs().len()).map(|_| rng.gen()).collect();
                 let response = oracle.query(&inst.oracle_dip(&dip));
-                inst.add_dip(&dip, &response).unwrap();
+                inst.add_dips(std::slice::from_ref(&dip), std::slice::from_ref(&response))
+                    .unwrap();
                 recorded.push((dip, response));
                 let mut admitted = 0;
                 for k in 0u32..1 << key_bits {
@@ -680,18 +911,235 @@ mod tests {
     #[test]
     fn miter_formula_size_is_pinned() {
         // The miter is written straight into its session; on this fixed
-        // lock it must encode to exactly the formula the scratch-CNF
-        // construction built: 224 variables and 625 clauses before the
-        // first DIP.
+        // lock it must encode to exactly 223 variables and 624 clauses
+        // before the first DIP: the scratch-CNF construction's formula
+        // less its constant-false rail, which the DIP encoding replaced
+        // with the complement of the true one.
         let locked = Obfuscator::new(RilBlockSpec::size_2x2())
             .blocks(2)
             .seed(5)
             .obfuscate(&generators::adder(16))
             .unwrap();
         let mut inst = AttackInstance::new(&attacker_view(&locked));
-        assert_eq!(inst.miter.num_vars(), 224);
+        assert_eq!(inst.miter.num_vars(), 223);
         inst.solve_miter();
-        assert_eq!(inst.miter.records()[0].clauses_added, 625);
+        assert_eq!(inst.miter.records()[0].clauses_added, 624);
+    }
+
+    #[test]
+    fn recorded_dip_admits_exactly_the_keys_that_reproduce_it() {
+        // One recorded DIP, then the extraction formula (difference off)
+        // with one copy's key pinned: SAT exactly when the attacker view
+        // under that key reproduces the oracle's response, checked for
+        // each copy against `CompiledSim`.
+        let host = generators::adder(6);
+        let locks = [
+            ril_core::baselines::xor_lock(&host, 8, 1).unwrap(),
+            ril_core::baselines::sfll_lock(&host, 6, 2).unwrap(),
+            ril_core::baselines::antisat_lock(&host, 6, 3).unwrap(),
+            Obfuscator::new(RilBlockSpec::size_2x2())
+                .blocks(2)
+                .seed(4)
+                .obfuscate(&host)
+                .unwrap(),
+            Obfuscator::new(RilBlockSpec::size_8x8x8())
+                .blocks(1)
+                .seed(5)
+                .obfuscate(&host)
+                .unwrap(),
+        ];
+        let mut outcomes = [0usize; 2];
+        for (l, locked) in locks.iter().enumerate() {
+            let view = attacker_view(locked);
+            let mut oracle = Oracle::new(locked).unwrap();
+            let mut sim = CompiledSim::new(&view).unwrap();
+            let mut rng = StdRng::seed_from_u64(l as u64);
+            for d in 0..6 {
+                let mut inst = AttackInstance::new(&view);
+                let dip: Vec<bool> = (0..view.data_inputs().len()).map(|_| rng.gen()).collect();
+                let response = oracle.query(&inst.oracle_dip(&dip));
+                inst.add_dips(std::slice::from_ref(&dip), std::slice::from_ref(&response))
+                    .unwrap();
+                for _ in 0..8 {
+                    let key: Vec<bool> = (0..view.key_inputs().len()).map(|_| rng.gen()).collect();
+                    let explains = sim.eval_pattern(&dip, &key) == response;
+                    for copy in [inst.key1.clone(), inst.key2.clone()] {
+                        let mut assumptions = vec![inst.guard];
+                        assumptions.extend(copy.iter().zip(&key).map(|(v, &b)| v.lit(!b)));
+                        let sat = inst.miter.solve_under(&assumptions) == Outcome::Sat;
+                        assert_eq!(sat, explains, "lock {l}, DIP {d}");
+                        outcomes[usize::from(sat)] += 1;
+                    }
+                }
+            }
+        }
+        assert!(outcomes.iter().all(|&n| n > 0), "{outcomes:?}");
+    }
+
+    #[test]
+    fn a_lane_packed_batch_records_what_single_dips_record() {
+        // Five DIPs recorded as one batch (one simulation pass, DIP j in
+        // lane j) build the same formula as five single recordings, and
+        // admit the same keys.
+        let locked = Obfuscator::new(RilBlockSpec::size_2x2())
+            .blocks(2)
+            .seed(11)
+            .obfuscate(&generators::adder(4))
+            .unwrap();
+        let view = attacker_view(&locked);
+        let mut oracle = Oracle::new(&locked).unwrap();
+        let mut batched = AttackInstance::new(&view);
+        let mut single = AttackInstance::new(&view);
+        let mut rng = StdRng::seed_from_u64(7);
+        let dips: Vec<Vec<bool>> = (0..5)
+            .map(|_| (0..view.data_inputs().len()).map(|_| rng.gen()).collect())
+            .collect();
+        let responses: Vec<Vec<bool>> = dips
+            .iter()
+            .map(|d| oracle.query(&batched.oracle_dip(d)))
+            .collect();
+        batched.add_dips(&dips, &responses).unwrap();
+        for (d, r) in dips.iter().zip(&responses) {
+            single
+                .add_dips(std::slice::from_ref(d), std::slice::from_ref(r))
+                .unwrap();
+        }
+        assert_eq!(batched.miter.num_vars(), single.miter.num_vars());
+        let key_bits = view.key_inputs().len();
+        for k in 0u32..1 << key_bits {
+            let outcome = |inst: &mut AttackInstance| {
+                let mut assumptions = vec![inst.guard];
+                assumptions.extend(
+                    inst.key1
+                        .iter()
+                        .enumerate()
+                        .map(|(i, v)| v.lit((k >> i) & 1 == 0)),
+                );
+                inst.miter.solve_under(&assumptions)
+            };
+            assert_eq!(outcome(&mut batched), outcome(&mut single), "key {k:#b}");
+        }
+    }
+
+    #[test]
+    fn recording_a_dip_again_shares_every_gate() {
+        // A repeated DIP finds every gate in the structural table: no new
+        // variable, only the guarded response units. After a generation
+        // bump the definitions are still there to share.
+        let locked = Obfuscator::new(RilBlockSpec::size_2x2())
+            .blocks(2)
+            .seed(5)
+            .obfuscate(&generators::adder(8))
+            .unwrap();
+        let view = attacker_view(&locked);
+        let mut oracle = Oracle::new(&locked).unwrap();
+        let mut inst = AttackInstance::new(&view);
+        let dip = vec![true; view.data_inputs().len()];
+        let response = oracle.query(&inst.oracle_dip(&dip));
+        let record = |inst: &mut AttackInstance| {
+            inst.add_dips(std::slice::from_ref(&dip), std::slice::from_ref(&response))
+                .unwrap();
+            inst.solve_miter();
+            inst.miter.last_record().unwrap().clauses_added
+        };
+        record(&mut inst);
+        let (vars, encoded) = (inst.miter.num_vars(), inst.dip.encoded);
+        assert!(encoded > 0, "the DIP leaves no open gate to share");
+        let units = record(&mut inst);
+        assert_eq!(inst.miter.num_vars(), vars);
+        assert_eq!(inst.dip.encoded, encoded);
+        assert!(inst.dip.shared >= encoded);
+        assert!((1..=2 * inst.dip.cone_outputs.len()).contains(&units));
+
+        inst.observe_generation(1);
+        let vars = inst.miter.num_vars();
+        // One more clause: the unit retiring the old guard.
+        assert_eq!(record(&mut inst), units + 1);
+        assert_eq!(inst.miter.num_vars(), vars);
+        assert_eq!(inst.dip.encoded, encoded);
+    }
+
+    #[test]
+    fn simplify_is_exact_for_every_gate_kind() {
+        // Every kind at every arity up to 3, each input drawn from the two
+        // constants and both polarities of three variables (so literals,
+        // complements, repeats and complementary pairs all occur): the
+        // simplified form must agree with `eval_bits` on every assignment
+        // and be in normal form.
+        let truth = Var::new(0).positive();
+        let choices: Vec<Lit> = [truth, !truth]
+            .into_iter()
+            .chain((1..=3).flat_map(|v| [Var::new(v).positive(), Var::new(v).negative()]))
+            .collect();
+        let kinds = GateKind::BASIC
+            .into_iter()
+            .chain((0u8..16).map(GateKind::Lut2));
+        let mut key = GateKey {
+            kind: GateKind::And,
+            ins: Vec::new(),
+        };
+        let mut checked = 0;
+        for kind in kinds {
+            for arity in (0..=3).filter(|&n| kind.accepts_arity(n)) {
+                for m in 0..choices.len().pow(arity as u32) {
+                    let ins: Vec<Lit> = (0..arity)
+                        .map(|i| choices[m / choices.len().pow(i as u32) % choices.len()])
+                        .collect();
+                    let simple = simplify(kind, &ins, truth, &mut key);
+                    if let Simple::Gate { .. } = simple {
+                        assert_normal_form(&key, truth);
+                    }
+                    for assignment in 0u8..8 {
+                        let value = |l: Lit| {
+                            let v = l.var().index();
+                            (v == 0 || (assignment >> (v - 1)) & 1 == 1) != l.is_negated()
+                        };
+                        let bits: Vec<bool> = ins.iter().map(|&l| value(l)).collect();
+                        let got = match simple {
+                            Simple::Lit(l) => value(l),
+                            Simple::Gate { negate } => {
+                                let v: Vec<bool> = key.ins.iter().map(|&l| value(l)).collect();
+                                negate != key.kind.eval_bits(&v)
+                            }
+                        };
+                        assert_eq!(
+                            got,
+                            kind.eval_bits(&bits),
+                            "{kind:?}{ins:?} simplified to {simple:?} {key:?}"
+                        );
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        // n-ary kinds at arity 1-3, Buf/Not/Dff, Mux, constants, 16 LUTs.
+        assert_eq!(checked, 6 * (8 + 64 + 512) + 3 * 8 + 512 + 2 + 16 * 64);
+    }
+
+    /// The invariants the structural table relies on: no constant input,
+    /// AND inputs sorted without repeats or complementary pairs, XOR inputs
+    /// positive and sorted without repeats, MUX over three distinct
+    /// variables with a positive select and first data input.
+    fn assert_normal_form(key: &GateKey, truth: Lit) {
+        assert!(key.ins.iter().all(|l| l.var() != truth.var()), "{key:?}");
+        let strictly_sorted_vars = key.ins.windows(2).all(|w| w[0].var() < w[1].var());
+        match key.kind {
+            GateKind::And => assert!(key.ins.len() >= 2 && strictly_sorted_vars, "{key:?}"),
+            GateKind::Xor => assert!(
+                key.ins.len() >= 2
+                    && strictly_sorted_vars
+                    && key.ins.iter().all(|l| !l.is_negated()),
+                "{key:?}"
+            ),
+            GateKind::Mux => {
+                let [s, a, b] = key.ins[..] else {
+                    panic!("{key:?}")
+                };
+                assert!(s.var() != a.var() && s.var() != b.var() && a.var() != b.var());
+                assert!(!s.is_negated() && !a.is_negated(), "{key:?}");
+            }
+            other => panic!("{other:?} is not a table kind"),
+        }
     }
 
     /// Every {0, 1, X} input vector of length `n` (`None` = X).

@@ -167,12 +167,10 @@ impl AttackSession {
         if let Some(g) = oracle.generation() {
             self.inst.observe_generation(g);
         }
-        for (dip_full, response) in dips.iter().zip(&responses) {
-            if self.inst.add_dip(dip_full, response).is_err() {
-                return DipStep::OracleInconsistent;
-            }
+        match self.inst.add_dips(&dips, &responses) {
+            Ok(()) => DipStep::Distinguished,
+            Err(()) => DipStep::OracleInconsistent,
         }
-        DipStep::Distinguished
     }
 
     /// Harvests the first DIP from the miter's current model and, for
@@ -210,10 +208,14 @@ impl AttackSession {
         dips
     }
 
-    /// Appends an externally chosen I/O constraint (AppSAT's random-query
-    /// reinforcement). `Err(())` on oracle inconsistency.
-    pub(crate) fn reinforce(&mut self, dip_full: &[bool], response: &[bool]) -> Result<(), ()> {
-        self.inst.add_dip(dip_full, response)
+    /// Appends externally chosen I/O constraints (AppSAT's random-query
+    /// reinforcements), in order. `Err(())` on oracle inconsistency.
+    pub(crate) fn reinforce(
+        &mut self,
+        dips: &[Vec<bool>],
+        responses: &[Vec<bool>],
+    ) -> Result<(), ()> {
+        self.inst.add_dips(dips, responses)
     }
 
     /// Solves the warm miter, difference switched off, for a key

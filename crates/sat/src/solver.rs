@@ -409,6 +409,11 @@ pub struct Solver {
     seen: Vec<bool>,
     /// Reused buffer [`Solver::add_clause`] simplifies a clause in.
     add_buf: Vec<Lit>,
+    /// Reused buffers of [`Solver::analyze`]: the learnt clause, the
+    /// variables it marked `seen`, and the learnt clause's levels.
+    learnt: Vec<Lit>,
+    analyzed: Vec<Var>,
+    levels: Vec<u32>,
     ok: bool,
     model: Vec<bool>,
     stats: SolverStats,
@@ -459,6 +464,9 @@ impl Solver {
             saved_phase: Vec::new(),
             seen: Vec::new(),
             add_buf: Vec::new(),
+            learnt: Vec::new(),
+            analyzed: Vec::new(),
+            levels: Vec::new(),
             ok: true,
             model: Vec::new(),
             stats: SolverStats::default(),
@@ -746,15 +754,19 @@ impl Solver {
         }
     }
 
-    /// First-UIP conflict analysis; returns (learnt clause, backjump level,
-    /// LBD).
-    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, u32, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::new(0, false)]; // slot 0 = UIP
+    /// First-UIP conflict analysis into `self.learnt` (asserting literal
+    /// first); returns (backjump level, LBD). Allocation-free: every buffer
+    /// is reused across conflicts.
+    fn analyze(&mut self, mut confl: u32) -> (u32, u32) {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        let mut analyzed = std::mem::take(&mut self.analyzed);
+        learnt.clear();
+        analyzed.clear();
+        learnt.push(Lit::new(0, false)); // slot 0 = UIP
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let current = self.decision_level();
-        let mut to_clear: Vec<Var> = Vec::new();
         loop {
             debug_assert_ne!(confl, NO_REASON);
             let ci = confl as usize;
@@ -768,7 +780,7 @@ impl Solver {
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
-                    to_clear.push(v);
+                    analyzed.push(v);
                     if self.level[v.index()] >= current {
                         path_count += 1;
                     } else {
@@ -794,46 +806,45 @@ impl Solver {
         }
         learnt[0] = !p.expect("UIP found");
 
-        // Optional clause minimization (basic self-subsumption).
+        // Optional clause minimization (basic self-subsumption), compacting
+        // in place. Removing a literal clears no `seen` flag, so each
+        // literal is judged exactly as against the unminimized clause.
         if self.config.clause_minimization {
-            let mut keep = vec![true; learnt.len()];
-            for (i, &l) in learnt.iter().enumerate().skip(1) {
+            let mut kept = 1;
+            for i in 1..learnt.len() {
+                let l = learnt[i];
                 let r = self.reason[l.var().index()];
-                if r == NO_REASON {
-                    continue;
-                }
-                let redundant = self.lits(r as usize).iter().all(|&q| {
-                    q.var() == l.var()
-                        || self.seen[q.var().index()]
-                        || self.level[q.var().index()] == 0
-                });
-                if redundant {
-                    keep[i] = false;
+                let redundant = r != NO_REASON
+                    && self.lits(r as usize).iter().all(|&q| {
+                        q.var() == l.var()
+                            || self.seen[q.var().index()]
+                            || self.level[q.var().index()] == 0
+                    });
+                if !redundant {
+                    learnt[kept] = l;
+                    kept += 1;
                 }
             }
-            let mut idx = 0;
-            learnt.retain(|_| {
-                let k = keep[idx];
-                idx += 1;
-                k
-            });
+            learnt.truncate(kept);
         }
 
         // LBD = distinct decision levels among learnt literals.
-        let mut levels: Vec<u32> = learnt.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        let lbd = levels.len() as u32;
+        self.levels.clear();
+        self.levels
+            .extend(learnt.iter().map(|l| self.level[l.var().index()]));
+        self.levels.sort_unstable();
+        self.levels.dedup();
+        let lbd = self.levels.len() as u32;
 
         // Clear seen flags (everything set during this analysis), and
         // move the analyzed variables to the front of the decision queue
         // in their old order.
-        for &v in &to_clear {
+        for &v in &analyzed {
             self.seen[v.index()] = false;
         }
         if self.config.dynamic_order {
-            to_clear.sort_unstable_by_key(|v| self.queue.stamp[v.index()]);
-            for &v in &to_clear {
+            analyzed.sort_unstable_by_key(|v| self.queue.stamp[v.index()]);
+            for &v in &analyzed {
                 self.queue.bump(v);
             }
         }
@@ -851,7 +862,9 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()]
         };
-        (learnt, bt, lbd)
+        self.learnt = learnt;
+        self.analyzed = analyzed;
+        (bt, lbd)
     }
 
     fn backtrack_to(&mut self, level: u32) {
@@ -1120,8 +1133,10 @@ impl Solver {
                 // deep backjump are re-decided on the way back up, and an
                 // assumption found false at its decision point reports
                 // UNSAT-under-assumptions (MiniSat semantics).
-                let (learnt, bt, lbd) = self.analyze(confl);
-                self.learn_and_jump(learnt, bt, lbd);
+                let (bt, lbd) = self.analyze(confl);
+                let learnt = std::mem::take(&mut self.learnt);
+                self.learn_and_jump(&learnt, bt, lbd);
+                self.learnt = learnt;
                 self.cla_inc /= 0.999;
                 if self.budget_exhausted() {
                     self.backtrack_to(0);
@@ -1191,13 +1206,13 @@ impl Solver {
         }
     }
 
-    fn learn_and_jump(&mut self, learnt: Vec<Lit>, bt: u32, lbd: u32) {
+    fn learn_and_jump(&mut self, learnt: &[Lit], bt: u32, lbd: u32) {
         self.backtrack_to(bt);
         let asserting = learnt[0];
         if learnt.len() == 1 {
             self.enqueue(asserting, NO_REASON);
         } else {
-            let ci = self.attach_clause(&learnt, true, lbd);
+            let ci = self.attach_clause(learnt, true, lbd);
             self.stats.learned += 1;
             self.enqueue(asserting, ci);
         }

@@ -17,8 +17,11 @@
 # there.
 #
 # Prints `perfbench steady` for each side and `perfbench compare`, then,
-# for each end-to-end metric, the pairs the change won and whether the
-# gap between the medians exceeds the parent's interquartile range.
+# for each end-to-end metric, the pairs the change won, whether the gap
+# between the medians exceeds the parent's interquartile range (IQR),
+# each side's IQR as a fraction of its own median, and whether the gap
+# exceeds the larger of the two IQRs. The last is the fair spread check:
+# a k-fold gain is not asked to be k times steadier than the parent.
 # At seed 1000 it also writes the change side's ledger to
 # BENCH_<workload>.json at the repo root: the median and quartiles of
 # every end-to-end metric, the traced per-layer medians, the commit, the
@@ -29,7 +32,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 ROOT=$(pwd)
 
-usage() { sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+usage() { sed -n '2,30p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 [ $# -ge 2 ] || usage
 PAIRS=${3:-10}
 SEED=${4:-1000}
@@ -122,8 +125,12 @@ def quartiles(v):
     q1, _, q3 = statistics.quantiles(v, n=4)
     return q1, statistics.median(v), q3
 
-print(f"== pair wins and median gap vs parent IQR ({pairs} pairs)")
-print(f"  {'metric':<16} {'parent':>12} {'change':>12} {'wins':>6} {'|gap|>IQR':>10}")
+def spread(iqr, median):
+    return f"{iqr / median:.1%}" if median else "-"
+
+print(f"== pair wins and median gap vs IQR ({pairs} pairs)")
+print(f"  {'metric':<16} {'parent':>12} {'change':>12} {'wins':>6} {'|gap|>IQR':>10}"
+      f" {'IQR/med p':>10} {'IQR/med c':>10} {'|gap|>max IQR':>14}")
 summary = {}
 for name, unit, lower in metrics:
     b = [r["metrics"][name]["value"] for r in runs["base"]]
@@ -131,8 +138,11 @@ for name, unit, lower in metrics:
     wins = sum((y < x) if lower else (y > x) for x, y in zip(b, c))
     bq1, bmed, bq3 = quartiles(b)
     q1, med, q3 = quartiles(c)
-    beyond = abs(med - bmed) > bq3 - bq1
-    print(f"  {name:<16} {bmed:>12.6g} {med:>12.6g} {wins:>3}/{pairs:<2} {str(beyond):>10}")
+    gap = abs(med - bmed)
+    beyond = gap > bq3 - bq1
+    fair = gap > max(bq3 - bq1, q3 - q1)
+    print(f"  {name:<16} {bmed:>12.6g} {med:>12.6g} {wins:>3}/{pairs:<2} {str(beyond):>10}"
+          f" {spread(bq3 - bq1, bmed):>10} {spread(q3 - q1, med):>10} {str(fair):>14}")
     summary[name] = {"unit": unit, "q1": q1, "median": med, "q3": q3}
 
 traced = {s: load(s, "traced")["metrics"] for s in ("base", "change")}
