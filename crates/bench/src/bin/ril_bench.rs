@@ -10,7 +10,7 @@
 //! ```
 //!
 //! ```text
-//! ril-bench run --workers 4 table1    # farm SAT cells over 4 worker procs
+//! ril-bench run --workers 4 table1    # farm its cells over 4 worker procs
 //! ril-bench worker --connect H:P      # join a farm from any machine
 //! ril-bench trace exp_out             # per-phase time breakdown of a run
 //! ril-bench validate exp_out          # integrity-check run artifacts

@@ -91,7 +91,7 @@ impl CacheKey {
             .next()
             .and_then(|p| p.strip_prefix("exp="))
             .ok_or_else(|| format!("key {canonical:?} has no exp= field"))?;
-        let mut key = CacheKey::new(experiment);
+        let mut key = Self::new(experiment);
         for part in parts {
             let (name, value) = part
                 .split_once('=')

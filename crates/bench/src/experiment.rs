@@ -19,7 +19,8 @@ use std::time::Instant;
 use ril_attacks::json::{escape, JsonValue};
 use ril_attacks::AttackReport;
 
-use crate::cache::{CacheKey, CellCache, Manifest};
+use crate::cache::{CellCache, Manifest};
+use crate::cell::CellSpec;
 use crate::config::{ConfigError, RunConfig};
 use crate::events::{EventKind, EventSink};
 use crate::CellOutcome;
@@ -123,11 +124,11 @@ pub trait Experiment: Sync {
     /// Recoverable failures; the driver records them and moves on.
     fn run(&self, cfg: &RunConfig, ctx: &RunContext) -> Result<ExperimentOutput, ExperimentError>;
 
-    /// The cells a farm of workers could compute for this configuration,
-    /// as canonical cache keys (see [`crate::farm::SatCellSpec`]). The
-    /// default — no farmable cells — keeps cheap experiments in-process;
-    /// only the expensive SAT sweeps (Table I, Table III) override this.
-    fn farm_cells(&self, _cfg: &RunConfig) -> Vec<CacheKey> {
+    /// The experiment's cached cells under `cfg`, in the order `run`
+    /// reads their outcomes ([`RunContext::outcomes`]). This is the one
+    /// cell plan: a farm phase computes exactly these cells. The
+    /// default — no cells — is for experiments that cache nothing.
+    fn cells(&self, _cfg: &RunConfig) -> Vec<CellSpec> {
         Vec::new()
     }
 }
@@ -257,29 +258,30 @@ impl RunContext {
         self.events.error(message);
     }
 
-    /// Runs one cacheable cell: returns the cached payload when `key` is
-    /// on disk, otherwise computes it, persists it atomically, and
-    /// returns it. Cache stores and per-cell accounting both happen
-    /// *inside* this call, which is what makes interrupted sweeps
-    /// resumable — every completed cell is durable the moment it
-    /// finishes, not when the table prints.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `compute`'s error (after recording it); cache-write
-    /// failures are logged but do not fail the cell.
-    pub fn cached_cell<F>(
-        &self,
-        key: &CacheKey,
-        label: &str,
-        compute: F,
-    ) -> Result<String, ExperimentError>
-    where
-        F: FnOnce() -> Result<String, ExperimentError>,
-    {
+    /// The outcomes of `cells`, in plan order, swept on `workers`
+    /// threads. Each cell is served from the cache when its key is on
+    /// disk; otherwise it runs and is persisted atomically before the
+    /// sweep moves on, which is what makes interrupted sweeps resumable.
+    /// A cell that fails is recorded and rendered as an `err:…` cell, so
+    /// one bad cell never aborts a table.
+    pub fn outcomes(&self, cells: &[CellSpec], workers: usize) -> Vec<CellOutcome> {
+        self.sweep(workers, cells, |_, spec| {
+            let label = spec.label();
+            self.cached_payload(spec, &label)
+                .and_then(|payload| parse_cell_payload(&payload))
+                .unwrap_or_else(|e| {
+                    self.cell_failed(&format!("{label}: {e}"));
+                    CellOutcome::bare(format!("err:{e}"))
+                })
+        })
+    }
+
+    /// One cell's payload: from the cache, or computed and stored.
+    fn cached_payload(&self, spec: &CellSpec, label: &str) -> Result<String, String> {
+        let key = spec.key();
         let mut span = ril_trace::span("cell", ril_trace::Phase::Cell);
         span.record_str("label", label);
-        if let Some(payload) = self.cache.get(key) {
+        if let Some(payload) = self.cache.get(&key) {
             self.cached.fetch_add(1, Ordering::Relaxed);
             span.record_bool("cached", true);
             self.events.emit(EventKind::Cell, label, r#""cached":true"#);
@@ -287,11 +289,9 @@ impl RunContext {
         }
         span.record_bool("cached", false);
         let started = Instant::now();
-        let payload = compute().inspect_err(|e| {
-            self.cell_failed(&format!("{label}: {e}"));
-        })?;
+        let payload = cell_payload(&spec.run().map_err(|e| e.to_string())?);
         let wall = started.elapsed().as_secs_f64();
-        if let Err(e) = self.cache.put(key, &payload) {
+        if let Err(e) = self.cache.put(&key, &payload) {
             self.events
                 .error(&format!("cache store failed for {label}: {e}"));
         }
@@ -421,7 +421,7 @@ pub fn run_experiments(experiments: &[Box<dyn Experiment>], cfg: &RunConfig) -> 
 }
 
 /// [`run_experiments`] with an optional distributed farm phase: when
-/// `farm` is set, each experiment's farmable cells are computed by
+/// `farm` is set, each experiment's cells are computed by
 /// worker processes into the shared cell cache *before* `run` executes,
 /// so the in-process run assembles its tables from cache hits. The farm
 /// telemetry snapshot lands in the manifest's `farm` field.

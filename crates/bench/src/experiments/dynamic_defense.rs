@@ -10,15 +10,16 @@
 //! RNG, and the solver are all seeded, so the sweep reproduces bit-for-bit
 //! and the monotonicity check below is a hard assertion, not a tendency.
 
+use std::time::Duration;
+
 use ril_attacks::json::escape;
 use ril_attacks::satattack::{sat_attack, SatAttackConfig};
 use ril_attacks::{attacker_view, AttackReport};
 use ril_serve::{DesignSpec, RemoteOracle, ServeClient, ServeConfig, Server};
 
-use crate::cache::CacheKey;
+use crate::cell::MorphCell;
 use crate::experiment::{Experiment, ExperimentError, ExperimentOutput, RunContext};
-use crate::experiments::cached_outcome;
-use crate::{print_table, CellOutcome, RunConfig};
+use crate::{print_table, CellOutcome, CellSpec, RunConfig};
 
 /// Morph-period sweep over a served, scheduler-driven chip.
 pub struct DynamicDefense;
@@ -41,7 +42,8 @@ fn design() -> DesignSpec {
     }
 }
 
-fn period_label(period: Option<u64>) -> String {
+/// The table's name for a morph period.
+pub(crate) fn period_label(period: Option<u64>) -> String {
     match period {
         None => "off".to_string(),
         Some(k) => format!("K={k}"),
@@ -56,70 +58,53 @@ fn iterations_to_key(report: &AttackReport) -> Option<usize> {
         .then_some(report.iterations)
 }
 
-fn attack_cell(
-    ctx: &RunContext,
-    cfg: &RunConfig,
-    period: Option<u64>,
-) -> Result<CellOutcome, ExperimentError> {
-    let design = design();
-    let key = CacheKey::new("dynamic_defense")
-        .field("bench", design.benchmark.as_str())
-        .field("spec", design.spec.as_str())
-        .field("blocks", design.blocks)
-        .field("seed", design.seed)
-        .field("morph_queries", period.map_or(0, |k| k))
-        .field("timeout_s", cfg.timeout.as_secs());
-    cached_outcome(
-        ctx,
-        &key,
-        &format!("c7552 / morph {}", period_label(period)),
-        || {
-            let handle = Server::start_traced(
-                ServeConfig {
-                    morph_queries: period,
-                    ..ServeConfig::default()
-                },
-                ctx.trace(),
-                ctx.root_span(),
-            )
-            .map_err(|e| format!("serve bind failed: {e}"))?;
-            let locked = design.build().map_err(ExperimentError::Other)?;
-            let view = attacker_view(&locked);
-            let client = ServeClient::builder(handle.addr().to_string())
-                .build()
-                .map_err(|e| format!("client configuration: {e}"))?;
-            let mut oracle = RemoteOracle::activate_with(client, &design)
-                .map_err(|e| format!("activation failed: {e}"))?;
-            let a_cfg = SatAttackConfig {
-                timeout: Some(cfg.timeout),
-                // Sequential DIPs: batching would let up to 64 DIPs share
-                // one pre-morph generation, shifting the sweep's
-                // iteration counts — and the monotonicity assertion and
-                // cached cells below are calibrated to the classic
-                // one-query-per-morph-period interaction.
-                dip_batch: 1,
-                ..SatAttackConfig::default()
-            };
-            let mut report = sat_attack(&view, &mut oracle, &a_cfg);
-            if let Some(found) = report.result.key() {
-                report.functionally_correct = Some(
-                    locked
-                        .equivalent_under_key(found, 32)
-                        .map_err(ExperimentError::Netlist)?,
-                );
-            }
-            let rekeys = oracle.generation_changes();
-            handle.shutdown();
-            let cell = match iterations_to_key(&report) {
-                Some(iters) => format!("{iters} iters ({} re-keys seen)", rekeys),
-                None => format!("∞ defended ({} re-keys seen)", rekeys),
-            };
-            Ok(CellOutcome {
-                cell,
-                report: Some(report),
-            })
-        },
-    )
+/// One cell: the SAT attack, over loopback, on the cell's design served
+/// by a `ril-serve` instance that morphs the chip on the cell's period.
+/// The server joins the calling thread's trace, if it has one.
+pub(crate) fn morph_cell(c: &MorphCell) -> Result<CellOutcome, ExperimentError> {
+    let serve_cfg = ServeConfig {
+        morph_queries: c.morph_queries,
+        ..ServeConfig::default()
+    };
+    let handle = match ril_trace::current() {
+        Some((tracer, parent)) => Server::start_traced(serve_cfg, &tracer, parent),
+        None => Server::start(serve_cfg),
+    }
+    .map_err(|e| format!("serve bind failed: {e}"))?;
+    let locked = c.design.build().map_err(ExperimentError::Other)?;
+    let view = attacker_view(&locked);
+    let client = ServeClient::builder(handle.addr().to_string())
+        .build()
+        .map_err(|e| format!("client configuration: {e}"))?;
+    let mut oracle = RemoteOracle::activate_with(client, &c.design)
+        .map_err(|e| format!("activation failed: {e}"))?;
+    let a_cfg = SatAttackConfig {
+        timeout: Some(Duration::from_secs(c.timeout_s)),
+        // Sequential DIPs: batching would let up to 64 DIPs share one
+        // pre-morph generation, shifting the sweep's iteration counts —
+        // and the monotonicity assertion in `run` is calibrated to the
+        // classic one-query-per-morph-period interaction.
+        dip_batch: 1,
+        ..SatAttackConfig::default()
+    };
+    let mut report = sat_attack(&view, &mut oracle, &a_cfg);
+    if let Some(found) = report.result.key() {
+        report.functionally_correct = Some(
+            locked
+                .equivalent_under_key(found, 32)
+                .map_err(ExperimentError::Netlist)?,
+        );
+    }
+    let rekeys = oracle.generation_changes();
+    handle.shutdown();
+    let cell = match iterations_to_key(&report) {
+        Some(iters) => format!("{iters} iters ({} re-keys seen)", rekeys),
+        None => format!("∞ defended ({} re-keys seen)", rekeys),
+    };
+    Ok(CellOutcome {
+        cell,
+        report: Some(report),
+    })
 }
 
 impl Experiment for DynamicDefense {
@@ -143,15 +128,18 @@ impl Experiment for DynamicDefense {
             cfg.timeout,
         ));
 
+        let outcomes = ctx.outcomes(&self.cells(cfg), 1);
         let mut rows = Vec::new();
         let mut json_rows = Vec::new();
         let mut iters: Vec<Option<usize>> = Vec::new();
-        for &period in PERIODS {
-            let outcome = attack_cell(ctx, cfg, period)?;
-            let report = outcome
-                .report
-                .as_ref()
-                .ok_or_else(|| format!("morph {}: cell has no report", period_label(period)))?;
+        for (&period, outcome) in PERIODS.iter().zip(&outcomes) {
+            let report = outcome.report.as_ref().ok_or_else(|| {
+                format!(
+                    "morph {}: cell has no report ({})",
+                    period_label(period),
+                    outcome.cell
+                )
+            })?;
             let to_key = iterations_to_key(report);
             json_rows.push(format!(
                 r#"{{"morph_queries":{},"iterations_to_key":{},"iterations":{},"queries":{},"result":"{}","wall_s":{:.3}}}"#,
@@ -217,5 +205,19 @@ impl Experiment for DynamicDefense {
             ),
             files: vec![artifact],
         })
+    }
+
+    /// One cell per morph period, slowest first.
+    fn cells(&self, cfg: &RunConfig) -> Vec<CellSpec> {
+        PERIODS
+            .iter()
+            .map(|&morph_queries| {
+                CellSpec::Morph(MorphCell {
+                    design: design(),
+                    morph_queries,
+                    timeout_s: cfg.timeout.as_secs(),
+                })
+            })
+            .collect()
     }
 }

@@ -9,6 +9,8 @@
 //! observes) lets the SAT attack finish dramatically faster than the
 //! timeout-prone MESO runs reported in \[9\].
 
+use std::time::Duration;
+
 use ril_attacks::satattack::sat_attack;
 use ril_attacks::{Oracle, SatAttackConfig};
 use ril_core::key::{KeyBitKind, KeyStore};
@@ -17,10 +19,9 @@ use ril_core::LockedCircuit;
 use ril_netlist::gate::truth_table_of;
 use ril_netlist::{generators, GateId, GateKind, Netlist};
 
-use crate::cache::CacheKey;
+use crate::cell::EncodingCell;
 use crate::experiment::{Experiment, ExperimentError, ExperimentOutput, RunContext};
-use crate::experiments::cached_outcome;
-use crate::{print_table, CellOutcome, RunConfig};
+use crate::{print_table, CellOutcome, CellSpec, RunConfig};
 
 /// The Fig. 1 encoding comparison.
 pub struct Fig1;
@@ -87,17 +88,24 @@ fn lock_with_encoding(
     })
 }
 
-fn encoding_cell(
-    host: &Netlist,
-    count: usize,
-    meso: bool,
-    cfg: &RunConfig,
-) -> Result<CellOutcome, ExperimentError> {
-    let locked = lock_with_encoding(host, count, meso)?;
+/// The device counts this configuration sweeps.
+fn device_counts(cfg: &RunConfig) -> &'static [usize] {
+    if cfg.smoke {
+        &[4, 8]
+    } else {
+        &[4, 8, 16, 32]
+    }
+}
+
+/// SAT-attacks the cell's host with its gates replaced in the MESO or
+/// the LUT-2 encoding.
+pub(crate) fn encoding_cell(c: &EncodingCell) -> Result<CellOutcome, ExperimentError> {
+    let host = generators::by_name(&c.bench)?;
+    let locked = lock_with_encoding(&host, c.devices, c.meso)?;
     locked.netlist.validate()?;
     let mut oracle = Oracle::new(&locked)?;
     let attack_cfg = SatAttackConfig {
-        timeout: Some(cfg.timeout),
+        timeout: Some(Duration::from_secs(c.timeout_s)),
         ..SatAttackConfig::default()
     };
     let report = sat_attack(&locked.netlist, &mut oracle, &attack_cfg);
@@ -118,31 +126,20 @@ impl Experiment for Fig1 {
     }
 
     fn run(&self, cfg: &RunConfig, ctx: &RunContext) -> Result<ExperimentOutput, ExperimentError> {
-        let host = generators::benchmark("c7552").ok_or("unknown benchmark c7552")?;
         ctx.note(&format!(
-            "Fig. 1 reproduction — host `{}`, timeout {:?}",
-            host.name(),
+            "Fig. 1 reproduction — host `c7552`, timeout {:?}",
             cfg.timeout
         ));
-        let counts: &[usize] = if cfg.smoke { &[4, 8] } else { &[4, 8, 16, 32] };
-        let mut rows = Vec::new();
-        for &count in counts {
-            let mut row = vec![count.to_string()];
-            for meso in [true, false] {
-                let key = CacheKey::new("attack")
-                    .field("kind", "fig1_encoding")
-                    .field("bench", "c7552")
-                    .field("devices", count)
-                    .field("meso", meso)
-                    .field("timeout_s", cfg.timeout.as_secs());
-                let label = format!("{count} devices, {}", if meso { "MESO" } else { "LUT-2" });
-                let outcome =
-                    cached_outcome(ctx, &key, &label, || encoding_cell(&host, count, meso, cfg))?;
-                row.push(outcome.cell);
-            }
-            rows.push(row);
-            ctx.note(&format!("{count} devices done"));
-        }
+        let outcomes = ctx.outcomes(&self.cells(cfg), 1);
+        let rows: Vec<Vec<String>> = device_counts(cfg)
+            .iter()
+            .zip(outcomes.chunks(2))
+            .map(|(count, cells)| {
+                let mut row = vec![count.to_string()];
+                row.extend(cells.iter().map(|c| c.cell.clone()));
+                row
+            })
+            .collect();
         print_table(
             "Fig. 1 — SAT-attack seconds per encoding",
             &[
@@ -160,7 +157,24 @@ impl Experiment for Fig1 {
         );
         Ok(ExperimentOutput::summary(format!(
             "{} device counts × 2 encodings attacked",
-            counts.len()
+            device_counts(cfg).len()
         )))
+    }
+
+    /// Per device count, the MESO cell then the LUT-2 cell.
+    fn cells(&self, cfg: &RunConfig) -> Vec<CellSpec> {
+        device_counts(cfg)
+            .iter()
+            .flat_map(|&devices| {
+                [true, false].map(|meso| {
+                    CellSpec::Fig1(EncodingCell {
+                        bench: "c7552".to_string(),
+                        devices,
+                        meso,
+                        timeout_s: cfg.timeout.as_secs(),
+                    })
+                })
+            })
+            .collect()
     }
 }

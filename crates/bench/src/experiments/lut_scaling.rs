@@ -3,25 +3,79 @@
 //! versus LUT input count for plain LUT locking (the custom-LUT scheme of
 //! refs \[8\]/\[12\]), and versus RIL-Block width for the full primitive.
 
+use std::time::Duration;
+
 use ril_attacks::{run_attack, AttackConfig, AttackKind};
 use ril_core::baselines::lutm_lock;
-use ril_core::{Obfuscator, RilBlockSpec};
+use ril_core::{LockedCircuit, Obfuscator, RilBlockSpec};
 use ril_netlist::generators;
 
-use crate::cache::CacheKey;
+use crate::cell::{LockCell, LutMCell};
 use crate::experiment::{Experiment, ExperimentError, ExperimentOutput, RunContext};
-use crate::experiments::cached_outcome;
-use crate::{print_table, CellOutcome, RunConfig};
+use crate::{print_table, CellOutcome, CellSpec, RunConfig};
 
 /// The LUT-size / block-width scaling ablation.
 pub struct LutScaling;
 
-// A scaling cell needs three table columns (key bits / SAT time / DIP
-// iterations), so the cached cell string carries them tab-separated.
-fn render_cols(cell: &str) -> Vec<String> {
-    let mut cols: Vec<String> = cell.split('\t').map(str::to_string).collect();
-    cols.resize(3, String::new());
-    cols
+/// The LUT input counts of the plain-LUT sweep.
+fn lut_sizes(cfg: &RunConfig) -> std::ops::RangeInclusive<usize> {
+    if cfg.smoke {
+        2..=3
+    } else {
+        2..=6
+    }
+}
+
+/// The RIL-Block shapes of the width sweep.
+fn block_specs(cfg: &RunConfig) -> Vec<RilBlockSpec> {
+    let tokens: &[&str] = if cfg.smoke {
+        &["2x2", "4x4"]
+    } else {
+        &["2x2", "4x4", "8x8", "4x4x4", "8x8x8"]
+    };
+    tokens
+        .iter()
+        .map(|t| RilBlockSpec::parse(t).expect("valid spec token"))
+        .collect()
+}
+
+/// SAT-attacks `locked` and renders the three scaling columns (key bits
+/// / SAT time / DIP iterations) tab-separated in one cell string.
+fn scaling_cell(locked: &LockedCircuit, timeout_s: u64) -> Result<CellOutcome, ExperimentError> {
+    let attack_cfg = AttackConfig {
+        timeout: Some(Duration::from_secs(timeout_s)),
+        ..AttackConfig::default()
+    };
+    let report = run_attack(AttackKind::Sat, locked, &attack_cfg)?.report;
+    Ok(CellOutcome {
+        cell: format!(
+            "{}\t{}\t{}",
+            locked.key_width(),
+            report.table_cell(),
+            report.iterations
+        ),
+        report: Some(report),
+    })
+}
+
+/// Plain LUT locking: the cell's LUT-`m`s on its host.
+pub(crate) fn lutm_cell(c: &LutMCell) -> Result<CellOutcome, ExperimentError> {
+    let host = generators::by_name(&c.bench)?;
+    scaling_cell(&lutm_lock(&host, c.luts, c.m, c.seed)?, c.timeout_s)
+}
+
+/// The cell's RIL-Blocks on its host; a host too small for them renders
+/// as an `error:` cell.
+pub(crate) fn width_cell(c: &LockCell) -> Result<CellOutcome, ExperimentError> {
+    let host = generators::by_name(&c.bench)?;
+    match Obfuscator::new(c.spec)
+        .blocks(c.blocks)
+        .seed(c.seed)
+        .obfuscate(&host)
+    {
+        Err(e) => Ok(CellOutcome::bare(format!("error: {e}"))),
+        Ok(locked) => scaling_cell(&locked, c.timeout_s),
+    }
 }
 
 impl Experiment for LutScaling {
@@ -34,101 +88,33 @@ impl Experiment for LutScaling {
     }
 
     fn run(&self, cfg: &RunConfig, ctx: &RunContext) -> Result<ExperimentOutput, ExperimentError> {
-        let host = generators::benchmark("c7552").ok_or("unknown benchmark c7552")?;
         ctx.note(&format!(
-            "LUT-size / block-width scaling — host `{}`, timeout {:?}",
-            host.name(),
+            "LUT-size / block-width scaling — host `c7552`, timeout {:?}",
             cfg.timeout
         ));
-        let attack_cfg = AttackConfig {
-            timeout: Some(cfg.timeout),
-            ..AttackConfig::default()
-        };
-
-        // Plain LUT locking, growing the LUT input count.
-        let lut_sizes: std::ops::RangeInclusive<usize> = if cfg.smoke { 2..=3 } else { 2..=6 };
-        let mut rows = Vec::new();
-        for m in lut_sizes.clone() {
-            let key = CacheKey::new("attack")
-                .field("kind", "sat_lutm")
-                .field("bench", "c7552")
-                .field("luts", 4)
-                .field("m", m)
-                .field("seed", 77)
-                .field("timeout_s", cfg.timeout.as_secs());
-            let outcome = cached_outcome(ctx, &key, &format!("4 × LUT-{m}"), || {
-                let locked = lutm_lock(&host, 4, m, 77)?;
-                let report = run_attack(AttackKind::Sat, &locked, &attack_cfg)?.report;
-                Ok(CellOutcome {
-                    cell: format!(
-                        "{}\t{}\t{}",
-                        locked.key_width(),
-                        report.table_cell(),
-                        report.iterations
-                    ),
-                    report: Some(report),
-                })
-            })?;
-            let mut row = vec![format!("4 × LUT-{m}")];
-            row.extend(render_cols(&outcome.cell));
-            rows.push(row);
-            ctx.note(&format!("LUT-{m} done"));
-        }
+        let cells = self.cells(cfg);
+        let outcomes = ctx.outcomes(&cells, 1);
+        let mut rows: Vec<Vec<String>> = cells
+            .iter()
+            .zip(&outcomes)
+            .map(|(spec, outcome)| {
+                let mut row = vec![spec.label()];
+                row.extend(outcome.cell.split('\t').map(str::to_string));
+                row.resize(4, String::new());
+                row
+            })
+            .collect();
+        let width_rows = rows.split_off(lut_sizes(cfg).count());
+        let headers = ["Config", "Key bits", "SAT time", "DIP iterations"];
         print_table(
             "Plain LUT locking: SAT seconds vs LUT size",
-            &["Config", "Key bits", "SAT time", "DIP iterations"],
+            &headers,
             &rows,
         );
-
-        // RIL-Block width scaling at a fixed absorbed-gate budget.
-        let spec_names: &[&str] = if cfg.smoke {
-            &["2x2", "4x4"]
-        } else {
-            &["2x2", "4x4", "8x8", "4x4x4", "8x8x8"]
-        };
-        let mut rows = Vec::new();
-        for &spec_str in spec_names {
-            let spec =
-                RilBlockSpec::parse(spec_str).ok_or_else(|| format!("invalid spec {spec_str}"))?;
-            // Keep the absorbed-gate count comparable (~4 gates).
-            let blocks = (4 / spec.luts()).max(1);
-            let key = CacheKey::new("attack")
-                .field("kind", "sat_ril_width")
-                .field("bench", "c7552")
-                .field("spec", spec.cache_token())
-                .field("blocks", blocks)
-                .field("seed", 55)
-                .field("timeout_s", cfg.timeout.as_secs());
-            let outcome = cached_outcome(ctx, &key, spec_str, || {
-                match Obfuscator::new(spec)
-                    .blocks(blocks)
-                    .seed(55)
-                    .obfuscate(&host)
-                {
-                    Err(e) => Ok(CellOutcome::bare(format!("error: {e}"))),
-                    Ok(locked) => {
-                        let report = run_attack(AttackKind::Sat, &locked, &attack_cfg)?.report;
-                        Ok(CellOutcome {
-                            cell: format!(
-                                "{}\t{}\t{}",
-                                locked.key_width(),
-                                report.table_cell(),
-                                report.iterations
-                            ),
-                            report: Some(report),
-                        })
-                    }
-                }
-            })?;
-            let mut row = vec![format!("{blocks} × {spec}")];
-            row.extend(render_cols(&outcome.cell));
-            rows.push(row);
-            ctx.note(&format!("{spec_str} done"));
-        }
         print_table(
             "RIL-Blocks: SAT seconds vs block width (≈4 gates absorbed)",
-            &["Config", "Key bits", "SAT time", "DIP iterations"],
-            &rows,
+            &headers,
+            &width_rows,
         );
         ctx.note(
             "expected shape: both scalings grow the key search space per absorbed \
@@ -137,8 +123,34 @@ impl Experiment for LutScaling {
         );
         Ok(ExperimentOutput::summary(format!(
             "{} LUT sizes + {} block widths attacked",
-            lut_sizes.count(),
-            spec_names.len()
+            lut_sizes(cfg).count(),
+            block_specs(cfg).len()
         )))
+    }
+
+    /// The LUT-size sweep, then the block-width sweep.
+    fn cells(&self, cfg: &RunConfig) -> Vec<CellSpec> {
+        let timeout_s = cfg.timeout.as_secs();
+        let lutm = lut_sizes(cfg).map(|m| {
+            CellSpec::LutM(LutMCell {
+                bench: "c7552".to_string(),
+                luts: 4,
+                m,
+                seed: 77,
+                timeout_s,
+            })
+        });
+        // The width sweep keeps the absorbed-gate count comparable
+        // (~4 gates).
+        let widths = block_specs(cfg).into_iter().map(|spec| {
+            CellSpec::RilWidth(LockCell {
+                bench: "c7552".to_string(),
+                spec,
+                blocks: (4 / spec.luts()).max(1),
+                seed: 55,
+                timeout_s,
+            })
+        });
+        lutm.chain(widths).collect()
     }
 }

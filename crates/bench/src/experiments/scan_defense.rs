@@ -4,17 +4,21 @@
 //! oracle access returns corrupted responses and all oracle-guided attacks
 //! are defeated.
 
+use std::time::Duration;
+
 use ril_attacks::{run_attack, AttackConfig, AttackKind, AttackReport};
-use ril_core::{LockedCircuit, Obfuscator, RilBlockSpec};
+use ril_core::{Obfuscator, RilBlockSpec};
 use ril_netlist::generators;
 
-use crate::cache::CacheKey;
+use crate::cell::AttackCell;
 use crate::experiment::{Experiment, ExperimentError, ExperimentOutput, RunContext};
-use crate::experiments::cached_outcome;
-use crate::{defense_held, lock_with_armed_se, print_table, CellOutcome, RunConfig};
+use crate::{defense_held, lock_with_armed_se, print_table, CellOutcome, CellSpec, RunConfig};
 
 /// The Scan-Enable defense demonstration.
 pub struct ScanDefense;
+
+/// The attack columns, in table order.
+const ATTACKS: [AttackKind; 3] = [AttackKind::Sat, AttackKind::AppSat, AttackKind::ScanSat];
 
 fn render(report: &AttackReport) -> String {
     if defense_held(&report.result, report.functionally_correct) {
@@ -30,33 +34,33 @@ fn render(report: &AttackReport) -> String {
     }
 }
 
-fn attack_outcome(
-    ctx: &RunContext,
-    cfg: &RunConfig,
-    attack: &'static str,
-    design: &str,
-    spec_token: &str,
-    locked: &LockedCircuit,
-) -> Result<CellOutcome, ExperimentError> {
-    let key = CacheKey::new("attack")
-        .field("kind", attack)
-        .field("bench", "mult6x6")
-        .field("spec", spec_token)
-        .field("blocks", 3)
-        .field("seed", 21)
-        .field("timeout_s", cfg.timeout.as_secs());
-    cached_outcome(ctx, &key, &format!("{design} / {attack}"), || {
-        let kind =
-            AttackKind::parse(attack).ok_or_else(|| format!("unknown attack kind {attack}"))?;
-        let a_cfg = AttackConfig {
-            timeout: Some(cfg.timeout),
-            ..AttackConfig::default()
-        };
-        let report = run_attack(kind, locked, &a_cfg)?.report;
-        Ok(CellOutcome {
-            cell: report.table_cell(),
-            report: Some(report),
-        })
+/// The table row name of the design with the SE stage `armed` or not.
+pub(crate) fn design_name(armed: bool) -> &'static str {
+    if armed {
+        "3 × 2x2 + SE armed"
+    } else {
+        "3 × 2x2 (no SE)"
+    }
+}
+
+/// One cell: the attack against three 2x2 blocks on the 6-bit
+/// multiplier (lock seed 21), with the SE stage armed or not.
+pub(crate) fn attack_cell(c: &AttackCell<bool>) -> Result<CellOutcome, ExperimentError> {
+    let host = generators::multiplier(6);
+    let spec = RilBlockSpec::size_2x2();
+    let locked = if c.design {
+        lock_with_armed_se(&host, spec, 3, 21).ok_or("no seed in range yields an armed SE lock")?
+    } else {
+        Obfuscator::new(spec).blocks(3).seed(21).obfuscate(&host)?
+    };
+    let a_cfg = AttackConfig {
+        timeout: Some(Duration::from_secs(c.timeout_s)),
+        ..AttackConfig::default()
+    };
+    let report = run_attack(c.attack, &locked, &a_cfg)?.report;
+    Ok(CellOutcome {
+        cell: report.table_cell(),
+        report: Some(report),
     })
 }
 
@@ -77,27 +81,23 @@ impl Experiment for ScanDefense {
             host.gate_count(),
             cfg.timeout
         ));
-        let spec = RilBlockSpec::size_2x2();
-        let plain = Obfuscator::new(spec).blocks(3).seed(21).obfuscate(&host)?;
-        let armed = lock_with_armed_se(&host, spec, 3, 21)
-            .ok_or("no seed in range yields an armed SE lock")?;
-
+        let outcomes = ctx.outcomes(&self.cells(cfg), 1);
         let mut rows = Vec::new();
         let mut broken = 0usize;
-        for (name, spec_token, locked) in [
-            ("3 × 2x2 (no SE)", "2x2", &plain),
-            ("3 × 2x2 + SE armed", "2x2+se", &armed),
-        ] {
+        for (armed, cells) in [false, true]
+            .into_iter()
+            .zip(outcomes.chunks(ATTACKS.len()))
+        {
+            let name = design_name(armed);
             let mut row = vec![name.to_string()];
-            for attack in ["sat", "appsat", "scansat"] {
-                let outcome = attack_outcome(ctx, cfg, attack, name, spec_token, locked)?;
-                let report = outcome
-                    .report
-                    .ok_or_else(|| format!("{name}/{attack}: cell has no report"))?;
+            for (attack, outcome) in ATTACKS.iter().zip(cells) {
+                let report = outcome.report.as_ref().ok_or_else(|| {
+                    format!("{name}/{attack}: cell has no report ({})", outcome.cell)
+                })?;
                 if !defense_held(&report.result, report.functionally_correct) {
                     broken += 1;
                 }
-                row.push(render(&report));
+                row.push(render(report));
             }
             rows.push(row);
         }
@@ -116,5 +116,21 @@ impl Experiment for ScanDefense {
         Ok(ExperimentOutput::summary(format!(
             "6 attack cells; {broken} broke a defense"
         )))
+    }
+
+    /// The unarmed design's row, then the armed one's.
+    fn cells(&self, cfg: &RunConfig) -> Vec<CellSpec> {
+        [false, true]
+            .into_iter()
+            .flat_map(|armed| {
+                ATTACKS.map(|attack| {
+                    CellSpec::ScanDefense(AttackCell {
+                        attack,
+                        design: armed,
+                        timeout_s: cfg.timeout.as_secs(),
+                    })
+                })
+            })
+            .collect()
     }
 }

@@ -10,10 +10,8 @@
 use ril_core::RilBlockSpec;
 use ril_netlist::generators;
 
-use crate::cache::CacheKey;
 use crate::experiment::{Experiment, ExperimentError, ExperimentOutput, RunContext};
-use crate::experiments::{cached_sat_cell, sat_cell_key};
-use crate::{print_table, CellOutcome, RunConfig};
+use crate::{print_table, CellSpec, RunConfig, SatCellSpec};
 
 /// The Table I reproduction.
 pub struct Table1;
@@ -89,14 +87,8 @@ impl Experiment for Table1 {
 
         // One job per table cell, fanned across cores. Cell failures stay
         // in the table (`err:…`) rather than aborting the sweep.
-        let cells: Vec<(usize, usize)> = rows_wanted
-            .iter()
-            .flat_map(|&count| (0..specs.len()).map(move |si| (count, si)))
-            .collect();
-        let outcomes = ctx.sweep(cfg.threads, &cells, |_, &(count, si)| {
-            cached_sat_cell(ctx, &host, "c7552", specs[si], count, seed_for(count), cfg)
-                .unwrap_or_else(|e| CellOutcome::bare(format!("err:{e}")))
-        });
+        let cells = self.cells(cfg);
+        let outcomes = ctx.outcomes(&cells, cfg.threads);
 
         let mut rows = Vec::new();
         let mut json_cells = Vec::new();
@@ -148,15 +140,19 @@ impl Experiment for Table1 {
         })
     }
 
-    fn farm_cells(&self, cfg: &RunConfig) -> Vec<CacheKey> {
-        // The same (row × spec) plan `run` sweeps, as canonical keys.
-        // Keeping both derived from `rows_wanted`/`specs`/`seed_for`
-        // guarantees a farmed run fills exactly the cells `run` reads.
+    fn cells(&self, cfg: &RunConfig) -> Vec<CellSpec> {
         rows_wanted(cfg)
             .into_iter()
             .flat_map(|count| {
                 specs().into_iter().map(move |spec| {
-                    sat_cell_key("c7552", spec, count, seed_for(count), cfg.timeout)
+                    CellSpec::Sat(SatCellSpec {
+                        bench: "c7552".to_string(),
+                        spec,
+                        blocks: count,
+                        seed: seed_for(count),
+                        timeout_s: cfg.timeout.as_secs(),
+                        solver_threads: 1,
+                    })
                 })
             })
             .collect()

@@ -8,14 +8,17 @@
 //! resumes from the cells already on disk. Full per-cell attack reports
 //! land in `<out_dir>/BENCH_table3.json`.
 
+use std::time::Duration;
+
 use ril_attacks::{run_attack, AttackConfig, AttackKind};
 use ril_core::RilBlockSpec;
 use ril_netlist::generators;
 
-use crate::cache::CacheKey;
+use crate::cell::LockCell;
 use crate::experiment::{Experiment, ExperimentError, ExperimentOutput, RunContext};
-use crate::experiments::{cached_outcome, cached_sat_cell, sat_cell_key};
-use crate::{defense_held, lock_with_armed_se, print_table, CellOutcome, RunConfig};
+use crate::{
+    defense_held, lock_with_armed_se, print_table, CellOutcome, CellSpec, RunConfig, SatCellSpec,
+};
 
 /// The Table III reproduction.
 pub struct Table3;
@@ -35,14 +38,6 @@ const PAPER: &[PaperRow] = &[
     ("gps", None, None, None),
 ];
 
-/// One parallel job: a SAT cell (`blocks` ≥ 1) or the AppSAT/SE column
-/// (`blocks` = 0).
-#[derive(Clone, Copy)]
-struct Cell {
-    bench: &'static str,
-    blocks: usize,
-}
-
 /// The benchmark rows this configuration sweeps.
 fn paper_rows(cfg: &RunConfig) -> &'static [PaperRow] {
     if cfg.smoke {
@@ -57,44 +52,27 @@ fn seed_for(blocks: usize) -> u64 {
     7 + blocks as u64
 }
 
-fn appsat_cell(
-    ctx: &RunContext,
-    cfg: &RunConfig,
-    host: &ril_netlist::Netlist,
-    bench: &str,
-    spec: RilBlockSpec,
-) -> Result<CellOutcome, ExperimentError> {
-    let key = CacheKey::new("attack")
-        .field("kind", "appsat_se")
-        .field("bench", bench)
-        .field("spec", spec.with_scan(true).cache_token())
-        .field("blocks", 1)
-        .field("seed", 100)
-        .field("timeout_s", cfg.timeout.as_secs());
-    cached_outcome(
-        ctx,
-        &key,
-        &format!("{bench} appsat/SE"),
-        || match lock_with_armed_se(host, spec, 1, 100) {
-            None => Ok(CellOutcome::bare("n/a")),
-            Some(locked) => {
-                let app_cfg = AttackConfig {
-                    timeout: Some(cfg.timeout),
-                    ..AttackConfig::default()
-                };
-                let report = run_attack(AttackKind::AppSat, &locked, &app_cfg)?.report;
-                let cell = if defense_held(&report.result, report.functionally_correct) {
-                    "✗ (paper ✗)".to_string()
-                } else {
-                    "BROKE DEFENSE (paper ✗)".to_string()
-                };
-                Ok(CellOutcome {
-                    cell,
-                    report: Some(report),
-                })
-            }
-        },
-    )
+/// The AppSAT/SE column's cell: AppSAT against the first lock at or
+/// after the cell's seed whose Scan-Enable stage is armed.
+pub(crate) fn appsat_cell(c: &LockCell) -> Result<CellOutcome, ExperimentError> {
+    let host = generators::by_name(&c.bench)?;
+    let Some(locked) = lock_with_armed_se(&host, c.spec, c.blocks, c.seed) else {
+        return Ok(CellOutcome::bare("n/a"));
+    };
+    let app_cfg = AttackConfig {
+        timeout: Some(Duration::from_secs(c.timeout_s)),
+        ..AttackConfig::default()
+    };
+    let report = run_attack(AttackKind::AppSat, &locked, &app_cfg)?.report;
+    let cell = if defense_held(&report.result, report.functionally_correct) {
+        "✗ (paper ✗)".to_string()
+    } else {
+        "BROKE DEFENSE (paper ✗)".to_string()
+    };
+    Ok(CellOutcome {
+        cell,
+        report: Some(report),
+    })
 }
 
 impl Experiment for Table3 {
@@ -111,39 +89,9 @@ impl Experiment for Table3 {
             "Table III reproduction — timeout {:?} per cell (paper: 5 days), {} worker threads",
             cfg.timeout, cfg.threads
         ));
-        let spec = RilBlockSpec::size_8x8x8();
         let paper_rows = paper_rows(cfg);
-
-        let cells: Vec<Cell> = paper_rows
-            .iter()
-            .flat_map(|&(name, ..)| {
-                [1usize, 2, 3, 0].map(|blocks| Cell {
-                    bench: name,
-                    blocks,
-                })
-            })
-            .collect();
-        let outcomes = ctx.sweep(cfg.threads, &cells, |_, cell| {
-            let outcome = match generators::benchmark(cell.bench) {
-                None => Ok(CellOutcome::bare(format!("unknown bench {}", cell.bench))),
-                Some(host) => {
-                    if cell.blocks == 0 {
-                        appsat_cell(ctx, cfg, &host, cell.bench, spec)
-                    } else {
-                        cached_sat_cell(
-                            ctx,
-                            &host,
-                            cell.bench,
-                            spec,
-                            cell.blocks,
-                            seed_for(cell.blocks),
-                            cfg,
-                        )
-                    }
-                }
-            };
-            outcome.unwrap_or_else(|e| CellOutcome::bare(format!("err:{e}")))
-        });
+        let cells = self.cells(cfg);
+        let outcomes = ctx.outcomes(&cells, cfg.threads);
 
         let mut rows = Vec::new();
         let mut json_cells = Vec::new();
@@ -199,21 +147,32 @@ impl Experiment for Table3 {
         })
     }
 
-    fn farm_cells(&self, cfg: &RunConfig) -> Vec<CacheKey> {
-        // Only the SAT columns are farm-executable (the worker speaks
-        // `kind=sat` keys); the AppSAT/SE column stays in-process.
+    /// Per benchmark row: the 1/2/3-block SAT cells, then the AppSAT/SE
+    /// cell.
+    fn cells(&self, cfg: &RunConfig) -> Vec<CellSpec> {
+        let spec = RilBlockSpec::size_8x8x8();
+        let timeout_s = cfg.timeout.as_secs();
         paper_rows(cfg)
             .iter()
             .flat_map(|&(name, ..)| {
-                (1..=3).map(move |blocks| {
-                    sat_cell_key(
-                        name,
-                        RilBlockSpec::size_8x8x8(),
-                        blocks,
-                        seed_for(blocks),
-                        cfg.timeout,
-                    )
-                })
+                (1..=3)
+                    .map(move |blocks| {
+                        CellSpec::Sat(SatCellSpec {
+                            bench: name.to_string(),
+                            spec,
+                            blocks,
+                            seed: seed_for(blocks),
+                            timeout_s,
+                            solver_threads: 1,
+                        })
+                    })
+                    .chain([CellSpec::AppSatSe(LockCell {
+                        bench: name.to_string(),
+                        spec: spec.with_scan(true),
+                        blocks: 1,
+                        seed: 100,
+                        timeout_s,
+                    })])
             })
             .collect()
     }

@@ -1,7 +1,7 @@
 //! The farm driver: the piece `ril-bench run --workers N` calls between
 //! "experiment selected" and "experiment runs".
 //!
-//! [`run_farm_phase`] enumerates the experiment's farmable cells,
+//! [`run_farm_phase`] enumerates the experiment's cells,
 //! starts a loopback coordinator over the ones not already cached,
 //! spawns N worker *processes* (real OS processes — so the crash-recovery
 //! path exercised in CI is the same one a remote worker would take), and
@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use ril_trace::MetricsSnapshot;
 
 use crate::cache::CellCache;
+use crate::cell::CellSpec;
 use crate::config::RunConfig;
 use crate::experiment::{Experiment, RunContext};
 use crate::farm::coordinator::{Coordinator, FarmConfig};
@@ -50,8 +51,8 @@ pub struct FarmPhase {
     pub wall: Duration,
 }
 
-/// Runs the distributed phase for one experiment, if it has farmable
-/// cells. Returns `None` when there is nothing to farm (no farmable
+/// Runs the distributed phase for one experiment, if it has cached
+/// cells. Returns `None` when there is nothing to farm (no cached
 /// cells, cache disabled, or everything already cached) — the caller
 /// just proceeds with the normal in-process run.
 pub fn run_farm_phase(
@@ -63,9 +64,9 @@ pub fn run_farm_phase(
     if spec.workers == 0 {
         return None;
     }
-    let cells = exp.farm_cells(cfg);
+    let cells: Vec<_> = exp.cells(cfg).iter().map(CellSpec::key).collect();
     if cells.is_empty() {
-        ctx.note("farm: experiment has no farmable cells; running in-process");
+        ctx.note("farm: experiment has no cached cells; running in-process");
         return None;
     }
     if !cfg.use_cache {

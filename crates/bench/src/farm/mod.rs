@@ -7,19 +7,19 @@
 //! * **The content-addressed cell cache** is the shared artifact store.
 //!   A cell's canonical cache-key string is its complete work
 //!   description, so a lease is just `(lease id, key)`; the worker
-//!   re-derives the attack from the key ([`SatCellSpec`]) and the
-//!   coordinator persists the result with the cache's atomic
+//!   parses the key back into its [`crate::CellSpec`] and runs it, and
+//!   the coordinator persists the result with the cache's atomic
 //!   temp+rename — first write wins, which makes double completion
-//!   idempotent by construction.
+//!   idempotent by construction. Any experiment's cells can be farmed.
 //! * **The serve wire layer** carries the farm vocabulary
 //!   ([`ril_serve::farm`]) on a disjoint opcode range, in the same
 //!   binary frames as the oracle traffic.
-//! * **The experiment framework** enumerates the cells
-//!   ([`crate::Experiment::farm_cells`]) and, after the farm phase has
-//!   filled the cache, the normal in-process run assembles the tables
-//!   entirely from cache hits — so a farmed run and a single-process
-//!   run produce the same artifacts by construction, and any cell the
-//!   farm failed to settle simply gets computed locally.
+//! * **The experiment framework** enumerates the cells — the same plan
+//!   `run` reads ([`crate::Experiment::cells`]) — and, after the farm
+//!   phase has filled the cache, the normal in-process run assembles
+//!   the tables entirely from cache hits — so a farmed run and a
+//!   single-process run produce the same artifacts by construction, and
+//!   any cell the farm failed to settle simply gets computed locally.
 //!
 //! Crash recovery: leases carry a deadline and workers heartbeat at a
 //! third of it. A SIGKILL'd worker stops heartbeating, its leases
@@ -39,233 +39,119 @@ pub use driver::{run_farm_phase, FarmPhase, FarmSpec};
 pub use lease::{FarmCounts, LeaseTable, Settle};
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};
 
-use std::time::Duration;
-
-use ril_core::RilBlockSpec;
-use ril_netlist::{generators, Netlist};
-
-use crate::cache::CacheKey;
-use crate::experiment::cell_payload;
-use crate::experiments::sat_cell_key;
-
-/// A SAT-attack cell reconstructed from its canonical cache-key string —
-/// the farm's executable work unit.
-///
-/// [`crate::experiments::sat_cell_key`] defines the canonical form:
-///
-/// ```text
-/// v1|exp=attack|kind=sat|bench=c7552|spec=8x8|blocks=2|seed=1002|timeout_s=60|solver_threads=1
-/// ```
-///
-/// Parsing is the exact inverse, so `SatCellSpec::parse(k).key() == k`
-/// for every key the experiments emit, and a worker process needs no
-/// side channel beyond the lease itself to reproduce the cell — the
-/// obfuscator is seed-deterministic, so every worker that executes the
-/// same key produces the same verdict.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SatCellSpec {
-    /// Host benchmark name (`c7552`, `b15`, `adder:8`, …).
-    pub bench: String,
-    /// The RIL block shape.
-    pub spec: RilBlockSpec,
-    /// Number of blocks inserted.
-    pub blocks: usize,
-    /// Obfuscator seed.
-    pub seed: u64,
-    /// Per-cell attack budget in whole seconds.
-    pub timeout_s: u64,
-    /// Always 1: the key format keeps the `solver_threads=1` segment so
-    /// cached cells keep their addresses, and [`SatCellSpec::parse`]
-    /// rejects any other value.
-    pub solver_threads: usize,
-}
-
-impl SatCellSpec {
-    /// Parses a canonical cache-key string back into an executable cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for any key this farm version cannot execute:
-    /// wrong cache version, non-`sat` cell kind, missing or malformed
-    /// fields. The worker reports such cells as failed rather than
-    /// guessing.
-    pub fn parse(canonical: &str) -> Result<SatCellSpec, String> {
-        let key = CacheKey::parse(canonical)?;
-        let exp = key.experiment();
-        let mut parts = key.fields();
-        let mut field = |name: &str| -> Result<String, String> {
-            match parts.next() {
-                Some((k, v)) if k == name => Ok(v),
-                other => Err(format!("expected field {name:?}, got {other:?}")),
-            }
-        };
-        let kind = field("kind")?;
-        if exp != "attack" || kind != "sat" {
-            return Err(format!("unsupported cell kind {exp}/{kind}"));
-        }
-        let bench = field("bench")?;
-        let spec_token = field("spec")?;
-        let (token, scan) = match spec_token.strip_suffix("+se") {
-            Some(t) => (t, true),
-            None => (spec_token.as_str(), false),
-        };
-        let spec = RilBlockSpec::parse(token)
-            .ok_or_else(|| format!("bad spec token {spec_token:?}"))?
-            .with_scan(scan);
-        let parsed = SatCellSpec {
-            bench,
-            spec,
-            blocks: field("blocks")?
-                .parse()
-                .map_err(|_| "bad blocks".to_string())?,
-            seed: field("seed")?.parse().map_err(|_| "bad seed".to_string())?,
-            timeout_s: field("timeout_s")?
-                .parse()
-                .map_err(|_| "bad timeout_s".to_string())?,
-            solver_threads: field("solver_threads")?
-                .parse()
-                .map_err(|_| "bad solver_threads".to_string())?,
-        };
-        if parsed.solver_threads != 1 {
-            return Err(format!(
-                "solver_threads={} (cells solve on one thread; only 1 is accepted)",
-                parsed.solver_threads
-            ));
-        }
-        if parts.next().is_some() {
-            return Err("trailing fields after solver_threads".to_string());
-        }
-        // Round-trip guard: a key we cannot reproduce bit-identically
-        // would cache the result under a different address.
-        let rebuilt = parsed.key();
-        if rebuilt.canonical() != canonical {
-            return Err(format!(
-                "key does not round-trip: {canonical:?} != {:?}",
-                rebuilt.canonical()
-            ));
-        }
-        Ok(parsed)
-    }
-
-    /// The cell's canonical cache key (the inverse of [`SatCellSpec::parse`]).
-    #[must_use]
-    pub fn key(&self) -> CacheKey {
-        sat_cell_key(
-            &self.bench,
-            self.spec,
-            self.blocks,
-            self.seed,
-            Duration::from_secs(self.timeout_s),
-        )
-    }
-
-    /// Builds the host netlist, mirroring
-    /// [`ril_serve::DesignSpec::host`]'s naming (`adder:N`,
-    /// `multiplier:N`, benchmark names).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for unknown benchmark names.
-    pub fn host(&self) -> Result<Netlist, String> {
-        if let Some(n) = self.bench.strip_prefix("adder:") {
-            let bits: usize = n.parse().map_err(|_| format!("bad adder width `{n}`"))?;
-            return Ok(generators::adder(bits));
-        }
-        if let Some(n) = self.bench.strip_prefix("multiplier:") {
-            let bits: usize = n
-                .parse()
-                .map_err(|_| format!("bad multiplier width `{n}`"))?;
-            return Ok(generators::multiplier(bits));
-        }
-        generators::benchmark(&self.bench)
-            .ok_or_else(|| format!("unknown benchmark `{}`", self.bench))
-    }
-
-    /// Executes the cell — lock, attack, render — and returns the cache
-    /// payload, exactly what an in-process [`crate::RunContext::cached_cell`]
-    /// would have persisted.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for unknown benchmarks; attack-level failures
-    /// stay inside the payload (`n/a`, `err:…` cells), as everywhere
-    /// else.
-    pub fn execute(&self) -> Result<String, String> {
-        let host = self.host()?;
-        let outcome = crate::attack_cell_report_with(
-            &host,
-            self.spec,
-            self.blocks,
-            self.seed,
-            Duration::from_secs(self.timeout_s),
-        );
-        Ok(cell_payload(&outcome))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::collections::HashSet;
+    use std::time::Duration;
+
+    use ril_attacks::AttackKind;
+    use ril_core::RilBlockSpec;
+
+    use crate::cell::AttackCell;
+    use crate::experiment::{cell_payload, parse_cell_payload, registry};
+    use crate::{CellSpec, RunConfig, SatCellSpec, SEARCH};
+
+    fn sat(bench: &str, blocks: usize, seed: u64) -> SatCellSpec {
+        SatCellSpec {
+            bench: bench.to_string(),
+            spec: RilBlockSpec::size_2x2(),
+            blocks,
+            seed,
+            timeout_s: 10,
+            solver_threads: 1,
+        }
+    }
 
     #[test]
     fn cell_spec_round_trips_every_experiment_key() {
-        for (bench, spec, blocks, seed) in [
-            ("c7552", RilBlockSpec::size_2x2(), 1, 1001),
-            ("b15", RilBlockSpec::size_8x8(), 3, 10),
-            ("adder:8", RilBlockSpec::size_8x8x8(), 2, 9),
-            ("sha256", RilBlockSpec::size_2x2().with_scan(true), 1, 100),
-        ] {
-            let key = sat_cell_key(bench, spec, blocks, seed, Duration::from_secs(60));
-            let parsed = SatCellSpec::parse(key.canonical()).unwrap();
-            assert_eq!(parsed.key().canonical(), key.canonical());
-            assert_eq!(parsed.bench, bench);
-            assert_eq!(parsed.blocks, blocks);
-            assert_eq!(parsed.seed, seed);
-            assert_eq!(parsed.solver_threads, 1);
+        let smoke = RunConfig {
+            smoke: true,
+            timeout: Duration::from_secs(3),
+            ..RunConfig::default()
+        };
+        let full = RunConfig {
+            table1_full: true,
+            ..RunConfig::default()
+        };
+        let mut seen: Vec<(String, CellSpec)> = Vec::new();
+        for cfg in [smoke, RunConfig::default(), full] {
+            for exp in registry() {
+                for spec in exp.cells(&cfg) {
+                    let key = spec.key();
+                    assert_eq!(
+                        CellSpec::parse(key.canonical()).as_ref(),
+                        Ok(&spec),
+                        "{} does not round-trip",
+                        key.canonical()
+                    );
+                    match seen.iter().find(|(k, _)| k == key.canonical()) {
+                        Some((_, other)) => assert_eq!(other, &spec, "two specs share a key"),
+                        None => seen.push((key.canonical().to_string(), spec)),
+                    }
+                }
+            }
         }
+        let kinds: HashSet<_> = seen
+            .iter()
+            .map(|(_, s)| std::mem::discriminant(s))
+            .collect();
+        assert_eq!(kinds.len(), 8, "every cell kind is planned");
     }
 
     #[test]
     fn cell_spec_rejects_foreign_keys() {
-        // Wrong version tag.
-        assert!(SatCellSpec::parse("v0|exp=attack|kind=sat").is_err());
-        // Non-SAT cell kinds are not farm-executable.
-        let appsat = "v1|exp=attack|kind=appsat_se|bench=b15|spec=8x8x8+se|blocks=1|seed=100|timeout_s=3|solver_threads=1";
-        assert!(SatCellSpec::parse(appsat).is_err());
-        // Truncated and trailing-garbage keys.
-        assert!(SatCellSpec::parse("v1|exp=attack|kind=sat|bench=c7552").is_err());
-        let good = sat_cell_key(
-            "c7552",
-            RilBlockSpec::size_2x2(),
-            1,
-            1,
-            Duration::from_secs(1),
+        let good = sat("c7552", 1, 1).key();
+        let good = good.canonical();
+        // The SAT format is fixed: it is also the benchmark's farm lease.
+        assert_eq!(
+            good,
+            format!(
+                "v1|exp=attack|kind=sat|bench=c7552|spec=2x2|blocks=1|seed=1\
+                 |timeout_s=10|solver_threads=1|search={SEARCH}"
+            )
         );
-        assert!(SatCellSpec::parse(&format!("{}|extra=1", good.canonical())).is_err());
+        assert!(CellSpec::parse(good).is_ok());
+        // Wrong version tag.
+        assert!(CellSpec::parse(&good.replacen("v1|", "v0|", 1)).is_err());
+        // Unknown kind.
+        let err = CellSpec::parse(&good.replace("kind=sat", "kind=bogus")).unwrap_err();
+        assert!(err.contains("bogus"), "{err}");
+        // Missing and trailing fields, and a truncated key.
+        assert!(CellSpec::parse(&good.replace("|blocks=1", "")).is_err());
+        assert!(CellSpec::parse(&format!("{good}|extra=1")).is_err());
+        assert!(CellSpec::parse("v1|exp=attack|kind=sat|bench=c7552").is_err());
+        // A cell cached by another search generation.
+        let other = good.replace(
+            &format!("search={SEARCH}"),
+            &format!("search={}", SEARCH + 1),
+        );
+        let err = CellSpec::parse(&other).unwrap_err();
+        assert!(err.contains("search="), "{err}");
         // Cells solve on one thread; a key asking for more is refused.
-        let threaded = good
-            .canonical()
-            .replace("solver_threads=1", "solver_threads=4");
-        let err = SatCellSpec::parse(&threaded).unwrap_err();
+        let err =
+            CellSpec::parse(&good.replace("solver_threads=1", "solver_threads=4")).unwrap_err();
         assert!(err.contains("solver_threads=4"), "{err}");
+        // Keys that parse field by field but do not round-trip: `2X2`
+        // reads as 2x2 but is written back as `2x2`, and a kind's fixed
+        // fields are part of its format.
+        let err = CellSpec::parse(&good.replace("spec=2x2", "spec=2X2")).unwrap_err();
+        assert!(err.contains("round-trip"), "{err}");
+        let scan = CellSpec::ScanDefense(AttackCell {
+            attack: AttackKind::AppSat,
+            design: true,
+            timeout_s: 3,
+        })
+        .key();
+        let err = CellSpec::parse(&scan.canonical().replace("seed=21", "seed=22")).unwrap_err();
+        assert!(err.contains("round-trip"), "{err}");
     }
 
     #[test]
     fn executes_a_tiny_cell_to_the_same_payload_shape() {
-        let key = sat_cell_key(
-            "adder:4",
-            RilBlockSpec::size_2x2(),
-            1,
-            3,
-            Duration::from_secs(10),
-        );
-        let spec = SatCellSpec::parse(key.canonical()).unwrap();
-        let payload = spec.execute().unwrap();
-        let outcome = crate::experiment::parse_cell_payload(&payload).unwrap();
-        assert!(
-            outcome.report.is_some(),
-            "tiny cell should produce a report"
-        );
-        outcome.cell.parse::<f64>().expect("numeric cell");
+        let key = sat("adder:4", 1, 3).key();
+        let outcome = CellSpec::parse(key.canonical()).unwrap().run().unwrap();
+        let parsed = parse_cell_payload(&cell_payload(&outcome)).unwrap();
+        assert!(parsed.report.is_some(), "tiny cell should produce a report");
+        parsed.cell.parse::<f64>().expect("numeric cell");
     }
 }

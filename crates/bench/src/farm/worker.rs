@@ -17,7 +17,8 @@ use std::time::{Duration, Instant};
 use ril_serve::farm::{FarmRequest, FarmResponse, FARM_PROTOCOL_VERSION};
 use ril_serve::{read_frame_bytes, write_frame_bytes, WireCodec};
 
-use crate::farm::SatCellSpec;
+use crate::experiment::cell_payload;
+use crate::CellSpec;
 
 /// How a worker runs.
 pub struct WorkerConfig {
@@ -222,16 +223,10 @@ fn execute_cell(
             message,
         });
     };
-    let spec = match SatCellSpec::parse(key) {
-        Ok(s) => s,
-        Err(e) => {
-            fail(client, e);
-            return Err(());
-        }
-    };
     let t0 = Instant::now();
-    let payload = match spec.execute() {
-        Ok(p) => p,
+    let payload = match CellSpec::parse(key).and_then(|spec| spec.run().map_err(|e| e.to_string()))
+    {
+        Ok(outcome) => cell_payload(&outcome),
         Err(e) => {
             fail(client, e);
             return Err(());
@@ -245,10 +240,17 @@ fn execute_cell(
         payload,
         wall_us,
     };
-    match client.call(&req) {
-        Ok(FarmResponse::Accepted { duplicate, .. }) => Ok(duplicate),
-        Ok(_) | Err(_) => Err(()),
-    }
+    // A result that cannot be delivered (a payload over the frame cap, or
+    // one the coordinator refuses) is reported failed: re-leasing the cell
+    // would only recompute the same result, forever. A failed cell is
+    // computed in-process after the farm phase.
+    let message = match client.call(&req) {
+        Ok(FarmResponse::Accepted { duplicate, .. }) => return Ok(duplicate),
+        Ok(other) => format!("completion refused: {other:?}"),
+        Err(e) => format!("completion not delivered: {e}"),
+    };
+    fail(client, message);
+    Err(())
 }
 
 /// Entry point for the `ril-bench worker` subcommand: runs a worker and

@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod cell;
 pub mod config;
 pub mod events;
 pub mod experiment;
@@ -45,13 +46,14 @@ pub mod sweep;
 pub mod tracereport;
 
 pub use cache::{CacheKey, CellCache, Manifest, CACHE_VERSION};
+pub use cell::{CellSpec, SatCellSpec, SEARCH};
 pub use config::{ConfigError, RunConfig};
 pub use events::{EventKind, EventSink, LogLevel};
 pub use experiment::{
     registry, run_experiments, run_experiments_with, Experiment, ExperimentError, ExperimentOutput,
     RunContext,
 };
-pub use farm::{run_farm_phase, run_worker, FarmSpec, SatCellSpec, WorkerConfig, WorkerSummary};
+pub use farm::{run_farm_phase, run_worker, FarmSpec, WorkerConfig, WorkerSummary};
 pub use tracereport::{
     breakdown, check_chrome_trace, check_events_jsonl, check_spans_jsonl, trace_report,
     validate_run_dir, CellBreakdown, PhaseTotals, SpanRec, SpanStats,
@@ -122,53 +124,45 @@ impl CellOutcome {
     }
 }
 
-/// Locks `host` with `blocks` RIL-Blocks of shape `spec` and runs the SAT
-/// attack within `timeout`. The rendered cell is `seconds`, `∞`, or `n/a`
-/// when the host cannot host that many independent blocks; the full
-/// [`AttackReport`] (per-iteration DIP statistics included) rides along.
-pub fn attack_cell_report_with(
-    host: &Netlist,
-    spec: RilBlockSpec,
-    blocks: usize,
-    seed: u64,
-    timeout: Duration,
-) -> CellOutcome {
+/// The SAT cell: locks the host with the spec's RIL-Blocks and runs the
+/// SAT attack within its budget. The rendered cell is `seconds`, `∞`, or
+/// `n/a` when the host cannot host that many independent blocks; the
+/// full [`AttackReport`] (per-iteration DIP statistics included) rides
+/// along.
+pub(crate) fn sat_cell(c: &SatCellSpec) -> Result<CellOutcome, ExperimentError> {
+    let host = ril_netlist::generators::by_name(&c.bench)?;
     let locked = {
         // Obfuscation is the cell's encode-side cost outside the attack
         // (the attack's own CNF building has its own `encode_*` spans).
         let _lock_span = ril_trace::span("lock", ril_trace::Phase::Encode);
-        Obfuscator::new(spec)
-            .blocks(blocks)
-            .seed(seed)
-            .obfuscate(host)
+        Obfuscator::new(c.spec)
+            .blocks(c.blocks)
+            .seed(c.seed)
+            .obfuscate(&host)
     };
-    match locked {
-        Err(_) => CellOutcome::bare("n/a"),
-        Ok(locked) => {
-            let cfg = AttackConfig {
-                timeout: Some(timeout),
-                ..AttackConfig::default()
+    let Ok(locked) = locked else {
+        return Ok(CellOutcome::bare("n/a"));
+    };
+    let cfg = AttackConfig {
+        timeout: Some(Duration::from_secs(c.timeout_s)),
+        ..AttackConfig::default()
+    };
+    Ok(match run_attack(AttackKind::Sat, &locked, &cfg) {
+        Err(e) => CellOutcome::bare(format!("err:{e}")),
+        Ok(outcome) => {
+            let report = outcome.report;
+            let cell = if report.result.succeeded() && report.functionally_correct == Some(false) {
+                // Recovered a key that does not actually unlock.
+                format!("{}(✗)", report.table_cell())
+            } else {
+                report.table_cell()
             };
-            match run_attack(AttackKind::Sat, &locked, &cfg) {
-                Err(e) => CellOutcome::bare(format!("err:{e}")),
-                Ok(outcome) => {
-                    let report = outcome.report;
-                    let cell = if report.result.succeeded()
-                        && report.functionally_correct == Some(false)
-                    {
-                        // Recovered a key that does not actually unlock.
-                        format!("{}(✗)", report.table_cell())
-                    } else {
-                        report.table_cell()
-                    };
-                    CellOutcome {
-                        cell,
-                        report: Some(report),
-                    }
-                }
+            CellOutcome {
+                cell,
+                report: Some(report),
             }
         }
-    }
+    })
 }
 
 /// Obfuscates with the Scan-Enable stage on, retrying seeds until at least
@@ -213,17 +207,21 @@ mod tests {
     use super::*;
     use ril_netlist::generators;
 
+    fn sat_cell_string(bench: &str, spec: RilBlockSpec, blocks: usize, seed: u64) -> String {
+        let spec = SatCellSpec {
+            bench: bench.to_string(),
+            spec,
+            blocks,
+            seed,
+            timeout_s: 30,
+            solver_threads: 1,
+        };
+        sat_cell(&spec).expect("known host").cell
+    }
+
     #[test]
     fn attack_cell_solves_trivial_config() {
-        let host = generators::adder(8);
-        let cell = attack_cell_report_with(
-            &host,
-            RilBlockSpec::size_2x2(),
-            1,
-            3,
-            Duration::from_secs(30),
-        )
-        .cell;
+        let cell = sat_cell_string("adder:8", RilBlockSpec::size_2x2(), 1, 3);
         assert_ne!(cell, "∞");
         assert_ne!(cell, "n/a");
         cell.parse::<f64>().expect("numeric cell");
@@ -231,15 +229,7 @@ mod tests {
 
     #[test]
     fn attack_cell_reports_na_when_host_too_small() {
-        let host = generators::adder(2);
-        let cell = attack_cell_report_with(
-            &host,
-            RilBlockSpec::size_8x8(),
-            50,
-            1,
-            Duration::from_secs(30),
-        )
-        .cell;
+        let cell = sat_cell_string("adder:2", RilBlockSpec::size_8x8(), 50, 1);
         assert_eq!(cell, "n/a");
     }
 

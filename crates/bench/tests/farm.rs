@@ -8,10 +8,12 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use ril_attacks::AttackKind;
 use ril_bench::cache::{CacheKey, CellCache};
-use ril_bench::experiments::sat_cell_key;
+use ril_bench::cell::AttackCell;
 use ril_bench::farm::coordinator::{Coordinator, FarmConfig, FarmHandle};
-use ril_bench::farm::{run_worker, SatCellSpec, WorkerConfig};
+use ril_bench::farm::{run_worker, WorkerConfig};
+use ril_bench::{CellSpec, SatCellSpec};
 use ril_core::RilBlockSpec;
 use ril_serve::farm::{FarmRequest, FarmResponse};
 use ril_serve::{read_frame_bytes, write_frame_bytes, WireCodec};
@@ -23,16 +25,28 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+fn sat_key(bench: &str, spec: RilBlockSpec, blocks: usize, seed: u64, timeout_s: u64) -> CacheKey {
+    SatCellSpec {
+        bench: bench.to_string(),
+        spec,
+        blocks,
+        seed,
+        timeout_s,
+        solver_threads: 1,
+    }
+    .key()
+}
+
 /// Fast cells: tiny adders fall to the SAT attack in milliseconds.
 fn tiny_cells(n: usize) -> Vec<CacheKey> {
     (0..n)
         .map(|i| {
-            sat_cell_key(
+            sat_key(
                 &format!("adder:{}", 4 + i),
                 RilBlockSpec::size_2x2(),
                 1,
                 3 + i as u64,
-                Duration::from_secs(10),
+                10,
             )
         })
         .collect()
@@ -361,6 +375,41 @@ fn crashed_leaseholder_is_recovered_by_a_peer_with_valid_artifacts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn an_undeliverable_result_fails_its_cell_instead_of_looping() {
+    // The SAT attack on Table V's SFLL lock runs out its budget after
+    // thousands of DIPs; their per-iteration statistics make a payload
+    // over the 1 MiB frame cap on any machine that reaches ~4k DIPs in
+    // 5 s. Such a cell must settle as failed (the in-process run then
+    // computes it), not be re-leased and recomputed forever.
+    let dir = temp_dir("oversized");
+    let key = CellSpec::Matrix(AttackCell {
+        attack: AttackKind::Sat,
+        design: "sfll_adder12_n14_s1".to_string(),
+        timeout_s: 5,
+    })
+    .key();
+    let mut handle = start_farm(&dir, vec![key.clone()], Duration::from_secs(2));
+    let cfg = WorkerConfig {
+        connect: handle.addr().to_string(),
+        name: "solo".into(),
+        codec: WireCodec::Bin,
+        poll: Duration::from_millis(20),
+    };
+    let worker = std::thread::spawn(move || run_worker(&cfg).unwrap());
+    wait_settled(&handle, Duration::from_secs(60));
+    handle.shutdown();
+    let summary = worker.join().unwrap();
+    let counts = handle.counts();
+    assert_eq!(counts.done + counts.failed, 1);
+    assert_eq!(summary.completed + summary.failed, 1, "computed once");
+    // Whichever way it settled, the cache holds a payload only for a
+    // delivered result.
+    let cached = CellCache::new(&dir, true).get(&key).is_some();
+    assert_eq!(cached, counts.done == 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn spawn_worker_process(addr: &str, name: &str) -> Child {
     Command::new(env!("CARGO_BIN_EXE_ril-bench"))
         .args(["worker", "--connect", addr, "--name", name])
@@ -378,13 +427,7 @@ fn sigkilled_worker_process_cells_are_finished_by_a_peer_process() {
     // 2s budget, per Table I) plus fast ones: the victim worker is
     // reliably mid-cell when the signal lands.
     let mut cells = tiny_cells(2);
-    cells.push(sat_cell_key(
-        "c7552",
-        RilBlockSpec::size_8x8x8(),
-        2,
-        1002,
-        Duration::from_secs(2),
-    ));
+    cells.push(sat_key("c7552", RilBlockSpec::size_8x8x8(), 2, 1002, 2));
     let mut handle = start_farm(&dir, cells.clone(), Duration::from_millis(700));
     let addr = handle.addr().to_string();
 
@@ -420,7 +463,17 @@ fn farmed_cache_file_set_matches_the_single_process_plan() {
     // sweep would look up: content-addressing is what guarantees a
     // farmed run and a local run converge on the same result set.
     let dir = temp_dir("parity");
-    let cells = tiny_cells(3);
+    let mut cells = tiny_cells(3);
+    // A non-SAT cell farms the same way: the scan-defense SAT attack
+    // against the armed SE lock.
+    cells.push(
+        CellSpec::ScanDefense(AttackCell {
+            attack: AttackKind::Sat,
+            design: true,
+            timeout_s: 10,
+        })
+        .key(),
+    );
     let mut handle = start_farm(&dir, cells.clone(), Duration::from_secs(30));
     let cfg = WorkerConfig {
         connect: handle.addr().to_string(),
@@ -445,20 +498,23 @@ fn farmed_cache_file_set_matches_the_single_process_plan() {
     on_disk.sort();
     assert_eq!(on_disk, expected);
 
-    // And the worker-computed verdict agrees with a local execution of
-    // the same canonical key (seed-deterministic obfuscation: both
-    // sides attack the same locked circuit).
+    // And the worker-computed verdict agrees with a local run of the
+    // same canonical key (seed-deterministic obfuscation and search: both
+    // sides attack the same locked circuit the same way).
     let cache = CellCache::new(&dir, true);
+    let verdict = |outcome: ril_bench::CellOutcome| {
+        outcome
+            .report
+            .map(|r| (r.result.kind(), r.functionally_correct, r.iterations))
+    };
     for key in &cells {
         let farmed = ril_bench::experiment::parse_cell_payload(&cache.get(key).unwrap()).unwrap();
-        let local_payload = SatCellSpec::parse(key.canonical())
-            .unwrap()
-            .execute()
-            .unwrap();
-        let local = ril_bench::experiment::parse_cell_payload(&local_payload).unwrap();
+        let local = CellSpec::parse(key.canonical()).unwrap().run().unwrap();
+        let (farmed, local) = (verdict(farmed), verdict(local));
+        assert!(farmed.is_some(), "{} has no report", key.canonical());
         assert_eq!(
-            farmed.report.is_some(),
-            local.report.is_some(),
+            farmed,
+            local,
             "farmed and local cells disagree for {}",
             key.canonical()
         );

@@ -8,8 +8,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use ril_bench::experiment::{find, run_experiments, Experiment};
-use ril_bench::experiments::sat_cell_key;
-use ril_bench::{CellCache, Manifest, RunConfig};
+use ril_bench::{CellCache, Manifest, RunConfig, SatCellSpec};
 use ril_core::RilBlockSpec;
 
 fn temp_out(tag: &str) -> PathBuf {
@@ -40,33 +39,46 @@ fn read_manifest(out_dir: &Path, experiment: &str) -> Manifest {
 
 #[test]
 fn cache_hits_on_identical_config_and_misses_on_any_change() {
-    let timeout = Duration::from_secs(60);
-    let base = sat_cell_key("c7552", RilBlockSpec::size_8x8(), 3, 7, timeout);
-    let same = sat_cell_key("c7552", RilBlockSpec::size_8x8(), 3, 7, timeout);
+    let cell = SatCellSpec {
+        bench: "c7552".to_string(),
+        spec: RilBlockSpec::size_8x8(),
+        blocks: 3,
+        seed: 7,
+        timeout_s: 60,
+        solver_threads: 1,
+    };
+    let (base, same) = (cell.key(), cell.clone().key());
     assert_eq!(base.canonical(), same.canonical());
     assert_eq!(base.hash_hex(), same.hash_hex());
 
     // Any coordinate change must produce a different cell identity.
     let variants = [
-        sat_cell_key("c7552", RilBlockSpec::size_2x2(), 3, 7, timeout),
-        sat_cell_key(
-            "c7552",
-            RilBlockSpec::size_8x8().with_scan(true),
-            3,
-            7,
-            timeout,
-        ),
-        sat_cell_key("c7552", RilBlockSpec::size_8x8(), 4, 7, timeout),
-        sat_cell_key("c7552", RilBlockSpec::size_8x8(), 3, 8, timeout),
-        sat_cell_key(
-            "c7552",
-            RilBlockSpec::size_8x8(),
-            3,
-            7,
-            Duration::from_secs(61),
-        ),
-        sat_cell_key("b15", RilBlockSpec::size_8x8(), 3, 7, timeout),
-    ];
+        SatCellSpec {
+            spec: RilBlockSpec::size_2x2(),
+            ..cell.clone()
+        },
+        SatCellSpec {
+            spec: RilBlockSpec::size_8x8().with_scan(true),
+            ..cell.clone()
+        },
+        SatCellSpec {
+            blocks: 4,
+            ..cell.clone()
+        },
+        SatCellSpec {
+            seed: 8,
+            ..cell.clone()
+        },
+        SatCellSpec {
+            timeout_s: 61,
+            ..cell.clone()
+        },
+        SatCellSpec {
+            bench: "b15".to_string(),
+            ..cell
+        },
+    ]
+    .map(|v| v.key());
     for (i, v) in variants.iter().enumerate() {
         assert_ne!(
             base.canonical(),

@@ -726,6 +726,26 @@ pub fn benchmark(name: &str) -> Option<Netlist> {
     })
 }
 
+/// Resolves a host name: a [`benchmark`] name, or `adder:N` /
+/// `multiplier:N` for an N-bit [`adder`] / [`multiplier`].
+///
+/// # Errors
+///
+/// Returns a message for an unknown benchmark or a malformed width.
+pub fn by_name(name: &str) -> Result<Netlist, String> {
+    if let Some(n) = name.strip_prefix("adder:") {
+        let bits: usize = n.parse().map_err(|_| format!("bad adder width `{n}`"))?;
+        return Ok(adder(bits));
+    }
+    if let Some(n) = name.strip_prefix("multiplier:") {
+        let bits: usize = n
+            .parse()
+            .map_err(|_| format!("bad multiplier width `{n}`"))?;
+        return Ok(multiplier(bits));
+    }
+    benchmark(name).ok_or_else(|| format!("unknown benchmark `{name}`"))
+}
+
 /// All benchmark names accepted by [`benchmark`], in the paper's table
 /// order.
 pub const BENCHMARK_NAMES: [&str; 9] = [

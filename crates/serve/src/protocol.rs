@@ -125,24 +125,13 @@ pub struct DesignSpec {
 }
 
 impl DesignSpec {
-    /// Builds the host netlist for this spec.
+    /// Builds the host netlist for this spec ([`generators::by_name`]).
     ///
     /// # Errors
     ///
     /// Returns a message for unknown benchmark names.
     pub fn host(&self) -> Result<Netlist, String> {
-        if let Some(n) = self.benchmark.strip_prefix("adder:") {
-            let bits: usize = n.parse().map_err(|_| format!("bad adder width `{n}`"))?;
-            return Ok(generators::adder(bits));
-        }
-        if let Some(n) = self.benchmark.strip_prefix("multiplier:") {
-            let bits: usize = n
-                .parse()
-                .map_err(|_| format!("bad multiplier width `{n}`"))?;
-            return Ok(generators::multiplier(bits));
-        }
-        generators::benchmark(&self.benchmark)
-            .ok_or_else(|| format!("unknown benchmark `{}`", self.benchmark))
+        generators::by_name(&self.benchmark)
     }
 
     /// Locks the host deterministically. Both the server (to provision)

@@ -388,9 +388,10 @@ pub fn span(name: &'static str, phase: Phase) -> Span {
     }
 }
 
-/// The tracer installed on the current thread, if any.
-pub fn current() -> Option<Tracer> {
-    top().map(|(t, _)| t)
+/// The current thread's trace context, if any: its tracer and the span
+/// a new [`span`] would open under.
+pub fn current() -> Option<(Tracer, SpanId)> {
+    top().map(|(t, id)| (t, SpanId(id)))
 }
 
 fn top() -> Option<(Tracer, u64)> {

@@ -3,9 +3,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Cell-cache keys carry no code version, so a reused out dir could build
-# tables from cells an earlier build computed. The smoke stages start from
-# an empty dir and then check that every manifest computed all its cells.
+# Cell-cache keys carry a search generation (`search=`), bumped by any
+# encoder or solver change that alters search, but nothing else about the
+# code: a reused out dir could still build tables from cells an earlier
+# build of the same search computed. The smoke stages start from an empty
+# dir and then check that every manifest computed all its cells.
 assert_no_cached_cells() {
   local manifest
   for manifest in "$1"/MANIFEST_*.json; do
@@ -115,7 +117,7 @@ RIL_OUT_DIR=exp_out/ci_serve_load RIL_LOG=error cargo run --release -q -p ril-be
 tail -10 exp_out/ci_serve_load.log
 cargo run --release -q -p ril-bench --bin ril-bench -- validate exp_out/ci_serve_load
 
-echo "== farm smoke (ril-bench run --workers 2 --smoke table1, one worker SIGKILL'd mid-run) =="
+echo "== farm smoke (ril-bench run --workers 2 --smoke table1, one worker SIGKILL'd mid-run; scan_defense + lut_scaling) =="
 # The distributed phase: a loopback coordinator plus two spawned worker
 # processes fill the cell cache before table1 assembles its rows. One
 # worker is SIGKILL'd mid-run; its leases must expire, re-issue to the
@@ -138,6 +140,16 @@ grep -q "ok   table1" exp_out/ci_farm.log
 grep -q '"farm":{' exp_out/ci_farm/MANIFEST_table1.json
 grep -q '"farm.cells.completed"' exp_out/ci_farm/MANIFEST_table1.json
 cargo run --release -q -p ril-bench --bin ril-bench -- validate exp_out/ci_farm
+# Any experiment's cells farm, not only SAT sweeps: two non-SAT ones.
+rm -rf exp_out/ci_farm_cells
+RIL_OUT_DIR=exp_out/ci_farm_cells RIL_LOG=error cargo run --release -q -p ril-bench --bin ril-bench -- \
+  run --workers 2 --smoke scan_defense lut_scaling >exp_out/ci_farm_cells.log 2>&1 \
+  || { tail -50 exp_out/ci_farm_cells.log; exit 1; }
+for exp in scan_defense lut_scaling; do
+  grep -q '"farm.cells.completed"' "exp_out/ci_farm_cells/MANIFEST_$exp.json" \
+    || { echo "$exp: no cells completed over the wire"; exit 1; }
+done
+cargo run --release -q -p ril-bench --bin ril-bench -- validate exp_out/ci_farm_cells
 
 echo "== experiment smoke (ril-bench run --all --smoke) =="
 rm -rf exp_out/ci_smoke
