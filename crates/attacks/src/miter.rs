@@ -18,6 +18,11 @@
 //! and only the still-open remainder is encoded. The DIPs of one flushed
 //! batch share a single lane-packed simulation pass, DIP *j* in lane *j*.
 //!
+//! A batch of DIPs costs one miter solve. Its model's two keys satisfy
+//! every recorded I/O pair, so any input on which they disagree is a DIP
+//! too; [`AttackInstance::dips_from_model`] finds such inputs among the
+//! single-pin flips of the model's DIP by simulating both keys.
+//!
 //! The open remainder is encoded gate by gate, and every DIP copy reuses
 //! the gates earlier copies already encoded. Each open gate is first
 //! simplified over literals: constants vanish, duplicate inputs collapse,
@@ -83,7 +88,8 @@ pub(crate) struct AttackInstance {
     retired_dips: usize,
     /// Indices into the session's solve records of the key extractions.
     extractions: Vec<usize>,
-    /// The attacker view's compiled plan: each DIP's key-free values.
+    /// The attacker view's compiled plan: each DIP's key-free values, and
+    /// the model keys' outputs when a batch is filled.
     sim: CompiledSim,
 }
 
@@ -234,43 +240,44 @@ impl AttackInstance {
         self.miter.solve_under(&[self.guard, self.diff_on])
     }
 
-    /// Opens a DIP-collection batch: a fresh guard literal the in-batch
-    /// blocking clauses are conditioned on.
-    pub(crate) fn begin_dip_batch(&mut self) -> Lit {
-        self.miter.new_var().positive()
-    }
-
-    /// Blocks a collected DIP's oracle-input assignment under the batch
-    /// guard, so the next in-batch miter solve must produce a DIP that is
-    /// fresh on the oracle pins (free pins — a tied-off `SE` — may not
-    /// differ alone).
-    pub(crate) fn block_dip_in_batch(&mut self, guard: Lit, dip_full: &[bool]) {
-        let mut clause = Vec::with_capacity(self.oracle_positions.len() + 1);
-        clause.push(!guard);
-        for &p in &self.oracle_positions {
-            clause.push(self.input_vars[p].lit(dip_full[p]));
-        }
-        self.miter.add_clause(clause);
-    }
-
-    /// [`AttackInstance::solve_miter`] with the batch guard asserted, so
-    /// in-batch blocking clauses apply.
-    pub(crate) fn solve_miter_in_batch(&mut self, guard: Lit) -> Outcome {
-        self.miter.solve_under(&[self.guard, self.diff_on, guard])
-    }
-
-    /// Closes a DIP-collection batch: the guard is permanently falsified,
-    /// retiring every blocking clause recorded under it (the collected
-    /// DIPs' I/O constraints live on under the generation guard instead).
-    pub(crate) fn end_dip_batch(&mut self, guard: Lit) {
-        self.miter.add_clause([!guard]);
-    }
-
-    /// Extracts the full data-input assignment (DIP) from the last SAT
-    /// model.
-    pub(crate) fn dip_from_model(&self) -> Vec<bool> {
+    /// Fills a DIP batch from the last SAT model without solving again.
+    /// The model's DIP `x` (its full data-input assignment) comes first.
+    /// Lane *j* of one 64-lane block holds `x` with oracle pin *j* flipped
+    /// (the first 64 oracle pins; a tied-off `SE` is never flipped), and
+    /// the block is simulated under the model's two keys. Both keys
+    /// satisfy every recorded I/O pair, so each lane whose outputs differ
+    /// is a DIP of the current formula, distinct from `x` and from every
+    /// DIP the current generation recorded. Returns `x` and then up to
+    /// `cap - 1` such lanes, in lane order.
+    pub(crate) fn dips_from_model(&mut self, cap: usize) -> Vec<Vec<bool>> {
         let model = self.miter.model();
-        self.input_vars.iter().map(|v| model[v.index()]).collect()
+        let x: Vec<bool> = self.input_vars.iter().map(|v| model[v.index()]).collect();
+        if cap <= 1 {
+            return vec![x];
+        }
+        let word = |b: bool| if b { u64::MAX } else { 0 };
+        let k1: Vec<u64> = self.key1.iter().map(|v| word(model[v.index()])).collect();
+        let k2: Vec<u64> = self.key2.iter().map(|v| word(model[v.index()])).collect();
+        let mut data: Vec<u64> = x.iter().map(|&b| word(b)).collect();
+        let pins = &self.oracle_positions[..self.oracle_positions.len().min(MAX_LANES)];
+        for (lane, &p) in pins.iter().enumerate() {
+            data[p] ^= 1 << lane;
+        }
+        let out1 = self.sim.eval_words(&data, &k1);
+        let out2 = self.sim.eval_words(&data, &k2);
+        let differ = out1.iter().zip(&out2).fold(0, |acc, (a, b)| acc | (a ^ b));
+        let flips: Vec<Vec<bool>> = pins
+            .iter()
+            .enumerate()
+            .filter(|&(lane, _)| (differ >> lane) & 1 == 1)
+            .take(cap - 1)
+            .map(|(_, &p)| {
+                let mut dip = x.clone();
+                dip[p] = !dip[p];
+                dip
+            })
+            .collect();
+        std::iter::once(x).chain(flips).collect()
     }
 
     /// Projects a full DIP onto the oracle's input pins.
@@ -1019,6 +1026,82 @@ mod tests {
             };
             assert_eq!(outcome(&mut batched), outcome(&mut single), "key {k:#b}");
         }
+    }
+
+    #[test]
+    fn a_simulated_batch_holds_distinct_single_pin_flips_the_model_keys_tell_apart() {
+        // Three rounds of one miter solve and its batch of up to 8 DIPs on
+        // each lock family. Every extra DIP flips exactly one oracle pin of
+        // the model's DIP and none repeats; `CompiledSim` gives different
+        // outputs under the model's two keys; and the solver confirms on
+        // its own that it is a DIP of the current formula.
+        let mut extras = 0;
+        for bits in [8, 16] {
+            let host = generators::adder(bits);
+            let locks = [
+                ril_core::baselines::xor_lock(&host, 8, 1).unwrap(),
+                ril_core::baselines::sfll_lock(&host, 6, 2).unwrap(),
+                ril_core::baselines::antisat_lock(&host, 6, 3).unwrap(),
+                Obfuscator::new(RilBlockSpec::size_2x2())
+                    .blocks(2)
+                    .seed(4)
+                    .obfuscate(&host)
+                    .unwrap(),
+                Obfuscator::new(RilBlockSpec::size_8x8x8())
+                    .blocks(1)
+                    .seed(5)
+                    .obfuscate(&host)
+                    .unwrap(),
+            ];
+            for (l, locked) in locks.iter().enumerate() {
+                let view = attacker_view(locked);
+                let mut oracle = Oracle::new(locked).unwrap();
+                let mut sim = CompiledSim::new(&view).unwrap();
+                let mut inst = AttackInstance::new(&view);
+                for round in 0..3 {
+                    if inst.solve_miter() != Outcome::Sat {
+                        break;
+                    }
+                    let model = inst.miter.model();
+                    let read = |vars: &[Var]| -> Vec<bool> {
+                        vars.iter().map(|v| model[v.index()]).collect()
+                    };
+                    let (x, k1, k2) = (read(&inst.input_vars), read(&inst.key1), read(&inst.key2));
+                    let dips = inst.dips_from_model(8);
+                    let at = format!("adder:{bits}, lock {l}, round {round}");
+                    assert!((1..=8).contains(&dips.len()), "{at}");
+                    assert_eq!(dips[0], x, "{at}");
+                    let distinct: HashSet<&Vec<bool>> = dips.iter().collect();
+                    assert_eq!(distinct.len(), dips.len(), "{at}: a DIP repeats");
+                    for d in &dips[1..] {
+                        let flipped: Vec<usize> = (0..x.len()).filter(|&i| d[i] != x[i]).collect();
+                        assert!(
+                            matches!(flipped[..], [p] if inst.oracle_positions.contains(&p)),
+                            "{at}: flips {flipped:?}"
+                        );
+                        assert_ne!(
+                            sim.eval_pattern(d, &k1),
+                            sim.eval_pattern(d, &k2),
+                            "{at}: the model's keys agree on an extra DIP"
+                        );
+                        let mut assumptions = vec![inst.guard, inst.diff_on];
+                        for (vars, values) in
+                            [(&inst.input_vars, d), (&inst.key1, &k1), (&inst.key2, &k2)]
+                        {
+                            assumptions.extend(vars.iter().zip(values).map(|(v, &b)| v.lit(!b)));
+                        }
+                        assert_eq!(inst.miter.solve_under(&assumptions), Outcome::Sat, "{at}");
+                    }
+                    extras += dips.len() - 1;
+                    let responses: Vec<Vec<bool>> = dips
+                        .iter()
+                        .map(|d| oracle.query(&inst.oracle_dip(d)))
+                        .collect();
+                    inst.add_dips(&dips, &responses).unwrap();
+                }
+            }
+        }
+        assert!(extras > 0, "no batch carried an extra DIP");
     }
 
     #[test]

@@ -26,12 +26,14 @@ pub struct SatAttackConfig {
     pub timeout: Option<Duration>,
     /// Maximum DIP iterations.
     pub max_iterations: Option<usize>,
-    /// DIPs accumulated per round before one lane-packed oracle flush
+    /// DIPs flushed to the oracle per round as one lane-packed block
     /// (clamped to `1..=64`, the simulator's lane width). `1` restores
-    /// the classic strictly sequential DIP loop; larger batches trade a
-    /// few extra (cheaper) miter solves for 64-way oracle evaluation and
-    /// one wire round-trip per block against remote oracles. Every lane
-    /// still counts as one query and one iteration.
+    /// the classic strictly sequential DIP loop. A larger batch still
+    /// costs one miter solve: the solve's DIP is followed by single-pin
+    /// flips of it on which the solve's two keys disagree, found by
+    /// simulation, so a round takes one 64-way oracle evaluation and one
+    /// wire round trip against remote oracles. Every lane still counts
+    /// as one query and one iteration.
     pub dip_batch: usize,
 }
 
@@ -182,8 +184,8 @@ mod tests {
         let host = generators::adder(8);
         let locked = xor_lock(&host, 12, 3).unwrap();
         // dip_batch = 1: the solve-count invariant below (one miter solve
-        // per DIP) only holds for the strictly sequential loop; batched
-        // collection adds in-batch blocking solves.
+        // per DIP) only holds for the strictly sequential loop; a batched
+        // solve records up to `dip_batch` DIPs.
         let cfg = SatAttackConfig {
             dip_batch: 1,
             ..fast_cfg()
@@ -333,6 +335,7 @@ mod tests {
                 "antisat",
                 antisat_lock(&generators::adder(8), 4, 7).unwrap(),
             ),
+            ("sfll", sfll_lock(&generators::adder(8), 6, 9).unwrap()),
         ];
         for (name, locked) in &hosts {
             let sequential = run_sat_attack_impl(
@@ -361,5 +364,76 @@ mod tests {
                 "{name}: functional correctness diverges"
             );
         }
+    }
+
+    /// An in-process oracle that logs every pattern it answers.
+    struct Recording {
+        inner: Oracle,
+        seen: Vec<Vec<bool>>,
+    }
+
+    impl OracleSource for Recording {
+        fn input_width(&self) -> usize {
+            self.inner.input_width()
+        }
+
+        fn output_width(&self) -> usize {
+            self.inner.output_width()
+        }
+
+        fn try_query(&mut self, inputs: &[bool]) -> Result<Vec<bool>, crate::OracleError> {
+            self.seen.push(inputs.to_vec());
+            self.inner.try_query(inputs)
+        }
+
+        fn try_query_batch(
+            &mut self,
+            block: &ril_netlist::PatternBlock,
+        ) -> Result<ril_netlist::ResponseBlock, crate::OracleError> {
+            self.seen.extend(block.unpack());
+            self.inner.try_query_batch(block)
+        }
+
+        fn queries(&self) -> u64 {
+            self.inner.queries()
+        }
+    }
+
+    #[test]
+    fn batched_attacks_replay_exactly() {
+        // The batch fill reads only the model and the simulator, so two
+        // batched attacks on one lock ask the same DIPs in the same order
+        // and do the same solver work.
+        let locked = Obfuscator::new(RilBlockSpec::size_2x2())
+            .blocks(2)
+            .seed(5)
+            .obfuscate(&generators::adder(16))
+            .unwrap();
+        let view = attacker_view(&locked);
+        let cfg = SatAttackConfig {
+            dip_batch: 8,
+            ..fast_cfg()
+        };
+        let run = || {
+            let mut oracle = Recording {
+                inner: Oracle::new(&locked).unwrap(),
+                seen: Vec::new(),
+            };
+            let report = sat_attack(&view, &mut oracle, &cfg);
+            (report, oracle.seen)
+        };
+        let (first, first_dips) = run();
+        let (second, second_dips) = run();
+        assert!(first.result.succeeded(), "{first}");
+        // More DIPs than DIP solves: the batches carried extra DIPs.
+        assert!(first.iterations >= first.iteration_stats.len(), "{first}");
+        assert_eq!(first_dips.len(), first.iterations);
+        assert_eq!(first_dips, second_dips);
+        assert_eq!(first.result, second.result);
+        assert_eq!(first.miter_stats.conflicts, second.miter_stats.conflicts);
+        assert_eq!(
+            first.miter_stats.propagations,
+            second.miter_stats.propagations
+        );
     }
 }

@@ -94,12 +94,11 @@ impl AttackSession {
 
     /// Runs one DIP iteration: budget check, miter solve on the warm
     /// session, oracle query, constraint append. With `dip_batch > 1` the
-    /// miter is re-solved under temporary blocking clauses to accumulate
-    /// up to that many distinct DIPs, which are flushed to the oracle as
-    /// one lane-packed [`PatternBlock`] — every lane still counts as one
-    /// query and one iteration. Each step is an `iteration` trace span
-    /// carrying the miter size and the cumulative DIP count (= I/O
-    /// constraints pruning the key space so far).
+    /// solve's model yields up to that many distinct DIPs, which are
+    /// flushed to the oracle as one lane-packed [`PatternBlock`] — every
+    /// lane still counts as one query and one iteration. Each step is an
+    /// `iteration` trace span carrying the miter size and the cumulative
+    /// DIP count (= I/O constraints pruning the key space so far).
     pub(crate) fn step(&mut self, oracle: &mut dyn OracleSource) -> DipStep {
         let mut span = ril_trace::span("iteration", ril_trace::Phase::Iteration);
         let before = self.iterations;
@@ -173,39 +172,18 @@ impl AttackSession {
         }
     }
 
-    /// Harvests the first DIP from the miter's current model and, for
-    /// `dip_batch > 1`, re-solves under a temporary batch guard blocking
-    /// the oracle-pin assignments gathered so far — each further model is
-    /// a DIP for a *distinct* oracle pattern. Collection stops at the
-    /// batch size, the iteration cap, budget exhaustion, or when no
-    /// further distinct DIP exists (the ones in hand still flush).
+    /// Harvests this round's DIPs from the miter's model: its DIP and,
+    /// for `dip_batch > 1`, single-pin flips of it that the model's two
+    /// keys still tell apart (see [`AttackInstance::dips_from_model`]), so
+    /// a batch costs one miter solve and one simulation of each key. The
+    /// batch stops at `dip_batch`, at the iteration cap, or when no flip
+    /// distinguishes the keys (the DIPs in hand still flush).
     fn collect_dips(&mut self) -> Vec<Vec<bool>> {
-        let mut dips = vec![self.inst.dip_from_model()];
         let cap = self
             .max_iterations
             .map_or(self.dip_batch, |m| self.dip_batch.min(m - self.iterations))
             .max(1);
-        if cap == 1 {
-            return dips;
-        }
-        let guard = self.inst.begin_dip_batch();
-        while dips.len() < cap {
-            match self.remaining() {
-                Some(left) if left.is_zero() => break,
-                left => self.inst.miter.set_budget(Budget::from_timeout(left)),
-            }
-            self.inst
-                .block_dip_in_batch(guard, dips.last().expect("non-empty"));
-            match self.inst.solve_miter_in_batch(guard) {
-                Outcome::Sat => dips.push(self.inst.dip_from_model()),
-                // Unsat: no distinct DIP left this round. Unknown: the
-                // collection budget ran out. Either way, flush what we
-                // have — the batch is best-effort.
-                Outcome::Unsat | Outcome::Unknown => break,
-            }
-        }
-        self.inst.end_dip_batch(guard);
-        dips
+        self.inst.dips_from_model(cap)
     }
 
     /// Appends externally chosen I/O constraints (AppSAT's random-query

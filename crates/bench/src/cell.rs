@@ -14,7 +14,7 @@
 //! [`crate::RunContext::outcomes`]. A SAT cell's key, for example:
 //!
 //! ```text
-//! v1|exp=attack|kind=sat|bench=c7552|spec=8x8|blocks=2|seed=1002|timeout_s=60|solver_threads=1|search=1
+//! v1|exp=attack|kind=sat|bench=c7552|spec=8x8|blocks=2|seed=1002|timeout_s=60|solver_threads=1|search=2
 //! ```
 
 use std::str::FromStr;
@@ -32,7 +32,7 @@ use crate::CellOutcome;
 /// with any encoder or solver change that alters search (DIPs,
 /// conflicts, verdicts): a cell cached by an older search then misses
 /// instead of filling a table row with a stale result.
-pub const SEARCH: u32 = 1;
+pub const SEARCH: u32 = 2;
 
 /// Table I / Table III: the SAT attack on `blocks` RIL-Blocks of shape
 /// `spec` on host `bench`.

@@ -117,7 +117,7 @@ RIL_OUT_DIR=exp_out/ci_serve_load RIL_LOG=error cargo run --release -q -p ril-be
 tail -10 exp_out/ci_serve_load.log
 cargo run --release -q -p ril-bench --bin ril-bench -- validate exp_out/ci_serve_load
 
-echo "== farm smoke (ril-bench run --workers 2 --smoke table1, one worker SIGKILL'd mid-run; scan_defense + lut_scaling) =="
+echo "== farm smoke (ril-bench run --workers 2 --smoke table1, one worker SIGKILL'd mid-run; scan_defense + lut_scaling + table5) =="
 # The distributed phase: a loopback coordinator plus two spawned worker
 # processes fill the cell cache before table1 assembles its rows. One
 # worker is SIGKILL'd mid-run; its leases must expire, re-issue to the
@@ -140,15 +140,20 @@ grep -q "ok   table1" exp_out/ci_farm.log
 grep -q '"farm":{' exp_out/ci_farm/MANIFEST_table1.json
 grep -q '"farm.cells.completed"' exp_out/ci_farm/MANIFEST_table1.json
 cargo run --release -q -p ril-bench --bin ril-bench -- validate exp_out/ci_farm
-# Any experiment's cells farm, not only SAT sweeps: two non-SAT ones.
+# Any experiment's cells farm, not only SAT sweeps: two non-SAT ones,
+# and table5, whose budget-bound cells carry the largest payloads. A
+# payload over the 1 MiB frame cap fails its cell on the farm (it is then
+# computed in-process), so every table5 cell must come back over the wire.
 rm -rf exp_out/ci_farm_cells
 RIL_OUT_DIR=exp_out/ci_farm_cells RIL_LOG=error cargo run --release -q -p ril-bench --bin ril-bench -- \
-  run --workers 2 --smoke scan_defense lut_scaling >exp_out/ci_farm_cells.log 2>&1 \
+  run --workers 2 --smoke scan_defense lut_scaling table5 >exp_out/ci_farm_cells.log 2>&1 \
   || { tail -50 exp_out/ci_farm_cells.log; exit 1; }
-for exp in scan_defense lut_scaling; do
+for exp in scan_defense lut_scaling table5; do
   grep -q '"farm.cells.completed"' "exp_out/ci_farm_cells/MANIFEST_$exp.json" \
     || { echo "$exp: no cells completed over the wire"; exit 1; }
 done
+! grep -q '"farm.cells.failed"' exp_out/ci_farm_cells/MANIFEST_table5.json \
+  || { echo "table5: a farmed cell failed (payload over the frame cap?)"; exit 1; }
 cargo run --release -q -p ril-bench --bin ril-bench -- validate exp_out/ci_farm_cells
 
 echo "== experiment smoke (ril-bench run --all --smoke) =="
