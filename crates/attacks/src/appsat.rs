@@ -7,15 +7,15 @@
 //! quickly; against RIL-Blocks' high-corruption key logic it degenerates
 //! to the exact attack; and against the Scan-Enable defense its model is
 //! inconsistent with the oracle and it "fails and terminates erroneously"
-//! (paper Table III, ✗ column).
+//! (paper Table III, ✗ column). The DIP loop is the SAT attack's
+//! (`AttackSession::run`); the estimation round is its per-DIP hook.
 
-use crate::oracle::{attacker_view, Oracle, OracleSource};
+use crate::oracle::OracleSource;
 use crate::report::{AttackReport, AttackResult};
-use crate::satattack::default_timeout;
-use crate::session::{AttackSession, DipStep};
+use crate::satattack::{SatAttackConfig, DEFAULT_TIMEOUT};
+use crate::session::{inconsistent, oracle_failed, AttackSession, FREE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ril_core::LockedCircuit;
 use ril_netlist::{CompiledSim, Netlist, PatternBlock, ResponseBlock, MAX_LANES};
 use std::time::Duration;
 
@@ -42,7 +42,7 @@ impl Default for AppSatConfig {
             rounds_per_estimate: 4,
             queries_per_estimate: 32,
             error_threshold: 0.0,
-            timeout: Some(default_timeout()),
+            timeout: Some(DEFAULT_TIMEOUT),
             max_iterations: None,
             seed: 0xA995A7,
         }
@@ -59,192 +59,131 @@ pub fn appsat_attack(
     oracle: &mut dyn OracleSource,
     cfg: &AppSatConfig,
 ) -> AttackReport {
-    let mut span = ril_trace::span("appsat", ril_trace::Phase::Attack);
-    let report = appsat_attack_inner(nl, oracle, cfg);
-    if span.is_active() {
-        span.record_str("result", report.result.kind());
-        span.record_u64("iterations", report.iterations as u64);
-        span.record_u64("oracle_queries", report.oracle_queries);
-        ril_trace::counter("attack.runs", 1);
-    }
-    report
-}
-
-fn appsat_attack_inner(
-    nl: &Netlist,
-    oracle: &mut dyn OracleSource,
-    cfg: &AppSatConfig,
-) -> AttackReport {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
     // AppSAT keeps the sequential DIP loop (its rounds_per_estimate
     // cadence is defined per single DIP); batching pays off in the
-    // estimation phase below, where whole probe blocks ride one oracle
-    // access each.
-    let mut sess = AttackSession::new(nl, oracle, cfg.timeout, cfg.max_iterations, 1);
+    // estimation round, where whole probe blocks ride one oracle access
+    // each.
+    let limits = SatAttackConfig {
+        timeout: cfg.timeout,
+        max_iterations: cfg.max_iterations,
+        dip_batch: 1,
+    };
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut predict_sim = CompiledSim::new(nl).expect("combinational attacker view");
-
-    loop {
-        match sess.step(oracle) {
-            DipStep::Distinguished => {}
-            DipStep::Budget => return sess.report(oracle, AttackResult::Timeout),
-            DipStep::OracleInconsistent => {
-                return sess.report(
-                    oracle,
-                    AttackResult::Failed(
-                        "AppSAT terminated erroneously: oracle contradicts key-independent logic"
-                            .into(),
-                    ),
-                )
-            }
-            DipStep::OracleFailed(e) => {
-                return sess.report(oracle, AttackResult::Failed(format!("oracle failure: {e}")))
-            }
-            DipStep::Converged => {
-                // Converged exactly — extract like the plain SAT attack.
-                return match sess.extract_key(&[]) {
-                    Ok(Some(key)) => sess.report(oracle, AttackResult::ExactKey(key)),
-                    Ok(None) => sess.report(
-                        oracle,
-                        AttackResult::Failed(
-                            "AppSAT terminated erroneously: no key matches the oracle".into(),
-                        ),
-                    ),
-                    Err(()) => sess.report(oracle, AttackResult::Timeout),
-                };
-            }
-        }
-
-        // Periodic error estimation with random-query reinforcement; the
-        // candidate comes from the warm miter with its difference switched
-        // off (no rebuild per candidate).
+    AttackSession::run("appsat", nl, oracle, &limits, &[FREE], |sess, oracle| {
         if sess.iterations.is_multiple_of(cfg.rounds_per_estimate) {
-            let _est = ril_trace::span("estimate_error", ril_trace::Phase::Verify);
-            let candidate = match sess.extract_key(&[]) {
-                Ok(Some(key)) => key,
-                Ok(None) => {
-                    return sess.report(
-                        oracle,
-                        AttackResult::Failed(
-                            "AppSAT terminated erroneously: candidate-key formula is UNSAT".into(),
-                        ),
-                    )
-                }
-                Err(()) => return sess.report(oracle, AttackResult::Timeout),
-            };
-            let candidate_words: Vec<u64> = candidate
-                .iter()
-                .map(|&b| if b { u64::MAX } else { 0 })
-                .collect();
-            let mut wrong_bits = 0usize;
-            let mut total_bits = 0usize;
-            // The probes are drawn up front (same RNG order as querying
-            // one at a time) and shipped as lane-packed blocks: one
-            // oracle access — one wire round-trip against a remote chip —
-            // answers up to 64 of them.
-            let mut remaining = cfg.queries_per_estimate;
-            while remaining > 0 {
-                let lanes = remaining.min(MAX_LANES);
-                let probes: Vec<Vec<bool>> = (0..lanes)
-                    .map(|_| (0..oracle.input_width()).map(|_| rng.gen()).collect())
-                    .collect();
-                let truths = if lanes == 1 {
-                    match oracle.try_query(&probes[0]) {
-                        Ok(t) => vec![t],
-                        Err(e) => {
-                            return sess.report(
-                                oracle,
-                                AttackResult::Failed(format!("oracle failure: {e}")),
-                            )
-                        }
-                    }
-                } else {
-                    match oracle.try_query_batch(&PatternBlock::pack(&probes)) {
-                        Ok(block) => block.unpack(),
-                        Err(e) => {
-                            return sess.report(
-                                oracle,
-                                AttackResult::Failed(format!("oracle failure: {e}")),
-                            )
-                        }
-                    }
-                };
-                // The candidate's predictions for the whole block come
-                // from one lane-packed pass, and the probes it gets wrong
-                // are recorded as one batch.
-                let fulls: Vec<Vec<bool>> = probes
-                    .iter()
-                    .map(|probe| {
-                        let mut full = vec![false; sess.inst.input_vars.len()];
-                        for (slot, &pos) in sess.inst.oracle_positions.iter().enumerate() {
-                            full[pos] = probe[slot];
-                        }
-                        full
-                    })
-                    .collect();
-                let predicted = ResponseBlock::from_words(
-                    predict_sim.eval_words(PatternBlock::pack(&fulls).words(), &candidate_words),
-                    lanes,
-                )
-                .unpack();
-                let (mut wrong_dips, mut wrong_truths) = (Vec::new(), Vec::new());
-                for ((full, truth), predict) in fulls.into_iter().zip(truths).zip(&predicted) {
-                    let diff = predict.iter().zip(&truth).filter(|(a, b)| a != b).count();
-                    wrong_bits += diff;
-                    total_bits += truth.len();
-                    if diff > 0 {
-                        wrong_dips.push(full);
-                        wrong_truths.push(truth);
-                    }
-                }
-                if !wrong_dips.is_empty() && sess.reinforce(&wrong_dips, &wrong_truths).is_err() {
-                    return sess.report(
-                        oracle,
-                        AttackResult::Failed(
-                            "AppSAT terminated erroneously: oracle contradicts key-independent logic"
-                                .into(),
-                        ),
-                    );
-                }
-                remaining -= lanes;
-            }
-            let est_error = wrong_bits as f64 / total_bits.max(1) as f64;
-            if est_error <= cfg.error_threshold {
-                return sess.report(
-                    oracle,
-                    AttackResult::ApproxKey {
-                        key: candidate,
-                        est_error,
-                    },
-                );
-            }
+            estimate(sess, oracle, cfg, &mut rng, &mut predict_sim)
+        } else {
+            Ok(())
         }
-    }
+    })
 }
 
-/// Full harness flow behind [`crate::run_attack`]: attacker view + oracle
-/// from a locked circuit, with a ground-truth functional check on the
-/// recovered key.
-pub(crate) fn run_appsat_impl(
-    locked: &LockedCircuit,
+/// One error-estimation round with random-query reinforcement: the
+/// candidate comes from the warm miter with its difference switched off
+/// (no rebuild per candidate), and every probe it gets wrong is recorded
+/// as a DIP. `Err` ends the attack: with an approximate key once the
+/// estimated error is at or below the threshold.
+fn estimate(
+    sess: &mut AttackSession,
+    oracle: &mut dyn OracleSource,
     cfg: &AppSatConfig,
-) -> Result<AttackReport, ril_netlist::NetlistError> {
-    let view = attacker_view(locked);
-    let mut oracle = Oracle::new(locked)?;
-    let mut report = appsat_attack(&view, &mut oracle, cfg);
-    if let Some(key) = report.result.key() {
-        let _v = ril_trace::span("verify_key", ril_trace::Phase::Verify);
-        let ok = locked.equivalent_under_key(key, 32)?;
-        report.functionally_correct = Some(ok);
+    rng: &mut StdRng,
+    predict_sim: &mut CompiledSim,
+) -> Result<(), AttackResult> {
+    let _est = ril_trace::span("estimate_error", ril_trace::Phase::Verify);
+    let candidate = sess.extract(&[FREE])?;
+    let candidate_words: Vec<u64> = candidate
+        .iter()
+        .map(|&b| if b { u64::MAX } else { 0 })
+        .collect();
+    let mut wrong_bits = 0usize;
+    let mut total_bits = 0usize;
+    // The probes are drawn up front (same RNG order as querying one at a
+    // time) and shipped as lane-packed blocks: one oracle access — one
+    // wire round-trip against a remote chip — answers up to 64 of them.
+    let mut remaining = cfg.queries_per_estimate;
+    while remaining > 0 {
+        let lanes = remaining.min(MAX_LANES);
+        let probes: Vec<Vec<bool>> = (0..lanes)
+            .map(|_| (0..oracle.input_width()).map(|_| rng.gen()).collect())
+            .collect();
+        let truths = if lanes == 1 {
+            vec![oracle.try_query(&probes[0]).map_err(oracle_failed)?]
+        } else {
+            oracle
+                .try_query_batch(&PatternBlock::pack(&probes))
+                .map_err(oracle_failed)?
+                .unpack()
+        };
+        // The candidate's predictions for the whole block come from one
+        // lane-packed pass, and the probes it gets wrong are recorded as
+        // one batch.
+        let fulls: Vec<Vec<bool>> = probes
+            .iter()
+            .map(|probe| {
+                let mut full = vec![false; sess.inst.input_vars.len()];
+                for (slot, &pos) in sess.inst.oracle_positions.iter().enumerate() {
+                    full[pos] = probe[slot];
+                }
+                full
+            })
+            .collect();
+        let predicted = ResponseBlock::from_words(
+            predict_sim.eval_words(PatternBlock::pack(&fulls).words(), &candidate_words),
+            lanes,
+        )
+        .unpack();
+        let (mut wrong_dips, mut wrong_truths) = (Vec::new(), Vec::new());
+        for ((full, truth), predict) in fulls.into_iter().zip(truths).zip(&predicted) {
+            let diff = predict.iter().zip(&truth).filter(|(a, b)| a != b).count();
+            wrong_bits += diff;
+            total_bits += truth.len();
+            if diff > 0 {
+                wrong_dips.push(full);
+                wrong_truths.push(truth);
+            }
+        }
+        if !wrong_dips.is_empty() {
+            sess.reinforce(&wrong_dips, &wrong_truths)
+                .map_err(|()| inconsistent())?;
+        }
+        remaining -= lanes;
     }
-    Ok(report)
+    let est_error = wrong_bits as f64 / total_bits.max(1) as f64;
+    if est_error <= cfg.error_threshold {
+        return Err(AttackResult::ApproxKey {
+            key: candidate,
+            est_error,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_attack, AttackConfig, AttackKind};
     use ril_core::baselines::{sfll_lock, xor_lock};
     use ril_core::{Obfuscator, RilBlockSpec};
     use ril_netlist::generators;
+
+    /// AppSAT through the full harness, key check included.
+    fn run_appsat(
+        locked: &ril_core::LockedCircuit,
+        cfg: &AppSatConfig,
+    ) -> Result<AttackReport, ril_netlist::NetlistError> {
+        let cfg = AttackConfig {
+            timeout: cfg.timeout,
+            max_iterations: cfg.max_iterations,
+            seed: cfg.seed,
+            rounds_per_estimate: cfg.rounds_per_estimate,
+            queries_per_estimate: cfg.queries_per_estimate,
+            error_threshold: cfg.error_threshold,
+            ..AttackConfig::default()
+        };
+        Ok(run_attack(AttackKind::AppSat, locked, &cfg)?.report)
+    }
 
     fn fast_cfg() -> AppSatConfig {
         AppSatConfig {
@@ -257,7 +196,7 @@ mod tests {
     fn appsat_recovers_xor_lock_exactly_or_approximately() {
         let host = generators::adder(8);
         let locked = xor_lock(&host, 10, 4).unwrap();
-        let report = run_appsat_impl(&locked, &fast_cfg()).unwrap();
+        let report = run_appsat(&locked, &fast_cfg()).unwrap();
         assert!(report.result.succeeded(), "{report}");
         assert_eq!(report.functionally_correct, Some(true), "{report}");
     }
@@ -273,7 +212,7 @@ mod tests {
             rounds_per_estimate: 2,
             ..fast_cfg()
         };
-        let report = run_appsat_impl(&locked, &cfg).unwrap();
+        let report = run_appsat(&locked, &cfg).unwrap();
         assert!(report.result.succeeded(), "{report}");
         match report.result {
             AttackResult::ApproxKey { est_error, .. } => assert!(est_error <= 0.01),
@@ -290,7 +229,7 @@ mod tests {
             .seed(8)
             .obfuscate(&host)
             .unwrap();
-        let report = run_appsat_impl(&locked, &fast_cfg()).unwrap();
+        let report = run_appsat(&locked, &fast_cfg()).unwrap();
         assert!(report.result.succeeded(), "{report}");
         assert_eq!(report.functionally_correct, Some(true));
     }
@@ -310,7 +249,7 @@ mod tests {
             rounds_per_estimate: 2,
             ..fast_cfg()
         };
-        let report = run_appsat_impl(&locked, &cfg).unwrap();
+        let report = run_appsat(&locked, &cfg).unwrap();
         assert!(report.result.succeeded(), "{report}");
         assert!(report.iterations >= cfg.rounds_per_estimate, "{report}");
         // One solve per DIP, plus the UNSAT proof of an exact convergence.
@@ -349,7 +288,7 @@ mod tests {
             if !any_se {
                 continue;
             }
-            let report = run_appsat_impl(&locked, &fast_cfg()).unwrap();
+            let report = run_appsat(&locked, &fast_cfg()).unwrap();
             let defeated = matches!(
                 report.result,
                 AttackResult::Failed(_) | AttackResult::Timeout
@@ -372,7 +311,7 @@ mod tests {
             timeout: Some(Duration::from_millis(50)),
             ..AppSatConfig::default()
         };
-        let report = run_appsat_impl(&locked, &cfg).unwrap();
+        let report = run_appsat(&locked, &cfg).unwrap();
         assert_eq!(report.result, AttackResult::Timeout);
     }
 }

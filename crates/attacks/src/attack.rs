@@ -5,17 +5,21 @@
 //! free-function entry point with its own config struct. This module puts
 //! one surface over all of them: [`AttackKind`] names an attack,
 //! [`AttackConfig`] carries every knob any of them understands, and
-//! [`run_attack`] runs the one a kind names. Every attack returns the same [`AttackOutcome`], so the bench
-//! drivers iterate over kinds instead of special-casing call signatures.
-//! The oracle-level drivers (`satattack::sat_attack`,
-//! `appsat::appsat_attack`, `scansat::scansat_model_attack`) stay at their
-//! module paths for callers that bring their own oracle.
+//! [`run_attack`] runs the one a kind names. Every attack returns the same
+//! [`AttackOutcome`], so the bench drivers iterate over kinds instead of
+//! special-casing call signatures. [`run_attack`] is the one harness: it
+//! builds the attacker view and the oracle, runs the attack, and checks
+//! the recovered key against ground truth with [`check_key`]. The
+//! oracle-level drivers (`satattack::sat_attack`, `appsat::appsat_attack`,
+//! `scansat::scansat_model_attack`) stay at their module paths for callers
+//! that bring their own oracle.
 
-use crate::appsat::{run_appsat_impl, AppSatConfig};
+use crate::appsat::{appsat_attack, AppSatConfig};
+use crate::oracle::{attacker_view, Oracle};
 use crate::removal::{removal_attack_impl, RemovalReport};
 use crate::report::{AttackReport, AttackResult};
-use crate::satattack::{default_timeout, run_sat_attack_impl, SatAttackConfig};
-use crate::scansat::scansat_attack_impl;
+use crate::satattack::{sat_attack, SatAttackConfig, DEFAULT_TIMEOUT};
+use crate::scansat::scansat_model_attack;
 use ril_core::LockedCircuit;
 use ril_netlist::NetlistError;
 use ril_sat::SolverStats;
@@ -93,7 +97,7 @@ impl Default for AttackConfig {
     fn default() -> AttackConfig {
         let appsat = AppSatConfig::default();
         AttackConfig {
-            timeout: Some(default_timeout()),
+            timeout: Some(DEFAULT_TIMEOUT),
             max_iterations: None,
             seed: appsat.seed,
             dip_batch: SatAttackConfig::default().dip_batch,
@@ -184,7 +188,9 @@ fn removal_outcome(
 }
 
 /// Runs the attack named by `kind` — the canonical entry point of the
-/// suite.
+/// suite. An oracle-guided attack runs against the locked circuit's
+/// attacker view and an in-process [`Oracle`]; its recovered key is then
+/// checked with [`check_key`].
 ///
 /// # Errors
 ///
@@ -194,17 +200,39 @@ pub fn run_attack(
     locked: &LockedCircuit,
     cfg: &AttackConfig,
 ) -> Result<AttackOutcome, NetlistError> {
-    let report = match kind {
-        AttackKind::Sat => run_sat_attack_impl(locked, &cfg.sat_config())?,
-        AttackKind::AppSat => run_appsat_impl(locked, &cfg.appsat_config())?,
-        AttackKind::ScanSat => scansat_attack_impl(locked, &cfg.sat_config())?,
-        AttackKind::Removal => return removal_outcome(locked, cfg),
+    if kind == AttackKind::Removal {
+        return removal_outcome(locked, cfg);
+    }
+    let view = attacker_view(locked);
+    let mut oracle = Oracle::new(locked)?;
+    let mut report = match kind {
+        AttackKind::Sat => sat_attack(&view, &mut oracle, &cfg.sat_config()),
+        AttackKind::AppSat => appsat_attack(&view, &mut oracle, &cfg.appsat_config()),
+        AttackKind::ScanSat => scansat_model_attack(&view, &mut oracle, &cfg.sat_config())?,
+        AttackKind::Removal => unreachable!("removal returned above"),
     };
+    check_key(locked, &mut report)?;
     Ok(AttackOutcome {
         kind,
         report,
         removal: None,
     })
+}
+
+/// Checks the key a report recovered, if any, for *true* functional
+/// equivalence — the ground truth the attacker lacks — and records the
+/// verdict in [`AttackReport::functionally_correct`]. The check samples
+/// 32 random 64-pattern blocks of the functional-mode circuit.
+///
+/// # Errors
+///
+/// Propagates simulator construction failures.
+pub fn check_key(locked: &LockedCircuit, report: &mut AttackReport) -> Result<(), NetlistError> {
+    if let Some(key) = report.result.key() {
+        let _v = ril_trace::span("verify_key", ril_trace::Phase::Verify);
+        report.functionally_correct = Some(locked.equivalent_under_key(key, 32)?);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -174,17 +174,6 @@ pub fn u64_field(v: &JsonValue, name: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing integer field `{name}`"))
 }
 
-/// Decodes a required bool field from an object node.
-///
-/// # Errors
-///
-/// Returns a message naming the missing/mistyped field.
-pub fn bool_field(v: &JsonValue, name: &str) -> Result<bool, String> {
-    v.get(name)
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| format!("missing bool field `{name}`"))
-}
-
 /// Decodes a histogram object
 /// (`{"count":N,"sum_us":N,"max_us":N,"buckets":[[bound,n],...]}`) — the
 /// inverse of [`ril_trace::HistogramSnapshot::json_into`]. Returns

@@ -9,6 +9,11 @@
 //! * [`removal`] — removal + bypass of key-dependent logic.
 //! * [`scansat`] — the scan-chain modelling attack and the
 //!   boundary-inversion victim it was designed for.
+//!
+//! The three oracle-guided attacks share one driver (the private
+//! `session` module): one DIP loop over one incremental miter solver,
+//! one key extraction, one trace span and one report. Each attack module
+//! is the policy it passes that driver.
 //! * [`oracle`] — the activated-IC black box (scan accesses assert `SE`,
 //!   so Scan-Enable-defended designs answer with corrupted responses).
 //! * [`json`] — the hand-rolled JSON reader matching the suite's
@@ -18,7 +23,9 @@
 //!
 //! Every attack runs behind the unified API of the [`attack`] module:
 //! pick an [`AttackKind`], fill an [`AttackConfig`] (one struct for all
-//! four attacks), and run it with [`run_attack`].
+//! four attacks), and run it with [`run_attack`], the one harness: it
+//! builds the attacker view and oracle and checks the recovered key with
+//! [`check_key`].
 //!
 //! ```
 //! use ril_attacks::prelude::*;
@@ -54,12 +61,12 @@ pub mod scansat;
 mod session;
 
 pub use appsat::AppSatConfig;
-pub use attack::{run_attack, AttackConfig, AttackKind, AttackOutcome};
+pub use attack::{check_key, run_attack, AttackConfig, AttackKind, AttackOutcome};
 pub use oracle::{attacker_view, Oracle, OracleError, OracleSource};
 pub use removal::RemovalReport;
 pub use report::{AttackReport, AttackResult, IterationStats};
 // The lane-packed batch carriers every `OracleSource` speaks, re-exported
 // so oracle implementors need not depend on `ril-netlist` directly.
 pub use ril_netlist::{PatternBlock, ResponseBlock, MAX_LANES};
-pub use satattack::{default_timeout, SatAttackConfig};
+pub use satattack::SatAttackConfig;
 pub use scansat::{output_inversion_lock, scansat_model_attack};

@@ -45,13 +45,13 @@
 use ril_core::SE_PIN;
 use ril_netlist::{CompiledSim, GateId, GateKind, NetId, Netlist, PatternBlock, MAX_LANES};
 use ril_sat::tseitin::encode_selected;
-use ril_sat::{encode_gate, encode_netlist_into, Budget, Lit, Outcome, Session, Var};
+use ril_sat::{encode_gate, encode_netlist_into, Lit, Solver, Var};
 use std::collections::{HashMap, HashSet};
-use std::time::Duration;
+use std::ops::Range;
 
 /// The incremental state of one oracle-guided attack.
 ///
-/// One persistent [`Session`], constructed exactly once, answers every
+/// One persistent [`Solver`], constructed exactly once, answers every
 /// question the attack asks: each DIP's constraint is encoded straight
 /// into the live solver, so learned clauses, the decision order and watch
 /// lists stay warm across the whole DIP loop instead of being rebuilt per
@@ -61,7 +61,7 @@ use std::time::Duration;
 pub(crate) struct AttackInstance {
     /// The miter (`C(x,k1) ≠ C(x,k2)` under `diff_on`, plus the recorded
     /// I/O on both key vectors).
-    pub(crate) miter: Session,
+    pub(crate) miter: Solver,
     /// Shared data-input vars (netlist data-input order, incl. tied SE).
     pub(crate) input_vars: Vec<Var>,
     /// Copy 1's key vars: the key an extraction reads.
@@ -86,8 +86,6 @@ pub(crate) struct AttackInstance {
     active_dips: usize,
     /// DIP constraints retired by generation bumps so far.
     retired_dips: usize,
-    /// Indices into the session's solve records of the key extractions.
-    extractions: Vec<usize>,
     /// The attacker view's compiled plan: each DIP's key-free values, and
     /// the model keys' outputs when a batch is filled.
     sim: CompiledSim,
@@ -123,9 +121,9 @@ impl AttackInstance {
             .map(|&g| nl.gate(g).output())
             .collect();
 
-        // The session is constructed here, once, and the miter is encoded
+        // The solver is constructed here, once, and the miter is encoded
         // straight into it; from now on clauses are only ever *appended*.
-        let mut miter = Session::new();
+        let mut miter = Solver::new();
         let mut new_vars = |n: usize| -> Vec<Var> { (0..n).map(|_| miter.new_var()).collect() };
         let input_vars = new_vars(data_inputs.len());
         let key1 = new_vars(key_inputs.len());
@@ -196,7 +194,6 @@ impl AttackInstance {
             generation: 0,
             active_dips: 0,
             retired_dips: 0,
-            extractions: Vec::new(),
             sim: CompiledSim::new(nl).expect("combinational"),
         }
     }
@@ -234,10 +231,11 @@ impl AttackInstance {
         self.retired_dips
     }
 
-    /// Solves the miter for a fresh DIP under the current generation's
-    /// guard (retired generations' constraints stay inactive).
-    pub(crate) fn solve_miter(&mut self) -> Outcome {
-        self.miter.solve_under(&[self.guard, self.diff_on])
+    /// Assumptions of a DIP solve: the current generation's guard
+    /// (retired generations' constraints stay inactive) and the
+    /// difference switched on.
+    pub(crate) fn dip_assumptions(&self) -> [Lit; 2] {
+        [self.guard, self.diff_on]
     }
 
     /// Fills a DIP batch from the last SAT model without solving again.
@@ -354,36 +352,20 @@ impl AttackInstance {
         Ok(())
     }
 
-    /// Solves the miter with the difference switched off, under the
-    /// generation guard and `assumptions`, for a key consistent with the
-    /// recorded responses: `Some(key)` (copy 1's key variables) on
-    /// success, `None` on UNSAT (no key satisfies the responses *and*
-    /// the assumptions — the caller may retry with fewer), or `Err` on
-    /// budget exhaustion. ScanSAT assumes its mask bits off first.
-    pub(crate) fn extract_key(
-        &mut self,
-        assumptions: &[Lit],
-        timeout: Option<Duration>,
-    ) -> Result<Option<Vec<bool>>, ()> {
-        self.miter.set_budget(Budget::from_timeout(timeout));
-        let mut guarded = Vec::with_capacity(assumptions.len() + 1);
-        guarded.push(self.guard);
-        guarded.extend_from_slice(assumptions);
-        let outcome = self.miter.solve_under(&guarded);
-        self.extractions.push(self.miter.solve_count() - 1);
-        match outcome {
-            Outcome::Sat => {
-                let model = self.miter.model();
-                Ok(Some(self.key1.iter().map(|v| model[v.index()]).collect()))
-            }
-            Outcome::Unsat => Ok(None),
-            Outcome::Unknown => Err(()),
-        }
+    /// Assumptions of a key extraction: the miter with its difference
+    /// switched off (not assumed), under the generation guard, with the
+    /// key bits in `zero` assumed 0. Its models are the keys consistent
+    /// with the recorded responses; ScanSAT assumes its mask bits off.
+    pub(crate) fn extraction_assumptions(&self, zero: Range<usize>) -> Vec<Lit> {
+        let mut assumptions = vec![self.guard];
+        assumptions.extend(self.key1[zero].iter().map(|v| v.negative()));
+        assumptions
     }
 
-    /// Whether solve record `index` of the session is a key extraction.
-    pub(crate) fn is_extraction(&self, index: usize) -> bool {
-        self.extractions.binary_search(&index).is_ok()
+    /// Copy 1's key in the last model: the key an extraction found.
+    pub(crate) fn model_key(&self) -> Vec<bool> {
+        let model = self.miter.model();
+        self.key1.iter().map(|v| model[v.index()]).collect()
     }
 }
 
@@ -451,7 +433,7 @@ struct DipEncoder {
     /// Every gate encoded so far, by its simplified form: the positive
     /// literal of the variable its definition names.
     table: HashMap<GateKey, Lit>,
-    /// Gates written to the session, and gates found in `table`.
+    /// Gates written to the solver, and gates found in `table`.
     encoded: u64,
     shared: u64,
     /// Reused buffers of [`DipEncoder::encode_copy`]: the literal carrying
@@ -552,13 +534,13 @@ impl DipEncoder {
     }
 
     /// Encodes one copy of the folded DIP constraint over `key_vars`
-    /// into `session`: each live open gate is simplified and shared
+    /// into `solver`: each live open gate is simplified and shared
     /// through the structural table (a miss writes its unguarded
     /// definition), and each key-dependent output is forced to
     /// `response` by a unit clause carrying `¬guard`.
     fn encode_copy(
         &mut self,
-        session: &mut Session,
+        solver: &mut Solver,
         sim: &CompiledSim,
         lane: usize,
         key_vars: &[Var],
@@ -589,8 +571,8 @@ impl DipEncoder {
                                     out
                                 }
                                 None => {
-                                    let out = session.new_var().positive();
-                                    encode_gate(session, self.key.kind, out, &self.key.ins)
+                                    let out = solver.new_var().positive();
+                                    encode_gate(solver, self.key.kind, out, &self.key.ins)
                                         .expect("combinational");
                                     self.table.insert(self.key.clone(), out);
                                     self.encoded += 1;
@@ -611,7 +593,7 @@ impl DipEncoder {
             // explains the oracle.
             let o = negate_if(self.lits[j], !response[pos]);
             if o != truth {
-                session.add_clause([o, !guard]);
+                solver.add_clause([o, !guard]);
             }
         }
     }
@@ -864,6 +846,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use ril_core::{Obfuscator, RilBlockSpec};
     use ril_netlist::generators;
+    use ril_sat::Outcome;
 
     #[test]
     fn folded_dip_encoding_matches_simulation_for_every_key() {
@@ -900,7 +883,7 @@ mod tests {
                         .all(|(dip, response)| sim.eval_pattern(dip, &key) == *response);
                     let mut assumptions = vec![inst.guard];
                     assumptions.extend(inst.key1.iter().zip(&key).map(|(v, &b)| v.lit(!b)));
-                    let sat = inst.miter.solve_under(&assumptions) == Outcome::Sat;
+                    let sat = inst.miter.solve_with_assumptions(&assumptions) == Outcome::Sat;
                     assert_eq!(
                         sat,
                         explains,
@@ -917,7 +900,7 @@ mod tests {
 
     #[test]
     fn miter_formula_size_is_pinned() {
-        // The miter is written straight into its session; on this fixed
+        // The miter is written straight into its solver; on this fixed
         // lock it must encode to exactly 223 variables and 624 clauses
         // before the first DIP: the scratch-CNF construction's formula
         // less its constant-false rail, which the DIP encoding replaced
@@ -927,10 +910,9 @@ mod tests {
             .seed(5)
             .obfuscate(&generators::adder(16))
             .unwrap();
-        let mut inst = AttackInstance::new(&attacker_view(&locked));
+        let inst = AttackInstance::new(&attacker_view(&locked));
         assert_eq!(inst.miter.num_vars(), 223);
-        inst.solve_miter();
-        assert_eq!(inst.miter.records()[0].clauses_added, 624);
+        assert_eq!(inst.miter.clauses_since_solve(), 624);
     }
 
     #[test]
@@ -973,7 +955,7 @@ mod tests {
                     for copy in [inst.key1.clone(), inst.key2.clone()] {
                         let mut assumptions = vec![inst.guard];
                         assumptions.extend(copy.iter().zip(&key).map(|(v, &b)| v.lit(!b)));
-                        let sat = inst.miter.solve_under(&assumptions) == Outcome::Sat;
+                        let sat = inst.miter.solve_with_assumptions(&assumptions) == Outcome::Sat;
                         assert_eq!(sat, explains, "lock {l}, DIP {d}");
                         outcomes[usize::from(sat)] += 1;
                     }
@@ -1022,7 +1004,7 @@ mod tests {
                         .enumerate()
                         .map(|(i, v)| v.lit((k >> i) & 1 == 0)),
                 );
-                inst.miter.solve_under(&assumptions)
+                inst.miter.solve_with_assumptions(&assumptions)
             };
             assert_eq!(outcome(&mut batched), outcome(&mut single), "key {k:#b}");
         }
@@ -1059,7 +1041,8 @@ mod tests {
                 let mut sim = CompiledSim::new(&view).unwrap();
                 let mut inst = AttackInstance::new(&view);
                 for round in 0..3 {
-                    if inst.solve_miter() != Outcome::Sat {
+                    let assumptions = inst.dip_assumptions();
+                    if inst.miter.solve_with_assumptions(&assumptions) != Outcome::Sat {
                         break;
                     }
                     let model = inst.miter.model();
@@ -1090,7 +1073,11 @@ mod tests {
                         {
                             assumptions.extend(vars.iter().zip(values).map(|(v, &b)| v.lit(!b)));
                         }
-                        assert_eq!(inst.miter.solve_under(&assumptions), Outcome::Sat, "{at}");
+                        assert_eq!(
+                            inst.miter.solve_with_assumptions(&assumptions),
+                            Outcome::Sat,
+                            "{at}"
+                        );
                     }
                     extras += dips.len() - 1;
                     let responses: Vec<Vec<bool>> = dips
@@ -1122,8 +1109,10 @@ mod tests {
         let record = |inst: &mut AttackInstance| {
             inst.add_dips(std::slice::from_ref(&dip), std::slice::from_ref(&response))
                 .unwrap();
-            inst.solve_miter();
-            inst.miter.last_record().unwrap().clauses_added
+            let added = inst.miter.clauses_since_solve();
+            let assumptions = inst.dip_assumptions();
+            inst.miter.solve_with_assumptions(&assumptions);
+            added
         };
         record(&mut inst);
         let (vars, encoded) = (inst.miter.num_vars(), inst.dip.encoded);

@@ -3,9 +3,9 @@
 //! the per-attack config structs it projects onto, and the report types.
 
 pub use crate::appsat::AppSatConfig;
-pub use crate::attack::{run_attack, AttackConfig, AttackKind, AttackOutcome};
+pub use crate::attack::{check_key, run_attack, AttackConfig, AttackKind, AttackOutcome};
 pub use crate::oracle::{attacker_view, Oracle, OracleError, OracleSource};
 pub use crate::removal::RemovalReport;
 pub use crate::report::{AttackReport, AttackResult, IterationStats};
-pub use crate::satattack::{default_timeout, SatAttackConfig};
+pub use crate::satattack::SatAttackConfig;
 pub use ril_netlist::{PatternBlock, ResponseBlock, MAX_LANES};

@@ -9,20 +9,24 @@
 //! the oracle's response is recorded as an I/O constraint on both key
 //! vectors, pruning every key inconsistent with the activated chip. When
 //! the miter goes UNSAT, all surviving keys are I/O-equivalent and one is
-//! extracted.
+//! extracted. The loop itself is `AttackSession::run`;
+//! this module is its plain policy.
 
-use crate::oracle::{attacker_view, Oracle, OracleSource};
-use crate::report::{AttackReport, AttackResult};
-use crate::session::{AttackSession, DipStep};
-use ril_core::LockedCircuit;
+use crate::oracle::OracleSource;
+use crate::report::AttackReport;
+use crate::session::{AttackSession, FREE};
 use ril_netlist::Netlist;
 use std::time::Duration;
+
+/// The library's default attack budget. Drivers set their own; the bench
+/// harness reads `RIL_TIMEOUT_SECS`.
+pub(crate) const DEFAULT_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// SAT-attack configuration.
 #[derive(Debug, Clone)]
 pub struct SatAttackConfig {
-    /// Total wall-clock budget (the paper uses 5 days; we default to the
-    /// `RIL_TIMEOUT_SECS` environment variable or 60 s).
+    /// Total wall-clock budget (the paper uses 5 days; the default is
+    /// 60 s).
     pub timeout: Option<Duration>,
     /// Maximum DIP iterations.
     pub max_iterations: Option<usize>,
@@ -40,24 +44,15 @@ pub struct SatAttackConfig {
 impl Default for SatAttackConfig {
     fn default() -> SatAttackConfig {
         SatAttackConfig {
-            timeout: Some(default_timeout()),
+            timeout: Some(DEFAULT_TIMEOUT),
             max_iterations: None,
             dip_batch: 8,
         }
     }
 }
 
-/// The default attack timeout: `RIL_TIMEOUT_SECS` env var, or 60 seconds.
-pub fn default_timeout() -> Duration {
-    std::env::var("RIL_TIMEOUT_SECS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(Duration::from_secs)
-        .unwrap_or(Duration::from_secs(60))
-}
-
 /// Runs the SAT attack against an attacker-view netlist and an oracle
-/// source (in-process [`Oracle`] or a remote one).
+/// source (in-process [`crate::Oracle`] or a remote one).
 ///
 /// The report's `functionally_correct` is left `None` (the attacker cannot
 /// check it); use [`crate::run_attack`] for the full harness flow.
@@ -71,83 +66,32 @@ pub fn sat_attack(
     oracle: &mut dyn OracleSource,
     cfg: &SatAttackConfig,
 ) -> AttackReport {
-    let mut span = ril_trace::span("satattack", ril_trace::Phase::Attack);
-    let report = sat_attack_loop(nl, oracle, cfg);
-    if span.is_active() {
-        span.record_str("result", report.result.kind());
-        span.record_u64("iterations", report.iterations as u64);
-        span.record_u64("oracle_queries", report.oracle_queries);
-        ril_trace::counter("attack.runs", 1);
-    }
-    report
-}
-
-fn sat_attack_loop(
-    nl: &Netlist,
-    oracle: &mut dyn OracleSource,
-    cfg: &SatAttackConfig,
-) -> AttackReport {
-    let mut sess = AttackSession::new(nl, oracle, cfg.timeout, cfg.max_iterations, cfg.dip_batch);
-
-    loop {
-        match sess.step(oracle) {
-            DipStep::Distinguished => {}
-            DipStep::Budget => return sess.report(oracle, AttackResult::Timeout),
-            DipStep::OracleInconsistent => {
-                return sess.report(
-                    oracle,
-                    AttackResult::Failed(
-                        "oracle response contradicts key-independent logic \
-                         (model/oracle mismatch)"
-                            .into(),
-                    ),
-                )
-            }
-            DipStep::OracleFailed(e) => {
-                return sess.report(oracle, AttackResult::Failed(format!("oracle failure: {e}")))
-            }
-            // Miter UNSAT: every surviving key is I/O-equivalent.
-            DipStep::Converged => break,
-        }
-    }
-
-    match sess.extract_key(&[]) {
-        Ok(Some(key)) => sess.report(oracle, AttackResult::ExactKey(key)),
-        Ok(None) => sess.report(
-            oracle,
-            AttackResult::Failed(
-                "no key is consistent with the oracle's responses (model/oracle mismatch)".into(),
-            ),
-        ),
-        Err(()) => sess.report(oracle, AttackResult::Timeout),
-    }
-}
-
-/// Full harness flow behind [`crate::run_attack`]: builds the attacker
-/// view and oracle from a locked circuit, runs the SAT attack, and checks
-/// the recovered key for *true* functional equivalence (ground truth the
-/// attacker lacks).
-pub(crate) fn run_sat_attack_impl(
-    locked: &LockedCircuit,
-    cfg: &SatAttackConfig,
-) -> Result<AttackReport, ril_netlist::NetlistError> {
-    let view = attacker_view(locked);
-    let mut oracle = Oracle::new(locked)?;
-    let mut report = sat_attack(&view, &mut oracle, cfg);
-    if let Some(key) = report.result.key() {
-        let _v = ril_trace::span("verify_key", ril_trace::Phase::Verify);
-        let ok = locked.equivalent_under_key(key, 32)?;
-        report.functionally_correct = Some(ok);
-    }
-    Ok(report)
+    AttackSession::run("satattack", nl, oracle, cfg, &[FREE], |_, _| Ok(()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{attacker_view, Oracle};
+    use crate::report::AttackResult;
+    use crate::{run_attack, AttackConfig, AttackKind};
     use ril_core::baselines::{antisat_lock, sfll_lock, xor_lock};
     use ril_core::{Obfuscator, RilBlockSpec};
     use ril_netlist::generators;
+
+    /// The SAT attack through the full harness, key check included.
+    fn run_sat(
+        locked: &ril_core::LockedCircuit,
+        cfg: &SatAttackConfig,
+    ) -> Result<AttackReport, ril_netlist::NetlistError> {
+        let cfg = AttackConfig {
+            timeout: cfg.timeout,
+            max_iterations: cfg.max_iterations,
+            dip_batch: cfg.dip_batch,
+            ..AttackConfig::default()
+        };
+        Ok(run_attack(AttackKind::Sat, locked, &cfg)?.report)
+    }
 
     fn fast_cfg() -> SatAttackConfig {
         SatAttackConfig {
@@ -160,7 +104,7 @@ mod tests {
     fn breaks_xor_lock() {
         let host = generators::adder(8);
         let locked = xor_lock(&host, 12, 3).unwrap();
-        let report = run_sat_attack_impl(&locked, &fast_cfg()).unwrap();
+        let report = run_sat(&locked, &fast_cfg()).unwrap();
         assert!(report.result.succeeded(), "{report}");
         assert_eq!(report.functionally_correct, Some(true), "{report}");
     }
@@ -173,7 +117,7 @@ mod tests {
             .seed(5)
             .obfuscate(&host)
             .unwrap();
-        let report = run_sat_attack_impl(&locked, &fast_cfg()).unwrap();
+        let report = run_sat(&locked, &fast_cfg()).unwrap();
         assert!(report.result.succeeded(), "{report}");
         assert_eq!(report.functionally_correct, Some(true), "{report}");
         assert!(report.iterations >= 1);
@@ -190,7 +134,7 @@ mod tests {
             dip_batch: 1,
             ..fast_cfg()
         };
-        let report = run_sat_attack_impl(&locked, &cfg).unwrap();
+        let report = run_sat(&locked, &cfg).unwrap();
         assert!(report.result.succeeded(), "{report}");
         // One miter solve per DIP plus the final UNSAT convergence proof.
         assert_eq!(report.iteration_stats.len(), report.iterations + 1);
@@ -226,7 +170,7 @@ mod tests {
             .seed(1001)
             .obfuscate(&host)
             .unwrap();
-        let report = run_sat_attack_impl(&locked, &fast_cfg()).unwrap();
+        let report = run_sat(&locked, &fast_cfg()).unwrap();
         assert!(report.result.succeeded(), "{report}");
         assert_eq!(report.functionally_correct, Some(true), "{report}");
     }
@@ -235,7 +179,7 @@ mod tests {
     fn breaks_antisat_with_enough_iterations() {
         let host = generators::adder(8);
         let locked = antisat_lock(&host, 4, 7).unwrap();
-        let report = run_sat_attack_impl(&locked, &fast_cfg()).unwrap();
+        let report = run_sat(&locked, &fast_cfg()).unwrap();
         assert!(report.result.succeeded(), "{report}");
         assert_eq!(report.functionally_correct, Some(true));
     }
@@ -244,7 +188,7 @@ mod tests {
     fn breaks_sfll_point_function() {
         let host = generators::adder(8);
         let locked = sfll_lock(&host, 6, 9).unwrap();
-        let report = run_sat_attack_impl(&locked, &fast_cfg()).unwrap();
+        let report = run_sat(&locked, &fast_cfg()).unwrap();
         assert!(report.result.succeeded(), "{report}");
         assert_eq!(report.functionally_correct, Some(true));
     }
@@ -268,7 +212,7 @@ mod tests {
             if !any_se {
                 continue;
             }
-            let report = run_sat_attack_impl(&locked, &fast_cfg()).unwrap();
+            let report = run_sat(&locked, &fast_cfg()).unwrap();
             match report.result {
                 AttackResult::Failed(_) | AttackResult::Timeout => return,
                 _ => {
@@ -296,7 +240,7 @@ mod tests {
             timeout: Some(Duration::from_millis(50)),
             ..SatAttackConfig::default()
         };
-        let report = run_sat_attack_impl(&locked, &cfg).unwrap();
+        let report = run_sat(&locked, &cfg).unwrap();
         assert_eq!(report.result, AttackResult::Timeout);
         assert_eq!(report.table_cell(), "∞");
     }
@@ -310,7 +254,7 @@ mod tests {
             timeout: Some(Duration::from_secs(30)),
             ..SatAttackConfig::default()
         };
-        let report = run_sat_attack_impl(&locked, &cfg).unwrap();
+        let report = run_sat(&locked, &cfg).unwrap();
         assert_eq!(report.result, AttackResult::Timeout);
         assert!(report.iterations <= 3);
     }
@@ -338,7 +282,7 @@ mod tests {
             ("sfll", sfll_lock(&generators::adder(8), 6, 9).unwrap()),
         ];
         for (name, locked) in &hosts {
-            let sequential = run_sat_attack_impl(
+            let sequential = run_sat(
                 locked,
                 &SatAttackConfig {
                     dip_batch: 1,
@@ -346,7 +290,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let batched = run_sat_attack_impl(
+            let batched = run_sat(
                 locked,
                 &SatAttackConfig {
                     dip_batch: 64,

@@ -14,16 +14,15 @@
 //! indistinguishable from a NOR, and neither hypothesis survives all
 //! patterns once the corruption mixes into wider cones).
 
-use crate::oracle::{attacker_view, Oracle, OracleSource};
+use crate::oracle::OracleSource;
 use crate::report::{AttackReport, AttackResult};
 use crate::satattack::SatAttackConfig;
-use crate::session::{AttackSession, DipStep};
+use crate::session::{AttackSession, FREE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ril_core::key::{KeyBitKind, KeyStore};
 use ril_core::{LockedCircuit, RilBlockSpec, SE_PIN};
 use ril_netlist::{GateKind, Netlist, NetlistError};
-use ril_sat::Lit;
 
 /// A classic scan-response obfuscation baseline: each primary output is
 /// XOR-ed with `SE ∧ k_i` for a hidden static key bit — inversion *at the
@@ -62,35 +61,15 @@ pub fn output_inversion_lock(original: &Netlist, seed: u64) -> Result<LockedCirc
     })
 }
 
-/// Runs the ScanSAT model: the attacker augments his netlist view with one
-/// hypothetical inversion key per primary output (`out ⊕ m_i`), then
-/// drives the incremental [`AttackSession`] directly — one persistent
-/// miter for the whole DIP loop, nothing rebuilt per iteration. On
-/// convergence the warm miter, its difference switched off, is first
-/// solved for a key *under the assumption that every mask bit is 0* (the
-/// no-boundary-inversion hypothesis, which yields the cleanest key when the
-/// target has no scan masking), falling back to an unconstrained
-/// extraction when a mask is genuinely required. The recovered key is
-/// truncated back to the real key bits for the ground-truth functional
-/// check.
-pub(crate) fn scansat_attack_impl(
-    locked: &LockedCircuit,
-    cfg: &SatAttackConfig,
-) -> Result<AttackReport, NetlistError> {
-    let mut span = ril_trace::span("scansat", ril_trace::Phase::Attack);
-    let report = scansat_attack_inner(locked, cfg)?;
-    if span.is_active() {
-        span.record_str("result", report.result.kind());
-        span.record_u64("iterations", report.iterations as u64);
-        span.record_u64("oracle_queries", report.oracle_queries);
-        ril_trace::counter("attack.runs", 1);
-    }
-    Ok(report)
-}
-
 /// Runs the ScanSAT model against an attacker-view netlist and an oracle
-/// source: the per-output inversion hypothesis is added to a copy of the
-/// view and the recovered key is truncated back to the view's real key
+/// source: the attacker augments a copy of the view with one hypothetical
+/// inversion key per primary output (`out ⊕ m_i`) and runs the plain SAT
+/// loop on it — one persistent miter for the whole DIP loop, nothing
+/// rebuilt per iteration. On convergence a key is first extracted *under
+/// the assumption that every mask bit is 0* (the no-boundary-inversion
+/// hypothesis, which yields the cleanest key when the target has no scan
+/// masking), falling back to a free extraction when a mask is genuinely
+/// required. The recovered key is truncated back to the view's real key
 /// bits. The report's `functionally_correct` is left `None` (an attacker
 /// on a remote oracle has no ground truth).
 ///
@@ -112,75 +91,12 @@ pub fn scansat_model_attack(
         view.redirect_consumers(out, spliced);
         view.add_gate(GateKind::Xor, &[out, m], spliced)?;
     }
-    let mut sess = AttackSession::new(
-        &view,
-        oracle,
-        cfg.timeout,
-        cfg.max_iterations,
-        cfg.dip_batch,
-    );
-
-    let outcome = loop {
-        match sess.step(oracle) {
-            DipStep::Distinguished => {}
-            DipStep::Budget => break AttackResult::Timeout,
-            DipStep::OracleInconsistent => {
-                break AttackResult::Failed(
-                    "scan oracle contradicts key-independent logic (model/oracle mismatch)".into(),
-                )
-            }
-            DipStep::OracleFailed(e) => break AttackResult::Failed(format!("oracle failure: {e}")),
-            DipStep::Converged => {
-                let no_mask: Vec<Lit> = sess.inst.key1[real_key_width..]
-                    .iter()
-                    .map(|v| v.negative())
-                    .collect();
-                break match sess.extract_key(&no_mask) {
-                    Ok(Some(key)) => AttackResult::ExactKey(key),
-                    // No key works without a mask — let the masks float.
-                    Ok(None) => match sess.extract_key(&[]) {
-                        Ok(Some(key)) => AttackResult::ExactKey(key),
-                        Ok(None) => AttackResult::Failed(
-                            "no key/mask pair is consistent with the scan oracle".into(),
-                        ),
-                        Err(()) => AttackResult::Timeout,
-                    },
-                    Err(()) => AttackResult::Timeout,
-                };
-            }
-        }
-    };
-    let mut report = sess.report(oracle, outcome);
-
-    // Truncate the hypothetical mask bits off the recovered key.
-    if let Some(key) = report.result.key() {
-        let real: Vec<bool> = key[..real_key_width].to_vec();
-        report.result = match report.result {
-            AttackResult::ExactKey(_) => AttackResult::ExactKey(real),
-            AttackResult::ApproxKey { est_error, .. } => AttackResult::ApproxKey {
-                key: real,
-                est_error,
-            },
-            other => other,
-        };
-    }
-    Ok(report)
-}
-
-fn scansat_attack_inner(
-    locked: &LockedCircuit,
-    cfg: &SatAttackConfig,
-) -> Result<AttackReport, NetlistError> {
-    let view = attacker_view(locked);
-    let mut oracle = Oracle::new(locked)?;
-    let mut report = scansat_model_attack(&view, &mut oracle, cfg)?;
-
-    // Ground-truth functional check on the real key (harness only).
-    if let Some(key) = report.result.key() {
-        let _v = ril_trace::span("verify_key", ril_trace::Phase::Verify);
-        let real = key.to_vec();
-        let ok = locked.equivalent_under_key(&real, 32)?;
-        report.functionally_correct = Some(ok);
+    let no_mask = real_key_width..view.key_inputs().len();
+    let mut report = AttackSession::run("scansat", &view, oracle, cfg, &[no_mask, FREE], |_, _| {
+        Ok(())
+    });
+    if let AttackResult::ExactKey(key) = &mut report.result {
+        key.truncate(real_key_width);
     }
     Ok(report)
 }
@@ -188,15 +104,19 @@ fn scansat_attack_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::Oracle;
+    use crate::{run_attack, AttackConfig, AttackKind};
     use ril_core::{Obfuscator, RilBlockSpec};
     use ril_netlist::generators;
     use std::time::Duration;
 
-    fn fast_cfg() -> SatAttackConfig {
-        SatAttackConfig {
+    /// ScanSAT through the full harness, key check included.
+    fn run_scansat(locked: &LockedCircuit) -> Result<AttackReport, NetlistError> {
+        let cfg = AttackConfig {
             timeout: Some(Duration::from_secs(30)),
-            ..SatAttackConfig::default()
-        }
+            ..AttackConfig::default()
+        };
+        Ok(run_attack(AttackKind::ScanSat, locked, &cfg)?.report)
     }
 
     #[test]
@@ -228,7 +148,7 @@ mod tests {
     fn scansat_breaks_boundary_inversion_lock() {
         let host = generators::adder(6);
         let locked = output_inversion_lock(&host, 5).unwrap();
-        let report = scansat_attack_impl(&locked, &fast_cfg()).unwrap();
+        let report = run_scansat(&locked).unwrap();
         assert!(report.result.succeeded(), "{report}");
         assert_eq!(report.functionally_correct, Some(true), "{report}");
     }
@@ -257,7 +177,7 @@ mod tests {
             }
             // Ensure at least one SE-keyed LUT is NOT directly at an
             // output (otherwise a boundary mask could absorb it).
-            let report = scansat_attack_impl(&locked, &fast_cfg()).unwrap();
+            let report = run_scansat(&locked).unwrap();
             let defeated = matches!(
                 report.result,
                 AttackResult::Failed(_) | AttackResult::Timeout

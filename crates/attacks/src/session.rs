@@ -1,23 +1,30 @@
-//! The shared oracle-guided attack driver.
+//! The one oracle-guided attack driver.
 //!
-//! The exact SAT attack, AppSAT and (through the SAT attack) ScanSAT all
-//! run the same inner machine: solve the persistent miter for a
-//! distinguishing input, query the oracle, append the I/O constraint, and
-//! eventually extract a key from the same miter with its difference
-//! switched off. [`AttackSession`] owns that machine — the incremental
-//! [`AttackInstance`], the wall-clock and iteration budgets, and the
-//! oracle-query baseline — so the attack entry points reduce to policy
-//! around [`AttackSession::step`]. It is also the single place where the
-//! miter session's [`ril_sat::SolveRecord`]s are split into per-iteration
-//! DIP statistics and key-extraction statistics for the
-//! [`AttackReport`].
+//! The exact SAT attack, AppSAT and ScanSAT all run the same machine:
+//! solve the persistent miter for a distinguishing input, query the
+//! oracle, append the I/O constraint, and on convergence extract a key
+//! from the same miter with its difference switched off. ScanSAT is that
+//! loop on a view with per-output mask keys; AppSAT adds an estimation
+//! round after each DIP. [`AttackSession::run`] owns the machine — the
+//! incremental [`AttackInstance`], the wall-clock and iteration budgets,
+//! the DIP loop, the one mapping from how it stops to an
+//! [`AttackResult`], the key extraction, the attack's trace span and its
+//! [`AttackReport`] — so the attack entry points are policy only. Every
+//! miter solve goes through [`AttackSession::solve`], which books it as
+//! a DIP solve ([`IterationStats`]) or as a key extraction
+//! (`finder_stats`).
 
 use crate::miter::AttackInstance;
 use crate::oracle::{OracleError, OracleSource};
 use crate::report::{AttackReport, AttackResult, IterationStats};
+use crate::satattack::SatAttackConfig;
 use ril_netlist::{Netlist, PatternBlock, MAX_LANES};
-use ril_sat::{Budget, Outcome, SolverStats};
+use ril_sat::{Budget, Lit, Outcome, SolverStats};
+use std::ops::Range;
 use std::time::{Duration, Instant};
+
+/// An extraction try that leaves every key bit free.
+pub(crate) const FREE: Range<usize> = 0..0;
 
 /// Outcome of one DIP iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,6 +43,19 @@ pub(crate) enum DipStep {
     OracleFailed(OracleError),
 }
 
+/// The result an attack ends with when its oracle contradicts the
+/// key-independent logic.
+pub(crate) fn inconsistent() -> AttackResult {
+    AttackResult::Failed(
+        "oracle response contradicts key-independent logic (model/oracle mismatch)".into(),
+    )
+}
+
+/// The result an attack ends with when an oracle access fails.
+pub(crate) fn oracle_failed(e: OracleError) -> AttackResult {
+    AttackResult::Failed(format!("oracle failure: {e}"))
+}
+
 /// One long-lived oracle-guided attack over a persistent
 /// [`AttackInstance`].
 pub(crate) struct AttackSession {
@@ -48,17 +68,75 @@ pub(crate) struct AttackSession {
     /// (`1` = the classic strictly sequential loop).
     dip_batch: usize,
     pub(crate) iterations: usize,
+    /// Miter statistics at the end of the previous solve.
+    solved: SolverStats,
+    /// DIP solves so far, oldest first.
+    iteration_stats: Vec<IterationStats>,
+    /// Key extractions so far, summed.
+    finder_stats: SolverStats,
+    /// Clauses appended before an extraction, credited to the next DIP
+    /// solve: the first to search with them.
+    carried: usize,
 }
 
 impl AttackSession {
-    /// Builds the miter session (exactly once for the whole attack) and
-    /// starts the clocks.
+    /// Runs one oracle-guided attack under a trace span named `name`:
+    /// DIP rounds until the miter converges, the budget runs out or the
+    /// oracle fails or contradicts the view. `after_dip` runs after each
+    /// round that recorded DIPs; an `Err(result)` from it ends the attack
+    /// with that result. On convergence the key extraction tries each
+    /// range in `extract` in order, with the key bits in the range
+    /// assumed 0 ([`FREE`] leaves them all free), and takes the first
+    /// key found.
     ///
     /// # Panics
     ///
     /// Panics if the netlist has no key inputs, is sequential, or its
     /// data-input count does not match the oracle.
-    pub(crate) fn new(
+    pub(crate) fn run(
+        name: &'static str,
+        nl: &Netlist,
+        oracle: &mut dyn OracleSource,
+        cfg: &SatAttackConfig,
+        extract: &[Range<usize>],
+        mut after_dip: impl FnMut(&mut AttackSession, &mut dyn OracleSource) -> Result<(), AttackResult>,
+    ) -> AttackReport {
+        let mut span = ril_trace::span(name, ril_trace::Phase::Attack);
+        let mut sess =
+            AttackSession::new(nl, oracle, cfg.timeout, cfg.max_iterations, cfg.dip_batch);
+        let result = loop {
+            let end = match sess.step(oracle) {
+                DipStep::Distinguished => after_dip(&mut sess, oracle),
+                DipStep::Converged => Err(match sess.extract(extract) {
+                    Ok(key) => AttackResult::ExactKey(key),
+                    Err(result) => result,
+                }),
+                DipStep::Budget => Err(AttackResult::Timeout),
+                DipStep::OracleInconsistent => Err(inconsistent()),
+                DipStep::OracleFailed(e) => Err(oracle_failed(e)),
+            };
+            if let Err(result) = end {
+                break result;
+            }
+        };
+        let report = sess.report(oracle, result);
+        if span.is_active() {
+            span.record_str("result", report.result.kind());
+            span.record_u64("iterations", report.iterations as u64);
+            span.record_u64("oracle_queries", report.oracle_queries);
+            ril_trace::counter("attack.runs", 1);
+        }
+        report
+    }
+
+    /// Builds the miter (exactly once for the whole attack) and starts
+    /// the clocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist has no key inputs, is sequential, or its
+    /// data-input count does not match the oracle.
+    fn new(
         nl: &Netlist,
         oracle: &dyn OracleSource,
         timeout: Option<Duration>,
@@ -84,22 +162,51 @@ impl AttackSession {
             max_iterations,
             dip_batch: dip_batch.clamp(1, MAX_LANES),
             iterations: 0,
+            solved: SolverStats::default(),
+            iteration_stats: Vec::new(),
+            finder_stats: SolverStats::default(),
+            carried: 0,
         }
     }
 
     /// Time left in the attack's wall-clock budget (`None` = unbounded).
-    pub(crate) fn remaining(&self) -> Option<Duration> {
+    fn remaining(&self) -> Option<Duration> {
         self.timeout.map(|t| t.saturating_sub(self.start.elapsed()))
     }
 
+    /// Solves the miter under `assumptions` and books the solve: a key
+    /// extraction into `finder_stats`, any other solve as the next
+    /// [`IterationStats`]. A solve's statistics are the work since the
+    /// previous solve.
+    fn solve(&mut self, assumptions: &[Lit], extraction: bool) -> Outcome {
+        let clauses_added = self.inst.miter.clauses_since_solve();
+        let start = Instant::now();
+        let outcome = self.inst.miter.solve_with_assumptions(assumptions);
+        let wall = start.elapsed();
+        let now = self.inst.miter.stats();
+        let stats = now.since(&std::mem::replace(&mut self.solved, now));
+        if extraction {
+            self.finder_stats = self.finder_stats.plus(&stats);
+            self.carried += clauses_added;
+        } else {
+            self.iteration_stats.push(IterationStats {
+                iteration: self.iteration_stats.len() + 1,
+                wall,
+                stats,
+                clauses_added: clauses_added + std::mem::take(&mut self.carried),
+            });
+        }
+        outcome
+    }
+
     /// Runs one DIP iteration: budget check, miter solve on the warm
-    /// session, oracle query, constraint append. With `dip_batch > 1` the
+    /// solver, oracle query, constraint append. With `dip_batch > 1` the
     /// solve's model yields up to that many distinct DIPs, which are
     /// flushed to the oracle as one lane-packed [`PatternBlock`] — every
     /// lane still counts as one query and one iteration. Each step is an
     /// `iteration` trace span carrying the miter size and the cumulative
     /// DIP count (= I/O constraints pruning the key space so far).
-    pub(crate) fn step(&mut self, oracle: &mut dyn OracleSource) -> DipStep {
+    fn step(&mut self, oracle: &mut dyn OracleSource) -> DipStep {
         let mut span = ril_trace::span("iteration", ril_trace::Phase::Iteration);
         let before = self.iterations;
         let step = self.step_inner(oracle);
@@ -139,7 +246,7 @@ impl AttackSession {
         if let Some(g) = oracle.generation() {
             self.inst.observe_generation(g);
         }
-        let dips = match self.inst.solve_miter() {
+        let dips = match self.solve(&self.inst.dip_assumptions(), false) {
             Outcome::Unknown => return DipStep::Budget,
             Outcome::Unsat => return DipStep::Converged,
             Outcome::Sat => self.collect_dips(),
@@ -196,51 +303,40 @@ impl AttackSession {
         self.inst.add_dips(dips, responses)
     }
 
-    /// Solves the warm miter, difference switched off, for a key
-    /// consistent with everything recorded so far and with `assumptions`
-    /// (`Ok(None)` = no such key; the caller may retry with fewer
-    /// assumptions), under the remaining budget (floored at 100 ms so a
-    /// nearly-expired attack still gets a token extraction attempt).
-    pub(crate) fn extract_key(
-        &mut self,
-        assumptions: &[ril_sat::Lit],
-    ) -> Result<Option<Vec<bool>>, ()> {
-        let budget = self.remaining().map(|d| d.max(Duration::from_millis(100)));
-        self.inst.extract_key(assumptions, budget)
-    }
-
-    /// Finalizes the attack into an [`AttackReport`]. The miter session's
-    /// per-solve records split into per-iteration DIP statistics and the
-    /// key extractions' `finder_stats`; `miter_stats` excludes the
-    /// extractions.
-    pub(crate) fn report(&self, oracle: &dyn OracleSource, result: AttackResult) -> AttackReport {
-        let mut finder_stats = SolverStats::default();
-        let mut iteration_stats = Vec::new();
-        // Clauses appended before an extraction count toward the next DIP
-        // solve, the first to search with them.
-        let mut carried = 0;
-        for (i, r) in self.inst.miter.records().iter().enumerate() {
-            if self.inst.is_extraction(i) {
-                finder_stats = finder_stats.plus(&r.stats);
-                carried += r.clauses_added;
-            } else {
-                iteration_stats.push(IterationStats {
-                    iteration: iteration_stats.len() + 1,
-                    wall: r.wall,
-                    stats: r.stats,
-                    clauses_added: r.clauses_added + std::mem::take(&mut carried),
-                });
+    /// Extracts a key consistent with everything recorded so far: solves
+    /// the warm miter, difference switched off, once per range in
+    /// `tries` with that range's key bits assumed 0, and returns the
+    /// first key found. Each try runs under the remaining budget, floored
+    /// at 100 ms so a nearly-expired attack still gets a token attempt.
+    /// `Err` carries the result the attack ends with: a timeout, or a
+    /// failure when no try admits a key.
+    pub(crate) fn extract(&mut self, tries: &[Range<usize>]) -> Result<Vec<bool>, AttackResult> {
+        for zero in tries {
+            let budget = self.remaining().map(|d| d.max(Duration::from_millis(100)));
+            self.inst.miter.set_budget(Budget::from_timeout(budget));
+            match self.solve(&self.inst.extraction_assumptions(zero.clone()), true) {
+                Outcome::Sat => return Ok(self.inst.model_key()),
+                Outcome::Unsat => {}
+                Outcome::Unknown => return Err(AttackResult::Timeout),
             }
         }
+        Err(AttackResult::Failed(
+            "no key is consistent with the oracle's responses (model/oracle mismatch)".into(),
+        ))
+    }
+
+    /// Finalizes the attack into an [`AttackReport`]; `miter_stats`
+    /// excludes the key extractions.
+    fn report(self, oracle: &dyn OracleSource, result: AttackResult) -> AttackReport {
         AttackReport {
             result,
             wall: self.start.elapsed(),
             iterations: self.iterations,
             oracle_queries: oracle.queries() - self.queries_before,
             functionally_correct: None,
-            miter_stats: self.inst.miter.stats().since(&finder_stats),
-            finder_stats,
-            iteration_stats,
+            miter_stats: self.inst.miter.stats().since(&self.finder_stats),
+            finder_stats: self.finder_stats,
+            iteration_stats: self.iteration_stats,
         }
     }
 }
@@ -344,8 +440,7 @@ mod tests {
             }
         }
         let key = sess
-            .extract_key(&[])
-            .expect("budget not exhausted")
+            .extract(&[FREE])
             .expect("a key consistent with the current generation exists");
         assert!(locked.equivalent_under_key(&key, 32).unwrap());
         assert!(
@@ -424,7 +519,7 @@ mod tests {
             }
         }
         assert_eq!(sess.inst.retired_dips(), 0);
-        let key = sess.extract_key(&[]).unwrap().unwrap();
+        let key = sess.extract(&[FREE]).unwrap();
         assert!(locked.equivalent_under_key(&key, 32).unwrap());
     }
 
@@ -452,7 +547,7 @@ mod tests {
             steps <= sess.iterations,
             "a batched step records at least one DIP"
         );
-        let key = sess.extract_key(&[]).unwrap().unwrap();
+        let key = sess.extract(&[FREE]).unwrap();
         assert!(locked.equivalent_under_key(&key, 32).unwrap());
     }
 

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use ril_attacks::json::escape;
 use ril_attacks::satattack::{sat_attack, SatAttackConfig};
-use ril_attacks::{attacker_view, AttackReport};
+use ril_attacks::{attacker_view, check_key, AttackReport};
 use ril_serve::{DesignSpec, RemoteOracle, ServeClient, ServeConfig, Server};
 
 use crate::cell::MorphCell;
@@ -88,13 +88,7 @@ pub(crate) fn morph_cell(c: &MorphCell) -> Result<CellOutcome, ExperimentError> 
         ..SatAttackConfig::default()
     };
     let mut report = sat_attack(&view, &mut oracle, &a_cfg);
-    if let Some(found) = report.result.key() {
-        report.functionally_correct = Some(
-            locked
-                .equivalent_under_key(found, 32)
-                .map_err(ExperimentError::Netlist)?,
-        );
-    }
+    check_key(&locked, &mut report).map_err(ExperimentError::Netlist)?;
     let rekeys = oracle.generation_changes();
     handle.shutdown();
     let cell = match iterations_to_key(&report) {

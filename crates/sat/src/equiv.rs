@@ -7,8 +7,7 @@
 //! evaluation to certify recovered keys.
 
 use crate::lit::{Lit, Var};
-use crate::session::Session;
-use crate::solver::{Budget, Outcome, SolverStats};
+use crate::solver::{Budget, Outcome, Solver, SolverStats};
 use crate::tseitin::{check_encodable, encode_selected, TseitinError};
 use ril_netlist::{GateId, NetId, Netlist};
 use std::collections::{HashMap, HashSet};
@@ -90,10 +89,10 @@ struct MiterPorts {
 
 /// Matches outputs (by name, or by position on request) and inputs (by
 /// name) of `left` vs `right`, allocating one input variable per port
-/// name in `session`. Inputs present on only one side must be ignored or
+/// name in `solver`. Inputs present on only one side must be ignored or
 /// fixed by `options`.
 fn match_ports(
-    session: &mut Session,
+    solver: &mut Solver,
     left: &Netlist,
     right: &Netlist,
     options: &EquivOptions,
@@ -158,7 +157,7 @@ fn match_ports(
     let mut base_assumptions: Vec<Lit> = Vec::new();
     for &li in left.inputs() {
         let name = left.net(li).name().to_string();
-        let var = session.new_var();
+        let var = solver.new_var();
         pins_left.insert(li, var);
         if let Some(&ri) = right_inputs.get(name.as_str()) {
             pins_right.insert(ri, var);
@@ -178,7 +177,7 @@ fn match_ports(
         if pins_right.contains_key(&ri) {
             continue;
         }
-        let var = session.new_var();
+        let var = solver.new_var();
         pins_right.insert(ri, var);
         if let Some(&v) = fixed.get(name) {
             base_assumptions.push(var.lit(!v));
@@ -212,8 +211,8 @@ struct Side {
 
 impl Side {
     /// Encodes the union of the fan-in cones of `nets`, minus the gates
-    /// already in the solver, straight into `session`.
-    fn encode_cones(&mut self, session: &mut Session, nets: impl IntoIterator<Item = NetId>) {
+    /// already in the solver, straight into `solver`.
+    fn encode_cones(&mut self, solver: &mut Solver, nets: impl IntoIterator<Item = NetId>) {
         let mut fresh: HashSet<GateId> = HashSet::new();
         let mut stack: Vec<NetId> = nets.into_iter().collect();
         while let Some(net) = stack.pop() {
@@ -223,17 +222,17 @@ impl Side {
                 }
             }
         }
-        self.vars = encode_selected(&self.nl, session, &self.vars, |g| fresh.contains(&g))
+        self.vars = encode_selected(&self.nl, solver, &self.vars, |g| fresh.contains(&g))
             .expect("checked combinational by EquivSession::new");
         self.encoded.extend(fresh);
     }
 
     /// The variable of output net `net`. An output that is a primary input
     /// already has its pin; an undriven one gets a free variable.
-    fn output_lit(&mut self, session: &mut Session, net: NetId) -> Lit {
+    fn output_lit(&mut self, solver: &mut Solver, net: NetId) -> Lit {
         self.vars
             .entry(net)
-            .or_insert_with(|| session.new_var())
+            .or_insert_with(|| solver.new_var())
             .positive()
     }
 }
@@ -283,7 +282,9 @@ impl Side {
 /// ```
 #[derive(Debug)]
 pub struct EquivSession {
-    session: Session,
+    solver: Solver,
+    /// Checks that reached the solver so far.
+    checks: usize,
     left: Side,
     right: Side,
     out_pairs: Vec<(NetId, NetId)>,
@@ -312,8 +313,8 @@ impl EquivSession {
         right: &Netlist,
         options: &EquivOptions,
     ) -> Result<EquivSession, EquivError> {
-        let mut session = Session::new();
-        session.set_budget(Budget::from_timeout(options.timeout));
+        let mut solver = Solver::new();
+        solver.set_budget(Budget::from_timeout(options.timeout));
         let MiterPorts {
             out_pairs,
             shared_vars,
@@ -321,7 +322,7 @@ impl EquivSession {
             pins_left,
             pins_right,
             base_assumptions,
-        } = match_ports(&mut session, left, right, options)?;
+        } = match_ports(&mut solver, left, right, options)?;
         check_encodable(left)?;
         check_encodable(right)?;
         let side = |nl: &Netlist, vars| Side {
@@ -330,7 +331,8 @@ impl EquivSession {
             encoded: HashSet::new(),
         };
         Ok(EquivSession {
-            session,
+            solver,
+            checks: 0,
             left: side(left, pins_left),
             right: side(right, pins_right),
             diff: vec![None; out_pairs.len()],
@@ -363,17 +365,17 @@ impl EquivSession {
             .collect();
         let pairs: Vec<(NetId, NetId)> = missing.iter().map(|&o| self.out_pairs[o]).collect();
         self.left
-            .encode_cones(&mut self.session, pairs.iter().map(|&(l, _)| l));
+            .encode_cones(&mut self.solver, pairs.iter().map(|&(l, _)| l));
         self.right
-            .encode_cones(&mut self.session, pairs.iter().map(|&(_, r)| r));
+            .encode_cones(&mut self.solver, pairs.iter().map(|&(_, r)| r));
         for (&o, &(lo, ro)) in missing.iter().zip(&pairs) {
-            let a = self.left.output_lit(&mut self.session, lo);
-            let b = self.right.output_lit(&mut self.session, ro);
-            let x = self.session.new_var().positive();
-            self.session.add_clause([!x, a, b]);
-            self.session.add_clause([!x, !a, !b]);
-            self.session.add_clause([x, !a, b]);
-            self.session.add_clause([x, a, !b]);
+            let a = self.left.output_lit(&mut self.solver, lo);
+            let b = self.right.output_lit(&mut self.solver, ro);
+            let x = self.solver.new_var().positive();
+            self.solver.add_clause([!x, a, b]);
+            self.solver.add_clause([!x, !a, !b]);
+            self.solver.add_clause([x, !a, b]);
+            self.solver.add_clause([x, a, !b]);
             self.diff[o] = Some(x);
         }
     }
@@ -434,13 +436,13 @@ impl EquivSession {
         let guard = match self.guards.get(&subset) {
             Some(&g) => g,
             None => {
-                let g = self.session.new_var().positive();
+                let g = self.solver.new_var().positive();
                 let mut clause: Vec<Lit> = subset
                     .iter()
                     .map(|&o| self.diff[o].expect("cone encoded above"))
                     .collect();
                 clause.push(!g);
-                self.session.add_clause(clause);
+                self.solver.add_clause(clause);
                 self.guards.insert(subset, g);
                 g
             }
@@ -448,11 +450,12 @@ impl EquivSession {
         let mut assumptions = Vec::with_capacity(pins.len() + 1);
         assumptions.push(guard);
         assumptions.extend(pins);
-        Ok(match self.session.solve_under(&assumptions) {
+        self.checks += 1;
+        Ok(match self.solver.solve_with_assumptions(&assumptions) {
             Outcome::Unsat => EquivResult::Equivalent,
             Outcome::Unknown => EquivResult::Unknown,
             Outcome::Sat => {
-                let model = self.session.model();
+                let model = self.solver.model();
                 EquivResult::Inequivalent {
                     counterexample: self.shared_vars.iter().map(|v| model[v.index()]).collect(),
                 }
@@ -481,13 +484,13 @@ impl EquivSession {
 
     /// Cumulative solver statistics across all checks.
     pub fn stats(&self) -> SolverStats {
-        self.session.stats()
+        self.solver.stats()
     }
 
     /// Number of checks answered so far (vacuous empty-subset checks
     /// excluded — they never reach the solver).
     pub fn checks(&self) -> usize {
-        self.session.solve_count()
+        self.checks
     }
 }
 

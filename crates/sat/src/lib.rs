@@ -8,15 +8,17 @@
 //! incremental use. Companion modules provide CNF formulas with DIMACS
 //! I/O ([`Cnf`]), Tseitin encoding of gate-level netlists
 //! ([`encode_netlist`]) into a [`Cnf`] or straight into a live
-//! [`Session`] (both are a [`ClauseSink`]), and SAT-based combinational
+//! [`Solver`] (both are a [`ClauseSink`]), and SAT-based combinational
 //! equivalence checking ([`EquivSession`]).
 //!
-//! There is one search engine: a [`Session`] owns one sequential
-//! [`Solver`] in its full-strength default configuration, as the paper
-//! runs one CaDiCaL solve per query ([`SolverConfig`]'s toggles exist for
-//! the solver-ablation experiment). A solve is bounded only by a
-//! [`Budget`]. Short of a wall-clock budget cutting it off, the same
-//! formula and assumptions always replay the same search.
+//! There is one solver type and one search engine: a sequential
+//! [`Solver`], used in its full-strength default configuration as the
+//! paper runs one CaDiCaL solve per query ([`SolverConfig`]'s toggles
+//! exist for the solver-ablation experiment). It stays live across
+//! incremental solves, and each solve call emits a `solve` trace span and
+//! the `sat.*` counters. A solve is bounded only by a [`Budget`]. Short of
+//! a wall-clock budget cutting it off, the same formula and assumptions
+//! always replay the same search.
 //!
 //! ## Quickstart
 //!
@@ -38,14 +40,12 @@
 pub mod cnf;
 pub mod equiv;
 pub mod lit;
-pub mod session;
 pub mod solver;
 pub mod tseitin;
 
 pub use cnf::{Cnf, ParseDimacsError};
 pub use equiv::{check_equivalence, EquivError, EquivOptions, EquivResult, EquivSession};
 pub use lit::{LBool, Lit, Var};
-pub use session::{Session, SolveRecord};
 pub use solver::{Budget, BudgetError, Outcome, Solver, SolverConfig, SolverStats};
 pub use tseitin::{
     encode_gate, encode_netlist, encode_netlist_into, CircuitVars, ClauseSink, TseitinError,

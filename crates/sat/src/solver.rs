@@ -7,9 +7,27 @@
 //! same algorithm family as the CaDiCaL solver the paper uses (Section IV,
 //! \[18\]). Feature toggles in [`SolverConfig`] support the solver-ablation
 //! experiment; solve calls are bounded by a [`Budget`].
+//!
+//! ## Incremental use
+//!
+//! One solver lives as long as its formula: the oracle-guided attack
+//! appends each DIP's I/O constraint to the *live* solver, keeping learned
+//! clauses, the decision order and watch lists warm across iterations,
+//! instead of re-reading a growing CNF every iteration. Encoders write
+//! straight into it, since a [`Solver`] is a [`ClauseSink`].
+//!
+//! Clauses are permanent. Retractable constraints are expressed through
+//! *assumption literals* passed to [`Solver::solve_with_assumptions`]: the
+//! solver decides them first and reports UNSAT-under-assumptions without
+//! poisoning the clause database. To make a whole clause retractable,
+//! guard it with a fresh activation variable `a` (`clause ∨ ¬a`) and
+//! assume `a` while the clause should hold — the pattern
+//! [`crate::EquivSession`] uses to give each queried output subset its
+//! own difference clause in one live miter.
 
 use crate::cnf::Cnf;
 use crate::lit::{LBool, Lit, Var};
+use crate::tseitin::ClauseSink;
 use std::time::{Duration, Instant};
 
 const NO_REASON: u32 = u32::MAX;
@@ -430,6 +448,11 @@ pub struct Solver {
     tombstones: usize,
     /// Root trail length at the last root simplification.
     simplified_trail: usize,
+    /// Statistics at the end of the previous solve call: a solve's `solve`
+    /// trace span reports the work done since then.
+    solve_snapshot: SolverStats,
+    /// [`Solver::add_clause`] calls since the previous solve call.
+    clauses_since_solve: usize,
 }
 
 impl Default for Solver {
@@ -477,6 +500,8 @@ impl Solver {
             live_problem: 0,
             tombstones: 0,
             simplified_trail: 0,
+            solve_snapshot: SolverStats::default(),
+            clauses_since_solve: 0,
         }
     }
 
@@ -548,17 +573,33 @@ impl Solver {
         self.wall_limit = budget.timeout();
     }
 
-    /// Solves under `assumptions` within `budget` (see
-    /// [`Solver::set_budget`] for the budget semantics).
-    pub fn solve_within(&mut self, assumptions: &[Lit], budget: Budget) -> Outcome {
-        self.set_budget(budget);
-        self.solve_with_assumptions(assumptions)
+    /// [`Solver::add_clause`] calls since the previous solve call: the
+    /// clauses the next solve is the first to search with.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ril_sat::{Lit, Outcome, Solver};
+    ///
+    /// let mut s = Solver::new();
+    /// s.add_clause([Lit::new(0, false), Lit::new(1, false)]);
+    /// assert_eq!(s.solve(), Outcome::Sat);
+    /// // Appending clauses keeps the solver (and everything it learned) warm.
+    /// s.add_clause([Lit::new(0, true)]);
+    /// assert_eq!(s.clauses_since_solve(), 1);
+    /// assert_eq!(s.solve(), Outcome::Sat);
+    /// assert!(s.model()[1]);
+    /// assert_eq!(s.clauses_since_solve(), 0);
+    /// ```
+    pub fn clauses_since_solve(&self) -> usize {
+        self.clauses_since_solve
     }
 
     /// Adds a clause. Tautologies are dropped, duplicate literals removed,
     /// and literals already false at the top level deleted. Returns `false`
     /// if the formula became trivially unsatisfiable.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) -> bool {
+        self.clauses_since_solve += 1;
         if !self.ok {
             return false;
         }
@@ -1093,11 +1134,47 @@ impl Solver {
         self.solve_with_assumptions(&[])
     }
 
-    /// Solves under the given assumption literals.
+    /// Solves under the given assumption literals (see the module docs
+    /// for the assumption protocol).
     ///
     /// On [`Outcome::Sat`] the model (including assumptions) is available
     /// via [`Solver::model`]. Assumptions do not persist between calls.
+    /// When a `ril-trace` context is installed on the current thread, the
+    /// call is wrapped in a `solve` span carrying the work done since the
+    /// previous call (decisions, conflicts, propagations, learned) and
+    /// the clauses added since then.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> Outcome {
+        let mut span = ril_trace::span("solve", ril_trace::Phase::Solve);
+        let start = Instant::now();
+        let outcome = self.search(assumptions);
+        if span.is_active() {
+            let delta = self.stats.since(&self.solve_snapshot);
+            span.record_str(
+                "outcome",
+                match outcome {
+                    Outcome::Sat => "sat",
+                    Outcome::Unsat => "unsat",
+                    Outcome::Unknown => "unknown",
+                },
+            );
+            span.record_u64("decisions", delta.decisions);
+            span.record_u64("conflicts", delta.conflicts);
+            span.record_u64("propagations", delta.propagations);
+            span.record_u64("learned", delta.learned);
+            span.record_u64("clauses_added", self.clauses_since_solve as u64);
+            span.record_u64("vars", self.num_vars() as u64);
+            ril_trace::counter("sat.solves", 1);
+            ril_trace::counter("sat.conflicts", delta.conflicts);
+            ril_trace::counter("sat.propagations", delta.propagations);
+            ril_trace::timing("sat.solve_wall", start.elapsed());
+        }
+        self.solve_snapshot = self.stats;
+        self.clauses_since_solve = 0;
+        outcome
+    }
+
+    /// The CDCL search behind [`Solver::solve_with_assumptions`].
+    fn search(&mut self, assumptions: &[Lit]) -> Outcome {
         if !self.ok {
             return Outcome::Unsat;
         }
@@ -1222,6 +1299,17 @@ impl Solver {
     /// index `v`). Only meaningful after [`Outcome::Sat`].
     pub fn model(&self) -> &[bool] {
         &self.model
+    }
+}
+
+/// Encoders write straight into the live solver: no intermediate [`Cnf`].
+impl ClauseSink for Solver {
+    fn new_var(&mut self) -> Var {
+        Solver::new_var(self)
+    }
+
+    fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
+        Solver::add_clause(self, lits);
     }
 }
 
@@ -1498,11 +1586,80 @@ mod tests {
     }
 
     #[test]
+    fn assumptions_do_not_poison_the_solver() {
+        let mut s = Solver::new();
+        s.add_clause([lit(0, false), lit(1, false)]);
+        assert_eq!(
+            s.solve_with_assumptions(&[lit(0, true), lit(1, true)]),
+            Outcome::Unsat
+        );
+        assert!(s.root_consistent());
+        assert_eq!(s.solve(), Outcome::Sat);
+    }
+
+    #[test]
+    fn incremental_additions_flip_outcome() {
+        let mut s = Solver::new();
+        s.add_clause([lit(0, false), lit(1, false)]);
+        assert_eq!(s.solve(), Outcome::Sat);
+        s.add_clause([lit(0, true)]);
+        assert_eq!(s.solve(), Outcome::Sat);
+        assert!(s.model()[1]);
+        s.add_clause([lit(1, true)]);
+        assert_eq!(s.solve(), Outcome::Unsat);
+        assert!(!s.root_consistent());
+        // Root inconsistency is permanent.
+        assert_eq!(s.solve(), Outcome::Unsat);
+    }
+
+    #[test]
+    fn clauses_since_solve_counts_each_addition() {
+        let mut s = Solver::new();
+        s.add_clause([lit(0, false), lit(1, false)]);
+        s.add_clause([lit(0, true), lit(1, false)]);
+        assert_eq!(s.clauses_since_solve(), 2);
+        s.solve();
+        assert_eq!(s.clauses_since_solve(), 0);
+        // A clause the root already satisfies still counts as added.
+        s.add_clause([lit(1, false), lit(2, false)]);
+        assert_eq!(s.clauses_since_solve(), 1);
+        assert_eq!(s.solve(), Outcome::Sat);
+    }
+
+    #[test]
+    fn activation_literal_protocol_retracts_clauses() {
+        let mut s = Solver::new();
+        let x = s.new_var();
+        let act = s.new_var();
+        // Guarded unit clause: x ∨ ¬act.
+        s.add_clause([x.positive(), act.negative()]);
+        // A hard clause contradicting x.
+        s.add_clause([x.negative()]);
+        // With the guard asserted the formula is UNSAT…
+        assert_eq!(s.solve_with_assumptions(&[act.positive()]), Outcome::Unsat);
+        // …but the solver survives and the clause is retracted without it.
+        assert!(s.root_consistent());
+        assert_eq!(s.solve(), Outcome::Sat);
+        assert!(!s.model()[x.index()]);
+    }
+
+    #[test]
     fn conflict_budget_returns_unknown() {
         let cnf = pigeonhole(7); // hard enough to exceed 10 conflicts
         let mut s = Solver::from_cnf(&cnf);
         s.set_budget(Budget::conflicts(10).unwrap());
         assert_eq!(s.solve(), Outcome::Unknown);
+    }
+
+    #[test]
+    fn conflict_budget_is_per_call() {
+        let mut s = Solver::from_cnf(&pigeonhole(4));
+        s.set_budget(Budget::conflicts(2).unwrap());
+        assert_eq!(s.solve(), Outcome::Unknown);
+        // A fresh per-call budget counts from the current total, so the
+        // second call gets real work done rather than dying instantly.
+        s.set_budget(Budget::conflicts(1_000_000).unwrap());
+        assert_eq!(s.solve(), Outcome::Unsat);
     }
 
     #[test]

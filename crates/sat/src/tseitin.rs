@@ -77,7 +77,7 @@ pub(crate) fn check_encodable(nl: &Netlist) -> Result<(), TseitinError> {
     Ok(())
 }
 
-/// Encodes `nl` into `sink` (a [`Cnf`] or a live [`crate::Session`]).
+/// Encodes `nl` into `sink` (a [`Cnf`] or a live [`crate::Solver`]).
 /// Nets listed in `pinned` reuse the given variables; all other nets get
 /// fresh ones. Returns the complete net→var map.
 ///
@@ -172,7 +172,7 @@ pub fn encode_netlist(nl: &Netlist) -> Result<(Cnf, CircuitVars), TseitinError> 
 }
 
 /// Where an encoder writes its variables and clauses: a [`Cnf`] being
-/// built up, or a live [`crate::Session`] that takes them straight into
+/// built up, or a live [`crate::Solver`] that takes them straight into
 /// its solver.
 pub trait ClauseSink {
     /// Allocates a fresh variable.

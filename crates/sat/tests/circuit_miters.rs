@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use ril_netlist::generators;
-use ril_sat::{encode_netlist_into, Budget, Cnf, Outcome, Session, Var};
+use ril_sat::{encode_netlist_into, Budget, Cnf, Outcome, Solver, Var};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -40,10 +40,10 @@ fn miter_cnf(a: &ril_netlist::Netlist, b: &ril_netlist::Netlist) -> Cnf {
 }
 
 fn solve(cnf: &Cnf) -> (Outcome, Option<Vec<bool>>) {
-    let mut session = Session::from_cnf(cnf);
-    session.set_budget(Budget::from_timeout(Some(Duration::from_secs(30))));
-    let outcome = session.solve();
-    let model = (outcome == Outcome::Sat).then(|| session.model().to_vec());
+    let mut solver = Solver::from_cnf(cnf);
+    solver.set_budget(Budget::from_timeout(Some(Duration::from_secs(30))));
+    let outcome = solver.solve();
+    let model = (outcome == Outcome::Sat).then(|| solver.model().to_vec());
     (outcome, model)
 }
 

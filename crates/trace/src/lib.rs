@@ -11,7 +11,7 @@
 //!   iteration → solve`, tagged with a [`Phase`] so post-processing can
 //!   bucket time into encode / solve / verify.
 //! - **Context propagation**: a thread-local stack carries the active
-//!   tracer and span, so deep layers (`ril_sat::Session::solve_under`)
+//!   tracer and span, so deep layers (`ril_sat::Solver::solve_with_assumptions`)
 //!   open child spans with a free-function call and zero API plumbing.
 //!   Worker threads join an existing trace with [`Tracer::install`] —
 //!   this is how `ril-bench` keeps parallel sweep cells attributable.

@@ -22,6 +22,8 @@
 # each side's IQR as a fraction of its own median, and whether the gap
 # exceeds the larger of the two IQRs. The last is the fair spread check:
 # a k-fold gain is not asked to be k times steadier than the parent.
+# After the traced per-layer table it prints the traced pair's
+# deterministic search counts side by side and `search identical: yes|no`.
 # At seed 1000 it also writes the change side's ledger to
 # BENCH_<workload>.json at the repo root: the median and quartiles of
 # every end-to-end metric, the traced per-layer medians, the commit, the
@@ -32,7 +34,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 ROOT=$(pwd)
 
-usage() { sed -n '2,30p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+usage() { sed -n '2,32p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 [ $# -ge 2 ] || usage
 PAIRS=${3:-10}
 SEED=${4:-1000}
@@ -149,6 +151,17 @@ traced = {s: load(s, "traced")["metrics"] for s in ("base", "change")}
 print("== traced per-layer medians (one run each)")
 for name, v in traced["base"].items():
     print(f"  {name:<28} {v['value']:>14.6g} {traced['change'][name]['value']:>14.6g}")
+
+# The search is deterministic, so equal counts on both sides mean the
+# change kept the parent's search.
+print("== search counts (traced pair)")
+same = True
+for name in ("sat.conflicts", "sat.propagations", "sat.decisions", "sat.learned",
+             "attack.dips", "attack.solves"):
+    b, c = (traced[s].get(name, {}).get("value") for s in ("base", "change"))
+    same = same and b is not None and b == c
+    print(f"  {name:<28} {b!s:>14} {c!s:>14}")
+print(f"search identical: {'yes' if same else 'no'}")
 
 steal = {}
 with open(f"{out}/steal.tsv") as f:

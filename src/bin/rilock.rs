@@ -24,7 +24,7 @@
 
 use ril_blocks::attacks::appsat::appsat_attack;
 use ril_blocks::attacks::satattack::sat_attack;
-use ril_blocks::attacks::{AppSatConfig, Oracle, SatAttackConfig};
+use ril_blocks::attacks::{check_key, AppSatConfig, Oracle, SatAttackConfig};
 use ril_blocks::core::key::{KeyBitKind, KeyStore};
 use ril_blocks::core::{LockedCircuit, Obfuscator, RilBlockSpec};
 use ril_blocks::netlist::{parse_bench, parse_verilog, write_bench, write_verilog, Netlist};
@@ -379,7 +379,7 @@ fn remote_attack(args: &[String]) -> Result<(), String> {
         println!("pipelined probe: {answered} requests answered in order on one connection");
     }
 
-    let report = if has_flag(args, "--appsat") {
+    let mut report = if has_flag(args, "--appsat") {
         let cfg = AppSatConfig {
             timeout: Some(Duration::from_secs(timeout)),
             ..AppSatConfig::default()
@@ -392,11 +392,9 @@ fn remote_attack(args: &[String]) -> Result<(), String> {
         };
         sat_attack(&view, &mut oracle, &cfg)
     };
+    check_key(&locked, &mut report).map_err(|e| e.to_string())?;
     println!("{report}");
-    if let Some(key) = report.result.key() {
-        let correct = locked
-            .equivalent_under_key(key, 32)
-            .map_err(|e| e.to_string())?;
+    if let Some(correct) = report.functionally_correct {
         println!("recovered key functionally correct: {correct}");
     }
     println!(
