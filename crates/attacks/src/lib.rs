@@ -16,8 +16,6 @@
 //! is the policy it passes that driver.
 //! * [`oracle`] — the activated-IC black box (scan accesses assert `SE`,
 //!   so Scan-Enable-defended designs answer with corrupted responses).
-//! * [`json`] — the hand-rolled JSON reader matching the suite's
-//!   hand-rolled writers (no crates-io `serde` in this environment).
 //!
 //! ## Quickstart
 //!
@@ -50,7 +48,7 @@
 
 pub mod appsat;
 pub mod attack;
-pub mod json;
+pub use ril_trace::json;
 mod miter;
 pub mod oracle;
 pub mod prelude;

@@ -1,7 +1,7 @@
 //! Attack outcome types shared by the whole suite.
 
-use crate::json::{escape, JsonValue};
 use ril_sat::SolverStats;
+use ril_trace::json::{escape, JsonValue};
 use std::fmt;
 use std::time::Duration;
 

@@ -12,8 +12,8 @@
 //! ```text
 //! ril-bench run --workers 4 table1    # farm its cells over 4 worker procs
 //! ril-bench worker --connect H:P      # join a farm from any machine
-//! ril-bench trace exp_out             # per-phase time breakdown of a run
-//! ril-bench validate exp_out          # integrity-check run artifacts
+//! ril-bench trace exp_out             # per-phase breakdown + TRACE_*.json
+//! ril-bench validate exp_out          # integrity-check manifests + span logs
 //! ```
 //!
 //! `--workers N` starts a loopback farm coordinator, spawns N local
@@ -23,13 +23,13 @@
 //! coordinator.
 //!
 //! Environment knobs (`RIL_TIMEOUT_SECS`, `RIL_THREADS`, `RIL_OUT_DIR`,
-//! `RIL_TABLE1_FULL`, `RIL_MC_INSTANCES`, `RIL_LOG`, `RIL_TRACE`) are
-//! parsed and validated once into a `RunConfig`; malformed values are
-//! hard errors, not silent defaults. Each experiment leaves
-//! `MANIFEST_<name>.json`, an `EVENTS_<name>.jsonl` stream, trace spans
-//! (`SPANS_<name>.jsonl` + Perfetto-loadable `TRACE_<name>.json`), and
-//! content-addressed cell caches under the output directory, so
-//! interrupted sweeps resume where they stopped.
+//! `RIL_TABLE1_FULL`, `RIL_MC_INSTANCES`, `RIL_LOG`) are parsed and
+//! validated once into a `RunConfig`; malformed values are hard errors,
+//! not silent defaults. Each experiment leaves `MANIFEST_<name>.json`,
+//! its span log `SPANS_<name>.jsonl` (spans, notes, errors, metrics),
+//! and content-addressed cell caches under the output directory, so
+//! interrupted sweeps resume where they stopped. `trace` renders each
+//! span log as a Perfetto-loadable `TRACE_<name>.json` beside it.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -39,7 +39,7 @@ use ril_bench::farm::worker::worker_main;
 use ril_bench::{trace_report, validate_run_dir, FarmSpec, RunConfig, WorkerConfig};
 
 fn usage() -> &'static str {
-    "usage:\n  ril-bench list\n  ril-bench run [--all] [--smoke] [--no-cache] [--workers N] [--out-dir DIR] [NAME…]\n  ril-bench worker --connect HOST:PORT [--name NAME]\n  ril-bench trace <run-dir>\n  ril-bench validate <run-dir>"
+    "usage:\n  ril-bench list\n  ril-bench run [--all] [--smoke] [--no-cache] [--workers N] [--out-dir DIR] [NAME…]\n  ril-bench worker --connect HOST:PORT [--name NAME]\n  ril-bench trace <run-dir>   (also writes TRACE_<exp>.json per span log)\n  ril-bench validate <run-dir>"
 }
 
 fn main() -> ExitCode {

@@ -22,7 +22,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use ril_attacks::json::{escape, JsonValue};
+use ril_trace::json::{escape, JsonValue};
 
 /// Bumped whenever attack semantics or cell payload encoding change, so
 /// stale cells from older code versions can never satisfy a lookup.

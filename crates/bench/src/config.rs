@@ -8,9 +8,43 @@
 //! run manifest so a result can always be traced to the knobs that
 //! produced it.
 
-use crate::events::LogLevel;
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// Stderr verbosity of a run's narration (`RIL_LOG`). Levels are
+/// cumulative: `note` shows errors and notes. The span log always
+/// records every note and error, whatever the level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum LogLevel {
+    /// Nothing on stderr.
+    Off,
+    /// Only errors.
+    Error,
+    /// Errors plus run lifecycle and notes (the default).
+    Note,
+}
+
+impl LogLevel {
+    /// Parses a `RIL_LOG` value. `None` for anything but the three level
+    /// names (callers treat that as a hard configuration error).
+    pub fn parse(s: &str) -> Option<LogLevel> {
+        match s {
+            "off" => Some(LogLevel::Off),
+            "error" => Some(LogLevel::Error),
+            "note" => Some(LogLevel::Note),
+            _ => None,
+        }
+    }
+
+    /// The level's `RIL_LOG` spelling.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            LogLevel::Off => "off",
+            LogLevel::Error => "error",
+            LogLevel::Note => "note",
+        }
+    }
+}
 
 /// A validated experiment-run configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,8 +55,8 @@ pub struct RunConfig {
     /// Sweep worker threads (`RIL_THREADS`, default: available
     /// parallelism).
     pub threads: usize,
-    /// Output directory for tables, manifests, events and the cell cache
-    /// (`RIL_OUT_DIR`, default `exp_out`).
+    /// Output directory for tables, manifests, span logs and the cell
+    /// cache (`RIL_OUT_DIR`, default `exp_out`).
     pub out_dir: PathBuf,
     /// Run the paper's full 10-row Table I sweep (`RIL_TABLE1_FULL=1`).
     pub table1_full: bool,
@@ -34,13 +68,8 @@ pub struct RunConfig {
     /// Read/write the content-addressed cell cache (`--no-cache` turns
     /// this off; the cells are then always recomputed).
     pub use_cache: bool,
-    /// Stderr verbosity for the event mirror (`RIL_LOG`, default `note`).
-    /// The JSONL event file always records everything.
+    /// Stderr verbosity of the narration (`RIL_LOG`, default `note`).
     pub log_level: LogLevel,
-    /// Collect hierarchical trace spans and write `SPANS_*.jsonl` +
-    /// `TRACE_*.json` per experiment (`RIL_TRACE`, default on; `0`
-    /// disables for minimum overhead).
-    pub trace: bool,
 }
 
 /// A rejected environment variable.
@@ -75,7 +104,6 @@ impl Default for RunConfig {
             smoke: false,
             use_cache: true,
             log_level: LogLevel::Note,
-            trace: true,
         }
     }
 }
@@ -155,21 +183,8 @@ impl RunConfig {
             cfg.log_level = LogLevel::parse(&v).ok_or(ConfigError {
                 var: "RIL_LOG",
                 value: v,
-                reason: "expected one of off, error, note, debug",
+                reason: "expected one of off, error, note",
             })?;
-        }
-        if let Some(v) = read_env("RIL_TRACE") {
-            cfg.trace = match v.as_str() {
-                "1" => true,
-                "0" => false,
-                _ => {
-                    return Err(ConfigError {
-                        var: "RIL_TRACE",
-                        value: v,
-                        reason: "expected 0 or 1",
-                    })
-                }
-            };
         }
         Ok(cfg)
     }
@@ -188,16 +203,15 @@ impl RunConfig {
     /// The configuration as a JSON object, for manifests.
     pub fn to_json(&self) -> String {
         format!(
-            r#"{{"timeout_s":{},"threads":{},"out_dir":"{}","table1_full":{},"mc_instances":{},"smoke":{},"use_cache":{},"log_level":"{}","trace":{}}}"#,
+            r#"{{"timeout_s":{},"threads":{},"out_dir":"{}","table1_full":{},"mc_instances":{},"smoke":{},"use_cache":{},"log_level":"{}"}}"#,
             self.timeout.as_secs_f64(),
             self.threads,
-            ril_attacks::json::escape(&self.out_dir.display().to_string()),
+            ril_trace::json::escape(&self.out_dir.display().to_string()),
             self.table1_full,
             self.mc_instances,
             self.smoke,
             self.use_cache,
             self.log_level.as_str(),
-            self.trace,
         )
     }
 }
@@ -250,10 +264,21 @@ mod tests {
     #[test]
     fn config_json_parses_back() {
         let cfg = RunConfig::default();
-        let v = ril_attacks::json::JsonValue::parse(&cfg.to_json()).unwrap();
+        let v = ril_trace::json::JsonValue::parse(&cfg.to_json()).unwrap();
         assert_eq!(v.get("timeout_s").unwrap().as_f64(), Some(60.0));
         assert_eq!(v.get("use_cache").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("log_level").unwrap().as_str(), Some("note"));
-        assert_eq!(v.get("trace").unwrap().as_bool(), Some(true));
+    }
+
+    #[test]
+    fn log_levels_parse_and_order() {
+        assert_eq!(LogLevel::parse("off"), Some(LogLevel::Off));
+        assert_eq!(LogLevel::parse("error"), Some(LogLevel::Error));
+        assert_eq!(LogLevel::parse("note"), Some(LogLevel::Note));
+        assert_eq!(LogLevel::parse("debug"), None);
+        assert_eq!(LogLevel::parse("NOTE"), None);
+        assert!(LogLevel::Off < LogLevel::Error);
+        assert!(LogLevel::Error < LogLevel::Note);
+        assert_eq!(LogLevel::Note.as_str(), "note");
     }
 }

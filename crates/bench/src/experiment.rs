@@ -2,7 +2,7 @@
 //!
 //! Every table and figure of the paper is an [`Experiment`]: a named unit
 //! with a one-line description and a `run` that takes the validated
-//! [`RunConfig`] plus a [`RunContext`] (event sink, cell cache, cell
+//! [`RunConfig`] plus a [`RunContext`] (span log, cell cache, cell
 //! accounting). The [`registry`] enumerates all of them; the `ril-bench`
 //! binary is nothing but argument parsing over this module.
 //!
@@ -16,13 +16,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use ril_attacks::json::{escape, JsonValue};
 use ril_attacks::AttackReport;
+use ril_trace::json::{escape, JsonValue};
+use ril_trace::{NoteKind, Phase, SpanId, Tracer};
 
 use crate::cache::{CellCache, Manifest};
 use crate::cell::CellSpec;
-use crate::config::{ConfigError, RunConfig};
-use crate::events::{EventKind, EventSink};
+use crate::config::{ConfigError, LogLevel, RunConfig};
 use crate::CellOutcome;
 
 /// What an experiment hands back on success.
@@ -133,37 +133,34 @@ pub trait Experiment: Sync {
     }
 }
 
-/// Shared run services handed to each experiment: the JSONL event sink,
-/// the content-addressed cell cache, the run's [`ril_trace::Tracer`], and
-/// cell accounting. All methods take `&self` (interior mutability) so
-/// sweep cells can use the context from parallel worker threads.
+/// Shared run services handed to each experiment: the run's
+/// [`Tracer`] (whose span log also records the run's notes and errors),
+/// the content-addressed cell cache, and cell accounting. All methods
+/// take `&self` (interior mutability) so sweep cells can use the context
+/// from parallel worker threads.
 pub struct RunContext {
     experiment: String,
-    events: EventSink,
+    log_level: LogLevel,
     cache: CellCache,
     out_dir: PathBuf,
-    trace: ril_trace::Tracer,
-    root_span: ril_trace::SpanId,
+    trace: Tracer,
+    root_span: SpanId,
     cached: AtomicUsize,
     computed: AtomicUsize,
     failed: AtomicUsize,
 }
 
 impl RunContext {
-    /// A context for `experiment` rooted at `cfg.out_dir`. When
-    /// `cfg.trace` is set the context owns an enabled tracer with an open
-    /// `experiment` root span; [`RunContext::finish_trace`] closes it and
-    /// writes the span log and Chrome trace next to the tables.
+    /// A context for `experiment` rooted at `cfg.out_dir`, with an
+    /// enabled tracer and an open `experiment` root span.
+    /// [`run_experiments_with`] closes it and writes
+    /// `SPANS_<experiment>.jsonl` when the experiment finishes.
     pub fn new(experiment: &str, cfg: &RunConfig) -> RunContext {
-        let trace = if cfg.trace {
-            ril_trace::Tracer::new()
-        } else {
-            ril_trace::Tracer::disabled()
-        };
-        let root_span = trace.open_root("experiment", ril_trace::Phase::Experiment);
+        let trace = Tracer::new();
+        let root_span = trace.open_root("experiment", Phase::Experiment);
         RunContext {
             experiment: experiment.to_string(),
-            events: EventSink::open_with_level(&cfg.out_dir, experiment, cfg.log_level),
+            log_level: cfg.log_level,
             cache: CellCache::new(&cfg.out_dir, cfg.use_cache),
             out_dir: cfg.out_dir.clone(),
             trace,
@@ -174,29 +171,29 @@ impl RunContext {
         }
     }
 
-    /// A silent context over a throwaway cache — for unit tests.
+    /// A silent, untraced context over a throwaway cache — for unit tests.
     pub fn null(experiment: &str) -> RunContext {
         let dir = std::env::temp_dir().join(format!("ril_null_ctx_{}", std::process::id()));
         RunContext {
             experiment: experiment.to_string(),
-            events: EventSink::null(),
+            log_level: LogLevel::Off,
             cache: CellCache::new(&dir, false),
             out_dir: dir,
-            trace: ril_trace::Tracer::disabled(),
-            root_span: ril_trace::SpanId::NONE,
+            trace: Tracer::disabled(),
+            root_span: SpanId::NONE,
             cached: AtomicUsize::new(0),
             computed: AtomicUsize::new(0),
             failed: AtomicUsize::new(0),
         }
     }
 
-    /// The run's tracer (disabled when `RIL_TRACE=0`).
-    pub fn trace(&self) -> &ril_trace::Tracer {
+    /// The run's tracer.
+    pub fn trace(&self) -> &Tracer {
         &self.trace
     }
 
     /// The experiment's root span, parent for sweep-worker spans.
-    pub fn root_span(&self) -> ril_trace::SpanId {
+    pub fn root_span(&self) -> SpanId {
         self.root_span
     }
 
@@ -212,15 +209,11 @@ impl RunContext {
         crate::sweep::parallel_sweep_traced(workers, &self.trace, self.root_span, items, job)
     }
 
-    /// Closes the experiment root span and writes the run's trace
-    /// artifacts (`SPANS_<experiment>.jsonl` and `TRACE_<experiment>.json`)
-    /// into the output directory. No-op (empty list) when tracing is
-    /// disabled. Call once, after the experiment finishes (including
-    /// after a panic — the driver does this).
-    pub fn finish_trace(&self) -> Vec<PathBuf> {
-        if !self.trace.is_enabled() {
-            return Vec::new();
-        }
+    /// Closes the experiment root span and writes the span log
+    /// `SPANS_<experiment>.jsonl` into the output directory. Called once
+    /// by [`run_experiments_with`], after the experiment finishes (or
+    /// panics).
+    fn finish_trace(&self) {
         self.trace.close_with(
             self.root_span,
             vec![(
@@ -231,31 +224,33 @@ impl RunContext {
         let spans = self
             .out_dir
             .join(format!("SPANS_{}.jsonl", self.experiment));
-        let chrome = self.out_dir.join(format!("TRACE_{}.json", self.experiment));
-        let mut written = Vec::new();
-        let _ = std::fs::create_dir_all(&self.out_dir);
-        match self.trace.write_spans_jsonl(&spans) {
-            Ok(()) => written.push(spans),
-            Err(e) => self.events.error(&format!("span log write failed: {e}")),
+        if let Err(e) = self.trace.write_spans_jsonl(&spans) {
+            self.record(NoteKind::Error, &format!("span log write failed: {e}"));
         }
-        match self.trace.write_chrome_trace(&chrome) {
-            Ok(()) => written.push(chrome),
-            Err(e) => self
-                .events
-                .error(&format!("chrome trace write failed: {e}")),
-        }
-        written
     }
 
-    /// Emits a `Note` event.
+    /// Records a note or error under the root span and mirrors it to
+    /// stderr when `RIL_LOG` shows its kind.
+    fn record(&self, kind: NoteKind, message: &str) {
+        self.trace.note(self.root_span, kind, message);
+        let shown_from = match kind {
+            NoteKind::Error => LogLevel::Error,
+            NoteKind::Note => LogLevel::Note,
+        };
+        if self.log_level >= shown_from {
+            eprintln!("[{}] {} {message}", self.experiment, kind.as_str());
+        }
+    }
+
+    /// Records a note.
     pub fn note(&self, message: &str) {
-        self.events.note(message);
+        self.record(NoteKind::Note, message);
     }
 
-    /// Emits an `Error` event and bumps the failed-cell count.
+    /// Records an error and bumps the failed-cell count.
     pub fn cell_failed(&self, message: &str) {
         self.failed.fetch_add(1, Ordering::Relaxed);
-        self.events.error(message);
+        self.record(NoteKind::Error, message);
     }
 
     /// The outcomes of `cells`, in plan order, swept on `workers`
@@ -279,28 +274,22 @@ impl RunContext {
     /// One cell's payload: from the cache, or computed and stored.
     fn cached_payload(&self, spec: &CellSpec, label: &str) -> Result<String, String> {
         let key = spec.key();
-        let mut span = ril_trace::span("cell", ril_trace::Phase::Cell);
+        let mut span = ril_trace::span("cell", Phase::Cell);
         span.record_str("label", label);
         if let Some(payload) = self.cache.get(&key) {
             self.cached.fetch_add(1, Ordering::Relaxed);
             span.record_bool("cached", true);
-            self.events.emit(EventKind::Cell, label, r#""cached":true"#);
             return Ok(payload);
         }
         span.record_bool("cached", false);
-        let started = Instant::now();
         let payload = cell_payload(&spec.run().map_err(|e| e.to_string())?);
-        let wall = started.elapsed().as_secs_f64();
         if let Err(e) = self.cache.put(&key, &payload) {
-            self.events
-                .error(&format!("cache store failed for {label}: {e}"));
+            self.record(
+                NoteKind::Error,
+                &format!("cache store failed for {label}: {e}"),
+            );
         }
         self.computed.fetch_add(1, Ordering::Relaxed);
-        self.events.emit(
-            EventKind::Cell,
-            label,
-            &format!(r#""cached":false,"wall_s":{wall:.3}"#),
-        );
         Ok(payload)
     }
 
@@ -451,7 +440,6 @@ pub fn run_experiments_with(
             Err(panic) => Err(format!("panicked: {}", panic_message(&panic))),
         };
         let wall_s = started.elapsed().as_secs_f64();
-        ctx.finish_trace();
         let manifest = Manifest {
             experiment: name.to_string(),
             config_json: cfg.to_json(),
@@ -471,6 +459,7 @@ pub fn run_experiments_with(
         }) {
             ctx.note(&format!("manifest write failed: {e}"));
         }
+        ctx.finish_trace();
         records.push(RunRecord {
             name,
             outcome,

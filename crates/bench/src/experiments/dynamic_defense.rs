@@ -12,10 +12,10 @@
 
 use std::time::Duration;
 
-use ril_attacks::json::escape;
 use ril_attacks::satattack::{sat_attack, SatAttackConfig};
 use ril_attacks::{attacker_view, check_key, AttackReport};
 use ril_serve::{DesignSpec, RemoteOracle, ServeClient, ServeConfig, Server};
+use ril_trace::json::escape;
 
 use crate::cell::MorphCell;
 use crate::experiment::{Experiment, ExperimentError, ExperimentOutput, RunContext};

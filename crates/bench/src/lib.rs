@@ -23,22 +23,21 @@
 //! `ril-bench list` prints the registry; `ril-bench run <names…>` (or
 //! `--all`, `--smoke`) executes experiments with a typed, validated
 //! [`RunConfig`] (env knobs `RIL_TIMEOUT_SECS`, `RIL_THREADS`,
-//! `RIL_OUT_DIR`, `RIL_TABLE1_FULL`, `RIL_MC_INSTANCES`, `RIL_LOG`,
-//! `RIL_TRACE` are parsed once, there),
-//! a content-addressed cell cache
-//! that makes interrupted sweeps resumable, per-run manifests, a JSONL
-//! event stream, and hierarchical trace spans (`SPANS_<exp>.jsonl` +
-//! Perfetto-loadable `TRACE_<exp>.json`, DESIGN.md §9). `ril-bench
-//! trace <run-dir>` aggregates a finished run's spans into a per-phase
-//! time breakdown; `ril-bench validate <run-dir>` integrity-checks every
-//! artifact.
+//! `RIL_OUT_DIR`, `RIL_TABLE1_FULL`, `RIL_MC_INSTANCES`, `RIL_LOG` are
+//! parsed once, there), a content-addressed cell cache that makes
+//! interrupted sweeps resumable, per-run manifests, and one run record
+//! per experiment: the span log `SPANS_<exp>.jsonl` (spans, notes,
+//! errors and metrics; DESIGN.md §9), which `ril-trace` writes and reads.
+//! `ril-bench trace <run-dir>` aggregates a finished run's spans into a
+//! per-phase time breakdown and renders each log as a Perfetto-loadable
+//! `TRACE_<exp>.json`; `ril-bench validate <run-dir>` integrity-checks
+//! every manifest and span log.
 
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod cell;
 pub mod config;
-pub mod events;
 pub mod experiment;
 pub mod experiments;
 pub mod farm;
@@ -47,17 +46,13 @@ pub mod tracereport;
 
 pub use cache::{CacheKey, CellCache, Manifest, CACHE_VERSION};
 pub use cell::{CellSpec, SatCellSpec, SEARCH};
-pub use config::{ConfigError, RunConfig};
-pub use events::{EventKind, EventSink, LogLevel};
+pub use config::{ConfigError, LogLevel, RunConfig};
 pub use experiment::{
     registry, run_experiments, run_experiments_with, Experiment, ExperimentError, ExperimentOutput,
     RunContext,
 };
 pub use farm::{run_farm_phase, run_worker, FarmSpec, WorkerConfig, WorkerSummary};
-pub use tracereport::{
-    breakdown, check_chrome_trace, check_events_jsonl, check_spans_jsonl, trace_report,
-    validate_run_dir, CellBreakdown, PhaseTotals, SpanRec, SpanStats,
-};
+pub use tracereport::{trace_report, validate_run_dir};
 
 use ril_attacks::{run_attack, AttackConfig, AttackKind, AttackReport, AttackResult};
 use ril_core::{LockedCircuit, Obfuscator, RilBlockSpec};

@@ -1,5 +1,6 @@
-//! Integration tests for the experiment framework: cache key semantics,
-//! resume-after-partial-run, and the headline acceptance property — a
+//! Integration tests for the experiment framework: cache key semantics
+//! (and their trace in the span log), resume-after-partial-run, and the
+//! headline acceptance property — a
 //! `ril-bench run table1` killed mid-sweep (SIGKILL) and re-invoked
 //! completes from cached cells, strictly faster than a cold run.
 
@@ -7,9 +8,11 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use ril_bench::experiment::{find, run_experiments, Experiment};
-use ril_bench::{CellCache, Manifest, RunConfig, SatCellSpec};
+use ril_bench::experiment::{find, run_experiments, Experiment, RunContext};
+use ril_bench::experiment::{ExperimentError, ExperimentOutput};
+use ril_bench::{CellCache, CellSpec, Manifest, RunConfig, SatCellSpec};
 use ril_core::RilBlockSpec;
+use ril_trace::json::JsonValue;
 
 fn temp_out(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ril_bench_it_{tag}_{}", std::process::id()));
@@ -27,7 +30,6 @@ fn test_config(out_dir: &Path) -> RunConfig {
         smoke: true,
         use_cache: true,
         log_level: ril_bench::LogLevel::Off,
-        trace: true,
     }
 }
 
@@ -35,6 +37,24 @@ fn read_manifest(out_dir: &Path, experiment: &str) -> Manifest {
     let text =
         std::fs::read_to_string(Manifest::path_for(out_dir, experiment)).expect("manifest exists");
     Manifest::from_json(&text).expect("manifest parses")
+}
+
+/// An experiment over one SAT cell.
+struct OneCell(SatCellSpec);
+
+impl Experiment for OneCell {
+    fn name(&self) -> &'static str {
+        "one_cell"
+    }
+
+    fn describe(&self) -> &'static str {
+        "one SAT cell (test-only)"
+    }
+
+    fn run(&self, _cfg: &RunConfig, ctx: &RunContext) -> Result<ExperimentOutput, ExperimentError> {
+        let outcomes = ctx.outcomes(&[CellSpec::Sat(self.0.clone())], 1);
+        Ok(ExperimentOutput::summary(outcomes[0].cell.clone()))
+    }
 }
 
 #[test]
@@ -95,6 +115,32 @@ fn cache_hits_on_identical_config_and_misses_on_any_change() {
     assert_eq!(cache.get(&same).as_deref(), Some("payload"));
     for v in &variants {
         assert!(cache.get(v).is_none());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A second run of the same cell is a cache hit, and its `cell` span
+    // in the span log says so.
+    let dir = temp_out("keying_run");
+    let cheap = SatCellSpec {
+        bench: "adder:8".to_string(),
+        spec: RilBlockSpec::size_2x2(),
+        blocks: 1,
+        seed: 3,
+        timeout_s: 30,
+        solver_threads: 1,
+    };
+    let exps: Vec<Box<dyn Experiment>> = vec![Box::new(OneCell(cheap))];
+    for cached in [false, true] {
+        let records = run_experiments(&exps, &test_config(&dir));
+        assert!(records[0].outcome.is_ok(), "{:?}", records[0].outcome);
+        let text = std::fs::read_to_string(dir.join("SPANS_one_cell.jsonl")).unwrap();
+        let stats = ril_trace::check_spans_jsonl(&text).unwrap();
+        let cells: Vec<_> = stats.spans.iter().filter(|s| s.name == "cell").collect();
+        assert_eq!(cells.len(), 1);
+        assert_eq!(
+            cells[0].fields.get("cached").and_then(JsonValue::as_bool),
+            Some(cached)
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,19 +1,20 @@
-//! Trace and event stream integrity, end to end: a real experiment run
-//! leaves `SPANS_*.jsonl` / `TRACE_*.json` / `EVENTS_*.jsonl` that pass
-//! the checkers (every line parses, per-thread timestamps monotonic,
-//! begin/end balanced, parents resolve), spans stay balanced even when
-//! the experiment panics mid-span, and a multi-worker sweep keeps both
-//! streams whole.
+//! Run-record integrity, end to end: a real experiment run leaves one
+//! span log `SPANS_*.jsonl` (spans, notes, errors, metrics) that passes
+//! the reader (every line parses, per-thread timestamps monotonic,
+//! begin/end balanced, parents resolve) and no other stream; spans stay
+//! balanced and notes land even when the experiment panics mid-span; a
+//! multi-worker sweep keeps the log whole; and `ril-bench trace` renders
+//! a Chrome trace whose `B`/`E` events nest per thread.
 
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use ril_bench::experiment::{find, run_experiments, Experiment, RunContext};
 use ril_bench::experiment::{ExperimentError, ExperimentOutput};
-use ril_bench::{
-    breakdown, check_chrome_trace, check_events_jsonl, check_spans_jsonl, validate_run_dir,
-    LogLevel, RunConfig,
-};
+use ril_bench::{trace_report, validate_run_dir, LogLevel, RunConfig};
+use ril_trace::json::JsonValue;
+use ril_trace::{breakdown, check_spans_jsonl, NoteKind, SpanStats};
 
 fn temp_out(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ril_trace_it_{tag}_{}", std::process::id()));
@@ -31,12 +32,38 @@ fn test_config(out_dir: &Path) -> RunConfig {
         smoke: true,
         use_cache: true,
         log_level: LogLevel::Off,
-        trace: true,
     }
 }
 
-fn read_artifact(dir: &Path, name: &str) -> String {
-    std::fs::read_to_string(dir.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"))
+fn read_spans(dir: &Path, experiment: &str) -> SpanStats {
+    let name = format!("SPANS_{experiment}.jsonl");
+    let text = std::fs::read_to_string(dir.join(&name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    check_spans_jsonl(&text).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+/// Checks a rendered Chrome trace: every `B` is closed by an `E` of the
+/// same name on the same thread, innermost first (the nesting Perfetto
+/// needs). Returns the event count.
+fn check_chrome_nesting(text: &str) -> usize {
+    let doc = JsonValue::parse(text).expect("chrome trace is JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .expect("traceEvents array");
+    let mut stacks: HashMap<u64, Vec<&str>> = HashMap::new();
+    for (i, ev) in events.iter().enumerate() {
+        let field = |k| ev.get(k).unwrap_or_else(|| panic!("event {i}: no {k}"));
+        let tid = field("tid").as_u64().expect("tid");
+        let name = field("name").as_str().expect("name");
+        let stack = stacks.entry(tid).or_default();
+        match field("ph").as_str() {
+            Some("B") => stack.push(name),
+            Some("E") => assert_eq!(stack.pop(), Some(name), "event {i}: E out of order"),
+            other => panic!("event {i}: unexpected ph {other:?}"),
+        }
+    }
+    assert!(stacks.values().all(Vec::is_empty), "unclosed B events");
+    events.len()
 }
 
 #[test]
@@ -47,30 +74,43 @@ fn real_run_produces_valid_traced_artifacts() {
     let records = run_experiments(&exps, &cfg);
     assert!(records[0].outcome.is_ok(), "{:?}", records[0].outcome);
 
-    // Span stream: parses, balanced, monotonic per thread — and carries
-    // the whole hierarchy (experiment root, labelled cells, solves).
-    let spans = read_artifact(&dir, "SPANS_scan_defense.jsonl");
-    let stats = check_spans_jsonl(&spans).unwrap_or_else(|e| panic!("spans: {e}"));
+    // The span log is the run's one stream besides its manifest and
+    // tables.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        assert!(
+            !name.starts_with("EVENTS_") && !name.starts_with("TRACE_"),
+            "a run writes no {name}"
+        );
+    }
+
+    // Span log: parses, balanced, monotonic per thread — and carries
+    // the whole hierarchy (experiment root, labelled cells, solves), the
+    // run's lifecycle notes and the metrics trailer.
+    let stats = read_spans(&dir, "scan_defense");
     let roots: Vec<_> = stats.spans.iter().filter(|s| s.parent == 0).collect();
     assert_eq!(roots.len(), 1, "exactly one root span");
     assert_eq!(roots[0].name, "experiment");
     let cells: Vec<_> = stats.spans.iter().filter(|s| s.name == "cell").collect();
     assert!(!cells.is_empty(), "sweep cells are traced");
     assert!(
-        cells.iter().all(|c| c.label.is_some()),
+        cells.iter().all(|c| c.label().is_some()),
         "cells carry labels"
     );
     assert!(
         stats.spans.iter().any(|s| s.name == "solve"),
         "CDCL solves are traced"
     );
+    let messages: Vec<&str> = stats.notes.iter().map(|n| n.message.as_str()).collect();
+    assert!(messages[0].starts_with("start: "), "{messages:?}");
     assert!(
-        stats
-            .counters
-            .iter()
-            .any(|(k, v)| k == "sat.solves" && *v > 0),
+        messages.last().unwrap().starts_with("done in "),
+        "{messages:?}"
+    );
+    assert!(
+        stats.metrics.counter("sat.solves") > 0,
         "metrics trailer has solver counters: {:?}",
-        stats.counters
+        stats.metrics.counters
     );
 
     // The attacks under the cells actually attribute their time: every
@@ -79,18 +119,12 @@ fn real_run_produces_valid_traced_artifacts() {
     assert_eq!(cell_breakdowns.len(), cells.len());
     assert!(totals.solve_us > 0, "solve time attributed: {totals:?}");
 
-    // Chrome trace: loads as JSON, B/E nest properly per thread.
-    let chrome = read_artifact(&dir, "TRACE_scan_defense.json");
-    let n = check_chrome_trace(&chrome).unwrap_or_else(|e| panic!("chrome: {e}"));
-    assert_eq!(n, 2 * stats.spans.len(), "one B and one E per span");
-
-    // Event stream: parses, monotonic in file order.
-    let events = read_artifact(&dir, "EVENTS_scan_defense.jsonl");
-    let count = check_events_jsonl(&events).unwrap_or_else(|e| panic!("events: {e}"));
-    assert!(count >= 2, "run lifecycle events present");
-
-    // And the directory-level validator agrees with all of the above.
+    // The directory-level validator agrees, and `trace` renders a Chrome
+    // trace with one B and one E per span, nested per thread.
     validate_run_dir(&dir).unwrap_or_else(|e| panic!("validate: {e}"));
+    trace_report(&dir).unwrap_or_else(|e| panic!("trace: {e}"));
+    let chrome = std::fs::read_to_string(dir.join("TRACE_scan_defense.json")).unwrap();
+    assert_eq!(check_chrome_nesting(&chrome), 2 * stats.spans.len());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -122,12 +156,25 @@ fn spans_balance_even_when_the_experiment_panics() {
     let records = run_experiments(&exps, &cfg);
     assert!(records[0].outcome.is_err(), "the panic is reported");
 
-    let spans = read_artifact(&dir, "SPANS_panics_mid_span.jsonl");
-    let stats = check_spans_jsonl(&spans).unwrap_or_else(|e| panic!("spans: {e}"));
+    let stats = read_spans(&dir, "panics_mid_span");
     // Root + cell + solve, all closed: the guards unwound cleanly.
     assert_eq!(stats.spans.len(), 3, "{:?}", stats.spans);
-    let chrome = read_artifact(&dir, "TRACE_panics_mid_span.json");
-    check_chrome_trace(&chrome).unwrap_or_else(|e| panic!("chrome: {e}"));
+    // The experiment's note landed under a span that began, and the
+    // run's failure record follows it.
+    let note = stats
+        .notes
+        .iter()
+        .find(|n| n.message == "about to panic with two spans open")
+        .expect("the experiment's note is in the span log");
+    assert_eq!(note.kind, NoteKind::Note);
+    assert!(stats.spans.iter().any(|s| s.id == note.parent));
+    let last = stats.notes.last().unwrap();
+    assert_eq!(last.kind, NoteKind::Error);
+    assert!(last.message.contains("panicked"), "{}", last.message);
+
+    trace_report(&dir).unwrap_or_else(|e| panic!("trace: {e}"));
+    let chrome = std::fs::read_to_string(dir.join("TRACE_panics_mid_span.json")).unwrap();
+    assert_eq!(check_chrome_nesting(&chrome), 2 * stats.spans.len());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -170,8 +217,7 @@ fn concurrent_sweep_keeps_streams_whole() {
     let records = run_experiments(&exps, &cfg);
     assert!(records[0].outcome.is_ok(), "{:?}", records[0].outcome);
 
-    let spans = read_artifact(&dir, "SPANS_wide_sweep.jsonl");
-    let stats = check_spans_jsonl(&spans).unwrap_or_else(|e| panic!("spans: {e}"));
+    let stats = read_spans(&dir, "wide_sweep");
     // 1 root + 32 cells + 128 solves, every cell parented to the root,
     // every solve parented to a cell — across 4 worker threads.
     assert_eq!(stats.spans.len(), 1 + 32 + 128);
@@ -187,8 +233,14 @@ fn concurrent_sweep_keeps_streams_whole() {
         .collect();
     assert!(tids.len() > 1, "sweep actually ran on multiple threads");
 
-    let events = read_artifact(&dir, "EVENTS_wide_sweep.jsonl");
-    let count = check_events_jsonl(&events).unwrap_or_else(|e| panic!("events: {e}"));
-    assert!(count >= 128, "concurrent notes all landed whole");
+    // All 128 concurrent worker notes arrived whole, four per item.
+    let mut per_item: HashMap<&str, usize> = HashMap::new();
+    for note in &stats.notes {
+        if let Some(item) = note.message.strip_prefix("worker note ") {
+            *per_item.entry(item).or_default() += 1;
+        }
+    }
+    assert_eq!(per_item.len(), 32);
+    assert!(per_item.values().all(|&n| n == 4), "{per_item:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

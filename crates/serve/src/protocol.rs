@@ -14,9 +14,9 @@
 //! derives its attacker view the same way — exactly the reverse-engineered
 //! layout knowledge the threat model grants it.
 
-use ril_attacks::json::{u64_field, JsonValue};
 use ril_core::{KeyBitKind, LockedCircuit, Obfuscator, RilBlockSpec};
 use ril_netlist::{generators, Netlist};
+use ril_trace::json::{u64_field, JsonValue};
 
 /// Hard cap on one frame's payload (1 MiB).
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
@@ -301,7 +301,7 @@ impl ServerStats {
             chips,
             metrics: v
                 .get("metrics")
-                .and_then(ril_attacks::json::metrics_snapshot)
+                .and_then(ril_trace::json::metrics_snapshot)
                 .ok_or("missing or malformed `metrics` object")?,
         })
     }

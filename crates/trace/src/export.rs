@@ -1,34 +1,14 @@
-//! Trace exporters: a JSONL span log and Chrome trace-event JSON.
-//!
-//! The JSONL log is the canonical machine-readable artifact: one object
-//! per span `begin`/`end` event (so open/close ordering and balance are
-//! checkable) plus one final `metrics` record with every counter and
-//! timing histogram. The Chrome document uses the trace-event format's
-//! `B`/`E` duration events, which Perfetto and `chrome://tracing` load
-//! directly.
+//! The span log writer: one JSONL object per span `begin`/`end` event
+//! (so open/close ordering and balance are checkable), one per instant
+//! `note`/`error` record, and one final `metrics` record with every
+//! counter and timing histogram. [`crate::stream`] reads it back.
 
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
+use crate::json::escape;
 use crate::span::{FieldValue, TraceEvent, Tracer};
-
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 fn field_value_into(out: &mut String, v: &FieldValue) {
     match v {
@@ -43,9 +23,7 @@ fn field_value_into(out: &mut String, v: &FieldValue) {
             let _ = write!(out, "{b}");
         }
         FieldValue::Str(s) => {
-            out.push('"');
-            escape_into(out, s);
-            out.push('"');
+            let _ = write!(out, r#""{}""#, escape(s));
         }
     }
 }
@@ -67,6 +45,7 @@ impl Tracer {
     ///
     /// ```text
     /// {"ev":"begin","id":1,"parent":0,"name":"experiment","phase":"experiment","tid":1,"ts_us":0}
+    /// {"ev":"note","parent":1,"tid":1,"ts_us":3,"message":"start: …"}
     /// {"ev":"end","id":1,"tid":1,"ts_us":152,"fields":{"cells":4}}
     /// {"ev":"metrics","counters":{...},"timings":{"sat.solve_wall":{"count":9,...}}}
     /// ```
@@ -100,6 +79,20 @@ impl Tracer {
                         fields_object_into(&mut out, fields);
                         out.push_str("}\n");
                     }
+                    TraceEvent::Note {
+                        kind,
+                        parent,
+                        tid,
+                        ts_us,
+                        message,
+                    } => {
+                        let _ = writeln!(
+                            out,
+                            r#"{{"ev":"{}","parent":{parent},"tid":{tid},"ts_us":{ts_us},"message":"{}"}}"#,
+                            kind.as_str(),
+                            escape(message)
+                        );
+                    }
                 }
             }
         });
@@ -117,57 +110,6 @@ impl Tracer {
         out
     }
 
-    /// Renders a Chrome trace-event JSON document (`B`/`E` duration
-    /// events, one `pid`, real thread ids) loadable in Perfetto.
-    pub fn chrome_trace_json(&self) -> String {
-        let mut out = String::from(r#"{"displayTimeUnit":"ms","traceEvents":["#);
-        self.with_events(|events| {
-            // End events name-match their Begin for viewer friendliness.
-            let mut names: std::collections::HashMap<u64, (&'static str, &'static str)> =
-                std::collections::HashMap::new();
-            let mut first = true;
-            for ev in events {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                match ev {
-                    TraceEvent::Begin {
-                        id,
-                        name,
-                        phase,
-                        tid,
-                        ts_us,
-                        ..
-                    } => {
-                        names.insert(*id, (name, phase.as_str()));
-                        let _ = write!(
-                            out,
-                            r#"{{"name":"{name}","cat":"{}","ph":"B","pid":1,"tid":{tid},"ts":{ts_us}}}"#,
-                            phase.as_str()
-                        );
-                    }
-                    TraceEvent::End {
-                        id,
-                        tid,
-                        ts_us,
-                        fields,
-                    } => {
-                        let (name, cat) = names.get(id).copied().unwrap_or(("?", "other"));
-                        let _ = write!(
-                            out,
-                            r#"{{"name":"{name}","cat":"{cat}","ph":"E","pid":1,"tid":{tid},"ts":{ts_us},"args":"#
-                        );
-                        fields_object_into(&mut out, fields);
-                        out.push('}');
-                    }
-                }
-            }
-        });
-        out.push_str("]}");
-        out
-    }
-
     /// Writes [`Tracer::spans_jsonl`] to `path`, creating parent
     /// directories.
     ///
@@ -180,24 +122,11 @@ impl Tracer {
         }
         std::fs::write(path, self.spans_jsonl())
     }
-
-    /// Writes [`Tracer::chrome_trace_json`] to `path`, creating parent
-    /// directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn write_chrome_trace(&self, path: &Path) -> io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.chrome_trace_json())
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::span::{span, Phase, Tracer};
+    use crate::span::{span, NoteKind, Phase, Tracer};
     use std::time::Duration;
 
     fn traced() -> Tracer {
@@ -210,6 +139,7 @@ mod tests {
             sp.record_str("outcome", "sat \"ok\"");
             sp.record_f64("ratio", 0.5);
             sp.record_bool("cached", false);
+            tracer.note(root, NoteKind::Error, "cell \"x\" failed");
         }
         tracer.metrics().counter_add("sat.solves", 1);
         tracer
@@ -223,7 +153,7 @@ mod tests {
     fn jsonl_has_balanced_begin_end_plus_metrics() {
         let out = traced().spans_jsonl();
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 5); // 2 begins + 2 ends + metrics
+        assert_eq!(lines.len(), 6); // 2 begins + 2 ends + note + metrics
         assert_eq!(
             lines
                 .iter()
@@ -235,22 +165,13 @@ mod tests {
             lines.iter().filter(|l| l.contains(r#""ev":"end""#)).count(),
             2
         );
-        assert!(lines[4].contains(r#""ev":"metrics""#));
-        assert!(lines[4].contains(r#""sat.solves":1"#));
-        assert!(lines[4].contains(r#""sat.solve_wall":{"count":1"#));
+        assert!(lines[2].starts_with(r#"{"ev":"error","parent":1,"#));
+        assert!(lines[2].ends_with(r#""message":"cell \"x\" failed"}"#));
+        assert!(lines[5].contains(r#""ev":"metrics""#));
+        assert!(lines[5].contains(r#""sat.solves":1"#));
+        assert!(lines[5].contains(r#""sat.solve_wall":{"count":1"#));
         // Escaping of string fields.
         assert!(out.contains(r#""outcome":"sat \"ok\"""#), "{out}");
-    }
-
-    #[test]
-    fn chrome_trace_shape() {
-        let out = traced().chrome_trace_json();
-        assert!(out.starts_with(r#"{"displayTimeUnit":"ms","traceEvents":["#));
-        assert!(out.ends_with("]}"));
-        assert_eq!(out.matches(r#""ph":"B""#).count(), 2);
-        assert_eq!(out.matches(r#""ph":"E""#).count(), 2);
-        assert!(out.contains(r#""cat":"solve""#));
-        assert!(out.contains(r#""args":{"conflicts":7"#));
     }
 
     #[test]
@@ -259,8 +180,6 @@ mod tests {
         let root = tracer.open_root("experiment", Phase::Experiment);
         tracer.close(root);
         assert_eq!(tracer.spans_jsonl().lines().count(), 1); // metrics only
-        let chrome = tracer.chrome_trace_json();
-        assert!(chrome.contains(r#""traceEvents":[]"#));
     }
 
     #[test]

@@ -18,14 +18,17 @@
 //! - **Metrics** ([`metrics::Metrics`]): named monotonic counters and
 //!   log₂-bucketed timing histograms behind atomics (one short
 //!   read-lock per touch, no allocation on the hot path).
-//! - **Exporters** ([`export`]): a JSONL span log
-//!   (`begin`/`end`/`metrics` records, integrity-checkable) and Chrome
-//!   trace-event JSON loadable in Perfetto / `chrome://tracing`.
+//! - **The span log** ([`export`], [`stream`]): one JSONL stream of
+//!   `begin`/`end` span records, instant `note`/`error` records
+//!   ([`Tracer::note`]) and a final `metrics` record. This crate both
+//!   writes it and reads it back: [`check_spans_jsonl`] validates it,
+//!   [`breakdown`] attributes exclusive time per phase, and
+//!   [`chrome_trace_json`] renders it for Perfetto / `chrome://tracing`.
+//! - **JSON** ([`json`]): the suite's one JSON escaper and reader.
 //!
 //! Everything is a no-op when no tracer is installed on the current
 //! thread (one thread-local read), and a [`Tracer::disabled`] tracer
-//! installs nothing — the overhead knob the bench harness exposes as
-//! `RIL_TRACE=0`.
+//! installs nothing.
 //!
 //! ```
 //! use ril_trace::{span, Phase, SpanId, Tracer};
@@ -38,17 +41,23 @@
 //!     sp.record_u64("conflicts", 42);
 //! } // span closed, context popped
 //! tracer.close(root);
-//! let jsonl = tracer.spans_jsonl();
-//! assert!(jsonl.lines().count() >= 4); // 2 begins + 2 ends (+ metrics)
+//! let stats = ril_trace::check_spans_jsonl(&tracer.spans_jsonl()).unwrap();
+//! assert_eq!(stats.spans.len(), 2);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod span;
+pub mod stream;
 
 pub use metrics::{Histogram, HistogramSnapshot, Metrics, MetricsScope, MetricsSnapshot};
 pub use span::{
-    counter, current, span, timing, ContextGuard, FieldValue, Phase, Span, SpanId, Tracer,
+    counter, current, span, timing, ContextGuard, FieldValue, NoteKind, Phase, Span, SpanId, Tracer,
+};
+pub use stream::{
+    breakdown, check_spans_jsonl, chrome_trace_json, CellBreakdown, NoteRec, PhaseTotals, SpanRec,
+    SpanStats,
 };

@@ -368,18 +368,14 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            crate::export::escape_into(out, name);
-            let _ = write!(out, r#"":{value}"#);
+            let _ = write!(out, r#""{}":{value}"#, crate::json::escape(name));
         }
         out.push_str(r#"},"timings":{"#);
         for (i, (name, snap)) in self.timings.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            crate::export::escape_into(out, name);
-            out.push_str("\":");
+            let _ = write!(out, r#""{}":"#, crate::json::escape(name));
             snap.json_into(out);
         }
         out.push('}');

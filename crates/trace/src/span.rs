@@ -83,6 +83,26 @@ pub enum FieldValue {
     Str(String),
 }
 
+/// The kind of an instant record: a note, or a recoverable error. Both
+/// hang under a span and carry a message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoteKind {
+    /// Informational (run lifecycle, progress).
+    Note,
+    /// A recoverable failure (the run continues).
+    Error,
+}
+
+impl NoteKind {
+    /// The record's `ev` tag.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            NoteKind::Note => "note",
+            NoteKind::Error => "error",
+        }
+    }
+}
+
 /// Identifier of an open span. `SpanId::NONE` (id 0) marks "no span" —
 /// the root's parent, and everything a disabled tracer hands out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,6 +141,13 @@ pub(crate) enum TraceEvent {
         tid: u64,
         ts_us: u64,
         fields: Vec<(&'static str, FieldValue)>,
+    },
+    Note {
+        kind: NoteKind,
+        parent: u64,
+        tid: u64,
+        ts_us: u64,
+        message: String,
     },
 }
 
@@ -168,8 +195,9 @@ impl Tracer {
     }
 
     /// A tracer that records nothing: every open returns [`SpanId::NONE`],
-    /// [`Tracer::install`] installs nothing, and the exporters emit empty
-    /// documents. This is the `RIL_TRACE=0` path; its cost is one branch.
+    /// [`Tracer::install`] installs nothing, and the span log holds only
+    /// its metrics trailer. Untraced callers (unit-test run contexts,
+    /// untraced sweeps) pay one branch per span.
     pub fn disabled() -> Tracer {
         Tracer::with_enabled(false)
     }
@@ -184,11 +212,6 @@ impl Tracer {
                 metrics: Metrics::new(),
             }),
         }
-    }
-
-    /// Whether this tracer records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
     }
 
     /// Microseconds since the tracer was created.
@@ -250,6 +273,21 @@ impl Tracer {
         });
     }
 
+    /// Records an instant `note` or `error` under the open span `parent`.
+    /// No-op for disabled tracers and [`SpanId::NONE`].
+    pub fn note(&self, parent: SpanId, kind: NoteKind, message: &str) {
+        if parent.is_none() || !self.inner.enabled {
+            return;
+        }
+        self.push_event(TraceEvent::Note {
+            kind,
+            parent: parent.0,
+            tid: tid(),
+            ts_us: self.now_us(),
+            message: message.to_string(),
+        });
+    }
+
     /// Installs `(self, parent)` as the current thread's trace context
     /// until the returned guard drops: [`span`] calls on this thread
     /// become children of `parent`. This is how sweep worker threads join
@@ -260,23 +298,6 @@ impl Tracer {
         }
         CONTEXT.with(|c| c.borrow_mut().push((self.clone(), parent.0)));
         ContextGuard { pushed: true }
-    }
-
-    /// Opens a span under an explicit parent *and* installs it as the
-    /// current thread's context until the returned [`Span`] drops.
-    pub fn span_under(&self, parent: SpanId, name: &'static str, phase: Phase) -> Span {
-        if !self.inner.enabled {
-            return Span::noop();
-        }
-        let id = self.open_raw(parent.0, name, phase);
-        CONTEXT.with(|c| c.borrow_mut().push((self.clone(), id)));
-        Span {
-            state: Some(SpanState {
-                tracer: self.clone(),
-                id,
-                fields: Vec::new(),
-            }),
-        }
     }
 }
 
@@ -424,6 +445,7 @@ mod tests {
                 .map(|e| match e {
                     TraceEvent::Begin { id, name, .. } => (format!("B:{name}"), *id),
                     TraceEvent::End { id, .. } => ("E".to_string(), *id),
+                    TraceEvent::Note { parent, .. } => ("N".to_string(), *parent),
                 })
                 .collect()
         })
@@ -536,7 +558,8 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
-                    let mut sp = tracer.span_under(root, "cell", Phase::Cell);
+                    let _ctx = tracer.install(root);
+                    let mut sp = span("cell", Phase::Cell);
                     sp.record_bool("worker", true);
                     let _child = span("solve", Phase::Solve);
                 });

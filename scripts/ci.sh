@@ -165,9 +165,20 @@ tail -15 exp_out/ci_smoke.log
 assert_no_cached_cells exp_out/ci_smoke
 
 echo "== run artifacts (ril-bench validate + trace) =="
+# One run record: a run leaves manifests, tables and span logs only.
+# Chrome traces are rendered on demand by `trace`.
+if compgen -G "exp_out/ci_smoke/EVENTS_*" >/dev/null \
+  || compgen -G "exp_out/ci_smoke/TRACE_*" >/dev/null; then
+  echo "a run wrote an EVENTS_ or TRACE_ file"; exit 1
+fi
 cargo run --release -q -p ril-bench --bin ril-bench -- validate exp_out/ci_smoke
 cargo run --release -q -p ril-bench --bin ril-bench -- trace exp_out/ci_smoke \
   >exp_out/ci_trace.log || { tail -50 exp_out/ci_trace.log; exit 1; }
 tail -5 exp_out/ci_trace.log
+for spans in exp_out/ci_smoke/SPANS_*.jsonl; do
+  exp=$(basename "$spans" .jsonl)
+  [ -f "exp_out/ci_smoke/TRACE_${exp#SPANS_}.json" ] \
+    || { echo "trace rendered no TRACE_ file for $spans"; exit 1; }
+done
 
 echo "ci.sh: all green"

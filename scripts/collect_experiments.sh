@@ -9,7 +9,8 @@
 #
 # Finished sweep cells are content-cached under exp_out/cache/, so an
 # interrupted collection resumes where it stopped; each experiment also
-# leaves MANIFEST_<name>.json and EVENTS_<name>.jsonl under exp_out/.
+# leaves MANIFEST_<name>.json and its span log SPANS_<name>.jsonl under
+# exp_out/ (`ril-bench trace exp_out` renders TRACE_<name>.json from it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p exp_out
