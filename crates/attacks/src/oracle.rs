@@ -151,15 +151,6 @@ impl Oracle {
         })
     }
 
-    /// Disables the scan-corruption model (an idealized attacker with
-    /// direct functional access — used to show the attacks *do* work when
-    /// the SE defense is absent).
-    pub fn without_scan_corruption(mut self) -> Oracle {
-        self.scan_corrupted = false;
-        self.memo.clear();
-        self
-    }
-
     /// Re-burns the key after a morph of the *same* design: the chip keeps
     /// its circuit but answers under the new key, so the memo cache is
     /// invalidated.
@@ -318,14 +309,6 @@ impl Oracle {
         ResponseBlock::pack(&rows)
     }
 
-    /// Ground-truth functional response (`SE = 0`) — available to the
-    /// evaluation harness, *not* to attacks. Never cached (it is not a
-    /// scan access).
-    pub fn functional_response(&mut self, inputs: &[bool]) -> Vec<bool> {
-        assert_eq!(inputs.len(), self.input_width(), "oracle input width");
-        self.eval(inputs, false)
-    }
-
     /// Queries issued so far (scan chip accesses; memo hits excluded).
     pub fn queries(&self) -> u64 {
         self.queries
@@ -376,6 +359,25 @@ pub fn attacker_view(locked: &LockedCircuit) -> Netlist {
         debug_assert!(redirected > 0 || locked.blocks == 0);
     }
     nl
+}
+
+#[cfg(test)]
+impl Oracle {
+    /// Disables the scan-corruption model (an idealized attacker with
+    /// direct functional access — used to show the attacks *do* work when
+    /// the SE defense is absent).
+    pub(crate) fn without_scan_corruption(mut self) -> Oracle {
+        self.scan_corrupted = false;
+        self.memo.clear();
+        self
+    }
+
+    /// Ground-truth functional response (`SE = 0`), which the tests set
+    /// against scan responses. Never cached (it is not a scan access).
+    pub(crate) fn functional_response(&mut self, inputs: &[bool]) -> Vec<bool> {
+        assert_eq!(inputs.len(), self.input_width(), "oracle input width");
+        self.eval(inputs, false)
+    }
 }
 
 #[cfg(test)]

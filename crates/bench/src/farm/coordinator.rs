@@ -241,7 +241,7 @@ fn handle(shared: &Shared, req: FarmRequest) -> FarmResponse {
                 lease_ms,
             }
         }
-        FarmRequest::Lease { worker, max } => {
+        FarmRequest::Lease { max, .. } => {
             if shared.stop.is_set() {
                 return FarmResponse::Leases {
                     leases: Vec::new(),
@@ -249,7 +249,7 @@ fn handle(shared: &Shared, req: FarmRequest) -> FarmResponse {
                 };
             }
             let mut table = shared.table.lock().expect("lease table");
-            let (leases, expired) = table.grant(&worker, max as usize, now);
+            let (leases, expired) = table.grant(max as usize, now);
             let done = table.is_settled();
             drop(table);
             if expired > 0 {

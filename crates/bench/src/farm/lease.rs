@@ -36,7 +36,6 @@ enum CellState {
 #[derive(Debug)]
 struct Active {
     cell: usize,
-    worker: String,
     deadline: Instant,
     issued: Instant,
 }
@@ -152,9 +151,9 @@ impl LeaseTable {
         overdue.len()
     }
 
-    /// Grants up to `max` leases to `worker`, expiring overdue leases
-    /// first. The second tuple element is the number of expiries.
-    pub fn grant(&mut self, worker: &str, max: usize, now: Instant) -> (Vec<LeaseGrant>, usize) {
+    /// Grants up to `max` leases, expiring overdue leases first. The
+    /// second tuple element is the number of expiries.
+    pub fn grant(&mut self, max: usize, now: Instant) -> (Vec<LeaseGrant>, usize) {
         let expired = self.expire(now);
         let mut grants = Vec::new();
         while grants.len() < max {
@@ -168,7 +167,6 @@ impl LeaseTable {
                 id,
                 Active {
                     cell,
-                    worker: worker.to_string(),
                     deadline: now + self.lease,
                     issued: now,
                 },
@@ -256,12 +254,6 @@ impl LeaseTable {
         (renewed, lost)
     }
 
-    /// Which worker holds a live lease, for telemetry.
-    #[must_use]
-    pub fn holder(&self, lease_id: u64) -> Option<&str> {
-        self.active.get(&lease_id).map(|a| a.worker.as_str())
-    }
-
     /// Current cell-state tallies.
     #[must_use]
     pub fn counts(&self) -> FarmCounts {
@@ -315,7 +307,7 @@ mod tests {
     fn leases_expire_and_cells_are_reissued() {
         let t0 = Instant::now();
         let mut table = LeaseTable::new(keys(2), Duration::from_secs(10));
-        let (grants, _) = table.grant("w0", 2, t0);
+        let (grants, _) = table.grant(2, t0);
         assert_eq!(grants.len(), 2);
         assert_eq!(table.counts().leased, 2);
 
@@ -327,7 +319,7 @@ mod tests {
         // Silence past the renewed deadline: both leases expire and the
         // cells go back to pending, claimable by a peer.
         let late = t0 + Duration::from_secs(16);
-        let (regrants, expired) = table.grant("w1", 2, late);
+        let (regrants, expired) = table.grant(2, late);
         assert_eq!(expired, 2);
         assert_eq!(regrants.len(), 2);
         let mut rekeys: Vec<String> = regrants.iter().map(|g| g.key.clone()).collect();
@@ -345,7 +337,7 @@ mod tests {
     fn duplicate_completion_is_idempotent_and_counted() {
         let t0 = Instant::now();
         let mut table = LeaseTable::new(keys(1), Duration::from_secs(10));
-        let (g, _) = table.grant("w0", 1, t0);
+        let (g, _) = table.grant(1, t0);
         let key = g[0].key.clone();
 
         let first = table.complete(g[0].lease_id, &key, t0 + Duration::from_secs(1));
@@ -362,11 +354,11 @@ mod tests {
     fn late_completion_steals_the_cell_and_supersedes_the_reissue() {
         let t0 = Instant::now();
         let mut table = LeaseTable::new(keys(1), Duration::from_secs(10));
-        let (g0, _) = table.grant("w0", 1, t0);
+        let (g0, _) = table.grant(1, t0);
 
         // w0 goes silent; the cell is re-leased to w1.
         let late = t0 + Duration::from_secs(11);
-        let (g1, expired) = table.grant("w1", 1, late);
+        let (g1, expired) = table.grant(1, late);
         assert_eq!(expired, 1);
         assert_eq!(g1.len(), 1);
 
@@ -389,7 +381,7 @@ mod tests {
     fn only_live_leaseholders_can_fail_a_cell() {
         let t0 = Instant::now();
         let mut table = LeaseTable::new(keys(1), Duration::from_secs(10));
-        let (g, _) = table.grant("w0", 1, t0);
+        let (g, _) = table.grant(1, t0);
 
         // A stale failure (after expiry) is ignored; the cell is pending
         // again and a peer can still succeed.
@@ -397,7 +389,7 @@ mod tests {
         assert_eq!(table.counts().pending, 1);
 
         // A live leaseholder's failure retires the cell.
-        let (g2, _) = table.grant("w1", 1, t0 + Duration::from_secs(12));
+        let (g2, _) = table.grant(1, t0 + Duration::from_secs(12));
         assert!(table.fail(g2[0].lease_id, &g2[0].key, t0 + Duration::from_secs(13)));
         assert!(table.is_settled());
         assert_eq!(table.counts().failed, 1);
@@ -412,7 +404,7 @@ mod tests {
     fn unknown_keys_and_mismatched_leases_change_nothing() {
         let t0 = Instant::now();
         let mut table = LeaseTable::new(keys(2), Duration::from_secs(10));
-        let (g, _) = table.grant("w0", 2, t0);
+        let (g, _) = table.grant(2, t0);
         assert_eq!(
             table.complete(g[0].lease_id, "v1|exp=bogus", t0),
             Settle::Unknown

@@ -147,11 +147,6 @@ impl ComplementaryCell {
         self.main.state() == MtjState::AntiParallel
     }
 
-    /// Whether the two devices hold opposite states (cell invariant).
-    pub fn is_complementary(&self) -> bool {
-        self.main.state() != self.complement.state()
-    }
-
     /// Writes `value` into the cell: both MTJs receive anti-phase STT
     /// pulses driven from `BL`/`SL` (paper Fig. 4).
     pub fn write(&mut self, value: bool) -> WriteSample {
@@ -224,6 +219,14 @@ impl ComplementaryCell {
     /// non-volatility.
     pub fn standby_energy_aj(&self, duration_ns: f64) -> f64 {
         self.circuit.standby_nw * duration_ns
+    }
+}
+
+#[cfg(test)]
+impl ComplementaryCell {
+    /// Whether the two devices hold opposite states (cell invariant).
+    fn is_complementary(&self) -> bool {
+        self.main.state() != self.complement.state()
     }
 }
 

@@ -25,11 +25,6 @@ pub fn truth_table_to_keys(tt: u8) -> [bool; 4] {
     ]
 }
 
-/// Inverse of [`truth_table_to_keys`].
-pub fn keys_to_truth_table(keys: [bool; 4]) -> u8 {
-    ((keys[0] as u8) << 3) | ((keys[1] as u8) << 1) | ((keys[2] as u8) << 2) | keys[3] as u8
-}
-
 /// One read through the full LUT, including the select tree and SE stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LutReadSample {
@@ -131,11 +126,6 @@ impl MramLut2 {
             tt |= (self.cells[i].stored() as u8) << i;
         }
         tt
-    }
-
-    /// The stored SE key bit.
-    pub fn stored_se_key(&self) -> bool {
-        self.se_cell.stored()
     }
 
     /// Reads the LUT for inputs `(a, b)` with the scan-enable signal at
@@ -251,6 +241,20 @@ impl SramLut2 {
     pub fn standby_energy_aj(&self, duration_ns: f64) -> f64 {
         self.leakage_nw * duration_ns
     }
+}
+
+#[cfg(test)]
+impl MramLut2 {
+    /// The stored SE key bit.
+    fn stored_se_key(&self) -> bool {
+        self.se_cell.stored()
+    }
+}
+
+/// Inverse of [`truth_table_to_keys`].
+#[cfg(test)]
+fn keys_to_truth_table(keys: [bool; 4]) -> u8 {
+    ((keys[0] as u8) << 3) | ((keys[1] as u8) << 1) | ((keys[2] as u8) << 2) | keys[3] as u8
 }
 
 #[cfg(test)]

@@ -70,20 +70,6 @@ impl Default for MtjParams {
 }
 
 impl MtjParams {
-    /// Parameters of a Spin-Hall-Effect-assisted (SHE/SOT) device — the
-    /// three-terminal alternative the paper's Section IV-E points to as a
-    /// lower-write-energy successor to conventional STT cells: the write
-    /// current flows through a low-resistance heavy-metal strap instead of
-    /// the tunnel barrier, cutting the critical current and the switching
-    /// time while read-path characteristics stay unchanged.
-    pub fn she_assisted() -> MtjParams {
-        MtjParams {
-            critical_current_ua: 2.0,
-            switch_time_ns: 0.2,
-            ..MtjParams::default()
-        }
-    }
-
     /// Junction area in µm².
     pub fn area_um2(&self) -> f64 {
         let r_um = self.diameter_nm / 2000.0;
@@ -187,6 +173,23 @@ impl Mtj {
             true
         } else {
             false
+        }
+    }
+}
+
+#[cfg(test)]
+impl MtjParams {
+    /// Parameters of a Spin-Hall-Effect-assisted (SHE/SOT) device — the
+    /// three-terminal alternative the paper's Section IV-E points to as a
+    /// lower-write-energy successor to conventional STT cells: the write
+    /// current flows through a low-resistance heavy-metal strap instead of
+    /// the tunnel barrier, cutting the critical current and the switching
+    /// time while read-path characteristics stay unchanged.
+    fn she_assisted() -> MtjParams {
+        MtjParams {
+            critical_current_ua: 2.0,
+            switch_time_ns: 0.2,
+            ..MtjParams::default()
         }
     }
 }

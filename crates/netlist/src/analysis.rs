@@ -298,24 +298,6 @@ impl AnalysisCache {
         inner.keys.get_or_insert(built).clone()
     }
 
-    /// Whether an entry is currently cached (test/diagnostic hook).
-    pub fn has_fanout(&self) -> bool {
-        self.inner
-            .read()
-            .expect("analysis cache lock")
-            .fanout
-            .is_some()
-    }
-
-    /// Whether the topological order is currently cached.
-    pub fn has_topo(&self) -> bool {
-        self.inner
-            .read()
-            .expect("analysis cache lock")
-            .topo
-            .is_some()
-    }
-
     // ---- mutation hooks (called with `&mut Netlist` held) ----
 
     fn inner_mut(&mut self) -> &mut CacheInner {
@@ -519,6 +501,27 @@ fn compute_structural_hash(nl: &Netlist) -> u64 {
         h = fnv1a(h, b",");
     }
     h
+}
+
+#[cfg(test)]
+impl AnalysisCache {
+    /// Whether an entry is currently cached (test/diagnostic hook).
+    fn has_fanout(&self) -> bool {
+        self.inner
+            .read()
+            .expect("analysis cache lock")
+            .fanout
+            .is_some()
+    }
+
+    /// Whether the topological order is currently cached.
+    fn has_topo(&self) -> bool {
+        self.inner
+            .read()
+            .expect("analysis cache lock")
+            .topo
+            .is_some()
+    }
 }
 
 #[cfg(test)]

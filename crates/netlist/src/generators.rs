@@ -748,7 +748,8 @@ pub fn by_name(name: &str) -> Result<Netlist, String> {
 
 /// All benchmark names accepted by [`benchmark`], in the paper's table
 /// order.
-pub const BENCHMARK_NAMES: [&str; 9] = [
+#[cfg(test)]
+const BENCHMARK_NAMES: [&str; 9] = [
     "c7552", "b15", "s35932", "s38584", "b20", "aes", "sha256", "md5", "gps",
 ];
 

@@ -190,17 +190,6 @@ impl BlockMeta {
         BanyanNetwork::new(self.spec.width)
     }
 
-    /// Global key index of input-network routing bit (`stage`, `box`).
-    pub fn in_routing_key(&self, stage: usize, switchbox: usize) -> usize {
-        self.first_key + self.banyan().key_index(stage, switchbox)
-    }
-
-    /// Global key indices of the whole input routing network, layout order.
-    pub fn in_routing_keys(&self) -> Vec<usize> {
-        let n = self.banyan().num_keys();
-        (self.first_key..self.first_key + n).collect()
-    }
-
     /// Key bits consumed by each LUT group (4 truth-table bits plus the SE
     /// bit when scan obfuscation is on).
     fn lut_group_width(&self) -> usize {

@@ -120,16 +120,6 @@ impl KeyStore {
         self.bits[i] = value;
     }
 
-    /// Indices of bits with a given predicate on kind.
-    pub fn indices_where(&self, mut pred: impl FnMut(&KeyBitKind) -> bool) -> Vec<usize> {
-        self.kinds
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| pred(k))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// The key as bit-parallel simulation words (all 64 lanes equal).
     pub fn as_words(&self) -> Vec<u64> {
         self.bits
@@ -169,15 +159,28 @@ impl KeyStore {
             })
             .collect()
     }
+}
 
+#[cfg(test)]
+impl KeyStore {
     /// Hamming distance between the correct key and `other`.
     ///
     /// # Panics
     ///
     /// Panics if widths differ.
-    pub fn hamming_to(&self, other: &[bool]) -> usize {
+    fn hamming_to(&self, other: &[bool]) -> usize {
         assert_eq!(other.len(), self.bits.len(), "key width mismatch");
         self.bits.iter().zip(other).filter(|(a, b)| a != b).count()
+    }
+
+    /// Indices of bits with a given predicate on kind.
+    pub(crate) fn indices_where(&self, mut pred: impl FnMut(&KeyBitKind) -> bool) -> Vec<usize> {
+        self.kinds
+            .iter()
+            .enumerate()
+            .filter(|(_, k)| pred(k))
+            .map(|(i, _)| i)
+            .collect()
     }
 }
 

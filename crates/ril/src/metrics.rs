@@ -107,31 +107,6 @@ pub fn ril_overhead(spec: &RilBlockSpec, blocks: usize) -> OverheadEstimate {
     }
 }
 
-/// Per-key-bit observability: for each key bit, the fraction of
-/// (pattern, output-bit) pairs that flip when only that bit is toggled
-/// away from the correct key. Bits with zero observability are
-/// SAT-attack-free lunch (they can never be learned from I/O); RIL-Blocks'
-/// routing symmetry makes *pairs* of bits jointly unobservable while every
-/// functional bit stays individually active.
-///
-/// # Errors
-///
-/// Propagates simulator construction failures.
-pub fn key_bit_observability<R: Rng>(
-    locked: &LockedCircuit,
-    patterns: usize,
-    rng: &mut R,
-) -> Result<Vec<f64>, NetlistError> {
-    let mut out = Vec::with_capacity(locked.keys.len());
-    let correct = locked.keys.bits().to_vec();
-    for bit in 0..correct.len() {
-        let mut flipped = correct.clone();
-        flipped[bit] = !flipped[bit];
-        out.push(keyed_corruption(locked, &flipped, patterns, rng)?);
-    }
-    Ok(out)
-}
-
 /// Exhaustively counts functionally equivalent keys of a locked design by
 /// enumerating the whole key space (only feasible for ≤ `max_bits` key
 /// bits; returns `None` beyond that). Equivalence is judged by
@@ -164,8 +139,31 @@ pub fn count_equivalent_keys(
     Ok(Some(count))
 }
 
+/// Per-key-bit observability: for each key bit, the fraction of
+/// (pattern, output-bit) pairs that flip when only that bit is toggled
+/// away from the correct key. Bits with zero observability are
+/// SAT-attack-free lunch (they can never be learned from I/O); RIL-Blocks'
+/// routing symmetry makes *pairs* of bits jointly unobservable while every
+/// functional bit stays individually active.
+#[cfg(test)]
+fn key_bit_observability<R: Rng>(
+    locked: &LockedCircuit,
+    patterns: usize,
+    rng: &mut R,
+) -> Result<Vec<f64>, NetlistError> {
+    let mut out = Vec::with_capacity(locked.keys.len());
+    let correct = locked.keys.bits().to_vec();
+    for bit in 0..correct.len() {
+        let mut flipped = correct.clone();
+        flipped[bit] = !flipped[bit];
+        out.push(keyed_corruption(locked, &flipped, patterns, rng)?);
+    }
+    Ok(out)
+}
+
 /// The Section III-A comparison: `75 × 2×2` vs `3 × 8×8×8`.
-pub fn paper_overhead_comparison() -> (OverheadEstimate, OverheadEstimate) {
+#[cfg(test)]
+fn paper_overhead_comparison() -> (OverheadEstimate, OverheadEstimate) {
     (
         ril_overhead(&RilBlockSpec::size_2x2(), 75),
         ril_overhead(&RilBlockSpec::size_8x8x8(), 3),

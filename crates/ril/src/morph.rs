@@ -57,15 +57,6 @@ impl MorphDelta {
         }
     }
 
-    /// A delta from explicit bit indices (e.g. received off the wire from
-    /// a morph server). Indices are sorted and deduplicated.
-    pub fn from_changed_bits(bits: impl IntoIterator<Item = usize>) -> MorphDelta {
-        let mut changed_bits: Vec<usize> = bits.into_iter().collect();
-        changed_bits.sort_unstable();
-        changed_bits.dedup();
-        MorphDelta { changed_bits }
-    }
-
     /// Changed key-bit indices, sorted ascending.
     pub fn changed_bits(&self) -> &[usize] {
         &self.changed_bits

@@ -53,20 +53,6 @@ impl Cnf {
         self.clauses.len()
     }
 
-    /// Total literal occurrences across all clauses.
-    pub fn num_literals(&self) -> usize {
-        self.clauses.iter().map(Vec::len).sum()
-    }
-
-    /// The clause-to-variable ratio — the SAT-hardness proxy the paper's
-    /// Section III-A discusses (FullLock pushes it toward 3–6).
-    pub fn clause_to_var_ratio(&self) -> f64 {
-        if self.num_vars == 0 {
-            return 0.0;
-        }
-        self.clauses.len() as f64 / self.num_vars as f64
-    }
-
     /// Adds a clause. Grows the variable pool if the clause mentions
     /// variables beyond it.
     pub fn add_clause(&mut self, lits: impl IntoIterator<Item = Lit>) {
@@ -185,6 +171,23 @@ impl fmt::Display for ParseDimacsError {
 }
 
 impl Error for ParseDimacsError {}
+
+#[cfg(test)]
+impl Cnf {
+    /// Total literal occurrences across all clauses.
+    fn num_literals(&self) -> usize {
+        self.clauses.iter().map(Vec::len).sum()
+    }
+
+    /// The clause-to-variable ratio — the SAT-hardness proxy the paper's
+    /// Section III-A discusses (FullLock pushes it toward 3–6).
+    fn clause_to_var_ratio(&self) -> f64 {
+        if self.num_vars == 0 {
+            return 0.0;
+        }
+        self.clauses.len() as f64 / self.num_vars as f64
+    }
+}
 
 #[cfg(test)]
 mod tests {

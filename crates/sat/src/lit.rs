@@ -65,11 +65,6 @@ impl Lit {
         self.0 as usize
     }
 
-    /// Reconstructs a literal from its dense index.
-    pub fn from_index(index: usize) -> Lit {
-        Lit(index as u32)
-    }
-
     /// The truth value this literal requires of its variable.
     pub fn target(self) -> bool {
         !self.is_negated()
@@ -126,9 +121,10 @@ pub enum LBool {
     Undef,
 }
 
+#[cfg(test)]
 impl LBool {
     /// Lifts a `bool`.
-    pub fn from_bool(b: bool) -> LBool {
+    fn from_bool(b: bool) -> LBool {
         if b {
             LBool::True
         } else {
@@ -137,12 +133,20 @@ impl LBool {
     }
 
     /// Lowers to `Option<bool>`.
-    pub fn to_bool(self) -> Option<bool> {
+    fn to_bool(self) -> Option<bool> {
         match self {
             LBool::True => Some(true),
             LBool::False => Some(false),
             LBool::Undef => None,
         }
+    }
+}
+
+#[cfg(test)]
+impl Lit {
+    /// Reconstructs a literal from its dense index.
+    fn from_index(index: usize) -> Lit {
+        Lit(index as u32)
     }
 }
 

@@ -3,19 +3,30 @@
 //! oracle-guided attack in `ril-attacks` run unchanged against a live
 //! (morphing) server.
 //!
-//! Construction goes through [`ServeClient::builder`]: address, connect
-//! and request timeouts, retry policy and pipelining depth, validated at
-//! [`ClientBuilder::build`]. Every frame is binary in both directions
-//! ([`crate::codec`]); a connection needs no handshake, so the first
-//! request on a fresh stream is already a real one.
+//! Construction goes through [`ServeClient::builder`], whose one setting
+//! is the address, validated at [`ClientBuilder::build`]. Timeouts, the
+//! retry policy and the pipelining depth are the constants below. Every
+//! frame is binary in both directions ([`crate::codec`]); a connection
+//! needs no handshake, so the first request on a fresh stream is already
+//! a real one.
 
 use crate::codec::{append_frame, read_frame_bytes, write_frame_bytes, PROTOCOL_VERSION};
 use crate::protocol::{DesignSpec, ErrorKind, FrameError, Request, Response, ServerStats};
 use ril_attacks::{OracleError, OracleSource, PatternBlock, ResponseBlock};
-use ril_core::MorphDelta;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+/// TCP connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+/// Per-request read/write timeout.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(2);
+/// Transport retries per request (reconnect + resend).
+const RETRIES: u32 = 3;
+/// Backoff before the first retry, doubling per attempt.
+const BACKOFF: Duration = Duration::from_millis(50);
+/// Max requests in flight per [`ServeClient::request_pipelined`] window.
+const PIPELINE_DEPTH: usize = 32;
 
 /// A client-side failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,90 +87,27 @@ impl From<ClientError> for OracleError {
 #[derive(Debug, Clone)]
 pub struct ClientBuilder {
     addr: String,
-    connect_timeout: Duration,
-    request_timeout: Duration,
-    retries: u32,
-    backoff: Duration,
-    pipeline: usize,
 }
 
 impl ClientBuilder {
-    /// TCP connect timeout (default 2 s).
-    #[must_use]
-    pub fn connect_timeout(mut self, t: Duration) -> ClientBuilder {
-        self.connect_timeout = t;
-        self
-    }
-
-    /// Per-request read/write timeout (default 2 s).
-    #[must_use]
-    pub fn request_timeout(mut self, t: Duration) -> ClientBuilder {
-        self.request_timeout = t;
-        self
-    }
-
-    /// Sets both timeouts at once.
-    #[must_use]
-    pub fn timeout(self, t: Duration) -> ClientBuilder {
-        self.connect_timeout(t).request_timeout(t)
-    }
-
-    /// Transport retries per request (default 3; reconnect + resend).
-    #[must_use]
-    pub fn retries(mut self, n: u32) -> ClientBuilder {
-        self.retries = n;
-        self
-    }
-
-    /// Base backoff between retries, doubling per attempt (default 50 ms).
-    #[must_use]
-    pub fn backoff(mut self, t: Duration) -> ClientBuilder {
-        self.backoff = t;
-        self
-    }
-
-    /// Max requests in flight per [`ServeClient::request_pipelined`]
-    /// window (default 32).
-    #[must_use]
-    pub fn pipeline(mut self, depth: usize) -> ClientBuilder {
-        self.pipeline = depth;
-        self
-    }
-
     /// Validates and builds the client. No I/O happens here; the first
     /// request connects.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Config`] for an empty/port-less address, a zero
-    /// timeout, or a zero or absurd pipeline depth.
+    /// [`ClientError::Config`] for an empty or port-less address.
     pub fn build(self) -> Result<ServeClient, ClientError> {
-        let cfg = |msg: String| Err(ClientError::Config(msg));
         if self.addr.is_empty() {
-            return cfg("address is empty".into());
+            return Err(ClientError::Config("address is empty".into()));
         }
         if !self.addr.contains(':') {
-            return cfg(format!("address `{}` has no port", self.addr));
-        }
-        if self.connect_timeout.is_zero() || self.request_timeout.is_zero() {
-            return cfg("timeouts must be nonzero".into());
-        }
-        if self.pipeline == 0 {
-            return cfg("pipeline depth must be at least 1".into());
-        }
-        if self.pipeline > 1024 {
-            return cfg(format!(
-                "pipeline depth {} exceeds the 1024 cap",
-                self.pipeline
-            ));
+            return Err(ClientError::Config(format!(
+                "address `{}` has no port",
+                self.addr
+            )));
         }
         Ok(ServeClient {
             addr: self.addr,
-            connect_timeout: self.connect_timeout,
-            request_timeout: self.request_timeout,
-            retries: self.retries,
-            backoff: self.backoff,
-            pipeline: self.pipeline,
             conn: None,
         })
     }
@@ -170,25 +118,13 @@ impl ClientBuilder {
 /// reconnects (bounded retries, exponential backoff).
 pub struct ServeClient {
     addr: String,
-    connect_timeout: Duration,
-    request_timeout: Duration,
-    retries: u32,
-    backoff: Duration,
-    pipeline: usize,
     conn: Option<TcpStream>,
 }
 
 impl ServeClient {
     /// Starts a builder for a client of `addr` (e.g. `127.0.0.1:4615`).
     pub fn builder(addr: impl Into<String>) -> ClientBuilder {
-        ClientBuilder {
-            addr: addr.into(),
-            connect_timeout: Duration::from_secs(2),
-            request_timeout: Duration::from_secs(2),
-            retries: 3,
-            backoff: Duration::from_millis(50),
-            pipeline: 32,
-        }
+        ClientBuilder { addr: addr.into() }
     }
 
     /// The server address this client talks to.
@@ -217,13 +153,13 @@ impl ServeClient {
                 .map_err(|e| format!("resolving `{}`: {e}", self.addr))?
                 .next()
                 .ok_or_else(|| format!("`{}` resolves to no address", self.addr))?;
-            let stream = TcpStream::connect_timeout(&addr, self.connect_timeout)
+            let stream =
+                TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).map_err(|e| e.to_string())?;
+            stream
+                .set_read_timeout(Some(REQUEST_TIMEOUT))
                 .map_err(|e| e.to_string())?;
             stream
-                .set_read_timeout(Some(self.request_timeout))
-                .map_err(|e| e.to_string())?;
-            stream
-                .set_write_timeout(Some(self.request_timeout))
+                .set_write_timeout(Some(REQUEST_TIMEOUT))
                 .map_err(|e| e.to_string())?;
             let _ = stream.set_nodelay(true);
             self.conn = Some(stream);
@@ -252,10 +188,10 @@ impl ServeClient {
     /// [`ClientError::Transport`] once retries are exhausted.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
         let mut last = String::new();
-        for attempt in 0..=self.retries {
+        for attempt in 0..=RETRIES {
             if attempt > 0 {
                 ril_trace::counter("oracle.remote.retries", 1);
-                std::thread::sleep(self.backoff * (1 << (attempt - 1).min(8)));
+                std::thread::sleep(BACKOFF * (1 << (attempt - 1)));
             }
             let t0 = std::time::Instant::now();
             match self.round_trip_once(req) {
@@ -277,13 +213,12 @@ impl ServeClient {
         Err(ClientError::Transport(format!(
             "{} after {} attempts: {last}",
             self.addr,
-            self.retries + 1
+            RETRIES + 1
         )))
     }
 
-    /// Sends many requests down one connection with up to the configured
-    /// pipelining depth in flight, and returns the responses **in
-    /// request order**. Typed server errors come back as
+    /// Sends many requests down one connection with up to 32 in flight,
+    /// and returns the responses **in request order**. Typed server errors come back as
     /// [`Response::Error`] entries in the vector (the other requests in
     /// the window were already on the wire — the caller decides what a
     /// partial failure means).
@@ -291,7 +226,7 @@ impl ServeClient {
     /// Unlike [`ServeClient::request`] there are no retries: a transport
     /// failure mid-window fails the whole call, because resending a
     /// half-acknowledged window could double-apply non-idempotent
-    /// requests (a `morph`, a budgeted query).
+    /// requests (a budgeted query, an activation).
     ///
     /// # Errors
     ///
@@ -300,11 +235,10 @@ impl ServeClient {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
-        let depth = self.pipeline;
         let result = (|| -> Result<Vec<Response>, String> {
             let stream = self.connection()?;
             let mut out = Vec::with_capacity(reqs.len());
-            for window in reqs.chunks(depth) {
+            for window in reqs.chunks(PIPELINE_DEPTH) {
                 let mut wire = Vec::new();
                 for req in window {
                     let payload = req.encode().map_err(|e| e.to_string())?;
@@ -398,8 +332,6 @@ pub struct RemoteOracle {
     generation_changes: u64,
     batch_blocks: u64,
     batch_patterns: u64,
-    pending_delta: MorphDelta,
-    delta_complete: bool,
 }
 
 impl RemoteOracle {
@@ -434,34 +366,8 @@ impl RemoteOracle {
                 generation_changes: 0,
                 batch_blocks: 0,
                 batch_patterns: 0,
-                pending_delta: MorphDelta::default(),
-                delta_complete: true,
             }),
             other => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    /// Binds to an already-activated chip through `client` (widths cannot
-    /// be probed over this protocol, so the caller supplies them).
-    pub fn bind_with(
-        client: ServeClient,
-        chip: u64,
-        inputs: usize,
-        outputs: usize,
-    ) -> RemoteOracle {
-        RemoteOracle {
-            client,
-            chip,
-            inputs,
-            outputs,
-            queries: 0,
-            generation: 0,
-            generation_changes: 0,
-            batch_blocks: 0,
-            batch_patterns: 0,
-            pending_delta: MorphDelta::default(),
-            // The chip may have morphed before we bound to it.
-            delta_complete: false,
         }
     }
 
@@ -486,47 +392,6 @@ impl RemoteOracle {
         self.batch_patterns
     }
 
-    /// Manually re-keys the remote chip and returns the *net* key delta
-    /// the server published — which key bits now hold a different value.
-    /// The delta is also folded into [`RemoteOracle::take_delta`]'s
-    /// accumulator.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ClientError`].
-    pub fn morph(&mut self) -> Result<MorphDelta, ClientError> {
-        match self.client.request(&Request::Morph { chip: self.chip })? {
-            Response::Morphed {
-                generation,
-                changed_bits,
-                ..
-            } => {
-                let delta = MorphDelta::from_changed_bits(changed_bits);
-                self.pending_delta.merge(&delta);
-                if generation != self.generation {
-                    self.generation_changes += 1;
-                    self.generation = generation;
-                }
-                Ok(delta)
-            }
-            other => Err(ClientError::UnexpectedResponse(format!("{other:?}"))),
-        }
-    }
-
-    /// Drains the accumulated key delta since the last call (or since
-    /// activation): `Some(delta)` when every generation change seen so
-    /// far arrived with a published delta, `None` when at least one morph
-    /// happened *behind* a query/scheduler (those responses carry only
-    /// the new generation, not the delta) — the caller must then fall
-    /// back to a full re-check rather than a dirty-cone-only one.
-    /// Either way the accumulator resets.
-    pub fn take_delta(&mut self) -> Option<MorphDelta> {
-        let complete = self.delta_complete;
-        self.delta_complete = true;
-        let delta = std::mem::take(&mut self.pending_delta);
-        complete.then_some(delta)
-    }
-
     /// The underlying client (for `stats` / `shutdown_server`).
     pub fn client(&mut self) -> &mut ServeClient {
         &mut self.client
@@ -536,9 +401,24 @@ impl RemoteOracle {
         if generation != self.generation {
             self.generation_changes += 1;
             self.generation = generation;
-            // This generation bump was *not* accompanied by a delta (it
-            // rode a query response), so the accumulator is incomplete.
-            self.delta_complete = false;
+        }
+    }
+
+    /// Checks that every answered row is as wide as the chip's outputs: an
+    /// attack indexes rows by output position, so a short or ragged answer
+    /// must stop here as a typed error.
+    fn check_widths(&self, rows: &[Vec<bool>]) -> Result<(), OracleError> {
+        match rows.iter().find(|row| row.len() != self.outputs) {
+            Some(row) => Err(OracleError::Protocol {
+                kind: "bad_width".to_string(),
+                message: format!(
+                    "chip {} has {} outputs, server answered a {}-bit row",
+                    self.chip,
+                    self.outputs,
+                    row.len()
+                ),
+            }),
+            None => Ok(()),
         }
     }
 }
@@ -562,6 +442,7 @@ impl OracleSource for RemoteOracle {
             .map_err(OracleError::from)?;
         match resp {
             Response::Outputs { bits, generation } => {
+                self.check_widths(std::slice::from_ref(&bits))?;
                 self.queries += 1;
                 self.observe_generation(generation);
                 Ok(bits)
@@ -596,6 +477,7 @@ impl OracleSource for RemoteOracle {
                         ),
                     });
                 }
+                self.check_widths(&rows)?;
                 self.queries += block.lanes() as u64;
                 self.batch_blocks += 1;
                 self.batch_patterns += block.lanes() as u64;

@@ -103,7 +103,6 @@ pub fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) -> Result<(), FrameError>
 const OP_ACTIVATE: u8 = 0x02;
 const OP_QUERY: u8 = 0x03;
 const OP_QUERY_BATCH: u8 = 0x04;
-const OP_MORPH: u8 = 0x05;
 const OP_STATS: u8 = 0x06;
 const OP_SHUTDOWN: u8 = 0x07;
 
@@ -111,7 +110,6 @@ const OP_SHUTDOWN: u8 = 0x07;
 const RE_ACTIVATED: u8 = 0x82;
 const RE_OUTPUTS: u8 = 0x83;
 const RE_BATCH: u8 = 0x84;
-const RE_MORPHED: u8 = 0x85;
 const RE_STATS: u8 = 0x86;
 const RE_BYE: u8 = 0x87;
 const RE_ERROR: u8 = 0x88;
@@ -284,11 +282,6 @@ impl Request {
                 }
                 out
             }
-            Request::Morph { chip } => {
-                let mut out = header(OP_MORPH);
-                put_u64(&mut out, *chip);
-                out
-            }
             Request::Stats => header(OP_STATS),
             Request::Shutdown => header(OP_SHUTDOWN),
         };
@@ -327,9 +320,6 @@ impl Request {
                 }
                 Request::QueryBatch { chip, patterns }
             }
-            OP_MORPH => Request::Morph {
-                chip: cur.u64("morph.chip")?,
-            },
             OP_STATS => Request::Stats,
             OP_SHUTDOWN => Request::Shutdown,
             other => {
@@ -381,20 +371,6 @@ impl Response {
                 }
                 out
             }
-            Response::Morphed {
-                generation,
-                bits_changed,
-                changed_bits,
-            } => {
-                let mut out = header(RE_MORPHED);
-                put_u64(&mut out, *generation);
-                put_u64(&mut out, *bits_changed);
-                put_u32(&mut out, changed_bits.len() as u32);
-                for &b in changed_bits {
-                    put_u64(&mut out, b as u64);
-                }
-                out
-            }
             // Stats is the control plane's cold path and carries the
             // open-ended metrics registry, which people read: its body is
             // JSON, length-prefixed inside the binary envelope.
@@ -442,20 +418,6 @@ impl Response {
                     rows.push(cur.bits("batch.row")?);
                 }
                 Response::Batch { rows, generation }
-            }
-            RE_MORPHED => {
-                let generation = cur.u64("morphed.generation")?;
-                let bits_changed = cur.u64("morphed.bits_changed")?;
-                let n = cur.u32("morphed.changed")? as usize;
-                let mut changed_bits = Vec::new();
-                for _ in 0..n {
-                    changed_bits.push(cur.u64("morphed.bit")? as usize);
-                }
-                Response::Morphed {
-                    generation,
-                    bits_changed,
-                    changed_bits,
-                }
             }
             RE_STATS => Response::Stats(
                 ServerStats::from_json(&cur.str_("stats.body")?).map_err(FrameError::Malformed)?,
@@ -507,7 +469,6 @@ mod tests {
                 chip: 1,
                 patterns: vec![vec![false, true], vec![true, true], vec![false; 8]],
             },
-            Request::Morph { chip: 9 },
             Request::Stats,
             Request::Shutdown,
         ]
@@ -532,16 +493,6 @@ mod tests {
             Response::Batch {
                 rows: vec![vec![true; 9], vec![false; 9]],
                 generation: 2,
-            },
-            Response::Morphed {
-                generation: 5,
-                bits_changed: 11,
-                changed_bits: vec![0, 3, 9],
-            },
-            Response::Morphed {
-                generation: 6,
-                bits_changed: 2,
-                changed_bits: Vec::new(),
             },
             Response::Stats(ServerStats {
                 requests: 42,
@@ -634,6 +585,26 @@ mod tests {
                 Err(FrameError::Malformed(msg)) => assert!(msg.contains(needle), "{msg}"),
                 other => panic!("{payload:?} decoded to {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn retired_morph_opcodes_are_malformed() {
+        // 0x05 was a manual morph request and 0x85 its reply, which named
+        // every changed key bit to the client; neither decodes any more.
+        let mut request = header(0x05);
+        put_u64(&mut request, 1);
+        match Request::decode(&request) {
+            Err(FrameError::Malformed(msg)) => assert!(msg.contains("0x05"), "{msg}"),
+            other => panic!("0x05 decoded to {other:?}"),
+        }
+        let mut response = header(0x85);
+        put_u64(&mut response, 1);
+        put_u64(&mut response, 0);
+        put_u32(&mut response, 0);
+        match Response::decode(&response) {
+            Err(FrameError::Malformed(msg)) => assert!(msg.contains("0x85"), "{msg}"),
+            other => panic!("0x85 decoded to {other:?}"),
         }
     }
 

@@ -7,7 +7,9 @@
 //! oracle queries over a length-prefixed binary protocol, while a
 //! **morph scheduler** re-keys every hosted chip each K queries or T
 //! milliseconds — the dynamic obfuscation the paper argues defeats
-//! accumulated SAT-attack progress.
+//! accumulated SAT-attack progress. Morphs happen only server-side: a
+//! client, who plays the attacker, learns nothing of a re-key but the
+//! key generation stamped on each response.
 //!
 //! * [`protocol`] — the message types: typed [`protocol::ErrorKind`]s and
 //!   [`protocol::DesignSpec`] (chips are provisioned by deterministic

@@ -13,6 +13,10 @@
 //! [`Obfuscator`] is deterministic in its seed. The adversary's client
 //! derives its attacker view the same way — exactly the reverse-engineered
 //! layout knowledge the threat model grants it.
+//!
+//! No message re-keys a chip or describes a re-key: the morph triggers
+//! live in the server's configuration, and a [`Response`] reveals only
+//! the generation it was answered under.
 
 use ril_core::{KeyBitKind, LockedCircuit, Obfuscator, RilBlockSpec};
 use ril_netlist::{generators, Netlist};
@@ -191,11 +195,6 @@ pub enum Request {
         /// Data-input patterns.
         patterns: Vec<Vec<bool>>,
     },
-    /// Manual re-key of one chip.
-    Morph {
-        /// Target chip id.
-        chip: u64,
-    },
     /// Server + per-chip statistics.
     Stats,
     /// Graceful shutdown of the whole server.
@@ -209,7 +208,7 @@ pub struct ChipStats {
     pub chip: u64,
     /// Oracle queries served (batch patterns counted individually).
     pub queries: u64,
-    /// Morphs applied (scheduled + manual).
+    /// Morphs applied by the scheduler.
     pub morphs: u64,
     /// Current key generation (starts at 0, +1 per morph).
     pub generation: u64,
@@ -338,20 +337,6 @@ pub enum Response {
         rows: Vec<Vec<bool>>,
         /// Key generation the batch was produced under.
         generation: u64,
-    },
-    /// A morph was applied.
-    Morphed {
-        /// The chip's new generation.
-        generation: u64,
-        /// Key-bit *transitions* across the morph's moves (a bit toggled
-        /// twice counts twice) — [`ril_core::MorphReport::bits_changed`].
-        bits_changed: u64,
-        /// Indices of key bits whose *value* differs from the previous
-        /// generation (the net [`ril_core::MorphDelta`]), sorted
-        /// ascending. Combined with the netlist's key analysis this names
-        /// exactly the output cones whose logic changed, so a client can
-        /// re-verify or re-encode only those.
-        changed_bits: Vec<usize>,
     },
     /// Statistics snapshot.
     Stats(ServerStats),

@@ -21,23 +21,21 @@
 //! the price of the atomic-block guarantee.
 
 use crate::server::{HostedChip, State};
-use ril_core::{morph_all_delta, MorphDelta, MorphReport};
+use ril_core::morph_all_delta;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Applies one morph to a hosted chip: re-keys the locked circuit,
 /// re-burns the oracle, bumps the generation, and resets both triggers.
-/// Returns the move report plus the *net* key delta, which the protocol
-/// publishes so clients can re-check only the dirty output cones. The
-/// wall time lands in `metrics` as `serve.phase.morph`, whichever
-/// trigger (inline query-count, background timer, manual op) fired it.
-pub(crate) fn do_morph(
-    metrics: &ril_trace::Metrics,
-    chip: &mut HostedChip,
-) -> (MorphReport, MorphDelta) {
+/// The wall time lands in `metrics` as `serve.phase.morph`, whichever
+/// trigger (inline query count or background timer) fired it, and the
+/// net count of key bits whose value changed as `serve.key_bits_morphed`.
+/// Nothing about the new key leaves the server: a client sees only the
+/// generation stamped on its next response.
+pub(crate) fn do_morph(metrics: &ril_trace::Metrics, chip: &mut HostedChip) {
     let t0 = Instant::now();
-    let (report, delta) = morph_all_delta(&mut chip.locked, &mut chip.rng);
+    let (_, delta) = morph_all_delta(&mut chip.locked, &mut chip.rng);
     chip.oracle.rekey(&chip.locked);
     chip.generation += 1;
     chip.morphs += 1;
@@ -48,7 +46,6 @@ pub(crate) fn do_morph(
     metrics.counter_add("serve.key_bits_morphed", delta.len() as u64);
     ril_trace::counter("serve.morphs", 1);
     ril_trace::counter("serve.key_bits_morphed", delta.len() as u64);
-    (report, delta)
 }
 
 /// Spawns the time-based trigger: every tick, morph any chip whose key

@@ -324,7 +324,6 @@ fn dispatch(state: &State, req: Request) -> (Response, bool) {
         }
         Request::Query { chip, inputs } => (query(state, chip, &[inputs], false), false),
         Request::QueryBatch { chip, patterns } => (query(state, chip, &patterns, true), false),
-        Request::Morph { chip } => (morph(state, chip), false),
         Request::Stats => (stats(state), false),
         Request::Shutdown => {
             state.stop.trigger();
@@ -443,19 +442,6 @@ fn query(state: &State, chip_id: u64, patterns: &[Vec<bool>], batch: bool) -> Re
             bits: rows.pop().expect("one row"),
             generation,
         }
-    }
-}
-
-fn morph(state: &State, chip_id: u64) -> Response {
-    let mut shard = state.shard(chip_id).lock().expect("chip shard");
-    let Some(chip) = shard.get_mut(&chip_id) else {
-        return err(ErrorKind::UnknownChip, format!("no chip {chip_id}"));
-    };
-    let (report, delta) = do_morph(&state.metrics, chip);
-    Response::Morphed {
-        generation: chip.generation,
-        bits_changed: report.bits_changed as u64,
-        changed_bits: delta.changed_bits().to_vec(),
     }
 }
 

@@ -32,7 +32,7 @@ fn text(z: &mut u64) -> String {
 }
 
 fn request(z: &mut u64) -> Request {
-    match splitmix(z) % 6 {
+    match splitmix(z) % 5 {
         0 => Request::Activate {
             design: DesignSpec {
                 benchmark: text(z),
@@ -57,14 +57,13 @@ fn request(z: &mut u64) -> Request {
                 patterns: (0..1 + splitmix(z) % 64).map(|_| bits(z, width)).collect(),
             }
         }
-        3 => Request::Morph { chip: splitmix(z) },
-        4 => Request::Stats,
+        3 => Request::Stats,
         _ => Request::Shutdown,
     }
 }
 
 fn response(z: &mut u64) -> Response {
-    match splitmix(z) % 6 {
+    match splitmix(z) % 5 {
         0 => Response::Activated {
             chip: splitmix(z),
             generation: splitmix(z),
@@ -91,19 +90,7 @@ fn response(z: &mut u64) -> Response {
                 generation: splitmix(z),
             }
         }
-        3 => Response::Morphed {
-            generation: splitmix(z),
-            bits_changed: splitmix(z),
-            changed_bits: {
-                let mut v: Vec<usize> = (0..splitmix(z) % 6)
-                    .map(|_| (splitmix(z) % 500) as usize)
-                    .collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            },
-        },
-        4 => Response::Bye,
+        3 => Response::Bye,
         _ => Response::Error {
             kind: ErrorKind::Malformed,
             message: text(z),

@@ -109,9 +109,6 @@ fn query_triggered_morphing_defeats_the_remote_attack() {
             oracle.generation_changes() > 0,
             "the oracle should have observed generation bumps"
         );
-        // Those morphs rode behind query responses (no delta published),
-        // so the delta accumulator must report itself incomplete.
-        assert_eq!(oracle.take_delta(), None);
         if !truly_correct {
             defeated = true;
             break;
@@ -275,39 +272,44 @@ fn time_triggered_morphing_rekeys_idle_chips() {
 }
 
 /// Morphing preserves the chip's functional contract: a scan-free chip
-/// answers identically across generations, and every manual morph bumps
-/// the generation exactly once.
+/// that re-keys every `k` queries answers identically across generations,
+/// and each round of `k` queries is stamped with one new generation.
 #[test]
-fn manual_morphs_preserve_functional_responses() {
-    let handle = Server::start(ServeConfig::default()).unwrap();
+fn query_count_morphs_preserve_functional_responses() {
+    let k = 16u32;
+    let handle = Server::start(ServeConfig {
+        morph_queries: Some(u64::from(k)),
+        ..ServeConfig::default()
+    })
+    .unwrap();
     let design = design(false, false, 13);
     let mut oracle = remote(handle.addr(), &design);
     let width = oracle.input_width();
-    let patterns: Vec<Vec<bool>> = (0..16u32)
+    let patterns: Vec<Vec<bool>> = (0..k)
         .map(|i| (0..width).map(|b| (i >> (b % 32)) & 1 == 1).collect())
         .collect();
-    let before: Vec<Vec<bool>> = patterns
-        .iter()
-        .map(|p| oracle.try_query(p).unwrap())
-        .collect();
-    let key_bits = design.build().unwrap().keys.bits().len();
-    let mut accumulated = ril_core::MorphDelta::default();
-    for round in 1..=3u64 {
-        let delta = oracle.morph().unwrap();
-        assert_eq!(oracle.generation(), Some(round));
-        // The published delta names real key-bit indices of this design.
-        assert!(delta.changed_bits().iter().all(|&b| b < key_bits));
-        accumulated.merge(&delta);
-        let after: Vec<Vec<bool>> = patterns
+    let mut rounds = Vec::new();
+    for generation in 0..4u64 {
+        let answers: Vec<Vec<bool>> = patterns
             .iter()
-            .map(|p| oracle.try_query(p).unwrap())
+            .map(|p| {
+                let bits = oracle.try_query(p).unwrap();
+                assert_eq!(oracle.generation(), Some(generation));
+                bits
+            })
             .collect();
-        assert_eq!(before, after, "morph broke functionality at round {round}");
+        rounds.push(answers);
     }
-    // Every generation change arrived with a published delta, so the
-    // accumulator is complete and drains to the union of the rounds.
-    assert_eq!(oracle.take_delta(), Some(accumulated));
-    assert_eq!(oracle.take_delta(), Some(ril_core::MorphDelta::default()));
+    assert_eq!(oracle.generation_changes(), 3);
+    for (generation, answers) in rounds.iter().enumerate().skip(1) {
+        assert_eq!(
+            answers, &rounds[0],
+            "morph broke functionality at generation {generation}"
+        );
+    }
+    let stats = oracle.client().stats().unwrap();
+    assert_eq!(stats.chips[0].morphs, 4, "the last round's morph fired too");
+    assert!(stats.metrics.counter("serve.key_bits_morphed") > 0);
     handle.shutdown();
 }
 
@@ -323,18 +325,18 @@ fn pipelined_windows_answer_in_request_order() {
         .unwrap()
         .input_width();
     let mut client = ServeClient::builder(handle.addr().to_string())
-        .pipeline(8)
         .build()
         .unwrap();
-    // 20 distinguishable queries: pattern i encodes i in its low bits.
-    let reqs: Vec<Request> = (0..20u32)
+    // 80 distinguishable queries, two and a half 32-request windows:
+    // pattern i encodes i in its low bits.
+    let reqs: Vec<Request> = (0..80u32)
         .map(|i| Request::Query {
             chip,
             inputs: (0..width).map(|b| (i >> (b % 32)) & 1 == 1).collect(),
         })
         .collect();
     let resps = client.request_pipelined(&reqs).unwrap();
-    assert_eq!(resps.len(), 20);
+    assert_eq!(resps.len(), 80);
     // Order check: each response equals a fresh unpipelined query of the
     // same pattern (the chip is static, so replies are stable).
     for (i, resp) in resps.iter().enumerate() {
@@ -357,7 +359,7 @@ fn pipelined_windows_answer_in_request_order() {
 /// the client must read while it is still writing the window.
 #[test]
 fn a_window_larger_than_the_socket_buffers_completes() {
-    use ril_serve::{Request, Response};
+    use ril_serve::{Request, Response, MAX_FRAME_BYTES};
     let handle = Server::start(ServeConfig::default()).unwrap();
     let design = DesignSpec {
         benchmark: "adder:32".to_string(),
@@ -368,20 +370,24 @@ fn a_window_larger_than_the_socket_buffers_completes() {
         .unwrap()
         .input_width();
     let mut client = ServeClient::builder(handle.addr().to_string())
-        .pipeline(256)
         .build()
         .unwrap();
-    // 256 frames of 4096 patterns: ~12 MiB each way in one window.
-    let reqs: Vec<Request> = (0..256)
+    // One 32-request window of batches just under the frame cap: a row
+    // costs a 4-byte count plus its packed bits, so each request is
+    // ~1 MiB and each answer (33 outputs) ~0.75 MiB — ~32 MiB out and
+    // ~24 MiB back.
+    let patterns = (MAX_FRAME_BYTES - 64) / (4 + width.div_ceil(8));
+    let reqs: Vec<Request> = (0..32)
         .map(|i| Request::QueryBatch {
             chip,
-            patterns: vec![vec![i % 2 == 0; width]; 4096],
+            patterns: vec![vec![i % 2 == 0; width]; patterns],
         })
         .collect();
+    assert!(reqs[0].encode().unwrap().len() > MAX_FRAME_BYTES - 64);
     let resps = client.request_pipelined(&reqs).unwrap();
-    assert_eq!(resps.len(), 256);
+    assert_eq!(resps.len(), 32);
     assert!(resps
         .iter()
-        .all(|r| matches!(r, Response::Batch { rows, .. } if rows.len() == 4096)));
+        .all(|r| matches!(r, Response::Batch { rows, .. } if rows.len() == patterns)));
     handle.shutdown();
 }

@@ -6,7 +6,7 @@ use ril_serve::{
     Response, ServeClient, ServeConfig, Server, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -21,13 +21,39 @@ fn small_design() -> DesignSpec {
     }
 }
 
-fn fast_client(addr: impl Into<String>) -> ServeClient {
-    ServeClient::builder(addr)
-        .timeout(Duration::from_secs(2))
-        .retries(1)
-        .backoff(Duration::from_millis(10))
-        .build()
-        .unwrap()
+fn client(addr: impl Into<String>) -> ServeClient {
+    ServeClient::builder(addr).build().unwrap()
+}
+
+/// A one-connection stand-in for a server: it accepts one client, stops
+/// listening, and answers each request frame with `answer`'s response
+/// until `answer` returns `None`, when it hangs up.
+fn scripted_server(answer: impl Fn(&Request) -> Option<Response> + Send + 'static) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        drop(listener);
+        while let Ok(payload) = read_frame_bytes(&mut stream) {
+            let req = Request::decode(&payload).expect("the client sends binary frames");
+            let Some(resp) = answer(&req) else { break };
+            write_frame_bytes(&mut stream, &resp.encode().unwrap()).unwrap();
+        }
+    });
+    addr
+}
+
+/// The `Activated` frame a real server would send for `design`.
+fn activated(design: &DesignSpec) -> Response {
+    let locked = design.build().unwrap();
+    let oracle = ril_attacks::Oracle::new(&locked).unwrap();
+    Response::Activated {
+        chip: 1,
+        generation: 0,
+        inputs: oracle.input_width(),
+        outputs: oracle.output_width(),
+        key_bits: locked.keys.bits().len(),
+    }
 }
 
 /// Reads and decodes one binary response frame.
@@ -74,9 +100,12 @@ fn malformed_frames_get_typed_errors() {
     drop(stream);
 
     // A well-formed request the server must refuse is typed too.
-    let mut client = fast_client(handle.addr().to_string());
+    let mut client = client(handle.addr().to_string());
     let err = client
-        .request(&Request::Morph { chip: 1 })
+        .request(&Request::Query {
+            chip: 1,
+            inputs: vec![false; 4],
+        })
         .expect_err("no chip exists yet");
     assert!(matches!(
         err,
@@ -123,7 +152,7 @@ fn truncated_frames_do_not_wedge_the_service() {
     drop(stream);
 
     // The service keeps answering new clients.
-    let mut client = fast_client(handle.addr().to_string());
+    let mut client = client(handle.addr().to_string());
     let stats = client.stats().unwrap();
     assert_eq!(stats.chips.len(), 0);
     handle.shutdown();
@@ -132,7 +161,7 @@ fn truncated_frames_do_not_wedge_the_service() {
 #[test]
 fn bad_query_widths_are_typed() {
     let handle = Server::start(ServeConfig::default()).unwrap();
-    let mut client = fast_client(handle.addr().to_string());
+    let mut client = client(handle.addr().to_string());
     let chip = match client
         .request(&Request::Activate {
             design: small_design(),
@@ -166,10 +195,8 @@ fn query_limits_rate_limit_the_chip() {
     })
     .unwrap();
     let design = small_design();
-    let client = ServeClient::builder(handle.addr().to_string())
-        .build()
-        .unwrap();
-    let mut oracle = RemoteOracle::activate_with(client, &design).unwrap();
+    let mut oracle =
+        RemoteOracle::activate_with(client(handle.addr().to_string()), &design).unwrap();
     use ril_attacks::OracleSource;
     let width = oracle.input_width();
     for _ in 0..4 {
@@ -191,7 +218,7 @@ fn query_limits_rate_limit_the_chip() {
 #[test]
 fn unknown_benchmarks_fail_activation_with_internal() {
     let handle = Server::start(ServeConfig::default()).unwrap();
-    let mut client = fast_client(handle.addr().to_string());
+    let mut client = client(handle.addr().to_string());
     let err = client
         .request(&Request::Activate {
             design: DesignSpec {
@@ -217,47 +244,95 @@ fn dead_servers_produce_transport_errors_after_retries() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         listener.local_addr().unwrap()
     };
-    let mut client = ServeClient::builder(dead_addr.to_string())
-        .timeout(Duration::from_millis(200))
-        .retries(2)
-        .backoff(Duration::from_millis(1))
-        .build()
-        .unwrap();
-    let err = client
+    let err = client(dead_addr.to_string())
         .request(&Request::Stats)
         .expect_err("nothing listens");
     match err {
+        // One attempt plus three retries.
         ClientError::Transport(msg) => {
-            assert!(msg.contains("3 attempts"), "retry count missing: {msg}")
+            assert!(msg.contains("4 attempts"), "retry count missing: {msg}")
         }
         other => panic!("expected a transport error, got {other:?}"),
     }
 
     // The same failure through the OracleSource surface is a typed
-    // OracleError, which the attack loop turns into AttackResult::Failed.
+    // OracleError, which the attack loop turns into AttackResult::Failed:
+    // a server that activates the chip and then goes away.
     use ril_attacks::OracleSource;
-    let dead_client = ServeClient::builder(dead_addr.to_string())
-        .timeout(Duration::from_millis(200))
-        .retries(1)
-        .backoff(Duration::from_millis(1))
-        .build()
-        .unwrap();
-    let mut oracle = RemoteOracle::bind_with(dead_client, 1, 4, 4);
-    match oracle.try_query(&[false; 4]) {
+    let design = small_design();
+    let reply = activated(&design);
+    let addr =
+        scripted_server(move |req| matches!(req, Request::Activate { .. }).then(|| reply.clone()));
+    let mut oracle = RemoteOracle::activate_with(client(addr.to_string()), &design).unwrap();
+    let width = oracle.input_width();
+    match oracle.try_query(&vec![false; width]) {
         Err(ril_attacks::OracleError::Transport(_)) => {}
         other => panic!("expected a transport oracle error, got {other:?}"),
     }
+}
+
+/// A server that answers with rows of the wrong width gets a typed
+/// protocol error on both query paths, and an attack over it fails
+/// cleanly instead of indexing past the end of a short row.
+#[test]
+fn short_and_ragged_answers_are_typed_errors() {
+    use ril_attacks::prelude::*;
+    fn bad_width(e: Option<OracleError>) -> bool {
+        matches!(e, Some(OracleError::Protocol { kind, .. }) if kind == "bad_width")
+    }
+    let design = small_design();
+    let reply = activated(&design);
+    let Response::Activated { outputs, .. } = reply else {
+        unreachable!()
+    };
+    // Singles come back one bit short; in a batch, row 1 is one bit long.
+    let lying_chip = || {
+        let reply = reply.clone();
+        scripted_server(move |req| {
+            Some(match req {
+                Request::Activate { .. } => reply.clone(),
+                Request::Query { .. } => Response::Outputs {
+                    bits: vec![false; outputs - 1],
+                    generation: 0,
+                },
+                Request::QueryBatch { patterns, .. } => Response::Batch {
+                    rows: (0..patterns.len())
+                        .map(|i| vec![true; outputs + usize::from(i == 1)])
+                        .collect(),
+                    generation: 0,
+                },
+                _ => return None,
+            })
+        })
+    };
+    let mut oracle =
+        RemoteOracle::activate_with(client(lying_chip().to_string()), &design).unwrap();
+    let width = oracle.input_width();
+    assert!(bad_width(oracle.try_query(&vec![false; width]).err()));
+    let block = PatternBlock::pack(&vec![vec![false; width]; 3]);
+    assert!(bad_width(oracle.try_query_batch(&block).err()));
+    assert_eq!(oracle.queries(), 0, "no answer of the wrong width counts");
+
+    let mut oracle =
+        RemoteOracle::activate_with(client(lying_chip().to_string()), &design).unwrap();
+    let view = attacker_view(&design.build().unwrap());
+    let report =
+        ril_attacks::satattack::sat_attack(&view, &mut oracle, &SatAttackConfig::default());
+    assert!(
+        matches!(&report.result, AttackResult::Failed(msg) if msg.contains("bad_width")),
+        "{report}"
+    );
 }
 
 #[test]
 fn shutdown_op_drains_the_server() {
     let handle = Server::start(ServeConfig::default()).unwrap();
     let addr = handle.addr();
-    let mut client = fast_client(addr.to_string());
-    client.shutdown_server().unwrap();
-    handle.shutdown(); // joins every thread; must not hang
-                       // The listener is gone: a fresh connection is refused (or, at worst,
-                       // accepted by nobody and then reset).
+    client(addr.to_string()).shutdown_server().unwrap();
+    // Joins every thread; must not hang.
+    handle.shutdown();
+    // The listener is gone: a fresh connection is refused (or, at worst,
+    // accepted by nobody and then reset).
     std::thread::sleep(Duration::from_millis(50));
     let refused = TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err();
     assert!(refused, "listener should be closed after shutdown");
@@ -276,9 +351,7 @@ fn shutdown_op_releases_a_waiting_handle() {
             let _ = done.send(());
         });
     }
-    fast_client(handle.addr().to_string())
-        .shutdown_server()
-        .unwrap();
+    client(handle.addr().to_string()).shutdown_server().unwrap();
     waited
         .recv_timeout(Duration::from_secs(2))
         .expect("wait() must return within 2 s of the shutdown op");
@@ -293,7 +366,7 @@ fn a_stalled_peer_delays_no_one_and_is_told_about_the_drain() {
     stalled.flush().unwrap();
 
     let design = small_design();
-    let mut oracle = RemoteOracle::activate_with(fast_client(handle.addr().to_string()), &design)
+    let mut oracle = RemoteOracle::activate_with(client(handle.addr().to_string()), &design)
         .expect("activation past a stalled peer");
     use ril_attacks::OracleSource;
     let width = oracle.input_width();
@@ -362,15 +435,26 @@ fn unknown_version_bytes_get_a_malformed_error_naming_the_version() {
 }
 
 #[test]
+fn retired_morph_opcode_gets_a_malformed_error_and_keeps_the_stream() {
+    let handle = Server::start(ServeConfig::default()).unwrap();
+    let chip = handle.activate(&small_design()).unwrap();
+    let mut stream = raw_stream(handle.addr());
+    // 0x05 once asked for a manual morph of the chip named in its body.
+    let mut frame = vec![ril_serve::codec::BIN_MAGIC, PROTOCOL_VERSION, 0x05];
+    frame.extend_from_slice(&chip.to_le_bytes());
+    write_frame_bytes(&mut stream, &frame).unwrap();
+    let (kind, message) = read_error(&mut stream);
+    assert_eq!(kind, ErrorKind::Malformed);
+    assert!(message.contains("0x05"), "{message}");
+    assert_stats_answered(&mut stream);
+    handle.shutdown();
+}
+
+#[test]
 fn builder_rejects_bad_configuration_with_typed_errors() {
     for bad in [
         ServeClient::builder("").build(),
         ServeClient::builder("localhost").build(), // no port
-        ServeClient::builder("127.0.0.1:1").pipeline(0).build(),
-        ServeClient::builder("127.0.0.1:1").pipeline(4096).build(),
-        ServeClient::builder("127.0.0.1:1")
-            .timeout(Duration::ZERO)
-            .build(),
     ] {
         match bad {
             Err(ClientError::Config(_)) => {}
@@ -378,10 +462,6 @@ fn builder_rejects_bad_configuration_with_typed_errors() {
             Ok(_) => panic!("expected a config error, got a client"),
         }
     }
-    // A fully-specified builder is fine (building does not connect, so
-    // the dead address is irrelevant).
-    ServeClient::builder("127.0.0.1:1")
-        .pipeline(64)
-        .build()
-        .unwrap();
+    // Building does not connect, so the dead address is irrelevant.
+    ServeClient::builder("127.0.0.1:1").build().unwrap();
 }

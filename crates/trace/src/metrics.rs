@@ -100,15 +100,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Mean duration in microseconds (0 when empty).
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64
-        }
-    }
-
     /// Estimated `q`-quantile in microseconds (`q` clamped to `[0, 1]`;
     /// 0 when empty).
     ///
@@ -387,6 +378,18 @@ impl MetricsSnapshot {
         self.json_fields_into(&mut out);
         out.push('}');
         out
+    }
+}
+
+#[cfg(test)]
+impl HistogramSnapshot {
+    /// Mean duration in microseconds (0 when empty).
+    fn mean_us(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum_us as f64 / self.count as f64
+        }
     }
 }
 

@@ -39,6 +39,9 @@ echo "== clippy (netlist analyses: no unordered hash-map iteration) =="
 # HashMap/HashSet in ril-netlist would silently break that promise.
 cargo clippy -p ril-netlist --all-targets -- -D warnings -D clippy::iter_over_hash_type
 
+echo "== dead API (every pub fn/const has a non-test caller) =="
+scripts/dead_api.sh
+
 echo "== serve smoke (rilock serve + remote SAT attack with morphing) =="
 mkdir -p exp_out
 ADDR_FILE=exp_out/ci_serve.addr

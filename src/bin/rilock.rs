@@ -5,7 +5,6 @@
 //! rilock lock   <design.bench|.v> [--spec 8x8x8] [--blocks 3] [--scan]
 //!               [--seed N] [--out locked.bench] [--key key.txt]
 //! rilock attack <locked.bench> --key key.txt [--timeout SECS] [--appsat]
-//! rilock morph  <locked.bench> --key key.txt [--seed N]
 //! rilock serve  [--addr HOST:PORT] [--addr-file PATH] [--shards N]
 //!               [--morph-queries K] [--morph-ms T] [--query-limit N]
 //! rilock remote-attack <HOST:PORT> [--benchmark NAME] [--spec 2x2]
@@ -52,7 +51,6 @@ fn run() -> Result<(), String> {
         "info" => info(&args[1..]),
         "lock" => lock(&args[1..]),
         "attack" => attack(&args[1..]),
-        "morph" => morph(&args[1..]),
         "serve" => serve(&args[1..]),
         "remote-attack" => remote_attack(&args[1..]),
         "top" => top(&args[1..]),
@@ -65,7 +63,7 @@ fn run() -> Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  rilock info   <design.bench>\n  rilock lock   <design.bench|.v> [--spec 8x8x8] [--blocks 3] [--scan] [--seed N] [--out locked.bench] [--key key.txt]\n  rilock attack <locked.bench> --key key.txt [--timeout SECS] [--appsat]\n  rilock morph  <locked.bench> --key key.txt [--seed N]\n  rilock serve  [--addr HOST:PORT] [--addr-file PATH] [--shards N] [--morph-queries K] [--morph-ms T] [--query-limit N]\n  rilock remote-attack <HOST:PORT> [--benchmark NAME] [--spec 2x2] [--blocks N] [--seed N] [--scan] [--zero-se] [--timeout SECS] [--appsat] [--probe-batch N] [--probe-pipeline N] [--shutdown]\n  rilock top    <HOST:PORT> [--interval-ms N] [--frames N] [--shutdown]".to_string()
+    "usage:\n  rilock info   <design.bench>\n  rilock lock   <design.bench|.v> [--spec 8x8x8] [--blocks 3] [--scan] [--seed N] [--out locked.bench] [--key key.txt]\n  rilock attack <locked.bench> --key key.txt [--timeout SECS] [--appsat]\n  rilock serve  [--addr HOST:PORT] [--addr-file PATH] [--shards N] [--morph-queries K] [--morph-ms T] [--query-limit N]\n  rilock remote-attack <HOST:PORT> [--benchmark NAME] [--spec 2x2] [--blocks N] [--seed N] [--scan] [--zero-se] [--timeout SECS] [--appsat] [--probe-batch N] [--probe-pipeline N] [--shutdown]\n  rilock top    <HOST:PORT> [--interval-ms N] [--frames N] [--shutdown]".to_string()
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -103,15 +101,8 @@ fn save_netlist(path: &str, nl: &Netlist) -> Result<(), String> {
 
 fn load_key(path: &str, expected: usize) -> Result<Vec<bool>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let bits: Vec<bool> = text
-        .chars()
-        .filter(|c| !c.is_whitespace())
-        .map(|c| match c {
-            '0' => Ok(false),
-            '1' => Ok(true),
-            other => Err(format!("bad key character `{other}` in {path}")),
-        })
-        .collect::<Result<_, _>>()?;
+    let bits = KeyStore::parse_bit_string(&text)
+        .map_err(|c| format!("bad key character `{c}` in {path}"))?;
     if bits.len() != expected {
         return Err(format!(
             "key width mismatch: {path} has {} bits, netlist has {expected} key inputs",
@@ -159,13 +150,7 @@ fn lock(args: &[String]) -> Result<(), String> {
         return Err("internal error: locked circuit failed verification".into());
     }
     save_netlist(out_path, &locked.netlist)?;
-    let key_text: String = locked
-        .keys
-        .bits()
-        .iter()
-        .map(|&b| if b { '1' } else { '0' })
-        .collect();
-    std::fs::write(key_path, key_text).map_err(|e| e.to_string())?;
+    std::fs::write(key_path, locked.keys.to_bit_string()).map_err(|e| e.to_string())?;
     println!(
         "locked {} with {blocks} × {spec}{}: {} key bits, +{} gates",
         nl.name(),
@@ -573,24 +558,4 @@ fn top(args: &[String]) -> Result<(), String> {
         return Err("stats inconsistency detected (see frames above)".into());
     }
     Ok(())
-}
-
-fn morph(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or_else(usage)?;
-    let key_path = flag_value(args, "--key").ok_or("--key is required for morph")?;
-    let (nl, _key) = locked_from_files(path, key_path)?;
-    let seed: u64 = flag_value(args, "--seed")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| "bad --seed".to_string())?;
-    // Morphing needs block metadata, which .bench files do not carry; the
-    // CLI therefore re-locks from scratch when given a raw design, and
-    // explains the limitation for imported locked files.
-    let _ = (nl, seed);
-    Err(
-        "morphing requires block metadata that .bench files do not carry; \
-         morph in-process via `ril_core::morph_all` on the LockedCircuit \
-         returned by the Obfuscator (see examples/dynamic_morphing.rs)"
-            .into(),
-    )
 }
