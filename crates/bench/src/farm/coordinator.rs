@@ -241,7 +241,7 @@ fn handle(shared: &Shared, req: FarmRequest) -> FarmResponse {
                 lease_ms,
             }
         }
-        FarmRequest::Lease { max, .. } => {
+        FarmRequest::Lease { max } => {
             if shared.stop.is_set() {
                 return FarmResponse::Leases {
                     leases: Vec::new(),
@@ -344,21 +344,19 @@ fn handle(shared: &Shared, req: FarmRequest) -> FarmResponse {
                 stolen: false,
             }
         }
-        FarmRequest::Heartbeat { worker, lease_ids } => {
+        FarmRequest::Heartbeat { lease_ids } => {
             let (renewed, lost) = {
                 let mut table = shared.table.lock().expect("lease table");
                 table.heartbeat(&lease_ids, now)
             };
-            let _ = worker;
             FarmResponse::Heartbeats { renewed, lost }
         }
     }
 }
 
 fn store(shared: &Shared, key: &CacheKey, payload: &str) {
-    // The cache's temp+rename makes racing stores safe; a cell already
-    // on disk stays (first write wins at the table level already).
-    if shared.cache.get(key).is_none() {
-        let _ = shared.cache.put(key, payload);
-    }
+    // The lease table settles each cell once (`Fresh` or `Stolen` stores,
+    // `Duplicate` drops), so this is the cell's only write; the cache's
+    // temp+rename keeps it atomic.
+    let _ = shared.cache.put(key, payload);
 }

@@ -9,8 +9,9 @@
 //!   description, so a lease is just `(lease id, key)`; the worker
 //!   parses the key back into its [`crate::CellSpec`] and runs it, and
 //!   the coordinator persists the result with the cache's atomic
-//!   temp+rename — first write wins, which makes double completion
-//!   idempotent by construction. Any experiment's cells can be farmed.
+//!   temp+rename. The lease table settles each cell once — first write
+//!   wins, later completions are dropped as duplicates — which makes
+//!   double completion idempotent. Any experiment's cells can be farmed.
 //! * **The serve wire layer** carries the farm vocabulary
 //!   ([`ril_serve::farm`]) on a disjoint opcode range, in the same
 //!   binary frames as the oracle traffic.
@@ -20,6 +21,11 @@
 //!   the tables entirely from cache hits — so a farmed run and a
 //!   single-process run produce the same artifacts by construction, and
 //!   any cell the farm failed to settle simply gets computed locally.
+//!
+//! Each worker runs two threads: the main thread leases and computes one
+//! cell at a time, and a courier thread delivers each result and
+//! heartbeats the held leases, so the coordinator's cache write of one
+//! cell overlaps the compute of the next ([`worker`]).
 //!
 //! Crash recovery: leases carry a deadline and workers heartbeat at a
 //! third of it. A SIGKILL'd worker stops heartbeating, its leases

@@ -124,10 +124,7 @@ fn duplicate_completion_leaves_the_first_artifact_bit_identical() {
     });
     assert!(matches!(welcome, FarmResponse::Welcome { lease_ms, .. } if lease_ms == 30_000));
 
-    let grant = match client.call(&FarmRequest::Lease {
-        worker: "a".into(),
-        max: 1,
-    }) {
+    let grant = match client.call(&FarmRequest::Lease { max: 1 }) {
         FarmResponse::Leases { mut leases, .. } => leases.remove(0),
         other => panic!("expected leases, got {other:?}"),
     };
@@ -194,10 +191,7 @@ fn malformed_payloads_never_reach_the_cache() {
     let key = cells[0].clone();
     let mut handle = start_farm(&dir, cells, Duration::from_secs(30));
     let mut client = Scripted::connect(&handle);
-    let grant = match client.call(&FarmRequest::Lease {
-        worker: "a".into(),
-        max: 1,
-    }) {
+    let grant = match client.call(&FarmRequest::Lease { max: 1 }) {
         FarmResponse::Leases { mut leases, .. } => leases.remove(0),
         other => panic!("expected leases, got {other:?}"),
     };
@@ -233,10 +227,7 @@ fn json_frames_get_a_binary_farm_error_and_keep_the_stream() {
     let resp = client.send_raw(br#"{"op":"farm.lease","worker":"a","max":1}"#);
     assert_farm_error(resp, "magic");
     // The length prefix was intact: the same connection still leases.
-    let resp = client.call(&FarmRequest::Lease {
-        worker: "a".into(),
-        max: 1,
-    });
+    let resp = client.call(&FarmRequest::Lease { max: 1 });
     assert!(matches!(resp, FarmResponse::Leases { ref leases, .. } if leases.len() == 1));
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -268,12 +259,7 @@ fn a_frame_split_by_a_pause_is_answered_whole() {
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    let payload = FarmRequest::Lease {
-        worker: "a".into(),
-        max: 1,
-    }
-    .encode()
-    .unwrap();
+    let payload = FarmRequest::Lease { max: 1 }.encode().unwrap();
     let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
     frame.extend_from_slice(&payload);
     // Half the header, then a pause longer than any read timeout the
@@ -332,6 +318,63 @@ fn two_in_process_workers_drain_a_sweep_into_the_cache() {
 }
 
 #[test]
+fn every_result_is_on_disk_when_run_worker_returns() {
+    // The courier delivers results off the worker's main thread, but
+    // `run_worker` joins it before returning: each cell is settled,
+    // counted and cached before the coordinator shuts down.
+    let dir = temp_dir("delivered");
+    let cells = tiny_cells(5);
+    let mut handle = start_farm(&dir, cells.clone(), Duration::from_secs(30));
+    let summary = run_worker(&WorkerConfig {
+        connect: handle.addr().to_string(),
+        name: "solo".into(),
+        codec: WireCodec::Bin,
+        poll: Duration::from_millis(20),
+    })
+    .unwrap();
+
+    assert_eq!(summary.completed, cells.len());
+    assert_eq!(handle.counts().done, cells.len());
+    assert_eq!(counter(&handle, "farm.cells.completed"), cells.len() as u64);
+    for key in &cells {
+        let path = dir.join("cache").join(format!("{}.cell", key.hash_hex()));
+        assert!(path.is_file(), "{} is not cached", key.canonical());
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_worker_waiting_on_its_own_delivery_does_not_sleep_out_its_poll() {
+    // After the last cell is handed to the courier, the next lease answer
+    // is empty but not done until that cell lands. The worker waits for
+    // the courier's acknowledgement and asks again at once instead of
+    // sleeping out `poll`.
+    let dir = temp_dir("nopoll");
+    let cells = tiny_cells(3);
+    let mut handle = start_farm(&dir, cells.clone(), Duration::from_secs(30));
+    let poll = Duration::from_secs(10);
+    let t0 = Instant::now();
+    let summary = run_worker(&WorkerConfig {
+        connect: handle.addr().to_string(),
+        name: "solo".into(),
+        codec: WireCodec::Bin,
+        poll,
+    })
+    .unwrap();
+    let took = t0.elapsed();
+
+    assert_eq!(summary.completed, cells.len());
+    assert!(handle.is_settled());
+    assert!(
+        took < poll / 2,
+        "a 3-cell sweep took {took:?} at a {poll:?} poll"
+    );
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn crashed_leaseholder_is_recovered_by_a_peer_with_valid_artifacts() {
     let dir = temp_dir("crash");
     let cells = tiny_cells(4);
@@ -342,10 +385,7 @@ fn crashed_leaseholder_is_recovered_by_a_peer_with_valid_artifacts() {
     // the coordinator.
     {
         let mut doomed = Scripted::connect(&handle);
-        let resp = doomed.call(&FarmRequest::Lease {
-            worker: "doomed".into(),
-            max: 2,
-        });
+        let resp = doomed.call(&FarmRequest::Lease { max: 2 });
         assert!(matches!(resp, FarmResponse::Leases { ref leases, .. } if !leases.is_empty()));
     }
 

@@ -97,7 +97,7 @@ pub struct MorphReport {
 }
 
 impl MorphReport {
-    fn merge(&mut self, other: MorphReport) {
+    fn absorb(&mut self, other: MorphReport) {
         self.pair_swaps += other.pair_swaps;
         self.output_rerouted += other.output_rerouted;
         self.complemented += other.complemented;
@@ -242,7 +242,7 @@ pub fn morph_all_delta<R: Rng>(
     let before = locked.keys.bits().to_vec();
     let mut report = MorphReport::default();
     for b in 0..locked.block_meta.len() {
-        report.merge(morph_block(locked, b, rng));
+        report.absorb(morph_block(locked, b, rng));
     }
     let delta = MorphDelta::between(&before, locked.keys.bits());
     (report, delta)

@@ -33,7 +33,7 @@ use crate::protocol::FrameError;
 /// The farm protocol version carried in the `join` exchange. Bump when
 /// lease semantics or the binary layout change incompatibly; the
 /// coordinator answers `min(worker_version, FARM_PROTOCOL_VERSION)`.
-pub const FARM_PROTOCOL_VERSION: u32 = 1;
+pub const FARM_PROTOCOL_VERSION: u32 = 2;
 
 // Farm request opcodes (disjoint from the oracle's 0x01–0x07 range).
 const OP_JOIN: u8 = 0x20;
@@ -76,8 +76,6 @@ pub enum FarmRequest {
     },
     /// Ask for up to `max` leases.
     Lease {
-        /// Worker name.
-        worker: String,
         /// Maximum number of grants wanted.
         max: u32,
     },
@@ -111,8 +109,6 @@ pub enum FarmRequest {
     },
     /// Renew the deadlines of the listed leases.
     Heartbeat {
-        /// Worker name.
-        worker: String,
         /// Currently-held lease ids.
         lease_ids: Vec<u64>,
     },
@@ -175,9 +171,8 @@ impl FarmRequest {
                 put_u32(&mut out, *version);
                 out
             }
-            FarmRequest::Lease { worker, max } => {
+            FarmRequest::Lease { max } => {
                 let mut out = header(OP_LEASE);
-                put_str(&mut out, worker);
                 put_u32(&mut out, *max);
                 out
             }
@@ -209,9 +204,8 @@ impl FarmRequest {
                 put_str(&mut out, message);
                 out
             }
-            FarmRequest::Heartbeat { worker, lease_ids } => {
+            FarmRequest::Heartbeat { lease_ids } => {
                 let mut out = header(OP_HEARTBEAT);
-                put_str(&mut out, worker);
                 put_u32(&mut out, lease_ids.len() as u32);
                 for &id in lease_ids {
                     put_u64(&mut out, id);
@@ -236,7 +230,6 @@ impl FarmRequest {
                 version: cur.u32("join.version")?,
             },
             OP_LEASE => FarmRequest::Lease {
-                worker: cur.str_("lease.worker")?,
                 max: cur.u32("lease.max")?,
             },
             OP_COMPLETE => FarmRequest::Complete {
@@ -253,13 +246,12 @@ impl FarmRequest {
                 message: cur.str_("fail.message")?,
             },
             OP_HEARTBEAT => {
-                let worker = cur.str_("heartbeat.worker")?;
                 let n = cur.u32("heartbeat.count")? as usize;
                 let mut lease_ids = Vec::new();
                 for _ in 0..n {
                     lease_ids.push(cur.u64("heartbeat.lease_id")?);
                 }
-                FarmRequest::Heartbeat { worker, lease_ids }
+                FarmRequest::Heartbeat { lease_ids }
             }
             other => {
                 return Err(FrameError::Malformed(format!(
@@ -391,10 +383,7 @@ mod tests {
                 worker: "w0".into(),
                 version: 1,
             },
-            FarmRequest::Lease {
-                worker: "w0".into(),
-                max: 2,
-            },
+            FarmRequest::Lease { max: 2 },
             FarmRequest::Complete {
                 worker: "w1".into(),
                 lease_id: 7,
@@ -409,13 +398,9 @@ mod tests {
                 message: "unsupported cell kind".into(),
             },
             FarmRequest::Heartbeat {
-                worker: "w0".into(),
                 lease_ids: vec![1, 2, 9],
             },
-            FarmRequest::Heartbeat {
-                worker: "w0".into(),
-                lease_ids: vec![],
-            },
+            FarmRequest::Heartbeat { lease_ids: vec![] },
         ]
     }
 
@@ -507,12 +492,7 @@ mod tests {
     fn farm_opcodes_are_disjoint_from_oracle_frames() {
         // A farm frame must never decode as an oracle message and vice
         // versa: the opcode ranges are disjoint.
-        let farm = FarmRequest::Lease {
-            worker: "w".into(),
-            max: 1,
-        }
-        .encode()
-        .unwrap();
+        let farm = FarmRequest::Lease { max: 1 }.encode().unwrap();
         assert!(crate::protocol::Request::decode(&farm).is_err());
         let oracle = crate::protocol::Request::Stats.encode().unwrap();
         assert!(matches!(

@@ -2,6 +2,7 @@
 //! morph scheduler armed.
 
 use ril_attacks::prelude::*;
+use ril_core::LockedCircuit;
 use ril_serve::{DesignSpec, RemoteOracle, ServeClient, ServeConfig, Server};
 use ril_trace::{Phase, Tracer};
 use std::net::SocketAddr;
@@ -73,6 +74,12 @@ fn query_triggered_morphing_defeats_the_remote_attack() {
         root,
     )
     .unwrap();
+    // The control: a chip that never morphs.
+    let control = Server::start(ServeConfig::default()).unwrap();
+    let truly_correct = |locked: &LockedCircuit, report: &AttackReport| match &report.result {
+        AttackResult::ExactKey(key) => locked.equivalent_under_key(key, 32).unwrap(),
+        _ => false,
+    };
 
     // A fresh SE generation per query is overwhelmingly likely to corrupt
     // some accumulated DIP response, but a tiny adder can occasionally
@@ -88,28 +95,31 @@ fn query_triggered_morphing_defeats_the_remote_attack() {
         };
         let locked = design.build().unwrap();
         let view = attacker_view(&locked);
-
-        let client = ServeClient::builder(handle.addr().to_string())
-            .build()
-            .unwrap();
-        let mut oracle = RemoteOracle::activate_with(client, &design).unwrap();
         // Sequential DIPs: batching would let up to 64 DIPs ride one
         // pre-morph generation, softening the every-query re-key this
         // test is about.
-        let cfg = SatAttackConfig {
+        let mut cfg = SatAttackConfig {
             dip_batch: 1,
             ..attack_cfg()
         };
+
+        // Against the static chip the attack converges to a correct key;
+        // the morphing chip gets ten times the DIPs that took.
+        let report =
+            ril_attacks::satattack::sat_attack(&view, &mut remote(control.addr(), &design), &cfg);
+        assert!(
+            truly_correct(&locked, &report),
+            "seed {seed}: the attack on the static chip must recover a correct key: {report}"
+        );
+        cfg.max_iterations = Some(10 * report.iterations);
+
+        let mut oracle = remote(handle.addr(), &design);
         let report = ril_attacks::satattack::sat_attack(&view, &mut oracle, &cfg);
-        let truly_correct = match &report.result {
-            AttackResult::ExactKey(key) => locked.equivalent_under_key(key, 32).unwrap(),
-            _ => false,
-        };
         assert!(
             oracle.generation_changes() > 0,
             "the oracle should have observed generation bumps"
         );
-        if !truly_correct {
+        if !truly_correct(&locked, &report) {
             defeated = true;
             break;
         }
@@ -119,6 +129,7 @@ fn query_triggered_morphing_defeats_the_remote_attack() {
         "a chip morphing every query must defeat the attack on some seed"
     );
 
+    control.shutdown();
     handle.shutdown();
     tracer.close(root);
     assert!(tracer.metrics().counter("serve.morphs") > 0);

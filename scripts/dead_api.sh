@@ -26,11 +26,9 @@ root_consistent  # sat/tests/root_gc.rs (root trail sound after clause GC)
 find_keys        # tests/properties.rs (banyan route/find round trip)
 eval_pattern     # unit tests of ril (lut.rs, banyan.rs) and ril-attacks (miter.rs)
 BASIC            # ril-attacks unit tests (miter.rs: every gate kind folds exactly)
+merge            # ril/tests/morph_props.rs (MorphDelta::merge batches deltas between re-checks)
 EOF
 )
-# Not listed because the scan cannot see it: `MorphDelta::merge` is called
-# only by ril/tests/morph_props.rs, but the private `MorphReport::merge`
-# shares its name.
 
 non_test() {
   awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 } live' "$@"
