@@ -23,15 +23,12 @@
 //! too; [`AttackInstance::dips_from_model`] finds such inputs among the
 //! single-pin flips of the model's DIP by simulating both keys.
 //!
-//! The open remainder is encoded gate by gate, and every DIP copy reuses
-//! the gates earlier copies already encoded. Each open gate is first
-//! simplified over literals: constants vanish, duplicate inputs collapse,
-//! a complementary pair decides the gate, XOR inputs are normalised to
-//! parity, and MUX and LUT2 gates reduce through their truth table over
-//! their distinct inputs. What remains is a literal or an AND, XOR or MUX
-//! over normalised literals, and it is looked up in one structural hash
-//! table that lives for the whole attack; only a miss allocates a
-//! variable and writes its Tseitin definition.
+//! The open remainder is encoded gate by gate through one
+//! [`HashedEncoder`] that lives for the whole attack, so every DIP copy
+//! reuses the gates earlier copies already encoded: each open gate is
+//! simplified over literals and looked up in the encoder's structural
+//! table, and only a miss allocates a variable and writes its Tseitin
+//! definition.
 //!
 //! A definition only names a fresh variable as a function of earlier
 //! literals, so it excludes no key. Definitions are therefore written
@@ -45,7 +42,7 @@
 use ril_core::SE_PIN;
 use ril_netlist::{CompiledSim, GateId, GateKind, NetId, Netlist, PatternBlock, MAX_LANES};
 use ril_sat::tseitin::encode_selected;
-use ril_sat::{encode_gate, encode_netlist_into, Lit, Solver, Var};
+use ril_sat::{encode_gate, encode_netlist_into, HashedEncoder, Lit, Solver, Var};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 
@@ -172,9 +169,8 @@ impl AttackInstance {
         );
         miter.add_clause(diff);
 
-        // The constant literal + generation-0 DIP guard.
-        let truth = miter.new_var().positive();
-        miter.add_clause([truth]);
+        // The DIP encoder's constant literal + generation-0 DIP guard.
+        let encoder = HashedEncoder::new(&mut miter);
         let guard = miter.new_var().positive();
 
         if span.is_active() {
@@ -188,7 +184,7 @@ impl AttackInstance {
             key1,
             key2,
             oracle_positions,
-            dip: DipEncoder::new(nl, &dependent_gates, truth),
+            dip: DipEncoder::new(nl, &dependent_gates, encoder),
             diff_on,
             guard,
             generation: 0,
@@ -301,14 +297,15 @@ impl AttackInstance {
         responses: &[Vec<bool>],
     ) -> Result<(), ()> {
         let mut span = ril_trace::span("encode_dip", ril_trace::Phase::Encode);
-        let (encoded, shared) = (self.dip.encoded, self.dip.shared);
+        let dip = &self.dip.encoder;
+        let (encoded, shared) = (dip.gates_encoded(), dip.gates_shared());
         let result = dips
             .chunks(MAX_LANES)
             .zip(responses.chunks(MAX_LANES))
             .try_for_each(|(dips, responses)| self.add_block(dips, responses));
         if span.is_active() {
-            let encoded = self.dip.encoded - encoded;
-            let shared = self.dip.shared - shared;
+            let encoded = self.dip.encoder.gates_encoded() - encoded;
+            let shared = self.dip.encoder.gates_shared() - shared;
             span.record_u64("dips", dips.len() as u64);
             span.record_u64("gates_encoded", encoded);
             span.record_u64("gates_shared", shared);
@@ -392,30 +389,9 @@ struct ConeGate {
     inputs: Vec<ConeInput>,
 }
 
-/// A simplified gate: `kind` is `And`, `Xor` or `Mux`, and `ins` are its
-/// normalised input literals (sorted for AND and XOR, all positive for
-/// XOR, select and first data input positive for MUX). It is the key of
-/// the structural hash table.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct GateKey {
-    kind: GateKind,
-    ins: Vec<Lit>,
-}
-
-/// What a cone gate simplifies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Simple {
-    /// A literal already in the formula (`truth` or `¬truth` for a
-    /// constant).
-    Lit(Lit),
-    /// The gate in the [`GateKey`] buffer, complemented when `negate` is
-    /// set.
-    Gate { negate: bool },
-}
-
 /// The key cones in topological order, resolved once per attack, the
-/// structural hash table of every gate a DIP copy encoded so far, plus
-/// the current DIP's fold and liveness marks.
+/// hashed encoder holding every gate a DIP copy encoded so far, plus the
+/// current DIP's fold and liveness marks.
 #[derive(Debug)]
 struct DipEncoder {
     cone: Vec<ConeGate>,
@@ -428,23 +404,16 @@ struct DipEncoder {
     /// Open cone gates some open key-dependent output reads through
     /// open gates only: the ones this DIP has to encode.
     live: Vec<bool>,
-    /// A literal fixed true at the root; its complement is constant false.
-    truth: Lit,
-    /// Every gate encoded so far, by its simplified form: the positive
-    /// literal of the variable its definition names.
-    table: HashMap<GateKey, Lit>,
-    /// Gates written to the solver, and gates found in `table`.
-    encoded: u64,
-    shared: u64,
+    /// The structural table shared by every DIP copy of the attack.
+    encoder: HashedEncoder,
     /// Reused buffers of [`DipEncoder::encode_copy`]: the literal carrying
-    /// each cone gate, one gate's inputs, and one simplified gate.
+    /// each cone gate, and one gate's inputs.
     lits: Vec<Lit>,
     ins: Vec<Lit>,
-    key: GateKey,
 }
 
 impl DipEncoder {
-    fn new(nl: &Netlist, dependent_gates: &HashSet<GateId>, truth: Lit) -> DipEncoder {
+    fn new(nl: &Netlist, dependent_gates: &HashSet<GateId>, encoder: HashedEncoder) -> DipEncoder {
         let key_index: HashMap<NetId, usize> = nl
             .key_inputs()
             .iter()
@@ -487,16 +456,9 @@ impl DipEncoder {
             free_outputs,
             folded: Vec::new(),
             live: Vec::new(),
-            truth,
-            table: HashMap::new(),
-            encoded: 0,
-            shared: 0,
+            encoder,
             lits: Vec::new(),
             ins: Vec::new(),
-            key: GateKey {
-                kind: GateKind::And,
-                ins: Vec::new(),
-            },
         }
     }
 
@@ -547,7 +509,7 @@ impl DipEncoder {
         guard: Lit,
         response: &[bool],
     ) {
-        let truth = self.truth;
+        let truth = self.encoder.truth();
         let constant = |v: bool| if v { truth } else { !truth };
         self.lits.clear();
         for (j, g) in self.cone.iter().enumerate() {
@@ -562,26 +524,7 @@ impl DipEncoder {
                         ConeInput::Gate(k) => self.lits[k],
                         ConeInput::Fixed(n) => constant((sim.net_value(n) >> lane) & 1 == 1),
                     }));
-                    match simplify(g.kind, &self.ins, truth, &mut self.key) {
-                        Simple::Lit(l) => l,
-                        Simple::Gate { negate } => {
-                            let out = match self.table.get(&self.key) {
-                                Some(&out) => {
-                                    self.shared += 1;
-                                    out
-                                }
-                                None => {
-                                    let out = solver.new_var().positive();
-                                    encode_gate(solver, self.key.kind, out, &self.key.ins)
-                                        .expect("combinational");
-                                    self.table.insert(self.key.clone(), out);
-                                    self.encoded += 1;
-                                    out
-                                }
-                            };
-                            negate_if(out, negate)
-                        }
-                    }
+                    self.encoder.gate(solver, g.kind, &self.ins)
                 }
             };
             self.lits.push(lit);
@@ -591,193 +534,15 @@ impl DipEncoder {
             // output against the response it is `¬truth`, which the
             // solver drops, leaving `¬guard`: no key of this generation
             // explains the oracle.
-            let o = negate_if(self.lits[j], !response[pos]);
+            let o = if response[pos] {
+                self.lits[j]
+            } else {
+                !self.lits[j]
+            };
             if o != truth {
                 solver.add_clause([o, !guard]);
             }
         }
-    }
-}
-
-/// Simplifies `kind(ins)` over literals, `truth` being the literal fixed
-/// true. Returns the equivalent literal, or leaves the normalised gate in
-/// `key` (see [`GateKey`]).
-fn simplify(kind: GateKind, ins: &[Lit], truth: Lit, key: &mut GateKey) -> Simple {
-    let constant = |v: bool| Simple::Lit(if v { truth } else { !truth });
-    match kind {
-        GateKind::Buf | GateKind::Dff => Simple::Lit(ins[0]),
-        GateKind::Not => Simple::Lit(!ins[0]),
-        GateKind::Const0 => constant(false),
-        GateKind::Const1 => constant(true),
-        // De Morgan: OR(x) = ¬AND(¬x).
-        GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
-            let or = matches!(kind, GateKind::Or | GateKind::Nor);
-            let negate = matches!(kind, GateKind::Nand | GateKind::Or);
-            simplify_and(ins.iter().map(|&l| negate_if(l, or)), truth, key).negated(negate)
-        }
-        GateKind::Xor | GateKind::Xnor => {
-            simplify_xor(ins.iter().copied(), truth, key).negated(kind == GateKind::Xnor)
-        }
-        GateKind::Mux | GateKind::Lut2(_) => simplify_small(kind, ins, truth, key),
-    }
-}
-
-/// AND over literals: true inputs drop, a false input or a complementary
-/// pair decides it, duplicates collapse.
-fn simplify_and(ins: impl Iterator<Item = Lit>, truth: Lit, key: &mut GateKey) -> Simple {
-    key.kind = GateKind::And;
-    key.ins.clear();
-    for l in ins {
-        if l == !truth {
-            return Simple::Lit(!truth);
-        }
-        if l != truth {
-            key.ins.push(l);
-        }
-    }
-    key.ins.sort_unstable();
-    key.ins.dedup();
-    // Sorted, `x` and `¬x` are neighbours.
-    if key.ins.windows(2).any(|w| w[0].var() == w[1].var()) {
-        return Simple::Lit(!truth);
-    }
-    match key.ins[..] {
-        [] => Simple::Lit(truth),
-        [l] => Simple::Lit(l),
-        _ => Simple::Gate { negate: false },
-    }
-}
-
-/// XOR over literals, normalised to parity: constants and complemented
-/// inputs flip the output, and equal inputs cancel in pairs.
-fn simplify_xor(ins: impl Iterator<Item = Lit>, truth: Lit, key: &mut GateKey) -> Simple {
-    key.kind = GateKind::Xor;
-    key.ins.clear();
-    let mut parity = false;
-    for l in ins {
-        if l.var() == truth.var() {
-            parity ^= l == truth;
-        } else {
-            parity ^= l.is_negated();
-            key.ins.push(l.var().positive());
-        }
-    }
-    key.ins.sort_unstable();
-    let mut kept = 0;
-    let mut i = 0;
-    while i < key.ins.len() {
-        if key.ins.get(i + 1) == Some(&key.ins[i]) {
-            i += 2;
-        } else {
-            key.ins[kept] = key.ins[i];
-            kept += 1;
-            i += 1;
-        }
-    }
-    key.ins.truncate(kept);
-    match key.ins[..] {
-        [] => Simple::Lit(negate_if(truth, !parity)),
-        [l] => Simple::Lit(negate_if(l, parity)),
-        _ => Simple::Gate { negate: parity },
-    }
-}
-
-/// MUX and LUT2 (at most three inputs), through their truth table over
-/// the distinct non-constant input variables. Three distinct variables
-/// only occur in a MUX, which stays a MUX; anything smaller becomes a
-/// constant, a literal, an AND or an XOR.
-fn simplify_small(kind: GateKind, ins: &[Lit], truth: Lit, key: &mut GateKey) -> Simple {
-    let mut vars = [truth.var(); 3];
-    let mut n = 0;
-    for &l in ins {
-        if l.var() != truth.var() && !vars[..n].contains(&l.var()) {
-            vars[n] = l.var();
-            n += 1;
-        }
-    }
-    if let [s, a, b] = *ins {
-        if n == 3 {
-            // `s ? b : a`, with the select and then `a` made positive.
-            let (s, a, b) = if s.is_negated() {
-                (!s, b, a)
-            } else {
-                (s, a, b)
-            };
-            let negate = a.is_negated();
-            key.kind = GateKind::Mux;
-            key.ins.clear();
-            key.ins
-                .extend([s, negate_if(a, negate), negate_if(b, negate)]);
-            return Simple::Gate { negate };
-        }
-    }
-    // Bit `m` of `tt`: the gate when variable `i` takes bit `i` of `m`.
-    let mut tt = 0u8;
-    let mut bits = [false; 3];
-    for m in 0..1u8 << n {
-        for (bit, &l) in bits.iter_mut().zip(ins) {
-            *bit = match vars[..n].iter().position(|&v| v == l.var()) {
-                Some(i) => ((m >> i) & 1 == 1) != l.is_negated(),
-                None => l == truth,
-            };
-        }
-        if kind.eval_bits(&bits[..ins.len()]) {
-            tt |= 1 << m;
-        }
-    }
-    from_table(tt, &vars[..n], truth, key)
-}
-
-/// The function with truth table `tt` over at most two variables (see
-/// [`simplify_small`]).
-fn from_table(tt: u8, vars: &[Var], truth: Lit, key: &mut GateKey) -> Simple {
-    match *vars {
-        [] => Simple::Lit(negate_if(truth, tt & 1 == 0)),
-        [x] => match tt & 0b11 {
-            0b00 => Simple::Lit(!truth),
-            0b11 => Simple::Lit(truth),
-            0b10 => Simple::Lit(x.positive()),
-            _ => Simple::Lit(x.negative()),
-        },
-        [x, y] => {
-            // A variable the table ignores is projected out.
-            if (tt ^ (tt >> 2)) & 0b0011 == 0 {
-                return from_table(tt & 0b11, &[x], truth, key);
-            }
-            if (tt ^ (tt >> 1)) & 0b0101 == 0 {
-                return from_table((tt & 1) | ((tt >> 1) & 0b10), &[y], truth, key);
-            }
-            // The literals true in row `m`.
-            let row = |m: u32| [x.lit(m & 1 == 0), y.lit(m & 2 == 0)].into_iter();
-            match tt.count_ones() {
-                1 => simplify_and(row(tt.trailing_zeros()), truth, key),
-                3 => simplify_and(row((!tt & 0b1111).trailing_zeros()), truth, key).negated(true),
-                // Two rows, and both variables matter: XOR or XNOR.
-                _ => simplify_xor([x.positive(), y.positive()].into_iter(), truth, key)
-                    .negated(tt & 1 == 1),
-            }
-        }
-        _ => unreachable!("more than two variables reach the table only in a MUX"),
-    }
-}
-
-impl Simple {
-    fn negated(self, negate: bool) -> Simple {
-        match self {
-            Simple::Lit(l) => Simple::Lit(negate_if(l, negate)),
-            Simple::Gate { negate: n } => Simple::Gate {
-                negate: n != negate,
-            },
-        }
-    }
-}
-
-/// `¬l` when `negate` is set, else `l`.
-fn negate_if(l: Lit, negate: bool) -> Lit {
-    if negate {
-        !l
-    } else {
-        l
     }
 }
 
@@ -1115,12 +880,12 @@ mod tests {
             added
         };
         record(&mut inst);
-        let (vars, encoded) = (inst.miter.num_vars(), inst.dip.encoded);
+        let (vars, encoded) = (inst.miter.num_vars(), inst.dip.encoder.gates_encoded());
         assert!(encoded > 0, "the DIP leaves no open gate to share");
         let units = record(&mut inst);
         assert_eq!(inst.miter.num_vars(), vars);
-        assert_eq!(inst.dip.encoded, encoded);
-        assert!(inst.dip.shared >= encoded);
+        assert_eq!(inst.dip.encoder.gates_encoded(), encoded);
+        assert!(inst.dip.encoder.gates_shared() >= encoded);
         assert!((1..=2 * inst.dip.cone_outputs.len()).contains(&units));
 
         inst.observe_generation(1);
@@ -1128,90 +893,7 @@ mod tests {
         // One more clause: the unit retiring the old guard.
         assert_eq!(record(&mut inst), units + 1);
         assert_eq!(inst.miter.num_vars(), vars);
-        assert_eq!(inst.dip.encoded, encoded);
-    }
-
-    #[test]
-    fn simplify_is_exact_for_every_gate_kind() {
-        // Every kind at every arity up to 3, each input drawn from the two
-        // constants and both polarities of three variables (so literals,
-        // complements, repeats and complementary pairs all occur): the
-        // simplified form must agree with `eval_bits` on every assignment
-        // and be in normal form.
-        let truth = Var::new(0).positive();
-        let choices: Vec<Lit> = [truth, !truth]
-            .into_iter()
-            .chain((1..=3).flat_map(|v| [Var::new(v).positive(), Var::new(v).negative()]))
-            .collect();
-        let kinds = GateKind::BASIC
-            .into_iter()
-            .chain((0u8..16).map(GateKind::Lut2));
-        let mut key = GateKey {
-            kind: GateKind::And,
-            ins: Vec::new(),
-        };
-        let mut checked = 0;
-        for kind in kinds {
-            for arity in (0..=3).filter(|&n| kind.accepts_arity(n)) {
-                for m in 0..choices.len().pow(arity as u32) {
-                    let ins: Vec<Lit> = (0..arity)
-                        .map(|i| choices[m / choices.len().pow(i as u32) % choices.len()])
-                        .collect();
-                    let simple = simplify(kind, &ins, truth, &mut key);
-                    if let Simple::Gate { .. } = simple {
-                        assert_normal_form(&key, truth);
-                    }
-                    for assignment in 0u8..8 {
-                        let value = |l: Lit| {
-                            let v = l.var().index();
-                            (v == 0 || (assignment >> (v - 1)) & 1 == 1) != l.is_negated()
-                        };
-                        let bits: Vec<bool> = ins.iter().map(|&l| value(l)).collect();
-                        let got = match simple {
-                            Simple::Lit(l) => value(l),
-                            Simple::Gate { negate } => {
-                                let v: Vec<bool> = key.ins.iter().map(|&l| value(l)).collect();
-                                negate != key.kind.eval_bits(&v)
-                            }
-                        };
-                        assert_eq!(
-                            got,
-                            kind.eval_bits(&bits),
-                            "{kind:?}{ins:?} simplified to {simple:?} {key:?}"
-                        );
-                    }
-                    checked += 1;
-                }
-            }
-        }
-        // n-ary kinds at arity 1-3, Buf/Not/Dff, Mux, constants, 16 LUTs.
-        assert_eq!(checked, 6 * (8 + 64 + 512) + 3 * 8 + 512 + 2 + 16 * 64);
-    }
-
-    /// The invariants the structural table relies on: no constant input,
-    /// AND inputs sorted without repeats or complementary pairs, XOR inputs
-    /// positive and sorted without repeats, MUX over three distinct
-    /// variables with a positive select and first data input.
-    fn assert_normal_form(key: &GateKey, truth: Lit) {
-        assert!(key.ins.iter().all(|l| l.var() != truth.var()), "{key:?}");
-        let strictly_sorted_vars = key.ins.windows(2).all(|w| w[0].var() < w[1].var());
-        match key.kind {
-            GateKind::And => assert!(key.ins.len() >= 2 && strictly_sorted_vars, "{key:?}"),
-            GateKind::Xor => assert!(
-                key.ins.len() >= 2
-                    && strictly_sorted_vars
-                    && key.ins.iter().all(|l| !l.is_negated()),
-                "{key:?}"
-            ),
-            GateKind::Mux => {
-                let [s, a, b] = key.ins[..] else {
-                    panic!("{key:?}")
-                };
-                assert!(s.var() != a.var() && s.var() != b.var() && a.var() != b.var());
-                assert!(!s.is_negated() && !a.is_negated(), "{key:?}");
-            }
-            other => panic!("{other:?} is not a table kind"),
-        }
+        assert_eq!(inst.dip.encoder.gates_encoded(), encoded);
     }
 
     /// Every {0, 1, X} input vector of length `n` (`None` = X).

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use ril_core::LockedCircuit;
 use ril_netlist::generators::const_net;
 use ril_netlist::{CompiledSim, GateId, NetId, Netlist, NetlistError, PatternBlock, ResponseBlock};
-use ril_sat::{EquivOptions, EquivResult, EquivSession};
+use ril_sat::{check_equivalence, EquivOptions, EquivResult};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
@@ -33,8 +33,8 @@ pub struct RemovalReport {
     /// Fraction of output bits that differ from the true function over the
     /// sampled patterns (0 = perfect recovery).
     pub error_rate: f64,
-    /// Exact SAT verdict on the salvage, from the incremental
-    /// [`EquivSession`] miter (`None` when the solve budget expired).
+    /// Exact SAT verdict on the salvage, from the hashed
+    /// [`check_equivalence`] miter (`None` when the solve budget expired).
     /// Random sampling can miss point-function discrepancies — SFLL's
     /// stripped pattern is exactly one input — so the exact check is what
     /// separates "perfect salvage" from "merely close".
@@ -145,10 +145,10 @@ fn removal_attack_inner(
         diff += truth.diff_bits(&salvage);
         total += block.lanes() as u64 * n_outputs;
     }
-    // Exact equivalence of the salvage vs. the true function, on a
-    // persistent EquivSession miter. Inputs present only on the salvaged
-    // side (dangling key pins, the SE pin) are left free — they no longer
-    // reach any output after the bypass + optimize passes.
+    // Exact equivalence of the salvage vs. the true function, on one
+    // hashed miter. Inputs present only on the salvaged side (dangling
+    // key pins, the SE pin) are left free — they no longer reach any
+    // output after the bypass + optimize passes.
     let ignore_inputs: Vec<String> = nl
         .inputs()
         .iter()
@@ -168,13 +168,10 @@ fn removal_attack_inner(
         // The bypass re-drives outputs from differently-named nets.
         match_outputs_by_position: true,
     };
-    let exact_equivalent = match EquivSession::new(&locked.original, &nl, &options) {
-        Ok(mut sess) => match sess.check() {
-            EquivResult::Equivalent => Some(true),
-            EquivResult::Inequivalent { .. } => Some(false),
-            EquivResult::Unknown => None,
-        },
-        Err(_) => None,
+    let exact_equivalent = match check_equivalence(&locked.original, &nl, &options) {
+        Ok(EquivResult::Equivalent) => Some(true),
+        Ok(EquivResult::Inequivalent { .. }) => Some(false),
+        Ok(EquivResult::Unknown) | Err(_) => None,
     };
 
     Ok(RemovalReport {

@@ -370,7 +370,6 @@ pub fn registry() -> Vec<Box<dyn Experiment>> {
         Box::new(crate::experiments::fig1::Fig1),
         Box::new(crate::experiments::lut_scaling::LutScaling),
         Box::new(crate::experiments::scan_defense::ScanDefense),
-        Box::new(crate::experiments::incremental_verify::IncrementalVerify),
         Box::new(crate::experiments::oracle_throughput::OracleThroughput),
         Box::new(crate::experiments::solver_ablation::SolverAblation),
         Box::new(crate::experiments::serve_load::ServeLoad),
@@ -492,7 +491,7 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "duplicate experiment names");
-        assert_eq!(names.len(), 17);
+        assert_eq!(names.len(), 16);
         for required in [
             "table1",
             "table3",
@@ -503,7 +502,6 @@ mod tests {
             "fig6",
             "overhead",
             "scan_defense",
-            "incremental_verify",
             "oracle_throughput",
             "solver_ablation",
             "serve_load",

@@ -10,7 +10,6 @@ pub mod dynamic_defense;
 pub mod fig1;
 pub mod fig5;
 pub mod fig6;
-pub mod incremental_verify;
 pub mod key_redundancy;
 pub mod lut_scaling;
 pub mod oracle_throughput;

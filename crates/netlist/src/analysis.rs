@@ -16,7 +16,7 @@
 //! | `add_net`           | extend      | keep  | keep   | keep | keep      |
 //! | `add_input`         | extend      | keep  | keep   | drop | keep      |
 //! | `add_key_input`     | extend      | keep  | keep   | drop | extend    |
-//! | `mark_output`       | keep        | keep  | keep   | drop | drop      |
+//! | `mark_output`       | keep        | keep  | keep   | drop | keep      |
 //! | `add_gate`          | attach      | drop  | drop   | drop | drop      |
 //! | `remove_gate`       | detach      | drop  | drop   | drop | drop      |
 //! | `redirect_consumers`| move        | drop  | drop   | drop | drop      |
@@ -112,17 +112,12 @@ impl LevelMap {
     }
 }
 
-/// Key-bit structural analyses: per-bit fan-out cones and the inverse map
-/// from primary outputs to the key bits in their fan-in support.
-///
-/// Both directions drive the incremental post-morph machinery: a morph
-/// reports which key bits changed, the cones say which gates those bits
-/// touch, and the output support says which primary outputs must be
-/// re-checked (everything else provably kept its verdict).
+/// Key-bit structural analysis: the fan-out cone of each key bit, the
+/// gates whose value can depend on it. The attack encodes the union of
+/// these cones twice in its miter and folds them per DIP.
 #[derive(Debug, Clone, Default)]
 pub struct KeyAnalysis {
     cones: Vec<Vec<GateId>>,
-    output_support: Vec<Vec<usize>>,
 }
 
 impl KeyAnalysis {
@@ -130,9 +125,6 @@ impl KeyAnalysis {
         let n_nets = nl.net_count();
         let key_inputs = nl.key_inputs();
         let mut cones = Vec::with_capacity(key_inputs.len());
-        // reached[bit] marks every net structurally downstream of key bit
-        // `bit` (including the key net itself).
-        let mut reached: Vec<Vec<bool>> = Vec::with_capacity(key_inputs.len());
         for &k in key_inputs {
             let mut seen = vec![false; n_nets];
             let mut cone: Vec<GateId> = Vec::new();
@@ -151,21 +143,8 @@ impl KeyAnalysis {
             }
             cone.sort_unstable();
             cones.push(cone);
-            reached.push(seen);
         }
-        let output_support = nl
-            .outputs()
-            .iter()
-            .map(|&o| {
-                (0..key_inputs.len())
-                    .filter(|&bit| reached[bit][o.index()])
-                    .collect()
-            })
-            .collect();
-        KeyAnalysis {
-            cones,
-            output_support,
-        }
+        KeyAnalysis { cones }
     }
 
     /// The fan-out cone of key bit `bit` (sorted gate ids). Empty slice for
@@ -177,32 +156,6 @@ impl KeyAnalysis {
     /// Number of key bits covered.
     pub fn key_bits(&self) -> usize {
         self.cones.len()
-    }
-
-    /// Sorted key-bit indices in the structural support of output index
-    /// `out` (position in [`Netlist::outputs`]).
-    pub fn output_support(&self, out: usize) -> &[usize] {
-        self.output_support
-            .get(out)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Output indices whose support intersects `bits` (sorted, deduped).
-    /// `bits` need not be sorted.
-    pub fn dirty_outputs(&self, bits: &[usize]) -> Vec<usize> {
-        let mut changed = vec![false; self.cones.len()];
-        for &b in bits {
-            if let Some(slot) = changed.get_mut(b) {
-                *slot = true;
-            }
-        }
-        self.output_support
-            .iter()
-            .enumerate()
-            .filter(|(_, support)| support.iter().any(|&b| changed[b]))
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -318,15 +271,13 @@ impl AnalysisCache {
         let inner = self.inner_mut();
         inner.structural_hash = None;
         if let Some(k) = inner.keys.as_mut() {
-            // The new bit drives nothing yet: empty cone, no output support.
+            // The new bit drives nothing yet: an empty cone.
             Arc::make_mut(k).cones.push(Vec::new());
         }
     }
 
     pub(crate) fn note_output_marked(&mut self) {
-        let inner = self.inner_mut();
-        inner.structural_hash = None;
-        inner.keys = None;
+        self.inner_mut().structural_hash = None;
     }
 
     pub(crate) fn note_gate_added(&mut self, id: GateId, inputs: &[NetId]) {
@@ -660,12 +611,6 @@ mod tests {
         assert_eq!(keys.key_bits(), 2);
         assert_eq!(keys.cone(0), &[gt, gy0]);
         assert_eq!(keys.cone(1), &[gy1]);
-        assert_eq!(keys.output_support(0), &[0]);
-        assert_eq!(keys.output_support(1), &[1]);
-        assert_eq!(keys.dirty_outputs(&[0]), vec![0]);
-        assert_eq!(keys.dirty_outputs(&[1]), vec![1]);
-        assert_eq!(keys.dirty_outputs(&[0, 1]), vec![0, 1]);
-        assert!(keys.dirty_outputs(&[]).is_empty());
         let _ = k1;
     }
 

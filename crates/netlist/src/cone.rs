@@ -6,9 +6,8 @@
 //!
 //! The traversal reuses the netlist's incrementally maintained
 //! [`FanoutTable`] instead of rebuilding the net → consumers map per call.
-//! Key-bit cones and the outputs a morph dirtied have one accessor each,
-//! on the cached [`KeyAnalysis`] (`nl.key_analysis().cone(bit)` and
-//! `nl.key_analysis().dirty_outputs(bits)`). Results are sorted `Vec`s so
+//! Key-bit cones have one accessor, on the cached [`KeyAnalysis`]
+//! (`nl.key_analysis().cone(bit)`). Results are sorted `Vec`s so
 //! iteration order is deterministic.
 //!
 //! [`FanoutTable`]: crate::analysis::FanoutTable
@@ -86,7 +85,5 @@ mod tests {
         // The cached key cone equals a fresh traversal.
         let keys = nl.key_analysis();
         assert_eq!(keys.cone(0), fanout_cone(&nl, k).as_slice());
-        assert!(!keys.dirty_outputs(&[0]).is_empty());
-        assert!(keys.dirty_outputs(&[]).is_empty());
     }
 }

@@ -568,8 +568,7 @@ impl Netlist {
         self.cache.structural_hash(self)
     }
 
-    /// The cached key-bit structural analysis: per-bit fan-out cones and the
-    /// output → key-bit support map driving incremental post-morph checks.
+    /// The cached key-bit structural analysis: per-bit fan-out cones.
     pub fn key_analysis(&self) -> Arc<KeyAnalysis> {
         self.cache.keys(self)
     }

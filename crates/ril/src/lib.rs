@@ -45,5 +45,5 @@ pub use block::{BlockMeta, ObfuscateError, RilBlockSpec};
 pub use insertion::InsertionPolicy;
 pub use key::{KeyBitKind, KeyStore};
 pub use metrics::{output_corruptibility, ril_overhead, OverheadEstimate};
-pub use morph::{morph_all, morph_all_delta, morph_block, MorphDelta, MorphReport};
-pub use obfuscate::{LockedCircuit, MorphVerifier, Obfuscator, SE_PIN};
+pub use morph::{morph_all, morph_block, MorphReport};
+pub use obfuscate::{LockedCircuit, Obfuscator, SE_PIN};

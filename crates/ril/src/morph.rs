@@ -22,65 +22,6 @@ use crate::lut::{complement_lut, swap_lut_inputs};
 use crate::obfuscate::LockedCircuit;
 use rand::Rng;
 
-/// The *net* effect of a morph on the stored key: which key-bit indices
-/// (netlist key-input order) hold a different value than before.
-///
-/// This differs from [`MorphReport::bits_changed`], which counts bit
-/// *transitions* across the morph's moves — a bit toggled twice (say by a
-/// pair swap and then a table complement) contributes two transitions but
-/// does not appear in the delta. The delta is what downstream consumers
-/// care about: combined with the netlist's cached key analysis
-/// ([`ril_netlist::KeyAnalysis`]) it names exactly the output cones whose
-/// logic changed, so post-morph formal checks and attack re-encodings can
-/// touch only those.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MorphDelta {
-    changed_bits: Vec<usize>,
-}
-
-impl MorphDelta {
-    /// The delta between two key snapshots of equal width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    pub fn between(before: &[bool], after: &[bool]) -> MorphDelta {
-        assert_eq!(before.len(), after.len(), "key width mismatch");
-        MorphDelta {
-            changed_bits: before
-                .iter()
-                .zip(after)
-                .enumerate()
-                .filter(|(_, (b, a))| b != a)
-                .map(|(i, _)| i)
-                .collect(),
-        }
-    }
-
-    /// Changed key-bit indices, sorted ascending.
-    pub fn changed_bits(&self) -> &[usize] {
-        &self.changed_bits
-    }
-
-    /// Number of key bits whose value changed (Hamming distance).
-    pub fn len(&self) -> usize {
-        self.changed_bits.len()
-    }
-
-    /// Whether the morph was a no-op on the key.
-    pub fn is_empty(&self) -> bool {
-        self.changed_bits.is_empty()
-    }
-
-    /// Folds another delta in (set union of changed bits) — accumulates
-    /// the dirty set across several morph rounds between re-checks.
-    pub fn merge(&mut self, other: &MorphDelta) {
-        self.changed_bits.extend_from_slice(&other.changed_bits);
-        self.changed_bits.sort_unstable();
-        self.changed_bits.dedup();
-    }
-}
-
 /// What a morph operation changed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MorphReport {
@@ -229,23 +170,11 @@ pub fn morph_block<R: Rng>(locked: &mut LockedCircuit, block: usize, rng: &mut R
 
 /// Morphs every block of the design. Returns the merged report.
 pub fn morph_all<R: Rng>(locked: &mut LockedCircuit, rng: &mut R) -> MorphReport {
-    morph_all_delta(locked, rng).0
-}
-
-/// Like [`morph_all`] but also returns the [`MorphDelta`] — the net
-/// before/after key diff that names the dirty output cones for
-/// incremental re-verification and generation-aware attack re-encoding.
-pub fn morph_all_delta<R: Rng>(
-    locked: &mut LockedCircuit,
-    rng: &mut R,
-) -> (MorphReport, MorphDelta) {
-    let before = locked.keys.bits().to_vec();
     let mut report = MorphReport::default();
     for b in 0..locked.block_meta.len() {
         report.absorb(morph_block(locked, b, rng));
     }
-    let delta = MorphDelta::between(&before, locked.keys.bits());
-    (report, delta)
+    report
 }
 
 #[cfg(test)]
@@ -319,51 +248,6 @@ mod tests {
             seen.insert(locked.keys.bits().to_vec());
         }
         assert!(seen.len() >= 3, "expected several distinct equivalent keys");
-    }
-
-    #[test]
-    fn delta_is_the_net_key_diff_and_names_dirty_cones() {
-        let host = generators::multiplier(6);
-        let mut locked = Obfuscator::new(RilBlockSpec::size_2x2())
-            .blocks(3)
-            .seed(11)
-            .obfuscate(&host)
-            .unwrap();
-        let before = locked.keys.bits().to_vec();
-        let mut rng = StdRng::seed_from_u64(42);
-        let (report, delta) = morph_all_delta(&mut locked, &mut rng);
-        let expect: Vec<usize> = before
-            .iter()
-            .zip(locked.keys.bits())
-            .enumerate()
-            .filter(|(_, (b, a))| b != a)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(delta.changed_bits(), expect.as_slice());
-        assert_eq!(delta.len(), expect.len());
-        // Transitions can only over-count the net diff (double toggles).
-        assert!(delta.len() <= report.bits_changed);
-        // Dirty outputs are exactly those whose key support intersects the
-        // changed bits, per the netlist's cached key analysis.
-        let keys = locked.netlist.key_analysis();
-        let dirty = keys.dirty_outputs(delta.changed_bits());
-        for out in 0..locked.netlist.outputs().len() {
-            let touched = keys
-                .output_support(out)
-                .iter()
-                .any(|b| delta.changed_bits().contains(b));
-            assert_eq!(dirty.contains(&out), touched, "output {out}");
-        }
-    }
-
-    #[test]
-    fn delta_merge_unions_changed_bits() {
-        let mut a = MorphDelta::between(&[false, false, true], &[true, false, true]);
-        let b = MorphDelta::between(&[false, false, true], &[true, false, false]);
-        a.merge(&b);
-        assert_eq!(a.changed_bits(), &[0, 2]);
-        assert!(!a.is_empty());
-        assert!(MorphDelta::default().is_empty());
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::block::{insert_block, BlockMeta, ObfuscateError, RilBlockSpec};
 use crate::insertion::{select_gates, InsertionPolicy};
 use crate::key::KeyStore;
-use crate::morph::MorphDelta;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ril_netlist::{CompiledSim, Netlist};
@@ -184,9 +183,12 @@ impl LockedCircuit {
     }
 
     /// *Formally* verifies equivalence under a candidate key with the
-    /// SAT-based equivalence checker: key inputs are pinned to `key`, the
-    /// `SE` pin (if present) to 0, and the miter must be UNSAT. Stronger
-    /// than the random-pattern [`LockedCircuit::verify`] but costlier.
+    /// SAT-based equivalence checker: the key inputs are fixed to `key`
+    /// and the `SE` pin (if present) to 0, so the hashed miter folds them
+    /// as constants, and it must be UNSAT. Stronger than the
+    /// random-pattern [`LockedCircuit::verify`]; under the correct key
+    /// the lock folds back onto the host's own gates and the solver has
+    /// nothing to search.
     ///
     /// # Errors
     ///
@@ -201,86 +203,23 @@ impl LockedCircuit {
         key: &[bool],
         timeout: Option<std::time::Duration>,
     ) -> Result<ril_sat::EquivResult, ril_sat::EquivError> {
-        let mut verifier = self.formal_verifier(timeout)?;
-        verifier.check_with(&self.key_assignment(key))
-    }
-
-    /// Builds a reusable formal verifier for this circuit pair: the miter
-    /// `original` vs `locked` in one live [`ril_sat::EquivSession`] with
-    /// `SE` pinned to functional mode and the key inputs left free, so
-    /// each candidate key is just an assumption set for
-    /// [`ril_sat::EquivSession::check_with`]. Checking many keys (key
-    /// sweeps, attack evaluation) against one warm verifier pays miter
-    /// encoding and solver construction once, not per key.
-    ///
-    /// # Errors
-    ///
-    /// Propagates equivalence-checking errors (port mismatches cannot
-    /// occur for circuits produced by [`Obfuscator`]).
-    pub fn formal_verifier(
-        &self,
-        timeout: Option<std::time::Duration>,
-    ) -> Result<ril_sat::EquivSession, ril_sat::EquivError> {
-        ril_sat::EquivSession::new(&self.original, &self.netlist, &self.equiv_options(timeout))
-    }
-
-    /// The miter options shared by [`LockedCircuit::formal_verifier`] and
-    /// [`MorphVerifier`]: key inputs free (ignored on the original side),
-    /// `SE` pinned to functional mode.
-    fn equiv_options(&self, timeout: Option<std::time::Duration>) -> ril_sat::EquivOptions {
-        let mut ignore: Vec<String> = self
-            .netlist
-            .key_inputs()
-            .iter()
-            .map(|&n| self.netlist.net(n).name().to_string())
-            .collect();
-        let mut fixed = Vec::new();
-        if self.netlist.net_id(SE_PIN).is_some() {
-            fixed.push((SE_PIN.to_string(), false));
-        }
-        ignore.extend(fixed.iter().map(|(n, _)| n.clone()));
-        ril_sat::EquivOptions {
-            timeout,
-            ignore_inputs: ignore,
-            fixed_inputs: fixed,
-            ..ril_sat::EquivOptions::default()
-        }
-    }
-
-    /// Builds an *incremental* post-morph verifier: the miter ports are
-    /// matched once, but output cones are only encoded into the live SAT
-    /// session when a check first touches them. After a morph,
-    /// [`MorphVerifier::verify_after`] re-checks only the outputs whose
-    /// cones read a changed key bit (per [`crate::morph::MorphDelta`] and
-    /// the netlist's cached key analysis) — sound because a morph changes
-    /// key *values* only, so an output whose cone reads no changed bit
-    /// computes the same function it did when last verified.
-    ///
-    /// # Errors
-    ///
-    /// Propagates equivalence-checking errors (port mismatches cannot
-    /// occur for circuits produced by [`Obfuscator`]).
-    pub fn incremental_verifier(
-        &self,
-        timeout: Option<std::time::Duration>,
-    ) -> Result<MorphVerifier, ril_sat::EquivError> {
-        MorphVerifier::new(self, timeout)
-    }
-
-    /// The `(key input name, value)` pin list for a candidate key, in the
-    /// shape [`ril_sat::EquivSession::check_with`] expects.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key.len()` differs from the key width.
-    pub fn key_assignment(&self, key: &[bool]) -> Vec<(String, bool)> {
         assert_eq!(key.len(), self.keys.len(), "key width mismatch");
-        self.netlist
+        let mut fixed: Vec<(String, bool)> = self
+            .netlist
             .key_inputs()
             .iter()
             .zip(key)
             .map(|(&n, &v)| (self.netlist.net(n).name().to_string(), v))
-            .collect()
+            .collect();
+        if self.netlist.net_id(SE_PIN).is_some() {
+            fixed.push((SE_PIN.to_string(), false));
+        }
+        let options = ril_sat::EquivOptions {
+            timeout,
+            fixed_inputs: fixed,
+            ..ril_sat::EquivOptions::default()
+        };
+        ril_sat::check_equivalence(&self.original, &self.netlist, &options)
     }
 
     /// Gate-count overhead of the locking (locked − original).
@@ -296,158 +235,11 @@ impl LockedCircuit {
     }
 }
 
-/// Incremental post-morph formal verifier (built by
-/// [`LockedCircuit::incremental_verifier`]).
-///
-/// Wraps a [`ril_sat::EquivSession`] — a lazily-encoded `original` vs
-/// `locked` miter over one live incremental SAT session — together with
-/// the locked design's cached key analysis, so a
-/// [`MorphDelta`] maps directly to the subset of outputs whose cones must
-/// be re-checked. Clean outputs keep their previous verdict: a morph only
-/// changes key *values*, and an output whose cone reads no changed bit
-/// still computes the function that was last certified.
-#[derive(Debug)]
-pub struct MorphVerifier {
-    session: ril_sat::EquivSession,
-    /// Locked-netlist output index → miter output index. Miter pairs
-    /// follow the *original* netlist's output order; for circuits from
-    /// [`Obfuscator`] the map is the identity, but it is derived by name
-    /// so netlists with reordered outputs stay correct.
-    out_map: Vec<usize>,
-    keys: std::sync::Arc<ril_netlist::KeyAnalysis>,
-    key_names: Vec<String>,
-}
-
-impl MorphVerifier {
-    /// Matches the miter ports of `locked.original` vs `locked.netlist`
-    /// (key inputs free, `SE` pinned to 0) without encoding any gate
-    /// cones, and snapshots the locked netlist's key analysis.
-    ///
-    /// # Errors
-    ///
-    /// Propagates port-matching and encoding errors (cannot occur for circuits
-    /// produced by [`Obfuscator`]).
-    pub fn new(
-        locked: &LockedCircuit,
-        timeout: Option<std::time::Duration>,
-    ) -> Result<MorphVerifier, ril_sat::EquivError> {
-        let session = ril_sat::EquivSession::new(
-            &locked.original,
-            &locked.netlist,
-            &locked.equiv_options(timeout),
-        )?;
-        let left_pos: std::collections::HashMap<&str, usize> = locked
-            .original
-            .outputs()
-            .iter()
-            .enumerate()
-            .map(|(i, &o)| (locked.original.net(o).name(), i))
-            .collect();
-        let out_map = locked
-            .netlist
-            .outputs()
-            .iter()
-            .map(|&o| {
-                let name = locked.netlist.net(o).name();
-                *left_pos
-                    .get(name)
-                    .expect("port match above pairs every output by name")
-            })
-            .collect();
-        Ok(MorphVerifier {
-            session,
-            out_map,
-            keys: locked.netlist.key_analysis(),
-            key_names: locked
-                .netlist
-                .key_inputs()
-                .iter()
-                .map(|&n| locked.netlist.net(n).name().to_string())
-                .collect(),
-        })
-    }
-
-    fn assignment(&self, key: &[bool]) -> Vec<(String, bool)> {
-        assert_eq!(key.len(), self.key_names.len(), "key width mismatch");
-        self.key_names
-            .iter()
-            .cloned()
-            .zip(key.iter().copied())
-            .collect()
-    }
-
-    /// Full formal check of `key` over every output (encodes all cones on
-    /// first use). Call once after construction to certify the baseline
-    /// the incremental checks then extend.
-    ///
-    /// # Errors
-    ///
-    /// Returns a port error only if the key names no longer match the
-    /// miter's inputs (cannot occur for circuits produced by
-    /// [`Obfuscator`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key.len()` differs from the key width.
-    pub fn verify(&mut self, key: &[bool]) -> Result<ril_sat::EquivResult, ril_sat::EquivError> {
-        let assignment = self.assignment(key);
-        self.session.check_with(&assignment)
-    }
-
-    /// Post-morph check: verifies `key` only on the outputs whose cones
-    /// read a key bit changed by `delta`. An empty dirty set is vacuously
-    /// [`ril_sat::EquivResult::Equivalent`] without touching the solver.
-    ///
-    /// # Errors
-    ///
-    /// Returns a port error only if the key names no longer match the
-    /// miter's inputs (cannot occur for circuits produced by
-    /// [`Obfuscator`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key.len()` differs from the key width.
-    pub fn verify_after(
-        &mut self,
-        delta: &MorphDelta,
-        key: &[bool],
-    ) -> Result<ril_sat::EquivResult, ril_sat::EquivError> {
-        let dirty: Vec<usize> = self
-            .keys
-            .dirty_outputs(delta.changed_bits())
-            .into_iter()
-            .map(|o| self.out_map[o])
-            .collect();
-        let assignment = self.assignment(key);
-        self.session.check_outputs(&dirty, &assignment)
-    }
-
-    /// Number of matched output pairs.
-    pub fn outputs(&self) -> usize {
-        self.session.outputs()
-    }
-
-    /// Output pairs whose cones have been encoded into the live session.
-    pub fn encoded_outputs(&self) -> usize {
-        self.session.encoded_outputs()
-    }
-
-    /// Number of solver queries answered (vacuous empty-set checks are
-    /// free and not counted).
-    pub fn checks(&self) -> usize {
-        self.session.checks()
-    }
-
-    /// Cumulative solver statistics.
-    pub fn stats(&self) -> ril_sat::SolverStats {
-        self.session.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ril_netlist::generators;
+    use ril_sat::{HashedEncoder, Lit};
 
     #[test]
     fn single_2x2_block_end_to_end() {
@@ -544,7 +336,9 @@ mod tests {
             .verify_formal(locked.keys.bits(), Some(std::time::Duration::from_secs(30)))
             .unwrap();
         assert_eq!(ok, ril_sat::EquivResult::Equivalent);
-        // Flip one LUT config bit: a concrete counterexample must exist.
+        // Flip one LUT config bit: a concrete counterexample must exist,
+        // over the original's inputs, and the two circuits must disagree
+        // on it in simulation (the locked one under the wrong key, SE = 0).
         let mut wrong = locked.keys.bits().to_vec();
         let lut_bits = locked
             .keys
@@ -556,99 +350,168 @@ mod tests {
         {
             ril_sat::EquivResult::Inequivalent { counterexample } => {
                 assert_eq!(counterexample.len(), host.data_inputs().len());
+                assert!(separates(&locked, &wrong, &counterexample));
             }
             other => panic!("wrong key verified: {other:?}"),
         }
     }
 
+    /// Whether `locked` under `key` (SE = 0) and its original disagree on
+    /// `pattern`, given over the original's inputs.
+    fn separates(locked: &LockedCircuit, key: &[bool], pattern: &[bool]) -> bool {
+        let value: std::collections::HashMap<&str, bool> = locked
+            .original
+            .inputs()
+            .iter()
+            .zip(pattern)
+            .map(|(&n, &b)| (locked.original.net(n).name(), b))
+            .collect();
+        let data: Vec<bool> = locked
+            .netlist
+            .data_inputs()
+            .iter()
+            .map(|&n| value.get(locked.netlist.net(n).name()) == Some(&true))
+            .collect();
+        let original = CompiledSim::new(&locked.original)
+            .unwrap()
+            .eval_bits(pattern);
+        let under_key = CompiledSim::new(&locked.netlist)
+            .unwrap()
+            .eval_pattern(&data, key);
+        original != under_key
+    }
+
     #[test]
-    fn formal_verifier_checks_many_keys_on_one_miter() {
+    fn verify_formal_refutes_single_lut_bit_flips() {
         let host = generators::adder(8);
         let locked = Obfuscator::new(RilBlockSpec::size_2x2())
             .blocks(2)
             .seed(8)
             .obfuscate(&host)
             .unwrap();
-        let mut verifier = locked
-            .formal_verifier(Some(std::time::Duration::from_secs(30)))
-            .unwrap();
-        assert_eq!(
-            verifier
-                .check_with(&locked.key_assignment(locked.keys.bits()))
-                .unwrap(),
-            ril_sat::EquivResult::Equivalent
-        );
+        let timeout = Some(std::time::Duration::from_secs(30));
         let lut_bits = locked
             .keys
             .indices_where(|k| matches!(k, crate::key::KeyBitKind::LutConfig { .. }));
         for &flip in lut_bits.iter().take(3) {
             let mut wrong = locked.keys.bits().to_vec();
             wrong[flip] = !wrong[flip];
-            assert!(matches!(
-                verifier.check_with(&locked.key_assignment(&wrong)).unwrap(),
-                ril_sat::EquivResult::Inequivalent { .. }
-            ));
+            match locked.verify_formal(&wrong, timeout).unwrap() {
+                ril_sat::EquivResult::Inequivalent { counterexample } => {
+                    assert!(separates(&locked, &wrong, &counterexample), "bit {flip}");
+                }
+                other => panic!("bit {flip}: wrong key verified: {other:?}"),
+            }
         }
-        // One miter encoding answered every query.
-        assert_eq!(verifier.checks(), 4);
+    }
+
+    /// The output literals of `locked.original` and of `locked.netlist`
+    /// under `key` (SE = 0), encoded through one hashed encoder from
+    /// shared data-input literals.
+    fn folded_outputs(locked: &LockedCircuit, key: &[bool]) -> (Vec<Lit>, Vec<Lit>) {
+        let mut cnf = ril_sat::Cnf::new();
+        let mut encoder = HashedEncoder::new(&mut cnf);
+        let data: std::collections::HashMap<&str, Lit> = locked
+            .original
+            .inputs()
+            .iter()
+            .map(|&n| (locked.original.net(n).name(), cnf.new_var().positive()))
+            .collect();
+        let original_inputs: Vec<Lit> = locked
+            .original
+            .inputs()
+            .iter()
+            .map(|&n| data[locked.original.net(n).name()])
+            .collect();
+        let locked_inputs: Vec<Lit> = locked
+            .netlist
+            .inputs()
+            .iter()
+            .map(|&n| {
+                let pin = locked.netlist.net(n).name();
+                match locked.netlist.key_inputs().iter().position(|&k| k == n) {
+                    Some(bit) => encoder.constant(key[bit]),
+                    None if pin == SE_PIN => encoder.constant(false),
+                    None => data[pin],
+                }
+            })
+            .collect();
+        let original = encoder
+            .encode(&mut cnf, &locked.original, &original_inputs)
+            .unwrap();
+        let under_key = encoder
+            .encode(&mut cnf, &locked.netlist, &locked_inputs)
+            .unwrap();
+        (original, under_key)
+    }
+
+    /// Checks that the correct key folds `locked` onto its original's
+    /// output literals (so `verify_formal` needs no search) and that
+    /// `verify_formal` certifies it.
+    fn assert_correct_key_folds(locked: &LockedCircuit, at: &str) {
+        let (original, under_key) = folded_outputs(locked, locked.keys.bits());
+        assert_eq!(
+            original, under_key,
+            "{at}: the correct key leaves logic to search"
+        );
+        assert_eq!(
+            locked.verify_formal(locked.keys.bits(), None).unwrap(),
+            ril_sat::EquivResult::Equivalent,
+            "{at}"
+        );
     }
 
     #[test]
-    fn incremental_verifier_tracks_morphs_lazily() {
-        let host = generators::multiplier(6);
+    fn correct_key_folds_onto_the_host_across_morph_generations() {
+        // c7552 under 4 × 2x2 blocks, re-keyed by eight morphs: every
+        // generation's key folds the lock away, and a single-bit key
+        // corruption is refuted with a counterexample simulation confirms.
+        let host = generators::benchmark("c7552").unwrap();
         let mut locked = Obfuscator::new(RilBlockSpec::size_2x2())
-            .blocks(2)
-            .scan_obfuscation(true)
-            .seed(8)
+            .blocks(4)
+            .seed(2024)
             .obfuscate(&host)
             .unwrap();
-        let timeout = Some(std::time::Duration::from_secs(30));
-        let mut verifier = locked.incremental_verifier(timeout).unwrap();
-        assert_eq!(
-            verifier.encoded_outputs(),
-            0,
-            "construction encodes no cones"
-        );
-        // Baseline: full check under the correct key.
-        assert_eq!(
-            verifier.verify(locked.keys.bits()).unwrap(),
-            ril_sat::EquivResult::Equivalent
-        );
-        assert_eq!(verifier.encoded_outputs(), verifier.outputs());
-        // Morph rounds: only dirty cones are re-checked, verdicts agree
-        // with a full-miter verifier that checks every output each round.
-        let mut full_verifier = locked.formal_verifier(timeout).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        for round in 0..3 {
-            let (_, delta) = crate::morph::morph_all_delta(&mut locked, &mut rng);
-            let bits = locked.keys.bits().to_vec();
-            let fast = verifier.verify_after(&delta, &bits).unwrap();
-            let full = full_verifier
-                .check_with(&locked.key_assignment(&bits))
-                .unwrap();
-            assert_eq!(fast, full, "round {round} verdicts diverge");
-            assert_eq!(fast, ril_sat::EquivResult::Equivalent);
+        let mut rng = StdRng::seed_from_u64(2024 ^ 0x006d_6f72_7068);
+        assert_correct_key_folds(&locked, "generation 0");
+        for generation in 1..=8 {
+            crate::morph::morph_all(&mut locked, &mut rng);
+            assert_correct_key_folds(&locked, &format!("generation {generation}"));
         }
-        // A wrong key on a dirty cone must still be caught incrementally.
-        let lut_bits = locked
-            .keys
-            .indices_where(|k| matches!(k, crate::key::KeyBitKind::LutConfig { .. }));
-        let mut wrong = locked.keys.bits().to_vec();
-        wrong[lut_bits[0]] = !wrong[lut_bits[0]];
-        let delta = crate::morph::MorphDelta::between(locked.keys.bits(), &wrong);
-        assert!(matches!(
-            verifier.verify_after(&delta, &wrong).unwrap(),
-            ril_sat::EquivResult::Inequivalent { .. }
-        ));
-        // Empty delta: vacuous pass, no extra solver query.
-        let checks = verifier.checks();
-        assert_eq!(
-            verifier
-                .verify_after(&crate::morph::MorphDelta::default(), locked.keys.bits())
-                .unwrap(),
-            ril_sat::EquivResult::Equivalent
-        );
-        assert_eq!(verifier.checks(), checks);
+        // Some single bits are key-redundant (their flip is another
+        // correct key), so probe bits until one is refuted.
+        let refuted = (0..locked.key_width()).find_map(|bit| {
+            let mut wrong = locked.keys.bits().to_vec();
+            wrong[bit] = !wrong[bit];
+            match locked.verify_formal(&wrong, None).unwrap() {
+                ril_sat::EquivResult::Inequivalent { counterexample } => {
+                    Some(separates(&locked, &wrong, &counterexample))
+                }
+                _ => None,
+            }
+        });
+        assert_eq!(refuted, Some(true), "no single-bit corruption was refuted");
+    }
+
+    #[test]
+    fn correct_key_folds_onto_the_host_on_table1_locks() {
+        // Table I's c7552 locks: each spec at 1 and 4 blocks, lock seed
+        // 1000 + count.
+        let host = generators::benchmark("c7552").unwrap();
+        for spec in [
+            RilBlockSpec::size_2x2(),
+            RilBlockSpec::size_8x8(),
+            RilBlockSpec::size_8x8x8(),
+        ] {
+            for count in [1, 4] {
+                let locked = Obfuscator::new(spec)
+                    .blocks(count)
+                    .seed(1000 + count as u64)
+                    .obfuscate(&host)
+                    .unwrap();
+                assert_correct_key_folds(&locked, &format!("{count} × {spec:?}"));
+            }
+        }
     }
 
     #[test]

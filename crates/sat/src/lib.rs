@@ -6,10 +6,13 @@
 //! queue (CaDiCaL's focused-mode order) with phase saving, Luby restarts,
 //! learnt-database reduction, and root-level clause collection for
 //! incremental use. Companion modules provide CNF formulas with DIMACS
-//! I/O ([`Cnf`]), Tseitin encoding of gate-level netlists
-//! ([`encode_netlist`]) into a [`Cnf`] or straight into a live
-//! [`Solver`] (both are a [`ClauseSink`]), and SAT-based combinational
-//! equivalence checking ([`EquivSession`]).
+//! I/O ([`Cnf`]), Tseitin encoding of gate-level netlists into a [`Cnf`]
+//! or straight into a live [`Solver`] (both are a [`ClauseSink`]), and
+//! SAT-based combinational equivalence checking ([`check_equivalence`]).
+//! Netlists are encoded either one variable per net
+//! ([`encode_netlist`]) or through the one [`HashedEncoder`], which folds
+//! constants and shares structurally equal gates; every equivalence check
+//! and the attack's DIP constraints use the latter.
 //!
 //! There is one solver type and one search engine: a sequential
 //! [`Solver`], used in its full-strength default configuration as the
@@ -44,9 +47,10 @@ pub mod solver;
 pub mod tseitin;
 
 pub use cnf::{Cnf, ParseDimacsError};
-pub use equiv::{check_equivalence, EquivError, EquivOptions, EquivResult, EquivSession};
+pub use equiv::{check_equivalence, EquivError, EquivOptions, EquivResult};
 pub use lit::{LBool, Lit, Var};
 pub use solver::{Budget, BudgetError, Outcome, Solver, SolverConfig, SolverStats};
 pub use tseitin::{
-    encode_gate, encode_netlist, encode_netlist_into, CircuitVars, ClauseSink, TseitinError,
+    encode_gate, encode_netlist, encode_netlist_into, CircuitVars, ClauseSink, HashedEncoder,
+    TseitinError,
 };

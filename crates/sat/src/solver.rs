@@ -21,9 +21,9 @@
 //! solver decides them first and reports UNSAT-under-assumptions without
 //! poisoning the clause database. To make a whole clause retractable,
 //! guard it with a fresh activation variable `a` (`clause ∨ ¬a`) and
-//! assume `a` while the clause should hold — the pattern
-//! [`crate::EquivSession`] uses to give each queried output subset its
-//! own difference clause in one live miter.
+//! assume `a` while the clause should hold — the pattern the attack miter
+//! uses to switch its difference clause on for DIP solves and off for key
+//! extraction.
 
 use crate::cnf::Cnf;
 use crate::lit::{LBool, Lit, Var};

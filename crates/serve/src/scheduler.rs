@@ -21,7 +21,7 @@
 //! the price of the atomic-block guarantee.
 
 use crate::server::{HostedChip, State};
-use ril_core::morph_all_delta;
+use ril_core::morph_all;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -35,7 +35,13 @@ use std::time::{Duration, Instant};
 /// generation stamped on its next response.
 pub(crate) fn do_morph(metrics: &ril_trace::Metrics, chip: &mut HostedChip) {
     let t0 = Instant::now();
-    let (_, delta) = morph_all_delta(&mut chip.locked, &mut chip.rng);
+    let before = chip.locked.keys.bits().to_vec();
+    morph_all(&mut chip.locked, &mut chip.rng);
+    let changed = before
+        .iter()
+        .zip(chip.locked.keys.bits())
+        .filter(|(b, a)| b != a)
+        .count() as u64;
     chip.oracle.rekey(&chip.locked);
     chip.generation += 1;
     chip.morphs += 1;
@@ -43,9 +49,9 @@ pub(crate) fn do_morph(metrics: &ril_trace::Metrics, chip: &mut HostedChip) {
     chip.last_morph = Instant::now();
     metrics.record_timing("serve.phase.morph", t0.elapsed());
     metrics.counter_add("serve.morphs", 1);
-    metrics.counter_add("serve.key_bits_morphed", delta.len() as u64);
+    metrics.counter_add("serve.key_bits_morphed", changed);
     ril_trace::counter("serve.morphs", 1);
-    ril_trace::counter("serve.key_bits_morphed", delta.len() as u64);
+    ril_trace::counter("serve.key_bits_morphed", changed);
 }
 
 /// Spawns the time-based trigger: every tick, morph any chip whose key

@@ -92,15 +92,6 @@ tail -10 exp_out/ci_dynamic.log
 cargo run --release -q -p ril-bench --bin ril-bench -- validate exp_out/ci_dynamic
 assert_no_cached_cells exp_out/ci_dynamic
 
-echo "== incremental verify smoke (ril-bench run incremental_verify --smoke) =="
-# Timed live, never cached (--no-cache is belt-and-braces): the ≥5x
-# incremental-vs-full-rebuild floor is asserted inside the experiment.
-RIL_OUT_DIR=exp_out/ci_incremental RIL_LOG=error cargo run --release -q -p ril-bench --bin ril-bench -- \
-  run incremental_verify --smoke --no-cache >exp_out/ci_incremental.log 2>&1 \
-  || { tail -50 exp_out/ci_incremental.log; exit 1; }
-tail -10 exp_out/ci_incremental.log
-cargo run --release -q -p ril-bench --bin ril-bench -- validate exp_out/ci_incremental
-
 echo "== oracle throughput smoke (ril-bench run oracle_throughput --smoke) =="
 # Timed live, never cached (--no-cache is belt-and-braces): the ≥10x
 # batched-vs-single sim throughput floor is asserted inside the experiment.

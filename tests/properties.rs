@@ -8,8 +8,7 @@ use ril_blocks::core::lut::{complement_lut, swap_lut_inputs};
 use ril_blocks::core::{Obfuscator, RilBlockSpec};
 use ril_blocks::netlist::{generators, parse_bench, write_bench, CompiledSim, GateKind, Netlist};
 use ril_blocks::sat::{
-    check_equivalence, encode_netlist, Cnf, EquivOptions, EquivResult, EquivSession, Lit, Outcome,
-    Solver,
+    check_equivalence, encode_netlist, Cnf, EquivOptions, EquivResult, Lit, Outcome, Solver,
 };
 
 /// A copy of `nl` with the kind of its `pick`-th gate (mod the gate count)
@@ -216,9 +215,12 @@ proptest! {
     /// exhaustive simulation. A random circuit is paired with itself and
     /// with a copy that has one gate kind changed; outputs are matched by
     /// name and then by position. `check_equivalence` must say
-    /// `Equivalent` exactly when no input pattern separates the pair, its
-    /// counterexamples must separate it, and a `check_outputs` subset must
-    /// match simulation restricted to those outputs.
+    /// `Equivalent` exactly when no input pattern separates the pair, and
+    /// its counterexamples must separate it. With a random subset of the
+    /// inputs fixed to random values (folded as constants), it must say
+    /// `Equivalent` exactly when no pattern that agrees with the pins
+    /// separates the pair, and its counterexamples must separate the pair
+    /// and carry the pinned values.
     #[test]
     fn equivalence_engine_matches_exhaustive_simulation(
         seed in 0u64..5000,
@@ -229,34 +231,43 @@ proptest! {
     ) {
         let nl = generators::random_circuit(seed, n_inputs, n_gates, n_outputs);
         let mutant = with_one_gate_kind_changed(&nl, pick);
-        let subset: Vec<usize> = (0..n_outputs).filter(|i| (pick >> (32 + i)) & 1 == 1).collect();
+        // Input `i` is pinned when bit 32 + i of `pick` is set, to bit
+        // 48 + i.
+        let pins: Vec<(usize, bool)> = (0..n_inputs)
+            .filter(|i| (pick >> (32 + i)) & 1 == 1)
+            .map(|i| (i, (pick >> (48 + i)) & 1 == 1))
+            .collect();
+        let fixed_inputs: Vec<(String, bool)> = pins
+            .iter()
+            .map(|&(i, v)| (nl.net(nl.inputs()[i]).name().to_string(), v))
+            .collect();
+        let agrees = |p: usize| pins.iter().all(|&(i, v)| ((p >> i) & 1 == 1) == v);
         for right in [&nl, &mutant] {
             let diffs = exhaustive_output_diffs(&nl, right);
-            let differ_on = |outs: &[usize]| diffs.iter().any(|d| outs.iter().any(|&o| d[o]));
-            let all: Vec<usize> = (0..n_outputs).collect();
             for by_position in [false, true] {
-                let opts = EquivOptions {
-                    match_outputs_by_position: by_position,
-                    ..EquivOptions::default()
-                };
-                match check_equivalence(&nl, right, &opts).expect("ports align") {
-                    EquivResult::Equivalent => prop_assert!(!differ_on(&all)),
-                    EquivResult::Inequivalent { counterexample } => {
-                        prop_assert!(differ_on(&all));
-                        prop_assert_ne!(outputs_at(&nl, &counterexample), outputs_at(right, &counterexample));
+                for pinned in [false, true] {
+                    let opts = EquivOptions {
+                        match_outputs_by_position: by_position,
+                        fixed_inputs: if pinned { fixed_inputs.clone() } else { Vec::new() },
+                        ..EquivOptions::default()
+                    };
+                    let separated = diffs
+                        .iter()
+                        .enumerate()
+                        .any(|(p, d)| (!pinned || agrees(p)) && d.contains(&true));
+                    match check_equivalence(&nl, right, &opts).expect("ports align") {
+                        EquivResult::Equivalent => prop_assert!(!separated),
+                        EquivResult::Inequivalent { counterexample } => {
+                            prop_assert!(separated);
+                            prop_assert_ne!(outputs_at(&nl, &counterexample), outputs_at(right, &counterexample));
+                            if pinned {
+                                for &(i, v) in &pins {
+                                    prop_assert_eq!(counterexample[i], v, "pin {} dropped", i);
+                                }
+                            }
+                        }
+                        EquivResult::Unknown => prop_assert!(false, "no budget was set"),
                     }
-                    EquivResult::Unknown => prop_assert!(false, "no budget was set"),
-                }
-                let mut sess = EquivSession::new(&nl, right, &opts).expect("ports align");
-                match sess.check_outputs(&subset, &[]).expect("indices in range") {
-                    EquivResult::Equivalent => prop_assert!(!differ_on(&subset)),
-                    EquivResult::Inequivalent { counterexample } => {
-                        prop_assert!(differ_on(&subset));
-                        let l = outputs_at(&nl, &counterexample);
-                        let r = outputs_at(right, &counterexample);
-                        prop_assert!(subset.iter().any(|&o| l[o] != r[o]));
-                    }
-                    EquivResult::Unknown => prop_assert!(false, "no budget was set"),
                 }
             }
         }
